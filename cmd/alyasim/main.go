@@ -17,7 +17,12 @@ import (
 	"io"
 	"os"
 
-	containerhpc "repro"
+	"repro/internal/alya"
+	"repro/internal/cluster"
+	"repro/internal/container"
+	"repro/internal/core"
+	"repro/internal/mpi"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -66,36 +71,36 @@ func run(w io.Writer, args []string) error {
 		return usageError{err}
 	}
 
-	cl, err := containerhpc.ClusterByName(*clusterName)
+	cl, err := cluster.ByName(*clusterName)
 	if err != nil {
 		return err
 	}
-	rt, err := containerhpc.RuntimeByName(*runtimeName)
+	rt, err := container.ByName(*runtimeName)
 	if err != nil {
 		return err
 	}
 
-	kind := containerhpc.SystemSpecific
+	kind := container.SystemSpecific
 	switch *kindName {
 	case "system-specific":
 	case "self-contained":
-		kind = containerhpc.SelfContained
+		kind = container.SelfContained
 	default:
 		return fmt.Errorf("unknown build kind %q", *kindName)
 	}
 
-	var cs containerhpc.Case
+	var cs alya.Case
 	switch *caseName {
 	case "cfd-lenox":
-		cs = containerhpc.ArteryCFDLenox()
+		cs = alya.ArteryCFDLenox()
 	case "cfd-ctepower":
-		cs = containerhpc.ArteryCFDCTEPower()
+		cs = alya.ArteryCFDCTEPower()
 	case "fsi-mn4":
-		cs = containerhpc.ArteryFSIMareNostrum4()
+		cs = alya.ArteryFSIMareNostrum4()
 	case "quick-cfd":
-		cs = containerhpc.QuickCFD(5)
+		cs = alya.QuickCFD(5)
 	case "quick-fsi":
-		cs = containerhpc.QuickFSI(5)
+		cs = alya.QuickFSI(5)
 	default:
 		return fmt.Errorf("unknown case %q", *caseName)
 	}
@@ -106,25 +111,25 @@ func run(w io.Writer, args []string) error {
 		}
 	}
 
-	mode := containerhpc.ModeModel
+	mode := alya.ModeModel
 	switch *modeName {
 	case "model":
 	case "real":
-		mode = containerhpc.ModeReal
+		mode = alya.ModeReal
 	default:
 		return fmt.Errorf("unknown mode %q", *modeName)
 	}
 
-	var algo containerhpc.AllreduceAlgo
+	var algo mpi.AllreduceAlgo
 	switch *algoName {
 	case "recursive-doubling":
-		algo = containerhpc.AllreduceRecursiveDoubling
+		algo = mpi.AllreduceRecursiveDoubling
 	case "ring":
-		algo = containerhpc.AllreduceRing
+		algo = mpi.AllreduceRing
 	case "reduce+bcast":
-		algo = containerhpc.AllreduceReduceBcast
+		algo = mpi.AllreduceReduceBcast
 	case "hierarchical":
-		algo = containerhpc.AllreduceHierarchical
+		algo = mpi.AllreduceHierarchical
 	default:
 		return fmt.Errorf("unknown allreduce algorithm %q", *algoName)
 	}
@@ -134,15 +139,15 @@ func run(w io.Writer, args []string) error {
 		r = *nodes * cl.CoresPerNode() / *threads
 	}
 
-	img, err := containerhpc.BuildImage(rt, cl, kind)
+	img, err := core.BuildImageFor(rt, cl, kind)
 	if err != nil {
 		return err
 	}
 
-	res, err := containerhpc.RunCell(containerhpc.Cell{
+	res, err := core.RunCell(core.Cell{
 		Cluster: cl, Runtime: rt, Image: img, Case: cs,
 		Nodes: *nodes, Ranks: r, Threads: *threads,
-		Placement: containerhpc.PlaceBlock, Mode: mode, Allreduce: algo,
+		Placement: sched.PlaceBlock, Mode: mode, Allreduce: algo,
 	})
 	if err != nil {
 		return err
@@ -163,7 +168,7 @@ func run(w io.Writer, args []string) error {
 	fmt.Fprintf(w, "elapsed:    %v  (%d steps)\n", res.Exec.Elapsed, cs.Steps)
 	fmt.Fprintf(w, "mpi:        %d messages, %v payload, max comm %v\n",
 		res.Exec.MPI.TotalMessages, res.Exec.MPI.TotalBytes, res.Exec.MPI.MaxCommTime)
-	if mode == containerhpc.ModeReal {
+	if mode == alya.ModeReal {
 		fmt.Fprintf(w, "solver:     avg CG iters/step %.1f, final max|div u| %.3e\n",
 			res.Exec.AvgCGIters, res.Exec.MaxDivergence)
 	}

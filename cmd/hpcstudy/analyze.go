@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	containerhpc "repro"
+	"repro/internal/profile"
 )
 
 // The analyze verb turns the profiles a traced run wrote (one
@@ -28,7 +28,7 @@ func runAnalyze(w io.Writer, cfg cliConfig) error {
 	if cfg.top < 0 {
 		return usageError(fmt.Sprintf("-top must be ≥ 0 (0 = all segments), got %d", cfg.top))
 	}
-	ps, err := containerhpc.ReadProfiles(cfg.traceDir)
+	ps, err := profile.ReadDir(cfg.traceDir)
 	if err != nil {
 		return err
 	}
@@ -37,29 +37,29 @@ func runAnalyze(w io.Writer, cfg cliConfig) error {
 		if err != nil {
 			return err
 		}
-		containerhpc.RenderProfileDiff(w, containerhpc.DiffProfiles(a, b))
+		profile.DiffText(w, profile.Diff(a, b))
 		return nil
 	}
 	if cfg.analyzeOut != "" {
 		return writeAnalysisTree(cfg.analyzeOut, ps, cfg.top)
 	}
 	if cfg.csv {
-		containerhpc.ProfileAttributionCSV(w, ps)
-		containerhpc.ProfilePhasesCSV(w, ps)
+		profile.AttributionCSV(w, ps)
+		profile.PhasesCSV(w, ps)
 		return nil
 	}
-	containerhpc.RenderProfileSummary(w, ps)
+	profile.Summary(w, ps)
 	for _, p := range ps {
-		containerhpc.RenderProfileRanks(w, p)
-		containerhpc.RenderProfilePhases(w, p)
-		containerhpc.RenderProfilePath(w, p, cfg.top)
+		profile.RankTable(w, p)
+		profile.PhaseTable(w, p)
+		profile.PathText(w, p, cfg.top)
 	}
 	return nil
 }
 
 // pickDiffPair resolves -diff's "A=B" argument: two label substrings,
 // each selecting exactly one profiled cell.
-func pickDiffPair(ps []*containerhpc.CellProfile, spec string) (a, b *containerhpc.CellProfile, err error) {
+func pickDiffPair(ps []*profile.CellProfile, spec string) (a, b *profile.CellProfile, err error) {
 	i := strings.Index(spec, "=")
 	if i <= 0 || i == len(spec)-1 {
 		return nil, nil, usageError(`-diff takes "A=B": two cell-label substrings, each matching exactly one cell`)
@@ -75,8 +75,8 @@ func pickDiffPair(ps []*containerhpc.CellProfile, spec string) (a, b *containerh
 
 // pickCell finds the one profile whose label contains pat; anything
 // but exactly one match is an error listing the candidates.
-func pickCell(ps []*containerhpc.CellProfile, pat string) (*containerhpc.CellProfile, error) {
-	var hits []*containerhpc.CellProfile
+func pickCell(ps []*profile.CellProfile, pat string) (*profile.CellProfile, error) {
+	var hits []*profile.CellProfile
 	for _, p := range ps {
 		if strings.Contains(p.Label, pat) {
 			hits = append(hits, p)
@@ -92,7 +92,7 @@ func pickCell(ps []*containerhpc.CellProfile, pat string) (*containerhpc.CellPro
 }
 
 // labelList joins profile labels for diagnostics.
-func labelList(ps []*containerhpc.CellProfile) string {
+func labelList(ps []*profile.CellProfile) string {
 	labels := make([]string, len(ps))
 	for i, p := range ps {
 		labels[i] = fmt.Sprintf("%q", p.Label)
@@ -110,7 +110,7 @@ func labelList(ps []*containerhpc.CellProfile) string {
 //
 // Files are written whole from in-memory renders, so two runs over the
 // same profiles produce byte-identical trees.
-func writeAnalysisTree(dir string, ps []*containerhpc.CellProfile, top int) error {
+func writeAnalysisTree(dir string, ps []*profile.CellProfile, top int) error {
 	if err := os.MkdirAll(filepath.Join(dir, "folded"), 0o755); err != nil {
 		return err
 	}
@@ -120,23 +120,23 @@ func writeAnalysisTree(dir string, ps []*containerhpc.CellProfile, top int) erro
 		return os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644)
 	}
 	if err := write("summary.txt", func(w io.Writer) {
-		containerhpc.RenderProfileSummary(w, ps)
+		profile.Summary(w, ps)
 		for _, p := range ps {
-			containerhpc.RenderProfileRanks(w, p)
-			containerhpc.RenderProfilePhases(w, p)
+			profile.RankTable(w, p)
+			profile.PhaseTable(w, p)
 		}
 	}); err != nil {
 		return err
 	}
-	if err := write("attribution.csv", func(w io.Writer) { containerhpc.ProfileAttributionCSV(w, ps) }); err != nil {
+	if err := write("attribution.csv", func(w io.Writer) { profile.AttributionCSV(w, ps) }); err != nil {
 		return err
 	}
-	if err := write("phases.csv", func(w io.Writer) { containerhpc.ProfilePhasesCSV(w, ps) }); err != nil {
+	if err := write("phases.csv", func(w io.Writer) { profile.PhasesCSV(w, ps) }); err != nil {
 		return err
 	}
 	if err := write("critical-path.txt", func(w io.Writer) {
 		for _, p := range ps {
-			containerhpc.RenderProfilePath(w, p, top)
+			profile.PathText(w, p, top)
 		}
 	}); err != nil {
 		return err
@@ -144,7 +144,7 @@ func writeAnalysisTree(dir string, ps []*containerhpc.CellProfile, top int) erro
 	for _, p := range ps {
 		p := p
 		if err := write(filepath.Join("folded", p.Key+".folded"), func(w io.Writer) {
-			containerhpc.ProfileFoldedText(w, p)
+			profile.FoldedText(w, p)
 		}); err != nil {
 			return err
 		}

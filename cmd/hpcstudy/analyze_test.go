@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	containerhpc "repro"
+	"repro/internal/profile"
 )
 
 // tracedFig2 runs the quick fig2 study once with tracing and returns
@@ -59,7 +59,7 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	traceDir := tracedFig2(t)
 	base := cliConfig{traceDir: traceDir, top: 10}
 
-	ps, err := containerhpc.ReadProfiles(traceDir)
+	ps, err := profile.ReadDir(traceDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestAnalyzeDeterministic(t *testing.T) {
 // deterministic report attributing the makespan delta to named phases.
 func TestAnalyzeDiffMode(t *testing.T) {
 	traceDir := tracedFig2(t)
-	ps, err := containerhpc.ReadProfiles(traceDir)
+	ps, err := profile.ReadDir(traceDir)
 	if err != nil {
 		t.Fatal(err)
 	}

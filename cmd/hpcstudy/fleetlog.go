@@ -5,7 +5,7 @@ import (
 	"io"
 	"os"
 
-	containerhpc "repro"
+	"repro/internal/fleettrace"
 )
 
 // runFleetlog merges the -fleetlog journals under dir into one
@@ -17,7 +17,7 @@ import (
 // Everything printed is a pure function of the journal bytes, so two
 // invocations over the same directory are byte-identical.
 func runFleetlog(w io.Writer, dir string, cfg cliConfig) error {
-	run, err := containerhpc.ReadFleetDir(dir)
+	run, err := fleettrace.ReadDir(dir)
 	if err != nil {
 		return err
 	}
@@ -38,15 +38,15 @@ func runFleetlog(w io.Writer, dir string, cfg cliConfig) error {
 		}
 	}
 	if cfg.diffSpec != "" {
-		runB, err := containerhpc.ReadFleetDir(cfg.diffSpec)
+		runB, err := fleettrace.ReadDir(cfg.diffSpec)
 		if err != nil {
 			return err
 		}
-		diffs, err := containerhpc.FleetDiff(run, runB)
+		diffs, err := fleettrace.DiffRuns(run, runB)
 		if err != nil {
 			return err
 		}
-		containerhpc.RenderFleetDiff(w, diffs)
+		fleettrace.RenderDiff(w, diffs)
 		return nil
 	}
 	attrs, err := run.Attribution()
@@ -54,9 +54,9 @@ func runFleetlog(w io.Writer, dir string, cfg cliConfig) error {
 		return err
 	}
 	if cfg.csv {
-		containerhpc.FleetAttributionCSV(w, attrs)
+		fleettrace.AttributionCSV(w, attrs)
 	} else {
-		containerhpc.RenderFleetAttribution(w, attrs)
+		fleettrace.RenderAttribution(w, attrs)
 	}
 	return nil
 }

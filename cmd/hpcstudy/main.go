@@ -54,9 +54,9 @@
 // -v appends per-study observability lines: how cells were produced
 // (simulated, replayed, failures replayed), the store traffic (hits,
 // misses, puts), and the vtime kernel's scheduling counters
-// (switches, ping-pong fast-slot hits, Sync fast-path hits, heap
-// operations, wakes), so scheduling-path and cache regressions show
-// up in CI logs instead of silently inflating wall time.
+// (switches, Sync fast-path hits, heap operations, wakes), so
+// scheduling-path and cache regressions show up in CI logs instead of
+// silently inflating wall time.
 //
 // -trace DIR writes one Chrome Trace Event JSON file per simulated
 // cell (named by the cell's store key) recording the execution in
@@ -90,31 +90,12 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
-
-	containerhpc "repro"
-)
-
-// studyNames lists every experiment in "all" order.
-var studyNames = []string{"solutions", "fig1", "fig2", "fig3", "portability", "iostudy"}
-
-// -quick sweep points. Vars rather than literals so the CLI smoke test
-// can shrink them further without bypassing any of the wiring.
-var (
-	quickFig2Nodes = []int{2, 4, 8, 16}
-	quickFig3Nodes = []int{4, 8, 16, 32, 64}
 )
 
 // cliConfig carries every flag behind the verb and study arguments.
@@ -150,50 +131,98 @@ type cliConfig struct {
 	workerName  string        // sweep: display name in coordinator logs
 }
 
-// verbSummaries drives the top-level usage text, in display order.
-var verbSummaries = [][2]string{
-	{"<study>", "regenerate a built-in study: fig1|fig2|fig3|solutions|portability|iostudy|all"},
-	{"run <spec.json>", "compile and run a declarative scenario spec (examples/scenarios)"},
-	{"validate <spec.json>", "check a scenario spec and report its cells without running"},
-	{"merge <study|spec>", "assemble output purely from the result store"},
-	{"serve", "expose a -cache-dir store as a result registry over HTTP"},
-	{"sweep <study|spec>", "run a worker pulling leased cell batches from a coordinator (serve -sweep)"},
-	{"analyze", "attribute a traced run's virtual time: per-rank tables, critical path, A-vs-B diff"},
-	{"fleetlog", "merge -fleetlog journals into one wall-clock timeline and attribution table"},
-	{"gc", "evict store records by total size and/or last access"},
-	{"help [verb]", "print this summary, or one verb's flags"},
+// verb is one row of the CLI's single verb table: dispatch, arity
+// checking, the usage summary and per-verb help all read it.
+type verb struct {
+	name     string   // the word on the command line; "" is the bare `hpcstudy <study>` form
+	label    string   // name plus argument placeholder, as the verb summary shows it
+	synopsis string   // one-line usage form; empty = the verb summary stands in
+	summary  string   // what the verb does, one line
+	flags    []string // the flags per-verb help lists
+	nargs    int      // positional arguments required; -1 = at most one
+	run      func(w io.Writer, args []string, cfg cliConfig) error
 }
 
-// verbFlags names the flags each verb understands, so per-verb help
-// shows only what applies.
-var verbFlags = map[string][]string{
-	// "study" itself is the top-level summary (printUsage's first
-	// branch), which prints studyFamilyFlags below.
-	"run":      {"list", "csv", "v", "parallel", "trace", "progress", "cache-dir", "cache-url", "shard"},
-	"merge":    {"quick", "csv", "v", "parallel", "progress", "cache-dir", "cache-url"},
-	"validate": {},
-	"serve":    {"cache-dir", "listen", "gc-interval", "max-bytes", "max-age", "pprof", "sweep", "lease-ttl", "lease-batch", "quick", "fleetlog"},
-	"sweep":    {"coordinator", "worker", "quick", "v", "parallel", "cache-dir", "trace", "progress", "fleetlog"},
-	"analyze":  {"trace", "o", "diff", "top", "csv"},
-	"fleetlog": {"chrome", "csv", "diff"},
-	"gc":       {"cache-dir", "max-bytes", "max-age"},
+// verbs lists every verb in usage-display order. The first row is the
+// verb-less study form; its flags are the union the top-level summary
+// prints for the study/run/merge family. Filled in init because the
+// help row prints the table it sits in.
+var verbs []verb
+
+func init() {
+	verbs = []verb{
+		{name: "", label: "<study>", nargs: 1,
+			synopsis: "hpcstudy [flags] <fig1|fig2|fig3|solutions|portability|iostudy|all>",
+			summary:  "regenerate a built-in study: fig1|fig2|fig3|solutions|portability|iostudy|all",
+			flags:    []string{"quick", "list", "csv", "v", "parallel", "trace", "progress", "cache-dir", "cache-url", "shard"},
+			run:      func(w io.Writer, args []string, cfg cliConfig) error { return runStudy(w, args[0], cfg) }},
+		{name: "run", label: "run <spec.json>", nargs: 1,
+			synopsis: "hpcstudy run [flags] <spec.json>",
+			summary:  "compile and run a declarative scenario spec (examples/scenarios)",
+			flags:    []string{"list", "csv", "v", "parallel", "trace", "progress", "cache-dir", "cache-url", "shard"},
+			run: func(w io.Writer, args []string, cfg cliConfig) error {
+				cfg.scenario = true
+				return runStudy(w, args[0], cfg)
+			}},
+		{name: "validate", label: "validate <spec.json>", nargs: 1,
+			synopsis: "hpcstudy validate <spec.json>",
+			summary:  "check a scenario spec and report its cells without running",
+			run:      func(w io.Writer, args []string, _ cliConfig) error { return runValidate(w, args[0]) }},
+		{name: "merge", label: "merge <study|spec>", nargs: 1,
+			synopsis: "hpcstudy merge [flags] <study|spec.json>",
+			summary:  "assemble output purely from the result store",
+			flags:    []string{"quick", "csv", "v", "parallel", "progress", "cache-dir", "cache-url"},
+			run: func(w io.Writer, args []string, cfg cliConfig) error {
+				cfg.merge = true
+				return runStudy(w, args[0], cfg)
+			}},
+		{name: "serve", label: "serve",
+			synopsis: "hpcstudy serve -cache-dir DIR [-listen ADDR] [-sweep STUDY -lease-ttl DUR -lease-batch N] [-gc-interval DUR -max-bytes N -max-age DUR] [-pprof ADDR]",
+			summary:  "expose a -cache-dir store as a result registry over HTTP",
+			flags:    []string{"cache-dir", "listen", "gc-interval", "max-bytes", "max-age", "pprof", "sweep", "lease-ttl", "lease-batch", "quick", "fleetlog"},
+			run:      func(w io.Writer, _ []string, cfg cliConfig) error { return serveUntilSignal(w, cfg) }},
+		{name: "sweep", label: "sweep <study|spec>", nargs: 1,
+			synopsis: "hpcstudy sweep -coordinator URL [-worker NAME] [flags] <fig1|fig2|spec.json>",
+			summary:  "run a worker pulling leased cell batches from a coordinator (serve -sweep)",
+			flags:    []string{"coordinator", "worker", "quick", "v", "parallel", "cache-dir", "trace", "progress", "fleetlog"},
+			run:      func(w io.Writer, args []string, cfg cliConfig) error { return runSweep(w, args[0], cfg) }},
+		{name: "analyze", label: "analyze",
+			synopsis: "hpcstudy analyze -trace DIR [-o OUTDIR] [-diff \"A=B\"] [-top N] [-csv]",
+			summary:  "attribute a traced run's virtual time: per-rank tables, critical path, A-vs-B diff",
+			flags:    []string{"trace", "o", "diff", "top", "csv"},
+			run:      func(w io.Writer, _ []string, cfg cliConfig) error { return runAnalyze(w, cfg) }},
+		{name: "fleetlog", label: "fleetlog", nargs: 1,
+			synopsis: "hpcstudy fleetlog [-chrome FILE] [-csv] [-diff DIRB] <journal-dir>",
+			summary:  "merge -fleetlog journals into one wall-clock timeline and attribution table",
+			flags:    []string{"chrome", "csv", "diff"},
+			run:      func(w io.Writer, args []string, cfg cliConfig) error { return runFleetlog(w, args[0], cfg) }},
+		{name: "gc", label: "gc",
+			synopsis: "hpcstudy gc -cache-dir DIR [-max-bytes N] [-max-age DUR]",
+			summary:  "evict store records by total size and/or last access",
+			flags:    []string{"cache-dir", "max-bytes", "max-age"},
+			run:      func(w io.Writer, _ []string, cfg cliConfig) error { return runGC(w, cfg) }},
+		{name: "help", label: "help [verb]", nargs: -1,
+			summary: "print this summary, or one verb's flags",
+			run: func(w io.Writer, args []string, _ cliConfig) error {
+				target := ""
+				if len(args) == 1 {
+					target = args[0]
+				}
+				printUsage(w, target)
+				return nil
+			}},
+	}
 }
 
-// studyFamilyFlags is the union the top-level summary prints: every
-// flag of the study/run/merge family, -quick included.
-var studyFamilyFlags = []string{"quick", "list", "csv", "v", "parallel", "trace", "progress", "cache-dir", "cache-url", "shard"}
-
-// verbSynopses is the one-line usage form of each verb.
-var verbSynopses = map[string]string{
-	"study":    "hpcstudy [flags] <fig1|fig2|fig3|solutions|portability|iostudy|all>",
-	"run":      "hpcstudy run [flags] <spec.json>",
-	"validate": "hpcstudy validate <spec.json>",
-	"merge":    "hpcstudy merge [flags] <study|spec.json>",
-	"serve":    "hpcstudy serve -cache-dir DIR [-listen ADDR] [-sweep STUDY -lease-ttl DUR -lease-batch N] [-gc-interval DUR -max-bytes N -max-age DUR] [-pprof ADDR]",
-	"sweep":    "hpcstudy sweep -coordinator URL [-worker NAME] [flags] <fig1|fig2|spec.json>",
-	"analyze":  "hpcstudy analyze -trace DIR [-o OUTDIR] [-diff \"A=B\"] [-top N] [-csv]",
-	"fleetlog": "hpcstudy fleetlog [-chrome FILE] [-csv] [-diff DIRB] <journal-dir>",
-	"gc":       "hpcstudy gc -cache-dir DIR [-max-bytes N] [-max-age DUR]",
+// lookupVerb finds a verb by its command-line word; nil when word
+// names none (a study name, a spec path, a typo).
+func lookupVerb(word string) *verb {
+	for i := 1; i < len(verbs); i++ { // row 0 is the verb-less form
+		if verbs[i].name == word {
+			return &verbs[i]
+		}
+	}
+	return nil
 }
 
 // printVerbFlags prints the named flags in declaration style.
@@ -208,30 +237,26 @@ func printVerbFlags(w io.Writer, names []string) {
 }
 
 // printUsage writes the usage text: one verb's synopsis and flags, or
-// the full verb summary when verb is empty or unknown.
-func printUsage(w io.Writer, verb string) {
-	if verb == "study" || verb == "" {
-		fmt.Fprintf(w, "usage: %s\n", verbSynopses["study"])
-		fmt.Fprintf(w, "\nverbs:\n")
-		for _, v := range verbSummaries {
-			fmt.Fprintf(w, "  %-22s %s\n", v[0], v[1])
+// the full verb summary when word names no verb with a synopsis of
+// its own.
+func printUsage(w io.Writer, word string) {
+	if v := lookupVerb(word); v != nil && v.synopsis != "" {
+		fmt.Fprintf(w, "usage: %s\n", v.synopsis)
+		if len(v.flags) > 0 {
+			fmt.Fprintf(w, "\nflags:\n")
+			printVerbFlags(w, v.flags)
 		}
-		fmt.Fprintf(w, "\nrun `hpcstudy help <verb>` (or `hpcstudy <verb> -h`) for per-verb flags.\n")
-		fmt.Fprintf(w, "\nthe determinism and kernel invariants behind every figure are machine-enforced:\nbuild ./cmd/repolint and run `go vet -vettool=$(pwd)/repolint ./...` (CI gates on\nit) before touching kernel, sweep, or wire/store code.\n")
-		fmt.Fprintf(w, "\nstudy/run/merge flags:\n")
-		printVerbFlags(w, studyFamilyFlags)
 		return
 	}
-	syn, ok := verbSynopses[verb]
-	if !ok {
-		printUsage(w, "")
-		return
+	fmt.Fprintf(w, "usage: %s\n", verbs[0].synopsis)
+	fmt.Fprintf(w, "\nverbs:\n")
+	for _, v := range verbs {
+		fmt.Fprintf(w, "  %-22s %s\n", v.label, v.summary)
 	}
-	fmt.Fprintf(w, "usage: %s\n", syn)
-	if names := verbFlags[verb]; len(names) > 0 {
-		fmt.Fprintf(w, "\nflags:\n")
-		printVerbFlags(w, names)
-	}
+	fmt.Fprintf(w, "\nrun `hpcstudy help <verb>` (or `hpcstudy <verb> -h`) for per-verb flags.\n")
+	fmt.Fprintf(w, "\nthe determinism and kernel invariants behind every figure are machine-enforced:\nbuild ./cmd/repolint and run `go vet -vettool=$(pwd)/repolint ./...` (CI gates on\nit) before touching kernel, sweep, or wire/store code.\n")
+	fmt.Fprintf(w, "\nstudy/run/merge flags:\n")
+	printVerbFlags(w, verbs[0].flags)
 }
 
 // cliFlags receives the parsed command line. Registration happens at
@@ -268,88 +293,33 @@ func init() {
 	flag.StringVar(&cliFlags.chromeOut, "chrome", "", "fleetlog: write the merged timeline as Chrome Trace Event JSON to this file (\"-\" = stdout)")
 }
 
-func main() {
-	// Verbs read naturally before their flags (`hpcstudy serve -cache-dir …`);
-	// merge & co. keep their legacy flags-first position too.
-	args := os.Args[1:]
-	verb := ""
-	if len(args) > 0 {
-		switch args[0] {
-		case "serve", "gc", "merge", "run", "validate", "sweep", "analyze", "fleetlog", "help":
-			verb, args = args[0], args[1:]
+// parseCommand splits a command line into its verb and positional
+// arguments, parsing the flags into cliFlags on the way. A verb reads
+// naturally before its flags (`hpcstudy serve -cache-dir …`) and is
+// equally accepted after leading ones (`hpcstudy -cache-dir D gc
+// -max-age 1h`), so flags are parsed on both sides of it.
+func parseCommand(args []string) (*verb, []string) {
+	v := &verbs[0]
+	flag.Usage = func() { printUsage(flag.CommandLine.Output(), v.name) }
+	for range 2 {
+		if len(args) > 0 && v == &verbs[0] {
+			if named := lookupVerb(args[0]); named != nil {
+				v, args = named, args[1:]
+			}
 		}
+		flag.CommandLine.Parse(args)
+		args = flag.Args()
 	}
-	flag.Usage = func() { printUsage(flag.CommandLine.Output(), verb) }
-	flag.CommandLine.Parse(args)
-	cfg := cliFlags
-	rest := flag.Args()
-	if verb == "" && len(rest) > 0 {
-		switch rest[0] {
-		case "merge", "run", "validate", "sweep", "analyze", "fleetlog", "help":
-			verb, rest = rest[0], rest[1:]
-		}
-	}
+	return v, args
+}
 
-	var err error
-	switch verb {
-	case "serve":
-		if len(rest) != 0 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		err = runServe(ctx, os.Stdout, cfg)
-		stop()
-	case "gc":
-		if len(rest) != 0 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		err = runGC(os.Stdout, cfg)
-	case "help":
-		target := ""
-		if len(rest) > 1 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		if len(rest) == 1 {
-			target = rest[0]
-		}
-		printUsage(os.Stdout, target)
-	case "validate":
-		if len(rest) != 1 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		err = runValidate(os.Stdout, rest[0])
-	case "sweep":
-		if len(rest) != 1 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		err = runSweep(os.Stdout, rest[0], cfg)
-	case "analyze":
-		if len(rest) != 0 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		err = runAnalyze(os.Stdout, cfg)
-	case "fleetlog":
-		if len(rest) != 1 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		err = runFleetlog(os.Stdout, rest[0], cfg)
-	default:
-		if len(rest) != 1 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		cfg.merge = verb == "merge"
-		cfg.scenario = verb == "run"
-		err = runStudy(os.Stdout, rest[0], cfg)
+func main() {
+	v, args := parseCommand(os.Args[1:])
+	if len(args) != v.nargs && !(v.nargs < 0 && len(args) <= 1) {
+		flag.Usage()
+		os.Exit(2)
 	}
-	if err != nil {
+	if err := v.run(os.Stdout, args, cliFlags); err != nil {
 		fmt.Fprintf(os.Stderr, "hpcstudy: %v\n", err)
 		var ue usageError
 		var se unknownStudyError
@@ -359,140 +329,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// openStore assembles the configured store: a directory, a registry
-// client, or — with both flags — a tiered combination where the
-// directory caches registry reads. Nil when no store is configured.
-// Under -v, the registry client logs every retried request to stderr
-// — a retry that eventually succeeds is otherwise invisible, leaving
-// a flaky link undiagnosed (the count also lands in the store line).
-func openStore(cfg cliConfig) (containerhpc.Store, error) {
-	dial := func() (*containerhpc.RegistryClient, error) {
-		opt := containerhpc.RegistryClientOptions{}
-		if cfg.verbose {
-			opt.Logf = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			}
-		}
-		return containerhpc.DialStoreWith(cfg.cacheURL, opt)
-	}
-	switch {
-	case cfg.cacheDir != "" && cfg.cacheURL != "":
-		local, err := containerhpc.OpenStore(cfg.cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		remote, err := dial()
-		if err != nil {
-			local.Close()
-			return nil, err
-		}
-		return containerhpc.NewTieredStore(local, remote), nil
-	case cfg.cacheDir != "":
-		store, err := containerhpc.OpenStore(cfg.cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		return store, nil
-	case cfg.cacheURL != "":
-		return dial()
-	}
-	return nil, nil
-}
-
-// runServe exposes -cache-dir as a result registry until ctx is
-// cancelled (the CLI wires SIGINT/SIGTERM), then shuts down
-// gracefully with in-flight PUTs committed.
-func runServe(ctx context.Context, w io.Writer, cfg cliConfig) error {
-	if cfg.cacheDir == "" {
-		return usageError("serve needs -cache-dir: the registry serves a directory store")
-	}
-	if cfg.cacheURL != "" {
-		return usageError("serve exposes -cache-dir; it cannot chain to another registry via -cache-url")
-	}
-	gcPolicy := containerhpc.GCPolicy{MaxBytes: cfg.maxBytes, MaxAge: cfg.maxAge}
-	if cfg.gcInterval > 0 && !gcPolicy.Bounded() {
-		return usageError("-gc-interval needs a bound: -max-bytes and/or -max-age (an unbounded policy collects nothing)")
-	}
-	store, err := containerhpc.OpenStore(cfg.cacheDir)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	if cfg.pprofAddr != "" {
-		// Opt-in profiling endpoint on its own address, so profiling
-		// traffic never mixes with (or is exposed on) the registry port.
-		// The listener lives for the process; serve exits by signal.
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		ln, err := net.Listen("tcp", cfg.pprofAddr)
-		if err != nil {
-			return fmt.Errorf("pprof: %w", err)
-		}
-		defer ln.Close()
-		fmt.Fprintf(w, "pprof: listening on %s\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, mux); err != nil && ctx.Err() == nil {
-				fmt.Fprintf(os.Stderr, "pprof: %v\n", err)
-			}
-		}()
-	}
-	srvOpt := containerhpc.RegistryServerOptions{
-		GCInterval: cfg.gcInterval,
-		GC:         gcPolicy,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
-		},
-	}
-	var journal *containerhpc.FleetJournal
-	if cfg.fleetlog != "" {
-		journal, err = containerhpc.OpenFleetJournal(cfg.fleetlog, "coordinator")
-		if err != nil {
-			return err
-		}
-		defer journal.Close()
-		srvOpt.Journal = journal
-	}
-	if cfg.sweepStudy != "" {
-		// Coordinator mode: enumerate the study against the store so
-		// already-committed cells are never issued (a restart resumes
-		// with exactly the un-committed remainder), then hand out the
-		// rest as leased batches on /v1/work.
-		work, err := buildWorkQueue(w, store, cfg, journal)
-		if err != nil {
-			return err
-		}
-		srvOpt.Work = work
-	}
-	srv := containerhpc.NewRegistryServer(store, srvOpt)
-	return srv.ListenAndServe(ctx, cfg.listen)
-}
-
-// runGC runs one eviction pass over -cache-dir.
-func runGC(w io.Writer, cfg cliConfig) error {
-	if cfg.cacheDir == "" {
-		return usageError("gc needs -cache-dir: it collects a directory store")
-	}
-	pol := containerhpc.GCPolicy{MaxBytes: cfg.maxBytes, MaxAge: cfg.maxAge}
-	if !pol.Bounded() {
-		return usageError("gc needs a bound: -max-bytes and/or -max-age")
-	}
-	store, err := containerhpc.OpenStore(cfg.cacheDir)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	rep, err := store.GC(time.Now(), pol)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s\n", rep)
-	return nil
 }
 
 // usageError reports CLI misuse (invalid flag value or combination);
@@ -505,300 +341,3 @@ func (e usageError) Error() string { return string(e) }
 type unknownStudyError string
 
 func (e unknownStudyError) Error() string { return fmt.Sprintf("unknown study %q", string(e)) }
-
-// looksLikeSpec reports whether a study argument is a scenario spec
-// path rather than a built-in study name, so every study-taking verb
-// ("hpcstudy merge spec.json") accepts specs without a separate flag.
-func looksLikeSpec(s string) bool {
-	if strings.HasSuffix(s, ".json") || strings.ContainsRune(s, os.PathSeparator) {
-		return true
-	}
-	// Extension-less spec files are accepted, but only regular files:
-	// a typo that happens to match a directory should stay an
-	// "unknown study" diagnostic, not a JSON decode failure.
-	info, err := os.Stat(s)
-	return err == nil && info.Mode().IsRegular()
-}
-
-// runValidate compiles a spec and reports its shape without running.
-func runValidate(w io.Writer, path string) error {
-	st, err := containerhpc.LoadScenario(path)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s: ok: %s\n", path, st.Shape())
-	return nil
-}
-
-// listCells prints every compiled cell with its store key — the
-// operator's view of what a spec will sweep and which fingerprints to
-// look for in a registry.
-func listCells(w io.Writer, st *containerhpc.Scenario) error {
-	cells, keys := st.Cells(), st.Keys()
-	for i := range cells {
-		fmt.Fprintf(w, "%s  %s\n", keys[i], cells[i].Label)
-	}
-	fmt.Fprintf(w, "%s: %s\n", st.Name(), st.Shape())
-	return nil
-}
-
-// runStudy regenerates one study (or "all"), or a scenario spec given
-// by path, into w — the whole CLI behind flag parsing, so tests can
-// drive it directly.
-func runStudy(w io.Writer, which string, cfg cliConfig) error {
-	if cfg.parallel < 0 {
-		return usageError(fmt.Sprintf("-parallel must be ≥ 0 (0 = all CPUs), got %d", cfg.parallel))
-	}
-
-	// Resolve the target before touching any store: a scenario path
-	// compiles here (validation errors surface with no side effects),
-	// and -list needs nothing but the compiled cells.
-	builtin := which == "all"
-	for _, n := range studyNames {
-		builtin = builtin || which == n
-	}
-	var study *containerhpc.Scenario
-	if !builtin || cfg.scenario {
-		if !cfg.scenario && !looksLikeSpec(which) {
-			return unknownStudyError(which)
-		}
-		if cfg.quick {
-			return usageError("-quick trims the built-in studies; size a scenario via its spec (case.sim_steps)")
-		}
-		var err error
-		if study, err = containerhpc.LoadScenario(which); err != nil {
-			return err
-		}
-		if cfg.list {
-			return listCells(w, study)
-		}
-	} else if cfg.list {
-		return usageError("-list prints a scenario spec's cells; give the run verb a spec file")
-	}
-
-	var shard containerhpc.Shard
-	if cfg.shard != "" {
-		if cfg.cacheDir == "" && cfg.cacheURL == "" {
-			return usageError("-shard needs -cache-dir or -cache-url: shards meet in a shared result store")
-		}
-		if cfg.merge {
-			return usageError("merge assembles from the store; it cannot be sharded")
-		}
-		var err error
-		if shard, err = containerhpc.ParseShard(cfg.shard); err != nil {
-			return usageError(err.Error())
-		}
-	}
-	if cfg.merge && cfg.cacheDir == "" && cfg.cacheURL == "" {
-		return usageError("merge needs -cache-dir or -cache-url: it assembles figures from a populated store")
-	}
-
-	stats := &containerhpc.SweepStats{}
-	opt := containerhpc.Options{Parallelism: cfg.parallel, Stats: stats, TraceDir: cfg.traceDir}
-	if cfg.progress {
-		// Progress is wall-time telemetry (rate, ETA), so it goes to
-		// stderr: stdout stays the deterministic figure bytes.
-		prog := containerhpc.NewProgress(os.Stderr)
-		opt.Progress = func(ev containerhpc.ProgressEvent) { prog.Event(ev.Done, ev.Total, ev.Cached) }
-	}
-	store, err := openStore(cfg)
-	if err != nil {
-		return err
-	}
-	if store != nil {
-		defer store.Close()
-		opt.Store, opt.Shard, opt.FromStore = store, shard, cfg.merge
-	}
-	// One metrics registry per invocation: every study's -v lines render
-	// from it (RecordStudy folds the per-study deltas in; RenderStudy
-	// prints them back), so the CLI and the scrapeable surfaces share
-	// one model instead of three parallel stats structs.
-	metrics := containerhpc.NewMetricsRegistry()
-
-	jobs := map[string]func(io.Writer) error{
-		"fig1":        func(w io.Writer) error { return fig1(w, opt, cfg) },
-		"fig2":        func(w io.Writer) error { return fig2(w, opt, cfg) },
-		"fig3":        func(w io.Writer) error { return fig3(w, opt, cfg) },
-		"solutions":   func(w io.Writer) error { return solutions(w, opt) },
-		"portability": func(w io.Writer) error { return portability(w, opt) },
-		"iostudy":     func(w io.Writer) error { return iostudy(w, opt) },
-	}
-	run := func(name string, f func(io.Writer) error) error {
-		start := time.Now()
-		hits0, comp0, neg0 := stats.Hits.Load(), stats.Computed.Load(), stats.NegHits.Load()
-		kern0 := stats.Kernel()
-		stats.ResetAdmission() // min-gauge: fresh window per study
-		var st0 containerhpc.StoreStats
-		if opt.Store != nil {
-			st0 = opt.Store.Stats()
-		}
-		verbose := func() {
-			if !cfg.verbose {
-				return
-			}
-			// Fold this study's deltas into the metrics registry, then
-			// render the classic -v lines from it. The admission gauge
-			// was reset at this study's start, so a clamp belongs to this
-			// study — an earlier study's clamp (fig3 under "all") is
-			// never re-attributed. Anyone changing what the kernel
-			// counters measure must keep `go vet -vettool` with
-			// cmd/repolint green — the kernelsafe analyzer is what
-			// guarantees these numbers stay meaningful.
-			sample := containerhpc.CellsSample{
-				Simulated:        stats.Computed.Load() - comp0,
-				Replayed:         stats.Hits.Load() - hits0,
-				FailuresReplayed: stats.NegHits.Load() - neg0,
-				Kernel:           stats.Kernel().Sub(kern0),
-			}
-			sample.AdmissionRequested, sample.AdmissionAdmitted = stats.Admission()
-			if opt.Store != nil {
-				// The store's own traffic, not the sweep's view of it:
-				// against a registry these are network operations, and
-				// retries flag a flaky link.
-				st := opt.Store.Stats()
-				sample.Store = &containerhpc.StoreStats{
-					Lookups:       st.Lookups - st0.Lookups,
-					Hits:          st.Hits - st0.Hits,
-					NegHits:       st.NegHits - st0.NegHits,
-					Puts:          st.Puts - st0.Puts,
-					PutErrors:     st.PutErrors - st0.PutErrors,
-					Retries:       st.Retries - st0.Retries,
-					PrefetchSkips: st.PrefetchSkips - st0.PrefetchSkips,
-				}
-			}
-			containerhpc.RecordStudy(metrics, name, sample)
-			containerhpc.RenderStudy(w, metrics, name, containerhpc.RankBudget)
-		}
-		err := f(w)
-		var miss *containerhpc.MissingCellsError
-		if err != nil && shard.Active() && errors.As(err, &miss) {
-			// A populate shard finished its slice; the rest belongs to
-			// other shards and is not a failure.
-			fmt.Fprintf(w, "%s: shard %s done: %d cells simulated, %d replayed, %d left to other shards\n\n",
-				name, shard, stats.Computed.Load()-comp0, stats.Hits.Load()-hits0, len(miss.Cells))
-			verbose()
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		verbose()
-		fmt.Fprintf(w, "  (%s regenerated in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-	if study != nil {
-		return run(study.Name(), func(w io.Writer) error {
-			return scenarioJob(w, study, opt, cfg)
-		})
-	}
-	if which == "all" {
-		for _, name := range studyNames {
-			if err := run(name, jobs[name]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	f, ok := jobs[which]
-	if !ok {
-		return unknownStudyError(which)
-	}
-	return run(which, f)
-}
-
-// scenarioJob runs one compiled scenario through the same options
-// every built-in study gets.
-func scenarioJob(w io.Writer, st *containerhpc.Scenario, opt containerhpc.Options, cfg cliConfig) error {
-	res, err := st.Run(opt)
-	if err != nil {
-		return err
-	}
-	if cfg.csv {
-		res.CSV(w)
-	} else {
-		res.Render(w)
-	}
-	return nil
-}
-
-func fig1(w io.Writer, opt containerhpc.Options, cfg cliConfig) error {
-	if cfg.quick {
-		c := containerhpc.ArteryCFDLenox()
-		c.SimSteps = 1
-		opt.Case = c
-	}
-	res, err := containerhpc.Fig1(opt)
-	if err != nil {
-		return err
-	}
-	if cfg.csv {
-		res.CSV(w)
-	} else {
-		res.Render(w)
-	}
-	return nil
-}
-
-func fig2(w io.Writer, opt containerhpc.Options, cfg cliConfig) error {
-	if cfg.quick {
-		c := containerhpc.ArteryCFDCTEPower()
-		c.SimSteps = 1
-		opt.Case = c
-		opt.NodePoints = quickFig2Nodes
-	}
-	res, err := containerhpc.Fig2(opt)
-	if err != nil {
-		return err
-	}
-	if cfg.csv {
-		res.CSV(w)
-	} else {
-		res.Render(w)
-	}
-	return nil
-}
-
-func fig3(w io.Writer, opt containerhpc.Options, cfg cliConfig) error {
-	if cfg.quick {
-		opt.NodePoints = quickFig3Nodes
-	}
-	res, err := containerhpc.Fig3(opt)
-	if err != nil {
-		return err
-	}
-	if cfg.csv {
-		res.CSV(w)
-		return nil
-	}
-	res.Render(w)
-	fmt.Fprintln(w)
-	res.RenderChart(w)
-	return nil
-}
-
-func solutions(w io.Writer, opt containerhpc.Options) error {
-	res, err := containerhpc.Solutions(opt)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}
-
-func portability(w io.Writer, opt containerhpc.Options) error {
-	res, err := containerhpc.Portability(opt)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}
-
-func iostudy(w io.Writer, opt containerhpc.Options) error {
-	res, err := containerhpc.IOStudy(opt)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

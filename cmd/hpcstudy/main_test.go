@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -607,5 +608,41 @@ func TestScenarioRejectsQuick(t *testing.T) {
 	err := runStudy(io.Discard, spec, cliConfig{scenario: true, quick: true})
 	if !errors.As(err, &ue) || !strings.Contains(err.Error(), "sim_steps") {
 		t.Fatalf("want usageError naming sim_steps, got %v", err)
+	}
+}
+
+// TestVerbArgumentOrders drives every row of the verb table through
+// the command-line parser in both positions — verb first, and after
+// leading flags with more flags behind it — and asserts the same verb,
+// positionals and flag values come out. serve and gc used to be
+// recognised only as the first argument.
+func TestVerbArgumentOrders(t *testing.T) {
+	saved := cliFlags
+	t.Cleanup(func() { cliFlags = saved })
+	for i := range verbs {
+		v := &verbs[i]
+		var words, positional []string
+		if v.name != "" {
+			words = []string{v.name}
+		}
+		if v.nargs != 0 { // one positional, required or optional
+			positional = []string{"fig2"}
+		}
+		for _, argv := range [][]string{
+			append(append(append([]string{}, words...), "-cache-dir", "D", "-max-age", "1h"), positional...),
+			append(append(append([]string{"-cache-dir", "D"}, words...), "-max-age", "1h"), positional...),
+		} {
+			cliFlags = saved
+			got, rest := parseCommand(argv)
+			if got != v {
+				t.Errorf("%q: dispatched to %q, want %q", argv, got.name, v.name)
+			}
+			if fmt.Sprint(rest) != fmt.Sprint(positional) {
+				t.Errorf("%q: positionals %q, want %q", argv, rest, positional)
+			}
+			if cliFlags.cacheDir != "D" || cliFlags.maxAge != time.Hour {
+				t.Errorf("%q: flags lost: -cache-dir %q -max-age %v", argv, cliFlags.cacheDir, cliFlags.maxAge)
+			}
+		}
 	}
 }

@@ -8,7 +8,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	containerhpc "repro"
+	"repro/internal/experiments"
+	"repro/internal/registry"
+	"repro/internal/resultdb"
+	"repro/internal/scenario"
+	"repro/internal/telemetry"
 )
 
 // Coordinated sweeps: `hpcstudy serve -sweep <study>` turns the
@@ -22,31 +26,22 @@ import (
 // sweepSpecs enumerates the cells of a coordinatable study: fig1,
 // fig2, or a scenario spec path. The other built-ins assemble several
 // sweeps with cross-cell post-processing and stay on static -shard.
-func sweepSpecs(which string, cfg cliConfig) (string, []containerhpc.CellSpec, error) {
+func sweepSpecs(which string, cfg cliConfig) (string, []experiments.CellSpec, error) {
+	var opt experiments.Options
+	if cfg.quick {
+		trimQuick(which, &opt)
+	}
 	switch which {
 	case "fig1":
-		opt := containerhpc.Options{}
-		if cfg.quick {
-			c := containerhpc.ArteryCFDLenox()
-			c.SimSteps = 1
-			opt.Case = c
-		}
-		return "fig1", containerhpc.Fig1Specs(opt), nil
+		return "fig1", experiments.Fig1Specs(opt), nil
 	case "fig2":
-		opt := containerhpc.Options{}
-		if cfg.quick {
-			c := containerhpc.ArteryCFDCTEPower()
-			c.SimSteps = 1
-			opt.Case = c
-			opt.NodePoints = quickFig2Nodes
-		}
-		return "fig2", containerhpc.Fig2Specs(opt), nil
+		return "fig2", experiments.Fig2Specs(opt), nil
 	}
 	if looksLikeSpec(which) {
 		if cfg.quick {
-			return "", nil, usageError("-quick trims the built-in studies; size a scenario via its spec (case.sim_steps)")
+			return "", nil, errQuickScenario
 		}
-		st, err := containerhpc.LoadScenario(which)
+		st, err := scenario.Load(which)
 		if err != nil {
 			return "", nil, err
 		}
@@ -60,27 +55,27 @@ func sweepSpecs(which string, cfg cliConfig) (string, []containerhpc.CellSpec, e
 // units: (key, label, deployment group) per cell, the key→spec map a
 // worker resolves leases against, and the enumeration stamp both
 // sides must agree on.
-func workCellsFor(name string, specs []containerhpc.CellSpec) ([]containerhpc.WorkCell, map[string]containerhpc.CellSpec, string, error) {
-	cells := make([]containerhpc.WorkCell, 0, len(specs))
-	byKey := make(map[string]containerhpc.CellSpec, len(specs))
+func workCellsFor(name string, specs []experiments.CellSpec) ([]registry.WorkCell, map[string]experiments.CellSpec, string, error) {
+	cells := make([]registry.WorkCell, 0, len(specs))
+	byKey := make(map[string]experiments.CellSpec, len(specs))
 	keys := make([]string, 0, len(specs))
 	for _, sp := range specs {
 		key, err := sp.Key()
 		if err != nil {
 			return nil, nil, "", fmt.Errorf("fingerprinting %s: %w", sp.Label, err)
 		}
-		cells = append(cells, containerhpc.WorkCell{Key: key, Label: sp.Label, Group: sp.DeployGroup()})
+		cells = append(cells, registry.WorkCell{Key: key, Label: sp.Label, Group: sp.DeployGroup()})
 		byKey[key] = sp
 		keys = append(keys, key)
 	}
-	return cells, byKey, containerhpc.WorkStamp(name, keys), nil
+	return cells, byKey, registry.WorkStamp(name, keys), nil
 }
 
 // buildWorkQueue enumerates -sweep's study against the serve store and
 // builds the lease queue: cells the store already holds (successes and
 // recorded failures alike) are marked done up front, so a restarted
 // coordinator resumes with exactly the un-committed remainder.
-func buildWorkQueue(w io.Writer, store *containerhpc.DirStore, cfg cliConfig, journal *containerhpc.FleetJournal) (*containerhpc.WorkQueue, error) {
+func buildWorkQueue(w io.Writer, store *resultdb.DirStore, cfg cliConfig, journal *telemetry.FleetJournal) (*registry.WorkQueue, error) {
 	name, specs, err := sweepSpecs(cfg.sweepStudy, cfg)
 	if err != nil {
 		return nil, err
@@ -89,7 +84,7 @@ func buildWorkQueue(w io.Writer, store *containerhpc.DirStore, cfg cliConfig, jo
 	if err != nil {
 		return nil, err
 	}
-	return containerhpc.NewWorkQueue(cells, containerhpc.WorkQueueOptions{
+	return registry.NewWorkQueue(cells, registry.QueueOptions{
 		Study:     name,
 		BatchSize: cfg.leaseBatch,
 		LeaseTTL:  cfg.leaseTTL,
@@ -97,9 +92,7 @@ func buildWorkQueue(w io.Writer, store *containerhpc.DirStore, cfg cliConfig, jo
 			_, ok, err := store.Lookup(key)
 			return err == nil && ok
 		},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
-		},
+		Logf:    lineLogf(w),
 		Journal: journal,
 	}), nil
 }
@@ -142,48 +135,43 @@ func runSweep(w io.Writer, which string, cfg cliConfig) error {
 	if worker == "" {
 		worker = defaultWorkerName()
 	}
-	clientOpt := containerhpc.RegistryClientOptions{JitterKey: worker}
+	clientOpt := registry.ClientOptions{JitterKey: worker}
 	if cfg.verbose {
-		clientOpt.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
+		clientOpt.Logf = lineLogf(os.Stderr)
 	}
-	var journal *containerhpc.FleetJournal
+	var journal *telemetry.FleetJournal
 	if cfg.fleetlog != "" {
-		if journal, err = containerhpc.OpenFleetJournal(cfg.fleetlog, worker); err != nil {
+		if journal, err = telemetry.OpenFleetJournal(cfg.fleetlog, worker); err != nil {
 			return err
 		}
 		defer journal.Close()
 		clientOpt.Journal = journal
 	}
-	client, err := containerhpc.DialStoreWith(cfg.coordinator, clientOpt)
+	client, err := registry.Dial(cfg.coordinator, clientOpt)
 	if err != nil {
 		return err
 	}
 	defer client.Close()
-	var store containerhpc.Store = client
+	var store resultdb.Store = client
 	if cfg.cacheDir != "" {
-		local, err := containerhpc.OpenStore(cfg.cacheDir)
+		local, err := resultdb.Open(cfg.cacheDir)
 		if err != nil {
 			return err
 		}
-		store = containerhpc.NewTieredStore(local, client)
+		store = registry.NewTiered(local, client)
 		defer store.Close()
 	}
 	par := cfg.parallel
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
-	stats := &containerhpc.SweepStats{}
-	eng := containerhpc.NewSweep(containerhpc.Options{
+	stats := &experiments.SweepStats{}
+	eng := experiments.NewSweep(experiments.Options{
 		Parallelism: par,
 		Stats:       stats,
 		Store:       store,
 		TraceDir:    cfg.traceDir,
 	})
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(w, format+"\n", args...)
-	}
 	// Per-cell accounting shared by two consumers: -progress (the same
 	// stderr rate/ETA lines the local sweep path prints) and the
 	// heartbeat progress summaries the coordinator aggregates onto
@@ -192,25 +180,25 @@ func runSweep(w io.Writer, which string, cfg cliConfig) error {
 	// the cached split is reconstructed from the engine's hit counters
 	// (one event consumes at most one hit, so the aggregate split stays
 	// right even when parallel cells finish together).
-	var prog *containerhpc.Progress
+	var prog *telemetry.Progress
 	if cfg.progress {
-		prog = containerhpc.NewProgress(os.Stderr)
+		prog = telemetry.NewProgress(os.Stderr)
 	}
 	var progMu sync.Mutex
 	var progDone atomic.Int64
 	var progHits int64
 	var cellsFailed int
 	var virtualSec, commSec float64
-	rep, err := containerhpc.RunWorker(client, containerhpc.WorkerOptions{
+	rep, err := registry.RunWorker(client, registry.WorkerOptions{
 		Name:     worker,
 		Stamp:    stamp,
 		Parallel: par,
-		Logf:     logf,
+		Logf:     lineLogf(w),
 		Journal:  journal,
-		Progress: func() containerhpc.WorkerProgress {
+		Progress: func() registry.WorkerProgress {
 			progMu.Lock()
 			defer progMu.Unlock()
-			return containerhpc.WorkerProgress{
+			return registry.WorkerProgress{
 				Cells:          int(progDone.Load()),
 				Failures:       cellsFailed,
 				Simulated:      stats.Computed.Load(),
@@ -219,7 +207,7 @@ func runSweep(w io.Writer, which string, cfg cliConfig) error {
 				CommSeconds:    commSec,
 			}
 		},
-		Run: func(wc containerhpc.WorkCell) error {
+		Run: func(wc registry.WorkCell) error {
 			sp, ok := byKey[wc.Key]
 			if !ok {
 				return fmt.Errorf("lease names cell %s (%s) outside this worker's enumeration", wc.Key, wc.Label)

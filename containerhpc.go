@@ -40,36 +40,28 @@ import (
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/fleettrace"
 	"repro/internal/mesh"
 	"repro/internal/mpi"
-	"repro/internal/profile"
 	"repro/internal/registry"
 	"repro/internal/resultdb"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/units"
-	"repro/internal/vtime"
 )
 
-// Re-exported model types. The aliases give external users the full
-// internal types without reaching into internal packages.
+// Re-exported model types: the ones a caller has to name to drive the
+// library. Everything else — stores, sweeps, registries, profiles — is
+// reached through the values these functions return; code inside this
+// module imports the internal packages directly, and
+// TestFacadeExportsAreUsed rejects a re-export with no caller.
 type (
 	// Cluster is one HPC machine (topology + fabric + storage).
 	Cluster = cluster.Cluster
 	// Runtime is a container technology under study.
 	Runtime = container.Runtime
-	// Image is a built container image.
-	Image = container.Image
-	// BuildSpec describes an image build.
-	BuildSpec = container.BuildSpec
 	// BuildKind is the image-building technique.
 	BuildKind = container.BuildKind
-	// DeployReport breaks down deployment overhead.
-	DeployReport = container.DeployReport
-	// ExecProfile is a runtime's execution profile.
-	ExecProfile = container.ExecProfile
 	// Case is an Alya benchmark configuration.
 	Case = alya.Case
 	// Mode selects real numerics vs the workload model.
@@ -82,143 +74,23 @@ type (
 	Placement = sched.Placement
 	// AllreduceAlgo selects the collective algorithm.
 	AllreduceAlgo = mpi.AllreduceAlgo
-	// Seconds is a virtual duration.
-	Seconds = units.Seconds
 	// ByteSize is a byte count.
 	ByteSize = units.ByteSize
 	// Options tunes an experiment sweep.
 	Options = experiments.Options
-	// Mesh is a structured artery mesh.
-	Mesh = mesh.Mesh
-	// Store is the pluggable result-store contract: a
-	// content-addressed cache of cell results that a directory, a
-	// network registry client, or a tiered combination can back.
-	Store = resultdb.Store
-	// DirStore is the directory-backed Store implementation.
-	DirStore = resultdb.DirStore
-	// StoreStats snapshots one store's traffic counters.
-	StoreStats = resultdb.StoreStats
-	// GCPolicy bounds a store directory by size and age; GCReport
-	// summarises one collection pass.
-	GCPolicy = resultdb.GCPolicy
-	GCReport = resultdb.GCReport
-	// RegistryServer serves a DirStore over the result-registry wire
-	// protocol; RegistryServerOptions tunes GC and shutdown.
-	RegistryServer        = registry.Server
-	RegistryServerOptions = registry.ServerOptions
-	// RegistryClient is the Store implementation speaking to a
-	// registry URL; RegistryClientOptions tunes retries and transport.
-	RegistryClient        = registry.Client
-	RegistryClientOptions = registry.ClientOptions
+	// SweepStats counts how a sweep's cells were produced (replayed
+	// from the store vs simulated) and aggregates the kernel counters
+	// over the simulated ones; attach one via Options.Stats.
+	SweepStats = experiments.SweepStats
 	// SchemaMismatchError reports a registry built from different
 	// model constants than this binary.
 	SchemaMismatchError = registry.SchemaMismatchError
-	// Shard is a deterministic 1-of-N partition of a sweep's cells.
-	Shard = resultdb.Shard
-	// SweepStats counts how a sweep's cells were produced (replayed
-	// from the store vs simulated) and aggregates the kernel counters
-	// over the simulated ones.
-	SweepStats = experiments.SweepStats
-	// MissingCellsError lists cells a sharded or merge sweep could not
-	// produce from the store.
-	MissingCellsError = experiments.MissingCellsError
-	// KernelCounters reports the vtime scheduler's hot-path counters
-	// (switches, fast-path hits, heap operations, wakes).
-	KernelCounters = vtime.Counters
 	// RecordedError is a failure replayed from the result store's
 	// negative cache instead of re-simulating a known-bad cell.
 	RecordedError = resultdb.RecordedError
-	// Scenario is a compiled declarative study: a JSON spec resolved
-	// against the model and expanded into runnable cells. Run it with
-	// the same Options every built-in figure takes.
-	Scenario = scenario.Study
-	// ScenarioSpec is the JSON form of a user-authored study.
-	ScenarioSpec = scenario.Spec
-	// ScenarioResult is a scenario run's outcome; Render/CSV write it
-	// through the shared report machinery.
-	ScenarioResult = scenario.Result
 	// ScenarioFieldError locates a spec mistake by JSON field path.
 	ScenarioFieldError = scenario.FieldError
-	// CellSpec is one unit of sweep work (a Scenario enumerates them).
-	CellSpec = experiments.CellSpec
-	// Sweep is the cell-execution engine behind every study: bounded
-	// parallelism, memoized image builds, store consultation/commit.
-	Sweep = experiments.Sweep
-	// WorkCell is one unit of leased work in a coordinated sweep: a
-	// cell's store key, label, and deployment-affinity group.
-	WorkCell = registry.WorkCell
-	// WorkQueue is the coordinator's lease manager (claim, heartbeat,
-	// expiry-requeue); attach it via RegistryServerOptions.Work to turn
-	// `hpcstudy serve` into a sweep coordinator.
-	WorkQueue = registry.WorkQueue
-	// WorkQueueOptions tunes batching, lease TTL, and heartbeat
-	// cadence.
-	WorkQueueOptions = registry.QueueOptions
-	// WorkStatus is the coordinator's progress snapshot (GET /v1/work).
-	WorkStatus = registry.WorkStatus
-	// WorkerProgress is a worker's cumulative progress/attribution
-	// summary, reported on lease heartbeats and aggregated by the
-	// coordinator onto GET /v1/status.
-	WorkerProgress = registry.WorkerProgress
-	// WorkerStatus is the coordinator's last knowledge of one worker.
-	WorkerStatus = registry.WorkerStatus
-	// FleetStatus is the whole-deployment snapshot served on
-	// GET /v1/status (and rendered as the HTML status page on /).
-	FleetStatus = registry.FleetStatus
-	// WorkerOptions configures one coordinated-sweep worker;
-	// WorkerReport summarises its run (batches, cells, leases lost).
-	WorkerOptions = registry.WorkerOptions
-	WorkerReport  = registry.WorkerReport
-	// FleetJournal appends wall-clock fleet-trace events as JSONL
-	// (-fleetlog); FleetEvent is one journal record. Wire them via
-	// RegistryClientOptions.Journal, RegistryServerOptions.Journal,
-	// WorkQueueOptions.Journal, and WorkerOptions.Journal.
-	FleetJournal = telemetry.FleetJournal
-	FleetEvent   = telemetry.FleetEvent
-	// FleetRun is a merged, clock-aligned set of fleet journals;
-	// FleetAttribution one process's exact wall-clock partition
-	// (simulate / wire / backoff / idle); FleetAttribDiff one process's
-	// A-vs-B attribution delta.
-	FleetRun         = fleettrace.Run
-	FleetAttribution = fleettrace.WorkerAttribution
-	FleetAttribDiff  = fleettrace.AttribDiff
-	// MetricsRegistry is the zero-dependency metrics model (counters,
-	// gauges, histograms) behind -v output and the registry service's
-	// GET /v1/metrics endpoint.
-	MetricsRegistry = telemetry.Registry
-	// MetricLabel is one name=value metric dimension.
-	MetricLabel = telemetry.Label
-	// CellsSample is one study's observability delta, folded into a
-	// MetricsRegistry via RecordStudy and printed via RenderStudy.
-	CellsSample = telemetry.CellsSample
-	// CellTrace records one cell's execution events in virtual time and
-	// exports them as Chrome Trace Event JSON (Options.TraceDir wires
-	// it automatically; the alias serves direct RunCell users).
-	CellTrace = telemetry.CellTrace
-	// Progress prints sweep progress (rate, ETA) from ProgressEvent
-	// callbacks; wire it to Options.Progress.
-	Progress = telemetry.Progress
-	// ProgressEvent reports one produced cell during a sweep.
-	ProgressEvent = experiments.ProgressEvent
-	// CellProfile is one traced cell's time-attribution artifact
-	// (per-rank breakdowns, collective phases, folded stacks, critical
-	// path), written beside its trace by Options.TraceDir and read back
-	// by `hpcstudy analyze`.
-	CellProfile = profile.CellProfile
-	// ProfileBreakdown splits virtual time into compute and the three
-	// wait categories; the categories sum exactly to Total.
-	ProfileBreakdown = profile.Breakdown
-	// ProfilePath is a cell's critical path through the happens-before
-	// graph; its segments tile [0, makespan] exactly.
-	ProfilePath = profile.PathReport
-	// ProfileDiff attributes the makespan delta between two cells to
-	// attribution categories and named collective phases.
-	ProfileDiff = profile.DiffReport
 )
-
-// RankBudget bounds the total simulated ranks concurrently in flight;
-// SweepStats.Admission reports when it clamps a sweep's worker pool.
-const RankBudget = experiments.RankBudget
 
 // ModelChecksum fingerprints the simulator's model constants (cluster,
 // fabric, container, and workload tables). The result store folds it
@@ -230,106 +102,42 @@ func ModelChecksum() string { return core.ModelChecksum() }
 // store. Attach it via Options.Store: sweeps then replay cached cells
 // and commit fresh ones, so a warm rerun of any figure is
 // byte-identical to the cold run while simulating nothing.
-func OpenStore(dir string) (*DirStore, error) { return resultdb.Open(dir) }
+func OpenStore(dir string) (*resultdb.DirStore, error) { return resultdb.Open(dir) }
 
 // DialStore connects to a result registry (`hpcstudy serve`) and
 // performs the schema handshake; a registry built from different
 // model constants fails with *SchemaMismatchError before any record
-// is exchanged. The client implements Store, so sweeps and merges
-// against a URL behave exactly as against a local directory.
-func DialStore(url string) (*RegistryClient, error) {
+// is exchanged. The client is an Options.Store too, so sweeps and
+// merges against a URL behave exactly as against a local directory.
+func DialStore(url string) (*registry.Client, error) {
 	return registry.Dial(url, registry.ClientOptions{})
 }
 
-// DialStoreWith is DialStore with explicit client options (retry
-// budget, backoff, transport, retry logging).
-func DialStoreWith(url string, opt RegistryClientOptions) (*RegistryClient, error) {
-	return registry.Dial(url, opt)
-}
-
-// NewMetricsRegistry creates an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
-// NewCellTrace creates a per-cell execution trace with a bounded event
+// NewCellTrace creates a per-cell execution trace — virtual-time
+// events exported as Chrome Trace Event JSON — with a bounded event
 // ring (maxEvents < 1 means the default). Set it as Cell.Observer and
 // Cell.KernelTracer, run the cell, then Export or WriteFile.
-func NewCellTrace(label string, maxEvents int) *CellTrace {
+// Options.TraceDir wires the same thing for whole sweeps.
+func NewCellTrace(label string, maxEvents int) *telemetry.CellTrace {
 	return telemetry.NewCellTrace(label, maxEvents)
 }
 
-// NewProgress creates a sweep progress reporter writing to w.
-func NewProgress(w io.Writer) *Progress { return telemetry.NewProgress(w) }
-
-// ReadProfiles loads every <key>.profile.json a traced run wrote into
-// dir, sorted by cell label for deterministic reports.
-func ReadProfiles(dir string) ([]*CellProfile, error) { return profile.ReadDir(dir) }
-
-// ReadProfile loads one attribution profile by path.
-func ReadProfile(path string) (*CellProfile, error) { return profile.ReadFile(path) }
-
-// DiffProfiles attributes the makespan delta between two cells (B − A)
-// to attribution categories and collective phases.
-func DiffProfiles(a, b *CellProfile) *ProfileDiff { return profile.Diff(a, b) }
-
-// Profile renderers behind `hpcstudy analyze`: attribution tables,
-// CSV, critical-path text, and folded ("flamegraph") stacks. All are
-// pure functions of the profiles, so outputs are byte-deterministic.
-func RenderProfileSummary(w io.Writer, ps []*CellProfile)    { profile.Summary(w, ps) }
-func RenderProfileRanks(w io.Writer, p *CellProfile)         { profile.RankTable(w, p) }
-func RenderProfilePhases(w io.Writer, p *CellProfile)        { profile.PhaseTable(w, p) }
-func RenderProfilePath(w io.Writer, p *CellProfile, top int) { profile.PathText(w, p, top) }
-func RenderProfileDiff(w io.Writer, d *ProfileDiff)          { profile.DiffText(w, d) }
-func ProfileAttributionCSV(w io.Writer, ps []*CellProfile)   { profile.AttributionCSV(w, ps) }
-func ProfilePhasesCSV(w io.Writer, ps []*CellProfile)        { profile.PhasesCSV(w, ps) }
-func ProfileFoldedText(w io.Writer, p *CellProfile)          { profile.FoldedText(w, p) }
-
-// RecordStudy folds one study's observability delta into a metrics
-// registry; RenderStudy prints the classic -v lines back from it.
-func RecordStudy(reg *MetricsRegistry, study string, s CellsSample) {
-	telemetry.RecordStudy(reg, study, s)
-}
-
-// RenderStudy prints the -v summary of a recorded study to w.
-func RenderStudy(w io.Writer, reg *MetricsRegistry, study string, rankBudget int) {
-	telemetry.RenderStudy(w, reg, study, rankBudget)
-}
-
-// NewTieredStore layers a local Store (usually a directory) in front
-// of a remote one (usually a registry client): lookups hit the local
-// tier first and read remote hits through into it; commits write
-// remote first, then local. Close closes both tiers.
-func NewTieredStore(local, remote Store) Store { return registry.NewTiered(local, remote) }
-
-// NewRegistryServer wraps a directory store in the result-registry
-// wire protocol. Run it with ListenAndServe (or Serve on an existing
-// listener); cancel the context for a graceful shutdown that commits
-// in-flight PUTs.
-func NewRegistryServer(store *DirStore, opt RegistryServerOptions) *RegistryServer {
-	return registry.NewServer(store, opt)
-}
-
-// SchemaVersion is the record schema stamp this binary reads and
-// writes: record-format generation + model-constant checksum. A
-// registry serves it on GET /v1/schema.
-func SchemaVersion() string { return resultdb.SchemaVersion() }
-
-// ParseShard parses the "k/N" shard notation (1 ≤ k ≤ N). Set the
-// result on Options.Shard so N cooperating invocations each compute a
-// disjoint slice of a sweep into one shared Store.
-func ParseShard(s string) (Shard, error) { return resultdb.ParseShard(s) }
-
 // LoadScenario reads, validates, and compiles a JSON scenario spec
-// file into a runnable study. Validation failures are
-// *ScenarioFieldError values naming the offending field path.
-func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
+// file into a runnable study: a declarative sweep resolved against the
+// model and expanded into cells, run with the same Options every
+// built-in figure takes. Validation failures are *ScenarioFieldError
+// values naming the offending field path.
+func LoadScenario(path string) (*scenario.Study, error) { return scenario.Load(path) }
 
 // ParseScenario compiles a spec read from r; name labels errors
 // (usually a file path or "<stdin>").
-func ParseScenario(r io.Reader, name string) (*Scenario, error) { return scenario.Parse(r, name) }
+func ParseScenario(r io.Reader, name string) (*scenario.Study, error) {
+	return scenario.Parse(r, name)
+}
 
 // NewMesh builds a uniform mesh with cubic cells of size h — the
 // building block for custom cases.
-func NewMesh(nx, ny, nz int, h float64) (Mesh, error) {
+func NewMesh(nx, ny, nz int, h float64) (mesh.Mesh, error) {
 	return mesh.NewMesh(nx, ny, nz, h, h, h)
 }
 
@@ -413,7 +221,7 @@ func RuntimeByName(name string) (Runtime, error) { return container.ByName(name)
 // BuildImage builds the Alya OCI image for a cluster with the given
 // technique and converts it to the runtime's format (nil for
 // bare metal).
-func BuildImage(rt Runtime, cl *Cluster, kind BuildKind) (*Image, error) {
+func BuildImage(rt Runtime, cl *Cluster, kind BuildKind) (*container.Image, error) {
 	return core.BuildImageFor(rt, cl, kind)
 }
 
@@ -440,62 +248,6 @@ func RunCell(c Cell) (Result, error) { return core.RunCell(c) }
 
 // The experiments (paper §B/§C). The zero Options reproduces the
 // paper-scale sweep; see the experiments package for the knobs.
-
-// NewSweep creates a cell-execution engine honouring opt (parallelism,
-// store, shard, telemetry) — the building block for coordinated
-// workers that run individual cells via RunOne.
-func NewSweep(opt Options) *Sweep { return experiments.NewSweep(opt) }
-
-// Fig1Specs enumerates Figure 1's cells without running them (the
-// coordinator's view of the study).
-func Fig1Specs(opt Options) []CellSpec { return experiments.Fig1Specs(opt) }
-
-// Fig2Specs enumerates Figure 2's cells without running them.
-func Fig2Specs(opt Options) []CellSpec { return experiments.Fig2Specs(opt) }
-
-// NewWorkQueue builds the coordinator state for one sweep: cells
-// already committed (per opt.Committed) are never issued, the rest are
-// batched by deployment affinity and handed out as expiring leases.
-func NewWorkQueue(cells []WorkCell, opt WorkQueueOptions) *WorkQueue {
-	return registry.NewWorkQueue(cells, opt)
-}
-
-// WorkStamp fingerprints a study enumeration (name + cell keys in
-// sweep order); coordinator and workers must agree on it before
-// exchanging leases.
-func WorkStamp(study string, keys []string) string { return registry.WorkStamp(study, keys) }
-
-// RunWorker drains a coordinator's work queue: claim, heartbeat in the
-// background, run cells, settle, repeat until the sweep is done. See
-// registry.RunWorker for the failure semantics.
-func RunWorker(c *RegistryClient, opt WorkerOptions) (WorkerReport, error) {
-	return registry.RunWorker(c, opt)
-}
-
-// OpenFleetJournal opens (appending) the fleet-trace journal
-// <proc>.fleetlog.jsonl inside dir, creating dir if needed.
-func OpenFleetJournal(dir, proc string) (*FleetJournal, error) {
-	return telemetry.OpenFleetJournal(dir, proc)
-}
-
-// ReadFleetDir merges and clock-aligns every *.fleetlog.jsonl journal
-// under dir; ReadFleetFiles does the same for explicit paths. The
-// result is independent of discovery order.
-func ReadFleetDir(dir string) (*FleetRun, error)       { return fleettrace.ReadDir(dir) }
-func ReadFleetFiles(paths []string) (*FleetRun, error) { return fleettrace.ReadFiles(paths) }
-
-// FleetDiff pairs two runs' per-process attributions by name.
-func FleetDiff(a, b *FleetRun) ([]FleetAttribDiff, error) { return fleettrace.DiffRuns(a, b) }
-
-// RenderFleetAttribution and FleetAttributionCSV print a run's
-// per-process wall-clock table; RenderFleetDiff prints the A/B delta.
-func RenderFleetAttribution(w io.Writer, attrs []FleetAttribution) {
-	fleettrace.RenderAttribution(w, attrs)
-}
-func FleetAttributionCSV(w io.Writer, attrs []FleetAttribution) {
-	fleettrace.AttributionCSV(w, attrs)
-}
-func RenderFleetDiff(w io.Writer, diffs []FleetAttribDiff) { fleettrace.RenderDiff(w, diffs) }
 
 // Fig1 regenerates Figure 1 (container solutions on Lenox).
 func Fig1(opt Options) (*experiments.Fig1Result, error) { return experiments.Fig1(opt) }

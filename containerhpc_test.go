@@ -2,6 +2,14 @@ package containerhpc
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -24,6 +32,12 @@ func TestClustersPresets(t *testing.T) {
 		}
 		if _, err := ClusterByName(want); err != nil {
 			t.Errorf("ClusterByName(%s): %v", want, err)
+		}
+	}
+	// The named constructors are the same four machines, in order.
+	for i, c := range []*Cluster{Lenox(), MareNostrum4(), CTEPower(), ThunderX()} {
+		if c.Name != cls[i].Name {
+			t.Errorf("constructor %d builds %s, Clusters()[%d] is %s", i, c.Name, i, cls[i].Name)
 		}
 	}
 }
@@ -56,6 +70,11 @@ func TestPublicRuntimes(t *testing.T) {
 	if len(Runtimes()) != 4 {
 		t.Fatal("expected four runtimes")
 	}
+	for i, rt := range []Runtime{NewBareMetal(), NewDocker(), NewSingularity(), NewShifter()} {
+		if rt.Name() != Runtimes()[i].Name() {
+			t.Errorf("constructor %d builds %s, Runtimes()[%d] is %s", i, rt.Name(), i, Runtimes()[i].Name())
+		}
+	}
 	for _, name := range []string{"Bare-metal", "Docker", "Singularity", "Shifter"} {
 		rt, err := RuntimeByName(name)
 		if err != nil {
@@ -63,6 +82,20 @@ func TestPublicRuntimes(t *testing.T) {
 		}
 		if rt.Name() != name {
 			t.Fatalf("runtime %q", rt.Name())
+		}
+	}
+}
+
+// TestPublicBuildKinds builds an image with each of the paper's two
+// techniques through the facade.
+func TestPublicBuildKinds(t *testing.T) {
+	for _, kind := range []BuildKind{SystemSpecific, SelfContained} {
+		img, err := BuildImage(NewSingularity(), Lenox(), kind)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if img.Kind != kind {
+			t.Errorf("built a %v image, asked for %v", img.Kind, kind)
 		}
 	}
 }
@@ -139,5 +172,104 @@ func TestPublicScenario(t *testing.T) {
 	var fe *ScenarioFieldError
 	if !errors.As(err, &fe) || fe.Path != "cluster" {
 		t.Fatalf("want *ScenarioFieldError at cluster, got %v", err)
+	}
+}
+
+// TestFacadeExportsAreUsed keeps the facade minimal: every exported
+// identifier of containerhpc.go must be referenced by a program under
+// examples/, a `containerhpc.<Name>` mention in README.md, or the root
+// package's own tests. A re-export with no such caller is a layer
+// nobody needs — in-module callers (cmd/) import internal/ directly.
+func TestFacadeExportsAreUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	used := map[string]bool{}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`containerhpc\.([A-Z]\w*)`).FindAllSubmatch(readme, -1) {
+		used[string(m[1])] = true
+	}
+	// Examples qualify the facade by its package name; the root tests
+	// live inside the package and name identifiers bare.
+	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		ast.Inspect(parse(path), func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "containerhpc" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Field names (x.Store, Options{Store: …}) are not references to the
+	// facade's identifiers, so selectors and literal keys are skipped.
+	var bare func(n ast.Node) bool
+	bare = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			used[n.Name] = true
+		case *ast.SelectorExpr:
+			ast.Inspect(n.X, bare)
+			return false
+		case *ast.KeyValueExpr:
+			if _, field := n.Key.(*ast.Ident); field {
+				ast.Inspect(n.Value, bare)
+				return false
+			}
+		}
+		return true
+	}
+	for _, path := range tests {
+		ast.Inspect(parse(path), bare)
+	}
+
+	var unused []string
+	for _, decl := range parse("containerhpc.go").Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() && !used[d.Name.Name] {
+				unused = append(unused, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				var names []*ast.Ident
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					names = []*ast.Ident{sp.Name}
+				case *ast.ValueSpec:
+					names = sp.Names
+				}
+				for _, id := range names {
+					if id.IsExported() && !used[id.Name] {
+						unused = append(unused, id.Name)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Fatalf("%d facade exports have no caller in examples/, README.md or the root tests — delete them (in-module code imports internal/ directly):\n  %s",
+			len(unused), strings.Join(unused, "\n  "))
 	}
 }

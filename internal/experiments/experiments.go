@@ -69,9 +69,6 @@ type Options struct {
 	// same cell produces the same bytes on every run). Restored cells
 	// write no trace — only simulations have a schedule to record.
 	TraceDir string
-	// TraceEvents bounds each cell's trace ring (values < 1 mean
-	// telemetry.DefaultTraceEvents). The ring keeps the newest events.
-	TraceEvents int
 	// Progress, when non-nil, receives one event per produced cell —
 	// restored or simulated — as the sweep runs. Called from concurrent
 	// workers; the callback must be safe for that (telemetry.Progress

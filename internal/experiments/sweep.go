@@ -107,9 +107,8 @@ type Sweep struct {
 
 	// Telemetry taps (see Options.TraceDir / Options.Progress). Both
 	// are passive: results are identical with or without them.
-	traceDir    string
-	traceEvents int
-	progress    func(ProgressEvent)
+	traceDir string
+	progress func(ProgressEvent)
 
 	mu     sync.Mutex
 	images map[imageKey]*imageEntry
@@ -256,15 +255,14 @@ func NewSweep(opt Options) *Sweep {
 		stats = &SweepStats{}
 	}
 	return &Sweep{
-		workers:     workers,
-		store:       opt.Store,
-		shard:       opt.Shard,
-		fromStore:   opt.FromStore,
-		stats:       stats,
-		traceDir:    opt.TraceDir,
-		traceEvents: opt.TraceEvents,
-		progress:    opt.Progress,
-		images:      make(map[imageKey]*imageEntry),
+		workers:   workers,
+		store:     opt.Store,
+		shard:     opt.Shard,
+		fromStore: opt.FromStore,
+		stats:     stats,
+		traceDir:  opt.TraceDir,
+		progress:  opt.Progress,
+		images:    make(map[imageKey]*imageEntry),
 	}
 }
 
@@ -632,7 +630,7 @@ func (s *Sweep) runSpec(sp CellSpec) (core.Result, error) {
 	var tr *telemetry.CellTrace
 	var rec *profile.Recorder
 	if s.traceDir != "" {
-		tr = telemetry.NewCellTrace(sp.Label, s.traceEvents)
+		tr = telemetry.NewCellTrace(sp.Label, telemetry.DefaultTraceEvents)
 		// The recorder consumes the unbounded forwarded stream, so
 		// attribution stays exact even when the trace ring drops old
 		// events.

@@ -1,7 +1,6 @@
 package fleettrace
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -13,15 +12,9 @@ import (
 // nested by time containment, requeues and other points as "i"
 // instants. Timestamps are reference-clock wall microseconds, rebased
 // so the run starts at 0 — absolute wall time is journal detail, not
-// timeline shape. chromeFleetTrace is registered in the repolint
-// WireRoots; args are concrete structs so the exported bytes are fixed
-// by field declaration order, exactly like internal/telemetry's cell
-// traces.
-type chromeFleetTrace struct {
-	TraceEvents     []chromeFleetEvent  `json:"traceEvents"`
-	DisplayTimeUnit string              `json:"displayTimeUnit"`
-	OtherData       chromeFleetMetadata `json:"otherData"`
-}
+// timeline shape. The document itself is internal/telemetry's
+// (MarshalChrome); this file owns the fleet metadata, the span args,
+// the category mapping and the event order.
 
 // chromeFleetMetadata summarises the merge for the trace viewer.
 type chromeFleetMetadata struct {
@@ -34,35 +27,15 @@ type chromeFleetMetadata struct {
 	SkippedLines int `json:"skippedLines,omitempty"`
 }
 
-// chromeFleetEvent is one trace record ("X" span, "i" instant, "M"
-// metadata).
-type chromeFleetEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat,omitempty"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`
-	Dur  float64 `json:"dur,omitempty"`
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-	Args any     `json:"args,omitempty"`
-	S    string  `json:"s,omitempty"` // instant scope: "p" = process
-	ID   string  `json:"id,omitempty"`
+// fleetSpanArgs is every fleet event's argument payload.
+type fleetSpanArgs struct {
+	Span    string `json:"span,omitempty"`
+	Parent  string `json:"parent,omitempty"`
+	Trace   string `json:"trace,omitempty"`
+	Outcome string `json:"outcome,omitempty"`
+	Label   string `json:"label,omitempty"`
+	Detail  string `json:"detail,omitempty"`
 }
-
-// Per-kind argument payloads (concrete types for byte-determinism).
-type (
-	fleetNameArgs struct {
-		Name string `json:"name"`
-	}
-	fleetSpanArgs struct {
-		Span    string `json:"span,omitempty"`
-		Parent  string `json:"parent,omitempty"`
-		Trace   string `json:"trace,omitempty"`
-		Outcome string `json:"outcome,omitempty"`
-		Label   string `json:"label,omitempty"`
-		Detail  string `json:"detail,omitempty"`
-	}
-)
 
 // category buckets a journal event for the trace viewer's colouring.
 func category(ev *telemetry.FleetEvent) string {
@@ -87,24 +60,14 @@ func category(ev *telemetry.FleetEvent) string {
 // discovered.
 func (r *Run) Chrome() ([]byte, error) {
 	base := r.baseNs()
-	out := chromeFleetTrace{
-		DisplayTimeUnit: "ms",
-		OtherData: chromeFleetMetadata{
-			Clock:        "wall",
-			Reference:    r.Reference,
-			Procs:        len(r.Procs),
-			SkippedLines: r.SkippedLines,
-		},
-	}
+	var out []telemetry.ChromeEvent
 	for pi := range r.Procs {
 		p := &r.Procs[pi]
-		out.TraceEvents = append(out.TraceEvents, chromeFleetEvent{
-			Name: "process_name", Ph: "M", Pid: pi, Args: fleetNameArgs{Name: p.Name},
-		})
+		out = append(out, telemetry.ChromeProcessName(pi, p.Name))
 		for i := range p.Events {
 			ev := &p.Events[i]
 			ts := float64(p.AlignNs(ev.StartNs)-base) / 1e3
-			ce := chromeFleetEvent{
+			ce := telemetry.ChromeEvent{
 				Name: ev.Name, Cat: category(ev), Pid: pi,
 				Ts: ts, ID: ev.Span,
 				Args: fleetSpanArgs{
@@ -119,18 +82,23 @@ func (r *Run) Chrome() ([]byte, error) {
 				ce.Ph = "i"
 				ce.S = "p"
 			}
-			out.TraceEvents = append(out.TraceEvents, ce)
+			out = append(out, ce)
 		}
 	}
 	// Chrome sorts tracks by pid, but within one track the viewer wants
 	// events in time order; ties break by (pid, seq) so the ordering —
 	// and the bytes — never depend on input order.
-	sortFleetEvents(out.TraceEvents)
-	data, err := json.Marshal(out)
+	sortFleetEvents(out)
+	data, err := telemetry.MarshalChrome(out, chromeFleetMetadata{
+		Clock:        "wall",
+		Reference:    r.Reference,
+		Procs:        len(r.Procs),
+		SkippedLines: r.SkippedLines,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fleettrace: %w", err)
 	}
-	return append(data, '\n'), nil
+	return data, nil
 }
 
 // baseNs finds the earliest aligned timestamp across the run, the
@@ -152,7 +120,7 @@ func (r *Run) baseNs() int64 {
 
 // sortFleetEvents orders trace events deterministically: metadata
 // first, then by (timestamp, pid, longer-span-first, name).
-func sortFleetEvents(events []chromeFleetEvent) {
+func sortFleetEvents(events []telemetry.ChromeEvent) {
 	sort.SliceStable(events, func(i, j int) bool {
 		a, b := &events[i], &events[j]
 		if (a.Ph == "M") != (b.Ph == "M") {

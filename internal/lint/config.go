@@ -107,7 +107,6 @@ func DefaultConfig() *Config {
 			"repro/internal/experiments",
 			"repro/internal/metrics",
 			"repro/internal/telemetry",
-			"repro/internal/trace",
 			"repro/internal/profile",
 			"repro/internal/fleettrace",
 			"repro/cmd/...",
@@ -141,7 +140,6 @@ func DefaultConfig() *Config {
 			"repro/internal/telemetry.chromeTrace",
 			"repro/internal/telemetry.FleetEvent",
 			"repro/internal/fleettrace.Run",
-			"repro/internal/fleettrace.chromeFleetTrace",
 			"repro/internal/fleettrace.WorkerAttribution",
 			"repro/internal/fleettrace.AttribDiff",
 		},

@@ -52,25 +52,14 @@ func (zeroReader) Read(p []byte) (int, error) {
 }
 
 // TestHTTPServerTimeouts: the production server carries connection
-// deadlines — defaulted when unset, honoured when set — so a stalled
-// peer cannot pin a connection forever.
+// deadlines, so a stalled peer cannot pin a connection forever.
 func TestHTTPServerTimeouts(t *testing.T) {
-	s := NewServer(nil, ServerOptions{})
-	hs := s.httpServer()
+	hs := NewServer(nil, ServerOptions{}).httpServer()
 	if hs.ReadTimeout != 2*time.Minute || hs.WriteTimeout != 2*time.Minute || hs.IdleTimeout != 5*time.Minute {
-		t.Fatalf("default deadlines: read %v write %v idle %v", hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
+		t.Fatalf("deadlines: read %v write %v idle %v", hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
 	}
 	if hs.ReadHeaderTimeout == 0 {
 		t.Fatal("header read deadline must be set")
-	}
-	s = NewServer(nil, ServerOptions{
-		ReadTimeout:  3 * time.Second,
-		WriteTimeout: 4 * time.Second,
-		IdleTimeout:  5 * time.Second,
-	})
-	hs = s.httpServer()
-	if hs.ReadTimeout != 3*time.Second || hs.WriteTimeout != 4*time.Second || hs.IdleTimeout != 5*time.Second {
-		t.Fatalf("explicit deadlines not honoured: read %v write %v idle %v", hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
 	}
 }
 

@@ -34,11 +34,6 @@ type ServerOptions struct {
 	// Logf, when non-nil, receives one line per lifecycle event
 	// (startup, GC passes, shutdown).
 	Logf func(format string, args ...any)
-	// ShutdownGrace bounds how long Serve waits for in-flight requests
-	// after its context is cancelled. Default 30s. In-flight PUTs
-	// commit within the grace window; the listener closes immediately,
-	// so no new work is admitted.
-	ShutdownGrace time.Duration
 	// Work, when non-nil, turns the server into a sweep coordinator:
 	// the /v1/work lease API hands out this queue's batches. Nil
 	// servers answer work requests with a typed 404.
@@ -48,15 +43,23 @@ type ServerOptions struct {
 	// propagated X-Hpc-Trace/X-Hpc-Span headers. Lease lifecycle events
 	// are journaled by the WorkQueue's own Journal option.
 	Journal *telemetry.FleetJournal
-	// ReadTimeout/WriteTimeout/IdleTimeout bound each connection so a
-	// stalled peer cannot pin server resources forever. Defaults: 2m
-	// read, 2m write, 5m idle. The read/write bounds comfortably cover
-	// the largest permitted record at LAN throughput; heartbeats are
-	// tiny and re-establish connections freely.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
 }
+
+// Connection deadlines, so a stalled peer cannot pin server resources
+// forever. The read/write bounds comfortably cover the largest
+// permitted record at LAN throughput; heartbeats are tiny and
+// re-establish connections freely.
+const (
+	readTimeout  = 2 * time.Minute
+	writeTimeout = 2 * time.Minute
+	idleTimeout  = 5 * time.Minute
+)
+
+// shutdownGrace bounds how long Serve waits for in-flight requests
+// after its context is cancelled. In-flight PUTs commit within the
+// grace window; the listener closes immediately, so no new work is
+// admitted.
+const shutdownGrace = 30 * time.Second
 
 // Server exposes one resultdb.DirStore over the wire protocol. It is
 // an http.Handler, so tests mount it on httptest and production wraps
@@ -81,18 +84,6 @@ var requestBuckets = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
 
 // NewServer wraps a directory store in the wire protocol.
 func NewServer(store *resultdb.DirStore, opt ServerOptions) *Server {
-	if opt.ShutdownGrace <= 0 {
-		opt.ShutdownGrace = 30 * time.Second
-	}
-	if opt.ReadTimeout <= 0 {
-		opt.ReadTimeout = 2 * time.Minute
-	}
-	if opt.WriteTimeout <= 0 {
-		opt.WriteTimeout = 2 * time.Minute
-	}
-	if opt.IdleTimeout <= 0 {
-		opt.IdleTimeout = 5 * time.Minute
-	}
 	s := &Server{store: store, opt: opt, mux: http.NewServeMux(), metrics: telemetry.NewRegistry()}
 	opt.Journal.CountDropsIn(s.metrics)
 	s.mux.HandleFunc("GET /v1/schema", s.handleSchema)
@@ -367,16 +358,16 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 func (s *Server) httpServer() *http.Server {
 	return &http.Server{
 		Handler:           s,
-		ReadTimeout:       s.opt.ReadTimeout,
+		ReadTimeout:       readTimeout,
 		ReadHeaderTimeout: 10 * time.Second,
-		WriteTimeout:      s.opt.WriteTimeout,
-		IdleTimeout:       s.opt.IdleTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
 // Serve runs the registry on ln until ctx is cancelled, then shuts
 // down gracefully: the listener closes, in-flight requests — PUT
-// commits included — get ShutdownGrace to finish, and only then do
+// commits included — get shutdownGrace to finish, and only then do
 // stragglers get cut. Periodic GC, when configured, runs on the same
 // lifecycle. Returns nil on a clean shutdown.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
@@ -425,7 +416,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	go func() {
 		<-ctx.Done()
 		s.logf("registry: shutting down (committing in-flight requests)")
-		grace, cancel := context.WithTimeout(context.Background(), s.opt.ShutdownGrace)
+		grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		shutdownErr <- srv.Shutdown(grace)
 	}()

@@ -158,6 +158,19 @@ type StoreStats struct {
 	PrefetchSkips int64
 }
 
+// Sub returns the traffic accumulated between snapshot o and st.
+func (st StoreStats) Sub(o StoreStats) StoreStats {
+	return StoreStats{
+		Lookups:       st.Lookups - o.Lookups,
+		Hits:          st.Hits - o.Hits,
+		NegHits:       st.NegHits - o.NegHits,
+		Puts:          st.Puts - o.Puts,
+		PutErrors:     st.PutErrors - o.PutErrors,
+		Retries:       st.Retries - o.Retries,
+		PrefetchSkips: st.PrefetchSkips - o.PrefetchSkips,
+	}
+}
+
 // Misses derives the lookups that found nothing.
 func (st StoreStats) Misses() int64 { return st.Lookups - st.Hits - st.NegHits }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/units"
+	"repro/internal/vtime"
 )
 
 // sample builds a distinctive SavedResult without running a
@@ -419,4 +420,34 @@ func TestSchemaVersionTracksModel(t *testing.T) {
 	if SchemaVersion() != v {
 		t.Fatal("SchemaVersion unstable across calls")
 	}
+}
+
+// checkSubCoversEveryField fails when T's Sub forgets a counter: every
+// field must be an int64 and come back as the difference of the two
+// snapshots, so a field added to the struct but not to Sub cannot
+// silently report totals as deltas.
+func checkSubCoversEveryField[T interface{ Sub(T) T }](t *testing.T) {
+	t.Helper()
+	var a, b T
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("%T.%s is not an int64 counter; teach this test its Sub semantics", a, av.Type().Field(i).Name)
+		}
+		av.Field(i).SetInt(int64(10 * (i + 1)))
+		bv.Field(i).SetInt(int64(i + 1))
+	}
+	d := reflect.ValueOf(a.Sub(b))
+	for i := 0; i < d.NumField(); i++ {
+		if got, want := d.Field(i).Int(), int64(9*(i+1)); got != want {
+			t.Errorf("%T.Sub drops field %s: got %d, want %d", a, d.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
+// TestSubCoversEveryCounter guards the two snapshot-delta helpers the
+// -v lines are built from.
+func TestSubCoversEveryCounter(t *testing.T) {
+	checkSubCoversEveryField[StoreStats](t)
+	checkSubCoversEveryField[vtime.Counters](t)
 }

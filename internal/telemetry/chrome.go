@@ -11,17 +11,32 @@ import (
 )
 
 // The Chrome Trace Event Format wire types (the JSON Object Format
-// variant: a traceEvents array plus metadata). Timestamps are
-// microseconds of *virtual* time, so the timeline a viewer renders is
-// the simulated schedule, not wall time. chromeTrace is registered in
-// the repolint WireRoots, so every exported field stays json-tagged.
+// variant: a traceEvents array plus metadata), shared by the cell
+// traces here and internal/fleettrace's merged fleet timeline; each
+// exporter supplies its own otherData. chromeTrace is registered in the
+// repolint WireRoots, so every exported field stays json-tagged.
 type chromeTrace struct {
-	TraceEvents     []chromeEvent   `json:"traceEvents"`
-	DisplayTimeUnit string          `json:"displayTimeUnit"`
-	OtherData       chromeOtherData `json:"otherData"`
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	OtherData       any           `json:"otherData"`
+}
+
+// MarshalChrome renders events and the exporter's metadata as one
+// newline-terminated Chrome Trace Event Format document. otherData and
+// every event's Args must be concrete structs, never maps: the field
+// order — and therefore the exported bytes — is then fixed by
+// declaration, not by map-key sorting.
+func MarshalChrome(events []ChromeEvent, otherData any) ([]byte, error) {
+	data, err := json.Marshal(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms", OtherData: otherData})
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // chromeOtherData carries the cell identity and recording summary.
+// Cell-trace timestamps are microseconds of *virtual* time, so the
+// timeline a viewer renders is the simulated schedule, not wall time.
 type chromeOtherData struct {
 	Label string `json:"label"`
 	// Clock names the timestamp domain; always "virtual".
@@ -45,10 +60,10 @@ type chromeKernel struct {
 	HeapOps     int64 `json:"heapOps"`
 }
 
-// chromeEvent is one trace record. Ph selects the event type: "X"
+// ChromeEvent is one trace record. Ph selects the event type: "X"
 // complete (Ts..Ts+Dur), "B"/"E" nested span begin/end, "i" instant,
 // "M" metadata.
-type chromeEvent struct {
+type ChromeEvent struct {
 	Name string  `json:"name"`
 	Cat  string  `json:"cat,omitempty"`
 	Ph   string  `json:"ph"`
@@ -57,11 +72,16 @@ type chromeEvent struct {
 	Pid  int     `json:"pid"`
 	Tid  int     `json:"tid"`
 	Args any     `json:"args,omitempty"`
+	S    string  `json:"s,omitempty"` // instant scope: "p" = process
+	ID   string  `json:"id,omitempty"`
 }
 
-// Per-kind argument payloads. Concrete types rather than maps so the
-// field order (and therefore the exported bytes) is fixed by
-// declaration, not by map-key sorting.
+// ChromeProcessName is the metadata record naming track pid.
+func ChromeProcessName(pid int, name string) ChromeEvent {
+	return ChromeEvent{Name: "process_name", Ph: "M", Pid: pid, Args: nameArgs{Name: name}}
+}
+
+// Per-kind argument payloads (concrete types: see MarshalChrome).
 type (
 	nameArgs struct {
 		Name string `json:"name"`
@@ -99,30 +119,30 @@ const kernelTid = -1
 func usec(s units.Seconds) float64 { return float64(s) * 1e6 }
 
 // chrome renders one recorded event.
-func (e event) chrome() chromeEvent {
+func (e event) chrome() ChromeEvent {
 	switch e.kind {
 	case evSwitch:
-		return chromeEvent{Name: "switch", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: e.b,
+		return ChromeEvent{Name: "switch", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: e.b,
 			Args: switchArgs{From: e.a}}
 	case evPark:
-		return chromeEvent{Name: "park", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: e.a,
+		return ChromeEvent{Name: "park", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: e.a,
 			Args: parkArgs{Tag: e.name}}
 	case evWake:
-		return chromeEvent{Name: "wake", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: e.a,
+		return ChromeEvent{Name: "wake", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: e.a,
 			Args: wakeArgs{Woken: e.b, AtSrc: usec(e.t1)}}
 	case evIdle:
-		return chromeEvent{Name: "idle", Cat: "wait", Ph: "X", Ts: usec(e.t0), Dur: usec(e.t1 - e.t0), Tid: e.a,
+		return ChromeEvent{Name: "idle", Cat: "wait", Ph: "X", Ts: usec(e.t0), Dur: usec(e.t1 - e.t0), Tid: e.a,
 			Args: idleArgs{Tag: e.name}}
 	case evFlush:
-		return chromeEvent{Name: "flush-wakes", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: kernelTid,
+		return ChromeEvent{Name: "flush-wakes", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: kernelTid,
 			Args: flushArgs{Batch: e.a}}
 	case evMessage:
-		return chromeEvent{Name: "msg", Cat: "mpi", Ph: "X", Ts: usec(e.t0), Dur: usec(e.t1 - e.t0), Tid: e.b,
+		return ChromeEvent{Name: "msg", Cat: "mpi", Ph: "X", Ts: usec(e.t0), Dur: usec(e.t1 - e.t0), Tid: e.b,
 			Args: msgArgs{Src: e.a, Dst: e.b, Tag: e.c, Bytes: e.size.Bytes(), Transport: e.name}}
 	case evPhaseBegin:
-		return chromeEvent{Name: e.name, Cat: "collective", Ph: "B", Ts: usec(e.t0), Tid: e.a}
+		return ChromeEvent{Name: e.name, Cat: "collective", Ph: "B", Ts: usec(e.t0), Tid: e.a}
 	case evPhaseEnd:
-		return chromeEvent{Name: e.name, Cat: "collective", Ph: "E", Ts: usec(e.t0), Tid: e.a}
+		return ChromeEvent{Name: e.name, Cat: "collective", Ph: "E", Ts: usec(e.t0), Tid: e.a}
 	default:
 		panic(fmt.Sprintf("telemetry: unknown event kind %d", e.kind))
 	}
@@ -133,19 +153,15 @@ func (e event) chrome() chromeEvent {
 // produces byte-identical bytes on every run.
 func (t *CellTrace) Export() ([]byte, error) {
 	events := t.ordered()
-	out := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(events)+1),
-		DisplayTimeUnit: "ms",
-		OtherData: chromeOtherData{
-			Label:         t.label,
-			Clock:         "virtual",
-			TotalEvents:   t.total,
-			DroppedEvents: t.total - int64(len(events)),
-		},
+	other := chromeOtherData{
+		Label:         t.label,
+		Clock:         "virtual",
+		TotalEvents:   t.total,
+		DroppedEvents: t.total - int64(len(events)),
 	}
 	if t.hasKernel {
 		k := t.kernel
-		out.OtherData.Kernel = &chromeKernel{
+		other.Kernel = &chromeKernel{
 			Switches:    k.Switches,
 			SyncFast:    k.SyncFast,
 			PingPong:    k.PingPong,
@@ -154,17 +170,16 @@ func (t *CellTrace) Export() ([]byte, error) {
 			HeapOps:     k.HeapOps,
 		}
 	}
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Args: nameArgs{Name: t.label},
-	})
+	out := make([]ChromeEvent, 0, len(events)+1)
+	out = append(out, ChromeProcessName(0, t.label))
 	for _, e := range events {
-		out.TraceEvents = append(out.TraceEvents, e.chrome())
+		out = append(out, e.chrome())
 	}
-	data, err := json.Marshal(out)
+	data, err := MarshalChrome(out, other)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
 	}
-	return append(data, '\n'), nil
+	return data, nil
 }
 
 // WriteFile exports the trace into dir as <name>.trace.json, creating

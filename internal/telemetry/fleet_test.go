@@ -33,6 +33,13 @@ func tickClock(base, step int64) func() int64 {
 	}
 }
 
+// GoldenFleetJournal is the pinned journal wire form; exported so the
+// external Chrome golden (chrome_test.go) feeds the same bytes through
+// internal/fleettrace.
+const GoldenFleetJournal = `{"proc":"w-a","seq":1,"kind":"span","name":"claim","span":"w-a#1","start_ns":1000,"end_ns":1010,"outcome":"ok","label":"claim","detail":"POST /v1/work/claim: 200"}
+{"proc":"w-a","seq":2,"kind":"point","name":"requeue","parent":"w-a#1","trace":"w-a","start_ns":1020,"outcome":"requeued","label":"L1"}
+`
+
 // TestFleetJournalGoldenJSONL pins the journal's wire bytes: field
 // order, omitempty behaviour, and sequence numbering. A diff here is a
 // schema change — deliberate ones must update the golden lines AND the
@@ -50,10 +57,7 @@ func TestFleetJournalGoldenJSONL(t *testing.T) {
 		Kind: FleetPoint, Name: "requeue", Parent: "w-a#1", Trace: "w-a",
 		StartNs: j.Now(), Outcome: "requeued", Label: "L1",
 	})
-	want := `{"proc":"w-a","seq":1,"kind":"span","name":"claim","span":"w-a#1","start_ns":1000,"end_ns":1010,"outcome":"ok","label":"claim","detail":"POST /v1/work/claim: 200"}
-{"proc":"w-a","seq":2,"kind":"point","name":"requeue","parent":"w-a#1","trace":"w-a","start_ns":1020,"outcome":"requeued","label":"L1"}
-`
-	if buf.String() != want {
+	if want := GoldenFleetJournal; buf.String() != want {
 		t.Fatalf("journal bytes drifted from the golden schema:\ngot:\n%swant:\n%s", buf.String(), want)
 	}
 	if j.Drops() != 0 {

@@ -21,18 +21,13 @@
 // queue and unparks it in a single synchronization hop, instead of
 // bouncing through a central run loop (two hops per scheduling point).
 // The Run goroutine participates only at startup, completion, panic
-// unwinding, and deadlock detection. Two structural levers ride on
-// that shape:
-//
-//   - Wakes are deferred: Wake parks the woken process on a pending
-//     list (no heap traffic) and the kernel folds the whole list into
-//     the run queue in one batched insert at the next yield point — a
-//     collective fan-out that wakes k waiters costs one bulk operation
-//     instead of k pushes. Sync stays exact because its fast-path test
-//     consults the pending minimum alongside the heap minimum.
-//   - A ping-pong fast slot: when exactly two processes alternate (the
-//     dominant rendezvous point-to-point pattern) the handoff swaps
-//     them through the single pending slot and never touches the heap.
+// unwinding, and deadlock detection. One structural lever rides on
+// that shape: wakes are deferred. Wake parks the woken process on a
+// pending list (no heap traffic) and the kernel folds the whole list
+// into the run queue in one batched insert at the next yield point — a
+// collective fan-out that wakes k waiters costs one bulk operation
+// instead of k pushes. Sync stays exact because its fast-path test
+// consults the pending minimum alongside the heap minimum.
 //
 // The happens-before chain of park/unpark channel operations makes the
 // single-running-process invariant a memory-ordering guarantee too:
@@ -64,16 +59,16 @@ type Counters struct {
 	Switches int64
 	// SyncFast counts Sync calls resolved without yielding.
 	SyncFast int64
-	// PingPong counts switches through the two-process fast slot,
-	// which bypass the heap entirely.
+	// PingPong always reads 0: the two-process fast slot it counted
+	// never fired at figure scale and was removed; the field stays
+	// because the trace schema and the -v kernel line name it.
 	PingPong int64
 	// Wakes counts processes made runnable by Wake/WakeAll.
 	Wakes int64
 	// WakeBatches counts bulk flushes that folded more than one
 	// pending waiter into the run queue in a single operation.
 	WakeBatches int64
-	// HeapOps counts run-queue heap operations (pushes and pops;
-	// fast-slot switches perform none).
+	// HeapOps counts run-queue heap operations (pushes and pops).
 	HeapOps int64
 }
 
@@ -169,18 +164,8 @@ func (p *Proc) Sync() {
 		return
 	}
 	p.state = stateRunnable
-	var next *Proc
-	if len(s.heap) == 0 && len(s.pending) == 1 {
-		// Ping-pong fast slot: swap through the pending slot, no heap.
-		next = s.pending[0]
-		s.pending[0] = p
-		s.pendingMin = p
-		s.counters.PingPong++
-	} else {
-		s.flushWakes()
-		next = s.replaceTop(p)
-	}
-	s.handoff(next)
+	s.flushWakes()
+	s.handoff(s.replaceTop(p))
 	<-p.resume
 }
 
@@ -314,15 +299,6 @@ func (s *Scheduler) handoff(next *Proc) {
 // (blocked or finished) to the next runnable process, or wakes the Run
 // goroutine when nothing is runnable (completion or deadlock).
 func (s *Scheduler) scheduleNext() {
-	if len(s.heap) == 0 && len(s.pending) == 1 {
-		// Ping-pong fast slot: the one pending waiter runs next.
-		next := s.pending[0]
-		s.pending = s.pending[:0]
-		s.pendingMin = nil
-		s.counters.PingPong++
-		s.handoff(next)
-		return
-	}
 	s.flushWakes()
 	next := s.pop()
 	if next == nil {

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -351,39 +352,58 @@ func TestWakeAllOrderAndBatching(t *testing.T) {
 	}
 }
 
-// TestPingPongBypassesHeap asserts the two-proc alternation runs
-// through the fast slot: heap traffic must stay constant while the
-// iteration count grows.
-func TestPingPongBypassesHeap(t *testing.T) {
-	run := func(iters int) Counters {
-		s := NewScheduler(2)
-		procs := s.Procs()
-		s.Run(func(p *Proc) {
-			peer := procs[1-p.ID]
-			if p.ID == 1 {
-				p.Block("start")
-			} else {
-				p.Advance(units.Microsecond)
-				p.Sync()
-			}
-			for i := 0; i < iters; i++ {
-				p.Wake(peer, p.Now())
-				p.Block("pingpong")
-			}
-			if p.ID == 0 {
-				p.Wake(peer, p.Now())
-			}
-		})
-		return s.Counters()
+// TestTwoProcScheduleExact pins the two-proc schedules the removed
+// ping-pong fast slot used to serve: a Block/Wake rendezvous and a Sync
+// alternation must produce exactly the same run order and switch count
+// through the plain heap path, with PingPong reading 0.
+func TestTwoProcScheduleExact(t *testing.T) {
+	const iters = 3
+	check := func(name string, s *Scheduler, order, want []int, switches int64) {
+		t.Helper()
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Errorf("%s: run order %v, want %v", name, order, want)
+		}
+		c := s.Counters()
+		if c.Switches != switches || c.PingPong != 0 {
+			t.Errorf("%s: %d switches, %d ping-pong; want %d, 0", name, c.Switches, c.PingPong, switches)
+		}
 	}
-	small, large := run(10), run(1000)
-	if large.PingPong <= small.PingPong {
-		t.Fatalf("ping-pong slot not engaged: %d vs %d hits", small.PingPong, large.PingPong)
-	}
-	if large.HeapOps != small.HeapOps {
-		t.Fatalf("heap traffic grew with ping-pong iterations: %d vs %d ops", small.HeapOps, large.HeapOps)
-	}
-	if large.Switches < 2000 {
-		t.Fatalf("switch counter undercounts: %d", large.Switches)
-	}
+
+	var order []int
+	s := NewScheduler(2)
+	procs := s.Procs()
+	s.Run(func(p *Proc) {
+		peer := procs[1-p.ID]
+		if p.ID == 1 {
+			p.Block("start")
+		} else {
+			p.Advance(units.Microsecond)
+			p.Sync()
+		}
+		for i := 0; i < iters; i++ {
+			order = append(order, p.ID)
+			p.Wake(peer, p.Now())
+			p.Block("pingpong")
+		}
+		if p.ID == 0 {
+			p.Wake(peer, p.Now())
+		}
+	})
+	// Initial handoff, proc 0's Sync to proc 1 and back once it parks,
+	// two switches per iteration, and proc 1's resume when proc 0 exits.
+	check("block/wake", s, order, []int{0, 1, 0, 1, 0, 1}, 4+2*iters)
+
+	order = nil
+	s = NewScheduler(2)
+	s.Run(func(p *Proc) {
+		for i := 0; i < iters; i++ {
+			order = append(order, p.ID)
+			p.Advance(units.Microsecond)
+			p.Sync()
+		}
+	})
+	// Every Sync finds the peer at an earlier (or equal, lower-ID) clock
+	// and is a full switch; add the initial handoff and the one to proc 1
+	// when proc 0 exits.
+	check("sync", s, order, []int{0, 1, 0, 1, 0, 1}, 2*iters+2)
 }
