@@ -216,6 +216,30 @@ func TestVerboseKernelCounters(t *testing.T) {
 	}
 }
 
+// TestVerbosePortabilityDeterministic asserts portability's -v counters
+// are a function of its cells, not of timing: three cold parallel runs
+// against fresh stores print identical lines, one simulation per
+// distinct cell.
+func TestVerbosePortabilityDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 3; i++ {
+		var sb strings.Builder
+		cfg := cliConfig{parallel: 4, verbose: true, cacheDir: filepath.Join(t.TempDir(), "cells")}
+		if err := runStudy(&sb, "portability", cfg); err != nil {
+			t.Fatal(err)
+		}
+		out := stripTimings(sb.String())
+		if i == 0 {
+			first = out
+			if !strings.Contains(out, "portability cells: 14 simulated, 0 replayed") {
+				t.Fatalf("cold run did not simulate each of the 14 cells once:\n%s", out)
+			}
+		} else if out != first {
+			t.Fatalf("cold run %d differs from the first:\n--- first ---\n%s\n--- run %d ---\n%s", i, first, i, out)
+		}
+	}
+}
+
 // syncWriter is a Builder safe to share between the serve goroutine's
 // log callbacks and the test's polling.
 type syncWriter struct {

@@ -175,8 +175,7 @@ func runStudy(w io.Writer, which string, cfg cliConfig) error {
 		return usageError("merge needs -cache-dir or -cache-url: it assembles figures from a populated store")
 	}
 
-	stats := &experiments.SweepStats{}
-	opt := experiments.Options{Parallelism: cfg.parallel, Stats: stats, TraceDir: cfg.traceDir}
+	opt := experiments.Options{Parallelism: cfg.parallel, TraceDir: cfg.traceDir}
 	if cfg.progress {
 		// Progress is wall-time telemetry (rate, ETA), so it goes to
 		// stderr: stdout stays the deterministic figure bytes.
@@ -192,16 +191,23 @@ func runStudy(w io.Writer, which string, cfg cliConfig) error {
 		opt.Store, opt.Shard, opt.FromStore = store, shard, cfg.merge
 	}
 	// One metrics registry per invocation: every study's -v lines render
-	// from it (RecordStudy folds the per-study deltas in; RenderStudy
+	// from it (RecordStudy folds each study's counts in; RenderStudy
 	// prints them back), so the CLI and the scrapeable surfaces share
 	// one model instead of three parallel stats structs.
 	metrics := telemetry.NewRegistry()
 
 	run := func(name string, f func(experiments.Options) (figure, error)) error {
 		start := time.Now()
-		hits0, comp0, neg0 := stats.Hits.Load(), stats.Computed.Load(), stats.NegHits.Load()
-		kern0 := stats.Kernel()
-		stats.ResetAdmission() // min-gauge: fresh window per study
+		// Each study counts into its own stats, so its -v lines and its
+		// admission clamp are its own — an earlier study's clamp (fig3
+		// under "all") is never re-attributed. The store outlives the
+		// study, so its traffic is still a delta.
+		stats := &experiments.SweepStats{}
+		studyOpt := opt
+		studyOpt.Stats = stats
+		if cfg.quick {
+			trimQuick(name, &studyOpt)
+		}
 		var st0 resultdb.StoreStats
 		if opt.Store != nil {
 			st0 = opt.Store.Stats()
@@ -210,19 +216,16 @@ func runStudy(w io.Writer, which string, cfg cliConfig) error {
 			if !cfg.verbose {
 				return
 			}
-			// Fold this study's deltas into the metrics registry, then
-			// render the classic -v lines from it. The admission gauge
-			// was reset at this study's start, so a clamp belongs to this
-			// study — an earlier study's clamp (fig3 under "all") is
-			// never re-attributed. Anyone changing what the kernel
-			// counters measure must keep `go vet -vettool` with
+			// Fold this study's counters into the metrics registry, then
+			// render the classic -v lines from it. Anyone changing what
+			// the kernel counters measure must keep `go vet -vettool` with
 			// cmd/repolint green — the kernelsafe analyzer is what
 			// guarantees these numbers stay meaningful.
 			sample := telemetry.CellsSample{
-				Simulated:        stats.Computed.Load() - comp0,
-				Replayed:         stats.Hits.Load() - hits0,
-				FailuresReplayed: stats.NegHits.Load() - neg0,
-				Kernel:           stats.Kernel().Sub(kern0),
+				Simulated:        stats.Computed.Load(),
+				Replayed:         stats.Hits.Load(),
+				FailuresReplayed: stats.NegHits.Load(),
+				Kernel:           stats.Kernel(),
 			}
 			sample.AdmissionRequested, sample.AdmissionAdmitted = stats.Admission()
 			if opt.Store != nil {
@@ -235,17 +238,13 @@ func runStudy(w io.Writer, which string, cfg cliConfig) error {
 			telemetry.RecordStudy(metrics, name, sample)
 			telemetry.RenderStudy(w, metrics, name, experiments.RankBudget)
 		}
-		studyOpt := opt
-		if cfg.quick {
-			trimQuick(name, &studyOpt)
-		}
 		res, err := f(studyOpt)
 		var miss *experiments.MissingCellsError
 		if err != nil && shard.Active() && errors.As(err, &miss) {
 			// A populate shard finished its slice; the rest belongs to
 			// other shards and is not a failure.
 			fmt.Fprintf(w, "%s: shard %s done: %d cells simulated, %d replayed, %d left to other shards\n\n",
-				name, shard, stats.Computed.Load()-comp0, stats.Hits.Load()-hits0, len(miss.Cells))
+				name, shard, stats.Computed.Load(), stats.Hits.Load(), len(miss.Cells))
 			verbose()
 			return nil
 		}

@@ -165,30 +165,33 @@ func runSweep(w io.Writer, which string, cfg cliConfig) error {
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
-	stats := &experiments.SweepStats{}
-	eng := experiments.NewSweep(experiments.Options{
-		Parallelism: par,
-		Stats:       stats,
-		Store:       store,
-		TraceDir:    cfg.traceDir,
-	})
 	// Per-cell accounting shared by two consumers: -progress (the same
 	// stderr rate/ETA lines the local sweep path prints) and the
 	// heartbeat progress summaries the coordinator aggregates onto
-	// GET /v1/status. RunOne reports no events itself, so the worker
-	// counts its own completions against the study's full cell count;
-	// the cached split is reconstructed from the engine's hit counters
-	// (one event consumes at most one hit, so the aggregate split stays
-	// right even when parallel cells finish together).
+	// GET /v1/status. The engine reports each leased cell as a one-cell
+	// sweep, so the worker counts completions itself, against the
+	// study's full cell count.
 	var prog *telemetry.Progress
 	if cfg.progress {
 		prog = telemetry.NewProgress(os.Stderr)
 	}
 	var progMu sync.Mutex
 	var progDone atomic.Int64
-	var progHits int64
 	var cellsFailed int
 	var virtualSec, commSec float64
+	stats := &experiments.SweepStats{}
+	eng := experiments.NewSweep(experiments.Options{
+		Parallelism: par,
+		Stats:       stats,
+		Store:       store,
+		TraceDir:    cfg.traceDir,
+		Progress: func(ev experiments.ProgressEvent) {
+			done := int(progDone.Add(1))
+			if prog != nil {
+				prog.Event(done, len(byKey), ev.Cached)
+			}
+		},
+	})
 	rep, err := registry.RunWorker(client, registry.WorkerOptions{
 		Name:     worker,
 		Stamp:    stamp,
@@ -224,17 +227,7 @@ func runSweep(w io.Writer, which string, cfg cliConfig) error {
 				virtualSec += float64(end)
 			}
 			commSec += float64(res.Exec.MPI.AvgCommTime) * float64(len(res.Exec.MPI.RankEnd))
-			hits := stats.Hits.Load() + stats.NegHits.Load()
-			cached := hits > progHits
-			if cached {
-				progHits++
-			}
 			progMu.Unlock()
-			if prog != nil {
-				prog.Event(int(progDone.Add(1)), len(byKey), cached)
-			} else {
-				progDone.Add(1)
-			}
 			return nil
 		},
 	})

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/alya"
 	"repro/internal/cluster"
 	"repro/internal/container"
+	"repro/internal/core"
 	"repro/internal/resultdb"
 )
 
@@ -189,7 +192,7 @@ func TestShardWithoutStore(t *testing.T) {
 	if _, err := Fig3(opt); err == nil {
 		t.Error("store-only sweep without a store accepted")
 	}
-	// The RunOne path (portability) enforces the same contract.
+	// Portability's single Run enforces the same contract.
 	if _, err := Portability(Options{FromStore: true}); err == nil {
 		t.Error("store-only portability without a store accepted")
 	}
@@ -225,8 +228,8 @@ func TestPortabilityMergeMissingLists(t *testing.T) {
 	}
 }
 
-// TestPortabilityShardedDisjoint asserts sharding covers RunOne cells
-// too: two sequential shard runs simulate each slowdown cell exactly
+// TestPortabilityShardedDisjoint asserts sharding covers portability's
+// cells too: two sequential shard runs simulate each slowdown cell exactly
 // once between them, and the merge reproduces the unsharded matrix.
 func TestPortabilityShardedDisjoint(t *testing.T) {
 	plainStats := &SweepStats{}
@@ -255,10 +258,9 @@ func TestPortabilityShardedDisjoint(t *testing.T) {
 		store.Close()
 	}
 	// Disjoint: across both shards every cell simulated exactly once —
-	// the same total an unsharded run pays (the plain run may compute
-	// shared baselines more than once concurrently, so compare ≤).
-	if computed > plainStats.Computed.Load() {
-		t.Fatalf("shards computed %d cells, unsharded run computed %d — duplicated work",
+	// the same total an unsharded run pays.
+	if computed != plainStats.Computed.Load() {
+		t.Fatalf("shards computed %d cells, unsharded run computed %d",
 			computed, plainStats.Computed.Load())
 	}
 
@@ -386,7 +388,7 @@ func TestNegativeCacheReplaysFailures(t *testing.T) {
 		t.Fatalf("merge neg-hit %d, want 1", got)
 	}
 
-	// The RunOne path (portability's cells) replays too.
+	// RunOne (a lease worker's cells) replays too.
 	store, err := resultdb.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -400,5 +402,185 @@ func TestNegativeCacheReplaysFailures(t *testing.T) {
 	if stats.Computed.Load() != 0 || stats.NegHits.Load() != 1 {
 		t.Fatalf("RunOne computed %d, neg-hit %d; want 0 and 1",
 			stats.Computed.Load(), stats.NegHits.Load())
+	}
+}
+
+// TestPortabilityColdSimulatesEachCellOnce pins enumerate-then-Run:
+// portability's slowdown cells are enumerated with one bare-metal
+// baseline per target, so a cold run — with or without a store, or
+// split over two shards — simulates every distinct key exactly once,
+// and progress counts the same cells.
+func TestPortabilityColdSimulatesEachCellOnce(t *testing.T) {
+	open := func(dir string) *resultdb.DirStore {
+		store, err := resultdb.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		return store
+	}
+	// A merge over an empty store lists every distinct key once.
+	var miss *MissingCellsError
+	_, err := Portability(Options{Store: open(t.TempDir()), FromStore: true})
+	if !errors.As(err, &miss) {
+		t.Fatalf("want MissingCellsError, got %v", err)
+	}
+	keys := int64(len(miss.Cells))
+	if keys != 14 {
+		t.Fatalf("portability enumerates %d distinct cells, want 14", keys)
+	}
+
+	var mu sync.Mutex
+	var events []ProgressEvent
+	stats := &SweepStats{}
+	if _, err := Portability(Options{Parallelism: 4, Stats: stats, Progress: func(ev ProgressEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Computed.Load(); got != keys {
+		t.Fatalf("storeless run simulated %d cells, want %d", got, keys)
+	}
+	sort.Slice(events, func(i, j int) bool { return events[i].Done < events[j].Done })
+	if int64(len(events)) != keys {
+		t.Fatalf("%d progress events, want %d", len(events), keys)
+	}
+	for i, ev := range events {
+		if ev.Done != i+1 || int64(ev.Total) != keys || ev.Cached {
+			t.Fatalf("progress event %d = %+v, want %d/%d simulated", i, ev, i+1, keys)
+		}
+	}
+
+	stats = &SweepStats{}
+	if _, err := Portability(Options{Parallelism: 4, Store: open(t.TempDir()), Stats: stats}); err != nil {
+		t.Fatal(err)
+	}
+	if c, m, p := stats.Computed.Load(), stats.Misses.Load(), stats.Puts.Load(); c != keys || m != keys || p != keys {
+		t.Fatalf("cold store run: %d simulated, %d misses, %d puts; want %d each", c, m, p, keys)
+	}
+
+	dir := t.TempDir()
+	var computed int64
+	for k := 1; k <= 2; k++ {
+		stats := &SweepStats{}
+		_, err := Portability(Options{
+			Parallelism: 4, Store: open(dir), Stats: stats,
+			Shard: resultdb.Shard{Index: k, Count: 2},
+		})
+		if err != nil && !errors.As(err, &miss) {
+			t.Fatalf("shard %d: %v", k, err)
+		}
+		if k == 1 && stats.Hits.Load() != 0 {
+			t.Fatalf("first shard replayed %d cells from an empty store", stats.Hits.Load())
+		}
+		computed += stats.Computed.Load()
+	}
+	if computed != keys {
+		t.Fatalf("the two shards simulated %d cells between them, want %d", computed, keys)
+	}
+}
+
+// TestRunOneIsRunOfOne pins RunOne to Run over a one-spec slice on
+// every outcome the store discipline has: same result, same error
+// shape (*CellError around the cause; a bare *MissingCellsError) and
+// same counters.
+func TestRunOneIsRunOfOne(t *testing.T) {
+	good := Fig1Specs(Options{Case: tinyCase(alya.ArteryCFDLenox())})[0]
+	mn4 := cluster.MareNostrum4()
+	bad := CellSpec{
+		Label:   "docker on mn4",
+		Cluster: mn4, Runtime: container.Docker{}, Kind: container.SystemSpecific,
+		Case:  reducedLenox(),
+		Nodes: 2, Ranks: 2 * mn4.CoresPerNode(), Threads: 1,
+	}
+	key, err := good.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := resultdb.Shard{Index: 1, Count: 2}
+	if other.Owns(key) {
+		other.Index = 2
+	}
+	type counts struct{ computed, hits, negHits, misses, puts, putErrs int64 }
+	cases := []struct {
+		name    string
+		spec    CellSpec
+		prepare bool // run the spec once first, so the store holds its outcome
+		opt     Options
+		want    counts
+		check   func(t *testing.T, err error)
+	}{
+		{"cold", good, false, Options{}, counts{computed: 1, misses: 1, puts: 1}, nil},
+		{"warm", good, true, Options{}, counts{hits: 1}, nil},
+		{"recorded failure", bad, true, Options{}, counts{negHits: 1}, func(t *testing.T, err error) {
+			ce, ok := err.(*CellError)
+			if !ok || ce.Label != bad.Label {
+				t.Fatalf("want *CellError for %q, got %T: %v", bad.Label, err, err)
+			}
+			if _, ok := ce.Err.(*resultdb.RecordedError); !ok {
+				t.Fatalf("CellError wraps %T, want *RecordedError", ce.Err)
+			}
+		}},
+		{"FromStore miss", good, false, Options{FromStore: true}, counts{misses: 1}, func(t *testing.T, err error) {
+			if me, ok := err.(*MissingCellsError); !ok || len(me.Cells) != 1 || me.Cells[0].Key != key {
+				t.Fatalf("want a bare *MissingCellsError naming %s, got %T: %v", key, err, err)
+			}
+		}},
+		{"not owned", good, false, Options{Shard: other}, counts{misses: 1}, func(t *testing.T, err error) {
+			if me, ok := err.(*MissingCellsError); !ok || len(me.Cells) != 1 || me.Cells[0].Label != good.Label {
+				t.Fatalf("want a bare *MissingCellsError naming %q, got %T: %v", good.Label, err, err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Each route gets its own identically prepared store.
+			route := func(run func(*Sweep) (core.Result, error)) (core.Result, error, *SweepStats) {
+				store, err := resultdb.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer store.Close()
+				if tc.prepare {
+					NewSweep(Options{Store: store}).Run([]CellSpec{tc.spec})
+				}
+				opt := tc.opt
+				opt.Store, opt.Stats = store, &SweepStats{}
+				res, err := run(NewSweep(opt))
+				return res, err, opt.Stats
+			}
+			oneRes, oneErr, oneStats := route(func(s *Sweep) (core.Result, error) { return s.RunOne(tc.spec) })
+			runRes, runErr, runStats := route(func(s *Sweep) (core.Result, error) {
+				res, err := s.Run([]CellSpec{tc.spec})
+				if err != nil {
+					return core.Result{}, err
+				}
+				return res[0], nil
+			})
+			if (tc.check == nil) != (oneErr == nil) {
+				t.Fatalf("RunOne error = %v", oneErr)
+			}
+			if tc.check != nil {
+				tc.check(t, oneErr)
+				tc.check(t, runErr)
+				if oneErr.Error() != runErr.Error() {
+					t.Fatalf("errors differ:\nRunOne %v\nRun    %v", oneErr, runErr)
+				}
+			}
+			if !reflect.DeepEqual(oneRes, runRes) {
+				t.Fatalf("results differ:\nRunOne %+v\nRun    %+v", oneRes, runRes)
+			}
+			for name, st := range map[string]*SweepStats{"RunOne": oneStats, "Run": runStats} {
+				got := counts{st.Computed.Load(), st.Hits.Load(), st.NegHits.Load(), st.Misses.Load(), st.Puts.Load(), st.PutErrs.Load()}
+				if got != tc.want {
+					t.Errorf("%s counters %+v, want %+v", name, got, tc.want)
+				}
+			}
+			if oneStats.Kernel() != runStats.Kernel() {
+				t.Errorf("kernel counters differ: RunOne %+v, Run %+v", oneStats.Kernel(), runStats.Kernel())
+			}
+		})
 	}
 }

@@ -11,10 +11,15 @@
 // the paper-scale configuration; tests shrink the sweep to keep
 // runtimes reasonable while asserting the same curve shapes.
 //
-// Sweeps execute through the shared Sweep engine: cells are enumerated
-// up front, run on a bounded worker pool (Options.Parallelism), and
-// reassembled in input order, so parallel output is byte-identical to
-// the serial path.
+// Every simulating study — the three figures and Portability alike —
+// is "enumerate cell specs, Sweep.Run them, shape a table". Run is the
+// one route from a spec to a result: it looks cells up in the store
+// (when there is one), restores hits, replays recorded failures,
+// simulates the cells this invocation owns on a bounded worker pool
+// (Options.Parallelism), commits them, and reassembles everything in
+// input order, so parallel output is byte-identical to the serial
+// path. RunOne, the lease workers' per-cell entry, is Run over a
+// one-spec slice.
 package experiments
 
 import (
@@ -56,9 +61,11 @@ type Options struct {
 	// arithmetic) compute directly and are unaffected by FromStore,
 	// Shard, and Store.
 	FromStore bool
-	// Stats, when non-nil, receives the sweep's hit/computed counters;
-	// useful to assert a warm run simulated nothing or to report cache
-	// effectiveness.
+	// Stats, when non-nil, receives the sweep's hit/computed counters
+	// and the simulated cells' kernel counters; useful to assert a warm
+	// run simulated nothing or to report cache effectiveness. Counters
+	// only accumulate, so a caller reporting per phase passes each
+	// phase a fresh value (the CLI: one per study).
 	Stats *SweepStats
 	// TraceDir, when non-empty, makes the sweep record every simulated
 	// cell's execution (kernel scheduling, point-to-point messages,
@@ -70,7 +77,8 @@ type Options struct {
 	// write no trace — only simulations have a schedule to record.
 	TraceDir string
 	// Progress, when non-nil, receives one event per produced cell —
-	// restored or simulated — as the sweep runs. Called from concurrent
+	// restored or simulated — as the sweep runs, counted per Run call
+	// (so every RunOne cell reports 1/1). Called from concurrent
 	// workers; the callback must be safe for that (telemetry.Progress
 	// is). Completion order is nondeterministic, which is why progress
 	// is an event stream and never part of result output.

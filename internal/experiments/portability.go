@@ -50,144 +50,89 @@ func portabilityClusters() []*cluster.Cluster {
 
 // Portability reproduces the build-technique × architecture study:
 // every image is built once (for its source cluster and technique) and
-// executed everywhere. The (build, target) attempts are enumerated up
-// front and run concurrently on the sweep engine; builds are memoized,
-// so the engine performs one build per (source, technique).
+// attempted everywhere. Whether an attempt runs, and why not, is pure
+// arithmetic over the memoized builds, settled serially; the slowdown
+// of each runnable attempt is a pair of 2-node cells — the container
+// run and its target's bare-metal baseline, shared by every attempt on
+// that target — enumerated up front and produced by one Sweep.Run, so
+// the store, shard and merge contracts are the figures' own.
 func Portability(opt Options) (*PortabilityResult, error) {
 	targets := portabilityClusters()
 	sing := container.Singularity{Version: "2.5.x"}
 	cs := opt.caseOr(alya.QuickCFD(4))
 	cs.SimSteps = 1
 	cs.Steps = 1
-
-	type attempt struct {
-		source *cluster.Cluster
-		kind   container.BuildKind
-		target *cluster.Cluster
+	spec := func(label string, target *cluster.Cluster, rt container.Runtime, from *cluster.Cluster, kind container.BuildKind) CellSpec {
+		const nodes = 2
+		return CellSpec{
+			Label:   label,
+			Cluster: target, Runtime: rt, Kind: kind, ImageFrom: from,
+			Case:  cs,
+			Nodes: nodes, Ranks: nodes * target.CoresPerNode(), Threads: 1,
+			Mode: opt.Mode, Allreduce: mpi.AllreduceRecursiveDoubling,
+		}
 	}
-	var attempts []attempt
+
+	sw := NewSweep(opt)
+	out := &PortabilityResult{}
+	var specs []CellSpec
+	// slowdown names, for one runnable attempt, its matrix cell and the
+	// two specs whose elapsed times it divides.
+	type slowdown struct{ cell, bare, cont int }
+	var slowdowns []slowdown
+	bareAt := make(map[string]int) // target name → its baseline's index in specs
 	for _, source := range targets {
 		for _, kind := range []container.BuildKind{container.SystemSpecific, container.SelfContained} {
+			img, err := sw.ImageFor(sing, source, kind)
+			if err != nil {
+				return nil, fmt.Errorf("portability build %s/%v: %w", source.Name, kind, err)
+			}
 			for _, target := range targets {
-				attempts = append(attempts, attempt{source: source, kind: kind, target: target})
+				cell := PortabilityCell{
+					ImageArch: img.Arch,
+					Kind:      kind,
+					BuiltFor:  source.Name,
+					Cluster:   target.Name,
+				}
+				profile, err := sing.ExecProfile(target, img)
+				switch {
+				case errors.Is(err, container.ErrWrongArch):
+					cell.Why = "wrong architecture (exec format error)"
+				case errors.Is(err, container.ErrHostABI):
+					cell.Why = "host MPI/fabric ABI mismatch"
+				case err != nil:
+					cell.Why = err.Error()
+				default:
+					cell.Runs = true
+					cell.Why = "runs via " + profile.FabricPath
+					bare, ok := bareAt[target.Name]
+					if !ok {
+						bare = len(specs)
+						bareAt[target.Name] = bare
+						specs = append(specs, spec(fmt.Sprintf("portability bare-metal on %s", target.Name),
+							target, container.BareMetal{}, nil, container.SystemSpecific))
+					}
+					slowdowns = append(slowdowns, slowdown{cell: len(out.Cells), bare: bare, cont: len(specs)})
+					specs = append(specs, spec(fmt.Sprintf("portability %s/%v on %s", source.Name, kind, target.Name),
+						target, sing, source, kind))
+				}
+				out.Cells = append(out.Cells, cell)
 			}
 		}
 	}
 
-	out := &PortabilityResult{Cells: make([]PortabilityCell, len(attempts))}
-	// missing collects, per attempt slot, the slowdown cells a
-	// FromStore or sharded sweep could not produce; deferring them
-	// lets every attempt run, so the failure lists the complete set
-	// instead of aborting at the first absent cell.
-	missing := make([][]MissingCell, len(attempts))
-	sw := NewSweep(opt)
-	err := sw.Each(len(attempts), func(i int) error {
-		a := attempts[i]
-		img, err := sw.ImageFor(sing, a.source, a.kind)
-		if err != nil {
-			return fmt.Errorf("portability build %s/%v: %w", a.source.Name, a.kind, err)
-		}
-		cell := PortabilityCell{
-			ImageArch: img.Arch,
-			Kind:      a.kind,
-			BuiltFor:  a.source.Name,
-			Cluster:   a.target.Name,
-		}
-		profile, err := sing.ExecProfile(a.target, img)
-		switch {
-		case errors.Is(err, container.ErrWrongArch):
-			cell.Why = "wrong architecture (exec format error)"
-		case errors.Is(err, container.ErrHostABI):
-			cell.Why = "host MPI/fabric ABI mismatch"
-		case err != nil:
-			cell.Why = err.Error()
-		default:
-			cell.Runs = true
-			cell.Why = "runs via " + profile.FabricPath
-			slow, miss, err := portabilitySlowdown(sw, sing, a.target, a.source, a.kind, cs, opt.Mode)
-			if err != nil {
-				return fmt.Errorf("portability run %s on %s: %w", img.Kind, a.target.Name, err)
-			}
-			if len(miss) > 0 {
-				missing[i] = miss
-				break
-			}
-			cell.SlowdownVsBare = slow
-		}
-		out.Cells[i] = cell
-		return nil
-	})
+	res, err := sw.Run(specs)
 	if err != nil {
 		return nil, err
 	}
-	// Aggregate deferred misses in attempt order, deduplicating the
-	// bare-metal baselines shared across attempts on one target.
-	seen := make(map[string]bool)
-	var all []MissingCell
-	for _, miss := range missing {
-		for _, c := range miss {
-			if !seen[c.Key] {
-				seen[c.Key] = true
-				all = append(all, c)
-			}
+	for _, sd := range slowdowns {
+		bare := float64(res[sd.bare].Exec.Elapsed)
+		if bare <= 0 {
+			return nil, fmt.Errorf("portability: zero bare-metal time")
 		}
-	}
-	if len(all) > 0 {
-		return nil, &MissingCellsError{Cells: all}
+		out.Cells[sd.cell].SlowdownVsBare = float64(res[sd.cont].Exec.Elapsed) / bare
 	}
 	return out, nil
-}
-
-// portabilitySlowdown measures elapsed time vs bare metal on a small
-// 2-node configuration. Both cells run through the sweep engine, so a
-// result store caches them like any figure cell; the bare-metal
-// baseline is shared by every successful attempt on the same target.
-// Under FromStore — or an active shard that owns neither cell —
-// absent cells are returned as missing (both of them when both are
-// absent) rather than as an error, so the caller can report the
-// sweep's complete missing set; a later merge computes the ratio once
-// every shard has committed its slice.
-func portabilitySlowdown(sw *Sweep, sing container.Singularity, target, source *cluster.Cluster,
-	kind container.BuildKind, cs alya.Case, mode alya.Mode) (float64, []MissingCell, error) {
-
-	nodes := 2
-	ranks := nodes * target.CoresPerNode()
-	var missing []MissingCell
-	run := func(label string, rt container.Runtime, imageFrom *cluster.Cluster, kind container.BuildKind) (float64, error) {
-		res, err := sw.RunOne(CellSpec{
-			Label:   label,
-			Cluster: target, Runtime: rt, Kind: kind, ImageFrom: imageFrom,
-			Case:  cs,
-			Nodes: nodes, Ranks: ranks, Threads: 1,
-			Mode: mode, Allreduce: mpi.AllreduceRecursiveDoubling,
-		})
-		var miss *MissingCellsError
-		if errors.As(err, &miss) {
-			missing = append(missing, miss.Cells...)
-			return 0, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.Exec.Elapsed), nil
-	}
-	bare, err := run(fmt.Sprintf("portability bare-metal on %s", target.Name),
-		container.BareMetal{}, nil, container.SystemSpecific)
-	if err != nil {
-		return 0, nil, err
-	}
-	cont, err := run(fmt.Sprintf("portability %s/%v on %s", source.Name, kind, target.Name),
-		sing, source, kind)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(missing) > 0 {
-		return 0, missing, nil
-	}
-	if bare <= 0 {
-		return 0, nil, fmt.Errorf("portability: zero bare-metal time")
-	}
-	return cont / bare, nil, nil
 }
 
 // Find returns the cell for a build (by source cluster and kind) on a

@@ -115,9 +115,9 @@ type Sweep struct {
 }
 
 // SweepStats counts how a sweep's cells were produced and aggregates
-// the vtime kernel's scheduling counters over the simulated ones. The
-// counters are atomic so one value can be shared across concurrent
-// sweeps (the CLI threads one through a whole study run).
+// the vtime kernel's scheduling counters over the simulated ones. One
+// value can be shared across concurrent sweeps; the CLI gives each
+// study its own, so its -v lines need no snapshot arithmetic.
 type SweepStats struct {
 	// Hits counts cells restored from the result store.
 	Hits atomic.Int64
@@ -135,14 +135,10 @@ type SweepStats struct {
 	// (a tiered store also counts read-through populates).
 	Puts, PutErrs atomic.Int64
 
-	// Kernel scheduling counters, summed across simulated cells (see
-	// vtime.Counters for field meanings).
-	Switches    atomic.Int64
-	SyncFast    atomic.Int64
-	PingPong    atomic.Int64
-	Wakes       atomic.Int64
-	WakeBatches atomic.Int64
-	HeapOps     atomic.Int64
+	// kernel sums the vtime scheduling counters of the simulated cells
+	// (AddKernel / Kernel); once per cell, so a mutex is plenty.
+	kernelMu sync.Mutex
+	kernel   vtime.Counters
 
 	// admission packs the tightest worker admission any compute phase
 	// observed (requested<<32 | admitted), so an oversized grid can
@@ -168,39 +164,25 @@ func (st *SweepStats) NoteAdmission(requested, admitted int) {
 	}
 }
 
-// Admission returns the tightest worker admission recorded since the
-// last ResetAdmission; (0, 0) means no compute phase has run.
+// Admission returns the tightest worker admission recorded; (0, 0)
+// means no compute phase has run.
 func (st *SweepStats) Admission() (requested, admitted int) {
 	p := st.admission.Load()
 	return int(p >> 32), int(uint32(p))
 }
 
-// ResetAdmission clears the gauge, opening a fresh observation
-// window. A min-gauge cannot be delta-snapshotted like the counters,
-// so a caller attributing clamps to phases (the CLI's per-study -v
-// lines) resets it at each phase boundary.
-func (st *SweepStats) ResetAdmission() { st.admission.Store(0) }
-
 // AddKernel folds one execution's kernel counters into the totals.
 func (st *SweepStats) AddKernel(c vtime.Counters) {
-	st.Switches.Add(c.Switches)
-	st.SyncFast.Add(c.SyncFast)
-	st.PingPong.Add(c.PingPong)
-	st.Wakes.Add(c.Wakes)
-	st.WakeBatches.Add(c.WakeBatches)
-	st.HeapOps.Add(c.HeapOps)
+	st.kernelMu.Lock()
+	st.kernel = st.kernel.Add(c)
+	st.kernelMu.Unlock()
 }
 
 // Kernel returns the aggregated kernel counters as one value.
 func (st *SweepStats) Kernel() vtime.Counters {
-	return vtime.Counters{
-		Switches:    st.Switches.Load(),
-		SyncFast:    st.SyncFast.Load(),
-		PingPong:    st.PingPong.Load(),
-		Wakes:       st.Wakes.Load(),
-		WakeBatches: st.WakeBatches.Load(),
-		HeapOps:     st.HeapOps.Load(),
-	}
+	st.kernelMu.Lock()
+	defer st.kernelMu.Unlock()
+	return st.kernel
 }
 
 // MissingCell names one cell a sweep could not produce.
@@ -382,8 +364,10 @@ func (s *Sweep) workersFor(specs []CellSpec) int {
 	return workers
 }
 
-// Run executes every spec and returns the results in spec order. A
-// failing cell's error is wrapped with its Label.
+// Run executes every spec and returns the results in spec order. It is
+// the engine's only route from a spec to a result: a failing cell's
+// error is wrapped with its Label, and each produced cell emits one
+// progress event.
 //
 // With a store attached, cached cells are restored instead of
 // simulated and fresh results are committed; restores land in the
@@ -393,95 +377,84 @@ func (s *Sweep) workersFor(specs []CellSpec) int {
 // simulated. In both cases, any cell left unproduced makes Run return
 // a *MissingCellsError after the owned cells have been computed and
 // committed — a sharded populate run does all its work before
-// reporting what it left to the other shards.
+// reporting what it left to the other shards. Without a store every
+// cell misses, every cell is owned, and nothing commits.
 func (s *Sweep) Run(specs []CellSpec) ([]core.Result, error) {
+	if s.store == nil && (s.fromStore || s.shard.Active()) {
+		return nil, fmt.Errorf("experiments: sharded or store-only sweeps need a result store")
+	}
+	if err := s.shard.Validate(); err != nil {
+		return nil, err
+	}
 	results := make([]core.Result, len(specs))
 	var done atomic.Int64
-	if s.store == nil {
-		if s.fromStore || s.shard.Active() {
-			return nil, fmt.Errorf("experiments: sharded or store-only sweeps need a result store")
+	// keys are the cells' store addresses, left empty without a store;
+	// hit marks the cells the store answered.
+	keys := make([]string, len(specs))
+	hit := make([]bool, len(specs))
+	if s.store != nil {
+		for i := range specs {
+			k, err := specs[i].Key()
+			if err != nil {
+				return nil, &CellError{Label: specs[i].Label, Err: err}
+			}
+			keys[i] = k
 		}
-		err := s.each(len(specs), s.workersFor(specs), func(i int) error {
-			res, err := s.runSpec(specs[i])
+		// Pin the whole working set for the duration of the run, so an
+		// in-process GC never evicts a cell between its lookup and its
+		// use. Pins don't cross the wire: a remote registry's server-side
+		// GC relies on access recency instead (see resultdb.Pinner).
+		if p, ok := s.store.(resultdb.Pinner); ok {
+			defer p.Pin(keys)()
+		}
+
+		// Announce the working set before the lookup fan-out: a network
+		// store answers with one manifest fetch and resolves lookups of
+		// keys the registry lacks locally — on a sharded populate sweep
+		// that replaces a round trip per other-shard cell with one per
+		// sweep. StoreStats.PrefetchSkips counts the avoided trips.
+		if pf, ok := s.store.(resultdb.Prefetcher); ok && len(keys) > 1 {
+			pf.Prefetch(keys)
+		}
+
+		// Consult the store first; hits restore into their input-order
+		// slots, and a recorded failure replays without re-simulating the
+		// known-bad cell — distinctly from missing cells, which surface as
+		// *MissingCellsError. A lookup error is neither: the store itself
+		// (a registry that is down, a schema conflict) failed, and the
+		// sweep fails with it rather than recomputing the world. Lookups
+		// fan out over the worker pool — against a registry each one is a
+		// network round trip, and a warm merge is nothing but this loop —
+		// while the error reported stays the lowest-index one, exactly as
+		// in a serial consultation. What remains is split into cells this
+		// invocation computes and cells it must leave to other shards (or,
+		// under FromStore, to nobody).
+		err := s.each(len(specs), s.workers, func(i int) error {
+			ent, ok, err := s.store.Lookup(keys[i])
 			if err != nil {
 				return &CellError{Label: specs[i].Label, Err: err}
 			}
-			results[i] = res
-			s.note(&done, len(specs), specs[i].Label, false)
+			if !ok {
+				s.stats.Misses.Add(1)
+				return nil
+			}
+			if ent.Err != "" {
+				s.stats.NegHits.Add(1)
+				return &CellError{Label: specs[i].Label, Err: &resultdb.RecordedError{Key: keys[i], Msg: ent.Err}}
+			}
+			cell, err := s.cellFor(specs[i])
+			if err != nil {
+				return &CellError{Label: specs[i].Label, Err: err}
+			}
+			results[i] = ent.Result.Restore(cell)
+			s.stats.Hits.Add(1)
+			hit[i] = true
+			s.note(&done, len(specs), specs[i].Label, true)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		return results, nil
-	}
-
-	if err := s.shard.Validate(); err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(specs))
-	for i := range specs {
-		k, err := specs[i].Key()
-		if err != nil {
-			return nil, &CellError{Label: specs[i].Label, Err: err}
-		}
-		keys[i] = k
-	}
-	// Pin the whole working set for the duration of the run, so an
-	// in-process GC never evicts a cell between its lookup and its
-	// use. Pins don't cross the wire: a remote registry's server-side
-	// GC relies on access recency instead (see resultdb.Pinner).
-	if p, ok := s.store.(resultdb.Pinner); ok {
-		defer p.Pin(keys)()
-	}
-
-	// Announce the working set before the lookup fan-out: a network
-	// store answers with one manifest fetch and resolves lookups of
-	// keys the registry lacks locally — on a sharded populate sweep
-	// that replaces a round trip per other-shard cell with one per
-	// sweep. StoreStats.PrefetchSkips counts the avoided trips.
-	if pf, ok := s.store.(resultdb.Prefetcher); ok && len(keys) > 1 {
-		pf.Prefetch(keys)
-	}
-
-	// Consult the store first; hits restore into their input-order
-	// slots, and a recorded failure replays without re-simulating the
-	// known-bad cell — distinctly from missing cells, which surface as
-	// *MissingCellsError. A lookup error is neither: the store itself
-	// (a registry that is down, a schema conflict) failed, and the
-	// sweep fails with it rather than recomputing the world. Lookups
-	// fan out over the worker pool — against a registry each one is a
-	// network round trip, and a warm merge is nothing but this loop —
-	// while the error reported stays the lowest-index one, exactly as
-	// in a serial consultation. What remains is split into cells this
-	// invocation computes and cells it must leave to other shards (or,
-	// under FromStore, to nobody).
-	hit := make([]bool, len(specs))
-	err := s.each(len(specs), s.workers, func(i int) error {
-		ent, ok, err := s.store.Lookup(keys[i])
-		if err != nil {
-			return &CellError{Label: specs[i].Label, Err: err}
-		}
-		if !ok {
-			s.stats.Misses.Add(1)
-			return nil
-		}
-		if ent.Err != "" {
-			s.stats.NegHits.Add(1)
-			return &CellError{Label: specs[i].Label, Err: &resultdb.RecordedError{Key: keys[i], Msg: ent.Err}}
-		}
-		cell, err := s.cellFor(specs[i])
-		if err != nil {
-			return &CellError{Label: specs[i].Label, Err: err}
-		}
-		results[i] = ent.Result.Restore(cell)
-		s.stats.Hits.Add(1)
-		hit[i] = true
-		s.note(&done, len(specs), specs[i].Label, true)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	var torun, missing []int
 	for i := range specs {
@@ -498,7 +471,7 @@ func (s *Sweep) Run(specs []CellSpec) ([]core.Result, error) {
 	for j, i := range torun {
 		sub[j] = specs[i]
 	}
-	err = s.each(len(torun), s.workersFor(sub), func(j int) error {
+	err := s.each(len(torun), s.workersFor(sub), func(j int) error {
 		i := torun[j]
 		res, err := s.runSpec(specs[i])
 		if err != nil {
@@ -506,15 +479,17 @@ func (s *Sweep) Run(specs []CellSpec) ([]core.Result, error) {
 			// failure is deterministic: record it so repeated sweeps
 			// skip the known-bad cell. A store error must not mask the
 			// cell failure, which still surfaces either way.
-			if s.store.PutError(keys[i], err.Error()) == nil {
+			if s.store != nil && s.store.PutError(keys[i], err.Error()) == nil {
 				s.stats.PutErrs.Add(1)
 			}
 			return &CellError{Label: specs[i].Label, Err: err}
 		}
-		if err := s.store.Put(keys[i], res.Saved()); err != nil {
-			return &CellError{Label: specs[i].Label, Err: err}
+		if s.store != nil {
+			if err := s.store.Put(keys[i], res.Saved()); err != nil {
+				return &CellError{Label: specs[i].Label, Err: err}
+			}
+			s.stats.Puts.Add(1)
 		}
-		s.stats.Puts.Add(1)
 		results[i] = res
 		s.note(&done, len(specs), specs[i].Label, false)
 		return nil
@@ -532,61 +507,14 @@ func (s *Sweep) Run(specs []CellSpec) ([]core.Result, error) {
 	return results, nil
 }
 
-// RunOne produces a single cell through the same store discipline as
-// Run: a hit restores; a miss simulates and commits; FromStore, or an
-// active shard that does not own the key, turns a miss into a
-// *MissingCellsError. Callers running many RunOne cells (portability)
-// collect those and report the full missing set, so N shards stay
-// disjoint on single cells exactly as they are on sweeps.
+// RunOne produces a single cell: Run over a one-spec slice, so a lease
+// worker's cells take exactly the route a figure's cells do.
 func (s *Sweep) RunOne(sp CellSpec) (core.Result, error) {
-	if s.store == nil {
-		if s.fromStore || s.shard.Active() {
-			return core.Result{}, fmt.Errorf("experiments: sharded or store-only sweeps need a result store")
-		}
-		return s.runSpec(sp)
-	}
-	if err := s.shard.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	key, err := sp.Key()
+	res, err := s.Run([]CellSpec{sp})
 	if err != nil {
 		return core.Result{}, err
 	}
-	if p, ok := s.store.(resultdb.Pinner); ok {
-		defer p.Pin([]string{key})()
-	}
-	ent, ok, err := s.store.Lookup(key)
-	if err != nil {
-		return core.Result{}, &CellError{Label: sp.Label, Err: err}
-	}
-	if ok {
-		if ent.Err != "" {
-			s.stats.NegHits.Add(1)
-			return core.Result{}, &CellError{Label: sp.Label, Err: &resultdb.RecordedError{Key: key, Msg: ent.Err}}
-		}
-		cell, err := s.cellFor(sp)
-		if err != nil {
-			return core.Result{}, err
-		}
-		s.stats.Hits.Add(1)
-		return ent.Result.Restore(cell), nil
-	}
-	s.stats.Misses.Add(1)
-	if s.fromStore || !s.shard.Owns(key) {
-		return core.Result{}, &MissingCellsError{Cells: []MissingCell{{Label: sp.Label, Key: key}}}
-	}
-	res, err := s.runSpec(sp)
-	if err != nil {
-		if s.store.PutError(key, err.Error()) == nil {
-			s.stats.PutErrs.Add(1)
-		}
-		return core.Result{}, err
-	}
-	if err := s.store.Put(key, res.Saved()); err != nil {
-		return core.Result{}, err
-	}
-	s.stats.Puts.Add(1)
-	return res, nil
+	return res[0], nil
 }
 
 // cellFor assembles the core.Cell a spec describes, building (or

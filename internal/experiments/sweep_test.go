@@ -199,17 +199,6 @@ func TestAdmissionTracking(t *testing.T) {
 	if req, adm := st.Admission(); req != 16 || adm != 2 {
 		t.Fatalf("admission = %d/%d, want 2/16", adm, req)
 	}
-	// Reset opens a fresh window, so a later phase clamped to the very
-	// same values still reports its own observation (the CLI resets
-	// per study).
-	st.ResetAdmission()
-	if req, adm := st.Admission(); req != 0 || adm != 0 {
-		t.Fatalf("admission after reset = %d/%d, want 0/0", adm, req)
-	}
-	st.NoteAdmission(16, 2)
-	if req, adm := st.Admission(); req != 16 || adm != 2 {
-		t.Fatalf("re-recorded admission = %d/%d, want 2/16", adm, req)
-	}
 
 	// An oversized cell clamps the pool before any simulation: 16384
 	// ranks fit only twice in the budget, so 64 requested workers

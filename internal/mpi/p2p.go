@@ -76,8 +76,10 @@ type Request struct {
 	owner      *Rank
 	done       bool
 	completeAt units.Seconds
-	kind       string
-	seq        int
+	// kind is the tag Wait parks and idles under ("wait:isend", ...),
+	// stored whole so the hot path builds no string.
+	kind string
+	seq  int
 }
 
 // Done reports whether the request has completed.
@@ -136,7 +138,7 @@ func (r *Rank) SendModel(dst, tag, n int) {
 func (r *Rank) Isend(dst, tag int, data []float64) *Request {
 	var req *Request
 	r.timed(func() {
-		req = r.newRequest("isend")
+		req = r.newRequest("wait:isend")
 		r.send(dst, tag, data, len(data), req)
 	})
 	return req
@@ -146,7 +148,7 @@ func (r *Rank) Isend(dst, tag int, data []float64) *Request {
 func (r *Rank) IsendModel(dst, tag, n int) *Request {
 	var req *Request
 	r.timed(func() {
-		req = r.newRequest("isend")
+		req = r.newRequest("wait:isend")
 		r.send(dst, tag, nil, n, req)
 	})
 	return req
@@ -220,7 +222,7 @@ func (r *Rank) send(dst, tag int, data []float64, count int, req *Request) {
 	}
 	box.sends = append(box.sends, msg)
 	if req == nil {
-		msg.sreq = r.newRequest("send-rdv")
+		msg.sreq = r.newRequest("wait:send-rdv")
 		r.waitOne(msg.sreq)
 	}
 }
@@ -264,7 +266,7 @@ func (r *Rank) irecv(src, tag int, buf []float64, count int) *Request {
 	if src == r.id {
 		panic(fmt.Sprintf("mpi: rank %d receives from itself (tag %d)", r.id, tag))
 	}
-	req := r.newRequest("irecv")
+	req := r.newRequest("wait:irecv")
 	r.proc.Sync()
 	box := &r.w.boxes[r.id]
 	post := &recvPost{src: src, tag: tag, buf: buf, count: count, postedAt: r.proc.Now(), req: req, owner: r}
@@ -323,13 +325,13 @@ func (r *Rank) completeMatchedRecv(post *recvPost, msg *message, arrival units.S
 }
 
 // wakeIfBlocked wakes a peer rank parked in Wait if its request is now
-// satisfied. The kernel defers the wake: the peer joins the run queue
-// in a batched insert at this rank's next scheduling point, so the
-// consecutive completions of a collective fan-out (a Bcast or Scatter
-// root eagerly satisfying one blocked child per send) flush as one
-// bulk operation instead of one heap push each. The vtime kernel only
-// lets us wake genuinely blocked procs, so Wait marks itself via the
-// waiting flag before parking.
+// satisfied — one peer per completed request; there is no bulk wake.
+// The kernel defers the wake: the peer joins the run queue at this
+// rank's next yield point, so completions separated only by fast-path
+// Syncs (a Bcast or Scatter root eagerly satisfying one blocked child
+// per send) flush as one batched insert instead of one heap push
+// each. The vtime kernel only lets us wake genuinely blocked procs, so
+// Wait marks itself via the waiting flag before parking.
 func (r *Rank) wakeIfBlocked(peer *Rank, at units.Seconds) {
 	if peer.waiting {
 		r.proc.Wake(peer.proc, at)
@@ -370,10 +372,10 @@ func (r *Rank) waitOne(q *Request) {
 	}
 	for !q.done {
 		r.waiting = true
-		r.proc.Block("wait:" + q.kind)
+		r.proc.Block(q.kind)
 	}
 	r.waiting = false
-	r.idleTo("wait:"+q.kind, q.completeAt)
+	r.idleTo(q.kind, q.completeAt)
 }
 
 // idleTo advances the rank's clock to t, reporting the jump (a wait on

@@ -422,32 +422,34 @@ func TestSchemaVersionTracksModel(t *testing.T) {
 	}
 }
 
-// checkSubCoversEveryField fails when T's Sub forgets a counter: every
-// field must be an int64 and come back as the difference of the two
-// snapshots, so a field added to the struct but not to Sub cannot
-// silently report totals as deltas.
-func checkSubCoversEveryField[T interface{ Sub(T) T }](t *testing.T) {
+// checkCoversEveryField fails when a field-wise helper (T.Sub, T.Add)
+// forgets a counter: every field must be an int64 and come back as
+// want(a, b) of the two inputs, so a field added to the struct but not
+// to the helper cannot silently report totals as deltas or drop out of
+// a sum.
+func checkCoversEveryField[T any](t *testing.T, name string, op func(a, b T) T, want func(a, b int64) int64) {
 	t.Helper()
 	var a, b T
 	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
 	for i := 0; i < av.NumField(); i++ {
 		if av.Field(i).Kind() != reflect.Int64 {
-			t.Fatalf("%T.%s is not an int64 counter; teach this test its Sub semantics", a, av.Type().Field(i).Name)
+			t.Fatalf("%T.%s is not an int64 counter; teach this test its %s semantics", a, av.Type().Field(i).Name, name)
 		}
 		av.Field(i).SetInt(int64(10 * (i + 1)))
 		bv.Field(i).SetInt(int64(i + 1))
 	}
-	d := reflect.ValueOf(a.Sub(b))
+	d := reflect.ValueOf(op(a, b))
 	for i := 0; i < d.NumField(); i++ {
-		if got, want := d.Field(i).Int(), int64(9*(i+1)); got != want {
-			t.Errorf("%T.Sub drops field %s: got %d, want %d", a, d.Type().Field(i).Name, got, want)
+		if got, want := d.Field(i).Int(), want(int64(10*(i+1)), int64(i+1)); got != want {
+			t.Errorf("%T.%s drops field %s: got %d, want %d", a, name, d.Type().Field(i).Name, got, want)
 		}
 	}
 }
 
-// TestSubCoversEveryCounter guards the two snapshot-delta helpers the
-// -v lines are built from.
+// TestSubCoversEveryCounter guards the two field-wise helpers the -v
+// lines are built from: the store's snapshot delta and the kernel
+// counters' per-cell sum.
 func TestSubCoversEveryCounter(t *testing.T) {
-	checkSubCoversEveryField[StoreStats](t)
-	checkSubCoversEveryField[vtime.Counters](t)
+	checkCoversEveryField(t, "Sub", StoreStats.Sub, func(a, b int64) int64 { return a - b })
+	checkCoversEveryField(t, "Add", vtime.Counters.Add, func(a, b int64) int64 { return a + b })
 }

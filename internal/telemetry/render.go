@@ -8,10 +8,10 @@ import (
 	"repro/internal/vtime"
 )
 
-// CellsSample is one study's observability delta — the change in sweep,
-// store, and kernel counters over a single study run. The CLI snapshots
-// its three stats surfaces (SweepStats, resultdb.StoreStats,
-// vtime.Counters) around each study and folds the difference into the
+// CellsSample is one study's observability sample — the sweep, store,
+// and kernel counters of a single study run. The CLI gives each study
+// its own SweepStats (kernel counters included), takes the shared
+// store's traffic as a delta around it, and folds both into the
 // metrics registry through RecordStudy; RenderStudy then prints the
 // classic -v lines from the registry, so there is exactly one model
 // behind both the human and the scrapeable output.
@@ -28,7 +28,7 @@ type CellsSample struct {
 	// Store is the content store's own traffic delta; nil when no store
 	// was attached.
 	Store *resultdb.StoreStats
-	// Kernel is the vtime scheduler counter delta.
+	// Kernel sums the vtime scheduler counters of the simulated cells.
 	Kernel vtime.Counters
 }
 

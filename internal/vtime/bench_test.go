@@ -93,12 +93,15 @@ func (bar *barrier) arrive(p *Proc) {
 		p.Block("barrier")
 		return
 	}
-	p.WakeAll(bar.waiting, p.Now())
+	for _, q := range bar.waiting {
+		p.Wake(q, p.Now())
+	}
 	bar.waiting = bar.waiting[:0]
 }
 
 // BenchmarkBarrierWakeAll is the batched-wake path: 15 procs parked,
-// the 16th releases them in one WakeAll. 16 switches per round.
+// the 16th wakes them back to back, so they reach the run queue in one
+// flush. 16 switches per round.
 func BenchmarkBarrierWakeAll(b *testing.B) {
 	const procs = 16
 	s := NewScheduler(procs)

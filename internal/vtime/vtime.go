@@ -24,10 +24,12 @@
 // unwinding, and deadlock detection. One structural lever rides on
 // that shape: wakes are deferred. Wake parks the woken process on a
 // pending list (no heap traffic) and the kernel folds the whole list
-// into the run queue in one batched insert at the next yield point — a
-// collective fan-out that wakes k waiters costs one bulk operation
-// instead of k pushes. Sync stays exact because its fast-path test
-// consults the pending minimum alongside the heap minimum.
+// into the run queue in one batched insert at the next yield point.
+// There is no bulk-wake call: a batch is whatever single Wakes pile up
+// before the waker's next yield point (a Sync that takes the fast path
+// is not one), and k such waiters cost one bulk operation instead of k
+// pushes. Sync stays exact because its fast-path test consults the
+// pending minimum alongside the heap minimum.
 //
 // The happens-before chain of park/unpark channel operations makes the
 // single-running-process invariant a memory-ordering guarantee too:
@@ -63,7 +65,7 @@ type Counters struct {
 	// never fired at figure scale and was removed; the field stays
 	// because the trace schema and the -v kernel line name it.
 	PingPong int64
-	// Wakes counts processes made runnable by Wake/WakeAll.
+	// Wakes counts processes made runnable by Wake.
 	Wakes int64
 	// WakeBatches counts bulk flushes that folded more than one
 	// pending waiter into the run queue in a single operation.
@@ -72,15 +74,16 @@ type Counters struct {
 	HeapOps int64
 }
 
-// Sub returns the counters accumulated between snapshot o and c.
-func (c Counters) Sub(o Counters) Counters {
+// Add returns the field-wise sum of c and o: how per-cell counters
+// aggregate over a sweep.
+func (c Counters) Add(o Counters) Counters {
 	return Counters{
-		Switches:    c.Switches - o.Switches,
-		SyncFast:    c.SyncFast - o.SyncFast,
-		PingPong:    c.PingPong - o.PingPong,
-		Wakes:       c.Wakes - o.Wakes,
-		WakeBatches: c.WakeBatches - o.WakeBatches,
-		HeapOps:     c.HeapOps - o.HeapOps,
+		Switches:    c.Switches + o.Switches,
+		SyncFast:    c.SyncFast + o.SyncFast,
+		PingPong:    c.PingPong + o.PingPong,
+		Wakes:       c.Wakes + o.Wakes,
+		WakeBatches: c.WakeBatches + o.WakeBatches,
+		HeapOps:     c.HeapOps + o.HeapOps,
 	}
 }
 
@@ -115,8 +118,8 @@ type Tracer interface {
 }
 
 // Proc is one simulated process. All methods must be called from the
-// process's own goroutine while it is the running process, except Wake
-// and WakeAll, which a running process calls on blocked peers.
+// process's own goroutine while it is the running process, except
+// Wake, which a running process calls on blocked peers.
 type Proc struct {
 	ID    int
 	sched *Scheduler
@@ -203,16 +206,6 @@ func (p *Proc) Wake(q *Proc, at units.Seconds) {
 	s.counters.Wakes++
 	if s.trace != nil {
 		s.trace.Wake(p.ID, q.ID, q.now, p.now)
-	}
-}
-
-// WakeAll wakes every blocked proc in peers at time at. The peers are
-// folded into the run queue in one batched operation at the caller's
-// next yield point instead of one push each — the collective fan-out
-// path.
-func (p *Proc) WakeAll(peers []*Proc, at units.Seconds) {
-	for _, q := range peers {
-		p.Wake(q, at)
 	}
 }
 

@@ -315,7 +315,7 @@ func TestDeferredWakeVisibleToSync(t *testing.T) {
 	}
 }
 
-// TestWakeAllOrderAndBatching wakes several peers in one WakeAll and
+// TestWakeAllOrderAndBatching wakes several peers back to back and
 // asserts they resume in (time, ID) order through one batched flush.
 func TestWakeAllOrderAndBatching(t *testing.T) {
 	const n = 6
@@ -333,7 +333,9 @@ func TestWakeAllOrderAndBatching(t *testing.T) {
 		}
 		p.Advance(units.Second)
 		p.Sync() // let every peer park first
-		p.WakeAll(procs[1:], 2*units.Second)
+		for _, q := range procs[1:] {
+			p.Wake(q, 2*units.Second)
+		}
 		p.Block("after-release") // peers run now
 	})
 	// All peers woke at the same time, so they must resume in ID order.
@@ -348,7 +350,7 @@ func TestWakeAllOrderAndBatching(t *testing.T) {
 		t.Fatalf("counted %d wakes, want %d", c.Wakes, n)
 	}
 	if c.WakeBatches == 0 {
-		t.Fatal("WakeAll did not flush as a batch")
+		t.Fatal("consecutive wakes did not flush as a batch")
 	}
 }
 
