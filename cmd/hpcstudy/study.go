@@ -33,8 +33,8 @@ func emit(w io.Writer, res figure, csv bool) {
 		return
 	}
 	res.Render(w)
-	// Only fig3's table is followed by its chart (a scenario result can
-	// draw one too, but never did here: its bytes match fig1/fig2's).
+	// Only fig3's table is followed by its chart here; a grid whose spec
+	// asks for one (report.chart) draws it inside its own Render.
 	if f3, ok := res.(*experiments.Fig3Result); ok {
 		fmt.Fprintln(w)
 		f3.RenderChart(w)
@@ -122,6 +122,25 @@ func listCells(w io.Writer, st *scenario.Study) error {
 	}
 	fmt.Fprintf(w, "%s: %s\n", st.Name(), st.Shape())
 	return nil
+}
+
+// verboseLines prints one study's -v lines: its counters are folded
+// into the metrics registry and the classic cells / admission / store /
+// kernel lines rendered back from it. store is the store's traffic over
+// the study, nil without one. Anyone changing what the kernel counters
+// measure must keep `go vet -vettool` with cmd/repolint green — the
+// kernelsafe analyzer is what guarantees these numbers stay meaningful.
+func verboseLines(w io.Writer, reg *telemetry.Registry, name string, stats *experiments.SweepStats, store *resultdb.StoreStats) {
+	sample := telemetry.CellsSample{
+		Simulated:        stats.Computed.Load(),
+		Replayed:         stats.Hits.Load(),
+		FailuresReplayed: stats.NegHits.Load(),
+		Kernel:           stats.Kernel(),
+		Store:            store,
+	}
+	sample.AdmissionRequested, sample.AdmissionAdmitted = stats.Admission()
+	telemetry.RecordStudy(reg, name, sample)
+	telemetry.RenderStudy(w, reg, name, experiments.RankBudget)
 }
 
 // runStudy regenerates one study (or "all"), or a scenario spec given
@@ -216,27 +235,15 @@ func runStudy(w io.Writer, which string, cfg cliConfig) error {
 			if !cfg.verbose {
 				return
 			}
-			// Fold this study's counters into the metrics registry, then
-			// render the classic -v lines from it. Anyone changing what
-			// the kernel counters measure must keep `go vet -vettool` with
-			// cmd/repolint green — the kernelsafe analyzer is what
-			// guarantees these numbers stay meaningful.
-			sample := telemetry.CellsSample{
-				Simulated:        stats.Computed.Load(),
-				Replayed:         stats.Hits.Load(),
-				FailuresReplayed: stats.NegHits.Load(),
-				Kernel:           stats.Kernel(),
-			}
-			sample.AdmissionRequested, sample.AdmissionAdmitted = stats.Admission()
+			var delta *resultdb.StoreStats
 			if opt.Store != nil {
 				// The store's own traffic, not the sweep's view of it:
 				// against a registry these are network operations, and
 				// retries flag a flaky link.
-				delta := opt.Store.Stats().Sub(st0)
-				sample.Store = &delta
+				d := opt.Store.Stats().Sub(st0)
+				delta = &d
 			}
-			telemetry.RecordStudy(metrics, name, sample)
-			telemetry.RenderStudy(w, metrics, name, experiments.RankBudget)
+			verboseLines(w, metrics, name, stats, delta)
 		}
 		res, err := f(studyOpt)
 		var miss *experiments.MissingCellsError

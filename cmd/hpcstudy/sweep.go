@@ -161,10 +161,15 @@ func runSweep(w io.Writer, which string, cfg cliConfig) error {
 		store = registry.NewTiered(local, client)
 		defer store.Close()
 	}
-	par := cfg.parallel
-	if par <= 0 {
-		par = runtime.NumCPU()
+	requested := cfg.parallel
+	if requested <= 0 {
+		requested = runtime.NumCPU()
 	}
+	// The engine sees one leased cell per call, so the rank budget is
+	// applied here, once, over everything this worker may be leased.
+	stats := &experiments.SweepStats{}
+	par := experiments.AdmittedWorkers(specs, requested)
+	stats.NoteAdmission(requested, par)
 	// Per-cell accounting shared by two consumers: -progress (the same
 	// stderr rate/ETA lines the local sweep path prints) and the
 	// heartbeat progress summaries the coordinator aggregates onto
@@ -179,7 +184,6 @@ func runSweep(w io.Writer, which string, cfg cliConfig) error {
 	var progDone atomic.Int64
 	var cellsFailed int
 	var virtualSec, commSec float64
-	stats := &experiments.SweepStats{}
 	eng := experiments.NewSweep(experiments.Options{
 		Parallelism: par,
 		Stats:       stats,
@@ -238,8 +242,7 @@ func runSweep(w io.Writer, which string, cfg cliConfig) error {
 		name, worker, rep.Batches, rep.Cells, stats.Computed.Load(), stats.Hits.Load()+stats.NegHits.Load(), rep.Failures, rep.LeasesLost)
 	if cfg.verbose {
 		st := client.Stats()
-		fmt.Fprintf(w, "sweep %s: store: %d lookups, %d hits, %d puts, %d retries\n",
-			name, st.Lookups, st.Hits, st.Puts, st.Retries)
+		verboseLines(w, telemetry.NewRegistry(), name, stats, &st)
 	}
 	return nil
 }

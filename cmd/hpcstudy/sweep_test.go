@@ -4,11 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/resultdb"
+	"repro/internal/scenario"
 )
 
 // TestSweepUsage asserts the sweep verb's flag contracts.
@@ -122,6 +127,48 @@ func TestCoordinatedSweepCLI(t *testing.T) {
 	if stripTimings(merged.String()) != stripTimings(ref.String()) {
 		t.Fatalf("coordinated sweep merge differs from the local run:\n--- local ---\n%s\n--- merged ---\n%s",
 			ref.String(), merged.String())
+	}
+}
+
+// TestSweepWorkerHonoursRankBudget asserts a lease worker clamps its
+// pool over its whole enumeration: the engine only ever sees one leased
+// cell, so without the worker's own clamp `-parallel 8` would hold eight
+// 12,288-rank cells against a 32,768-rank budget. The cell is committed
+// up front, so the worker finds the sweep done and simulates nothing —
+// the admission is decided, and reported under -v, before any lease.
+func TestSweepWorkerHonoursRankBudget(t *testing.T) {
+	spec := filepath.Join(t.TempDir(), "wide.json")
+	if err := os.WriteFile(spec, []byte(`{
+  "name": "wide", "cluster": "MareNostrum4", "case": {"name": "artery-fsi-mn4"},
+  "configs": [{"runtime": "Bare-metal"}], "grid": {"nodes": [256]}
+}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := scenario.Load(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Cells()[0].Ranks; got != 12288 {
+		t.Fatalf("cell has %d ranks, want 12288", got)
+	}
+	central := filepath.Join(t.TempDir(), "central")
+	store, err := resultdb.Open(central)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(st.Keys()[0], core.SavedResult{}); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	url, stop := startServe(t, cliConfig{cacheDir: central, sweepStudy: spec, leaseTTL: 2 * time.Second, leaseBatch: 2})
+	defer stop()
+	var out strings.Builder
+	if err := runSweep(&out, spec, cliConfig{parallel: 8, verbose: true, coordinator: url, workerName: "w"}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "wide admission: 2 of 8 workers admitted"; !strings.Contains(out.String(), want) {
+		t.Fatalf("worker output lacks %q:\n%s", want, out.String())
 	}
 }
 

@@ -250,10 +250,10 @@ func RunCell(c Cell) (Result, error) { return core.RunCell(c) }
 // paper-scale sweep; see the experiments package for the knobs.
 
 // Fig1 regenerates Figure 1 (container solutions on Lenox).
-func Fig1(opt Options) (*experiments.Fig1Result, error) { return experiments.Fig1(opt) }
+func Fig1(opt Options) (*experiments.GridResult, error) { return experiments.Fig1(opt) }
 
 // Fig2 regenerates Figure 2 (portability on CTE-POWER).
-func Fig2(opt Options) (*experiments.Fig2Result, error) { return experiments.Fig2(opt) }
+func Fig2(opt Options) (*experiments.GridResult, error) { return experiments.Fig2(opt) }
 
 // Fig3 regenerates Figure 3 (FSI scalability on MareNostrum4).
 func Fig3(opt Options) (*experiments.Fig3Result, error) { return experiments.Fig3(opt) }

@@ -11,8 +11,15 @@
 // the paper-scale configuration; tests shrink the sweep to keep
 // runtimes reasonable while asserting the same curve shapes.
 //
-// Every simulating study — the three figures and Portability alike —
-// is "enumerate cell specs, Sweep.Run them, shape a table". Run is the
+// The three figures share one shape — a few runtime configurations
+// swept over one axis, one elapsed-time curve each — and one type,
+// Grid: Fig1 and Fig2 are Grid values, Fig3 is one plus its own
+// self-normalised speedup rendering, and internal/scenario compiles
+// JSON specs into the same type, so cell labels, the result reshaping
+// loop and the table/CSV/chart layout exist once (grid.go).
+//
+// Every simulating study — the grids and Portability alike — is
+// "enumerate cell specs, Sweep.Run them, shape a table". Run is the
 // one route from a spec to a result: it looks cells up in the store
 // (when there is one), restores hits, replays recorded failures,
 // simulates the cells this invocation owns on a bounded worker pool

@@ -63,15 +63,15 @@ func TestFig1Shape(t *testing.T) {
 		for i := range s.Points {
 			over := metrics.RelDiff(s.Points[i].T, bare.Points[i].T)
 			if over > 0.05 || over < -0.02 {
-				t.Errorf("%s at %v: %.1f%% off bare metal", name, res.Configs[i], over*100)
+				t.Errorf("%s at %v: %.1f%% off bare metal", name, res.Grid.Axis[i].Label, over*100)
 			}
 		}
 	}
 
 	// Claim 2: Docker's overhead grows monotonically with MPI ranks
 	// and is severe at 112×1.
-	overheads := make([]float64, len(res.Configs))
-	for i := range res.Configs {
+	overheads := make([]float64, len(res.Grid.Axis))
+	for i := range res.Grid.Axis {
 		overheads[i] = metrics.RelDiff(docker.Points[i].T, bare.Points[i].T)
 	}
 	if !metrics.Monotone(overheads, 1, 0.02) {
@@ -162,7 +162,7 @@ func TestFig3Shape(t *testing.T) {
 	for i := range bareSp {
 		if d := (sysSp[i] - bareSp[i]) / bareSp[i]; d < -0.05 || d > 0.05 {
 			t.Errorf("system-specific speedup %v differs from bare %v at %d nodes",
-				sysSp[i], bareSp[i], res.Nodes[i])
+				sysSp[i], bareSp[i], res.Grid.Axis[i].X)
 		}
 	}
 	// Claim 2: bare metal keeps scaling well to 32 nodes.

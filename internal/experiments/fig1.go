@@ -1,142 +1,37 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/alya"
 	"repro/internal/cluster"
 	"repro/internal/container"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
-	"repro/internal/report"
-	"repro/internal/units"
 )
 
-// HybridConfig is one x-axis point of Fig. 1: an MPI ranks × OpenMP
-// threads decomposition of Lenox's 112 cores.
-type HybridConfig struct {
-	Ranks, Threads int
-}
-
-// String renders the paper's "R×T" axis label.
-func (h HybridConfig) String() string { return fmt.Sprintf("%dx%d", h.Ranks, h.Threads) }
-
-// Fig1Configs are the paper's five hybrid configurations.
-func Fig1Configs() []HybridConfig {
-	return []HybridConfig{{8, 14}, {16, 7}, {28, 4}, {56, 2}, {112, 1}}
-}
-
-// Fig1Result holds the reproduced Fig. 1: average elapsed time of the
-// artery CFD case on Lenox for bare-metal, Singularity, Shifter, and
-// Docker across hybrid configurations.
-type Fig1Result struct {
-	// Configs are the x-axis points.
-	Configs []HybridConfig
-	// Series holds one curve per runtime, in study order (Bare-metal,
-	// Docker, Singularity, Shifter); Point.X is the rank count.
-	Series []metrics.Series
-}
-
-// SeriesByLabel finds a curve by runtime name.
-func (f *Fig1Result) SeriesByLabel(label string) (*metrics.Series, error) {
-	for i := range f.Series {
-		if f.Series[i].Label == label {
-			return &f.Series[i], nil
-		}
+// fig1Grid is the paper's Figure 1: average elapsed time of the artery
+// CFD case on Lenox for bare-metal, Docker, Singularity and Shifter
+// across five MPI ranks × OpenMP threads decompositions of the
+// machine's 112 cores. Series.Point.X is the rank count.
+func fig1Grid(opt Options) *Grid {
+	lenox := cluster.Lenox()
+	g := &Grid{
+		Name:    "fig1",
+		Title:   "Fig 1: average elapsed time of the artery CFD case in Lenox",
+		Cluster: lenox, Case: opt.caseOr(alya.ArteryCFDLenox()),
+		Mode: opt.Mode, Allreduce: mpi.AllreduceRecursiveDoubling,
+		AxisHeader: "MPI x threads", CSVAxisHeader: "config",
 	}
-	return nil, fmt.Errorf("experiments: fig1 has no series %q", label)
+	for _, rt := range container.Runtimes() {
+		g.Configs = append(g.Configs, GridConfig{Label: rt.Name(), Runtime: rt, Kind: container.SystemSpecific})
+	}
+	for _, h := range [][2]int{{8, 14}, {16, 7}, {28, 4}, {56, 2}, {112, 1}} {
+		g.Axis = append(g.Axis, HybridPoint(lenox.TotalNodes, h[0], h[1]))
+	}
+	return g
 }
 
 // Fig1Specs enumerates Fig. 1's cells in sweep order (runtimes outer,
-// hybrid configurations inner). Exported so the scenario compiler's
-// re-expression of the study can be tested cell-for-cell against the
-// hand-coded enumeration.
-func Fig1Specs(opt Options) []CellSpec {
-	lenox := cluster.Lenox()
-	cs := opt.caseOr(alya.ArteryCFDLenox())
-	configs := Fig1Configs()
-	runtimes := container.Runtimes()
-
-	specs := make([]CellSpec, 0, len(runtimes)*len(configs))
-	for _, rt := range runtimes {
-		for _, hc := range configs {
-			specs = append(specs, CellSpec{
-				Label:   fmt.Sprintf("fig1 %s %v", rt.Name(), hc),
-				Cluster: lenox, Runtime: rt, Kind: container.SystemSpecific,
-				Case:  cs,
-				Nodes: lenox.TotalNodes, Ranks: hc.Ranks, Threads: hc.Threads,
-				Mode: opt.Mode, Allreduce: mpi.AllreduceRecursiveDoubling,
-			})
-		}
-	}
-	return specs
-}
+// hybrid configurations inner) — what a coordinated sweep leases out.
+func Fig1Specs(opt Options) []CellSpec { return fig1Grid(opt).Specs() }
 
 // Fig1 reproduces the paper's Figure 1 on the Lenox cluster.
-func Fig1(opt Options) (*Fig1Result, error) {
-	configs := Fig1Configs()
-	runtimes := container.Runtimes()
-	results, err := NewSweep(opt).Run(Fig1Specs(opt))
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Fig1Result{Configs: configs}
-	for ri, rt := range runtimes {
-		s := metrics.Series{Label: rt.Name()}
-		for ci := range configs {
-			res := results[ri*len(configs)+ci]
-			s.Points = append(s.Points, metrics.Point{X: configs[ci].Ranks, T: res.Exec.Elapsed})
-		}
-		out.Series = append(out.Series, s)
-	}
-	return out, nil
-}
-
-// Render writes the figure as a table (rows = configurations).
-func (f *Fig1Result) Render(w io.Writer) {
-	headers := []string{"MPI x threads"}
-	for _, s := range f.Series {
-		headers = append(headers, s.Label+" [s]")
-	}
-	t := report.NewTable("Fig 1: average elapsed time of the artery CFD case in Lenox", headers...)
-	for i, hc := range f.Configs {
-		row := []interface{}{hc.String()}
-		for _, s := range f.Series {
-			row = append(row, report.Seconds(s.Points[i].T))
-		}
-		t.AddRow(row...)
-	}
-	t.Render(w)
-}
-
-// CSV writes the figure data as CSV.
-func (f *Fig1Result) CSV(w io.Writer) {
-	headers := []string{"config"}
-	for _, s := range f.Series {
-		headers = append(headers, s.Label)
-	}
-	t := report.NewTable("", headers...)
-	for i, hc := range f.Configs {
-		row := []interface{}{hc.String()}
-		for _, s := range f.Series {
-			row = append(row, float64(s.Points[i].T))
-		}
-		t.AddRow(row...)
-	}
-	t.CSV(w)
-}
-
-// BestConfig returns the configuration with the lowest bare-metal time
-// (the sweet spot of the hybrid sweep).
-func (f *Fig1Result) BestConfig() HybridConfig {
-	best, bestT := f.Configs[0], units.Seconds(0)
-	for i, hc := range f.Configs {
-		t := f.Series[0].Points[i].T
-		if i == 0 || t < bestT {
-			best, bestT = hc, t
-		}
-	}
-	return best
-}
+func Fig1(opt Options) (*GridResult, error) { return fig1Grid(opt).Run(opt) }

@@ -1,141 +1,48 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/alya"
 	"repro/internal/cluster"
 	"repro/internal/container"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
-	"repro/internal/report"
 )
 
-// Fig2Variant is one curve of Fig. 2.
-type Fig2Variant struct {
-	// Label is the curve name.
-	Label string
-	// Runtime executes the variant (BareMetal or Singularity).
-	Runtime container.Runtime
-	// Kind is the image-building technique (ignored for bare metal).
-	Kind container.BuildKind
-}
-
-// Fig2Variants returns the paper's three variants.
-func Fig2Variants() []Fig2Variant {
-	return []Fig2Variant{
+// Fig2Variants returns the three curves Fig. 2 and Fig. 3 share:
+// bare metal and Singularity with either image-building technique.
+func Fig2Variants() []GridConfig {
+	return []GridConfig{
 		{Label: "Bare-metal", Runtime: container.BareMetal{}},
 		{Label: "Singularity system-specific", Runtime: container.Singularity{Version: "2.5.1"}, Kind: container.SystemSpecific},
 		{Label: "Singularity self-contained", Runtime: container.Singularity{Version: "2.5.1"}, Kind: container.SelfContained},
 	}
 }
 
-// Fig2Result holds the reproduced Fig. 2: average elapsed time of the
-// artery CFD case on CTE-POWER, 2–16 nodes.
-type Fig2Result struct {
-	// Nodes are the x-axis points.
-	Nodes []int
-	// Series holds the three curves; Point.X is the node count.
-	Series []metrics.Series
-	// Fabrics records which network path each variant used.
-	Fabrics []string
-}
-
-// SeriesByLabel finds a curve by variant name.
-func (f *Fig2Result) SeriesByLabel(label string) (*metrics.Series, error) {
-	for i := range f.Series {
-		if f.Series[i].Label == label {
-			return &f.Series[i], nil
-		}
+// variantsOverNodes completes g into the shape Fig. 2 and Fig. 3
+// share: the three variants over node counts, every core an MPI rank,
+// each curve headed by the network path it took.
+func variantsOverNodes(g Grid, nodes []int) *Grid {
+	g.Configs = Fig2Variants()
+	for _, n := range nodes {
+		g.Axis = append(g.Axis, NodesPoint(n, g.Cluster.CoresPerNode(), 1))
 	}
-	return nil, fmt.Errorf("experiments: fig2 has no series %q", label)
+	g.AxisHeader, g.CSVAxisHeader, g.ShowFabric = "Nodes", "nodes", true
+	return &g
 }
 
-// fig2DefaultNodes is the paper's Fig. 2 x-axis — the single source
-// both the spec enumeration and the result reshaping read, so they
-// can never disagree on the sweep's shape.
-func fig2DefaultNodes() []int { return []int{2, 4, 6, 8, 10, 12, 14, 16} }
+// fig2Grid is the paper's Figure 2: average elapsed time of the artery
+// CFD case on CTE-POWER, 2–16 nodes.
+func fig2Grid(opt Options) *Grid {
+	return variantsOverNodes(Grid{
+		Name:    "fig2",
+		Title:   "Fig 2: average elapsed time of artery CFD case in CTE-POWER",
+		Cluster: cluster.CTEPower(), Case: opt.caseOr(alya.ArteryCFDCTEPower()),
+		Mode: opt.Mode, Allreduce: mpi.AllreduceRecursiveDoubling,
+	}, opt.nodesOr([]int{2, 4, 6, 8, 10, 12, 14, 16}))
+}
 
 // Fig2Specs enumerates Fig. 2's cells in sweep order (variants outer,
-// node counts inner). Exported so the scenario compiler's
-// re-expression of the study can be tested cell-for-cell against the
-// hand-coded enumeration.
-func Fig2Specs(opt Options) []CellSpec {
-	cte := cluster.CTEPower()
-	cs := opt.caseOr(alya.ArteryCFDCTEPower())
-	nodes := opt.nodesOr(fig2DefaultNodes())
-	variants := Fig2Variants()
-
-	specs := make([]CellSpec, 0, len(variants)*len(nodes))
-	for _, v := range variants {
-		for _, n := range nodes {
-			specs = append(specs, CellSpec{
-				Label:   fmt.Sprintf("fig2 %s %d nodes", v.Label, n),
-				Cluster: cte, Runtime: v.Runtime, Kind: v.Kind,
-				Case:  cs,
-				Nodes: n, Ranks: n * cte.CoresPerNode(), Threads: 1,
-				Mode: opt.Mode, Allreduce: mpi.AllreduceRecursiveDoubling,
-			})
-		}
-	}
-	return specs
-}
+// node counts inner) — what a coordinated sweep leases out.
+func Fig2Specs(opt Options) []CellSpec { return fig2Grid(opt).Specs() }
 
 // Fig2 reproduces the paper's Figure 2 on CTE-POWER.
-func Fig2(opt Options) (*Fig2Result, error) {
-	nodes := opt.nodesOr(fig2DefaultNodes())
-	variants := Fig2Variants()
-	results, err := NewSweep(opt).Run(Fig2Specs(opt))
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Fig2Result{Nodes: nodes}
-	for vi, v := range variants {
-		s := metrics.Series{Label: v.Label}
-		fabricPath := ""
-		for ni, n := range nodes {
-			res := results[vi*len(nodes)+ni]
-			s.Points = append(s.Points, metrics.Point{X: n, T: res.Exec.Elapsed})
-			fabricPath = res.Exec.FabricPath
-		}
-		out.Series = append(out.Series, s)
-		out.Fabrics = append(out.Fabrics, fabricPath)
-	}
-	return out, nil
-}
-
-// Render writes the figure as a table (rows = node counts).
-func (f *Fig2Result) Render(w io.Writer) {
-	headers := []string{"Nodes"}
-	for i, s := range f.Series {
-		headers = append(headers, fmt.Sprintf("%s [s] (%s)", s.Label, f.Fabrics[i]))
-	}
-	t := report.NewTable("Fig 2: average elapsed time of artery CFD case in CTE-POWER", headers...)
-	for i, n := range f.Nodes {
-		row := []interface{}{n}
-		for _, s := range f.Series {
-			row = append(row, report.Seconds(s.Points[i].T))
-		}
-		t.AddRow(row...)
-	}
-	t.Render(w)
-}
-
-// CSV writes the figure data as CSV.
-func (f *Fig2Result) CSV(w io.Writer) {
-	headers := []string{"nodes"}
-	for _, s := range f.Series {
-		headers = append(headers, s.Label)
-	}
-	t := report.NewTable("", headers...)
-	for i, n := range f.Nodes {
-		row := []interface{}{n}
-		for _, s := range f.Series {
-			row = append(row, float64(s.Points[i].T))
-		}
-		t.AddRow(row...)
-	}
-	t.CSV(w)
-}
+func Fig2(opt Options) (*GridResult, error) { return fig2Grid(opt).Run(opt) }

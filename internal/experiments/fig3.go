@@ -6,21 +6,17 @@ import (
 
 	"repro/internal/alya"
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/report"
 )
 
 // Fig3Result holds the reproduced Fig. 3: strong-scaling speedup of the
-// artery FSI case on MareNostrum4, 4–256 nodes, each variant normalized
-// to its own 4-node run (the paper's normalization).
+// artery FSI case on MareNostrum4, 4–256 nodes. The embedded grid
+// result carries the elapsed times; what is Fig. 3's own is the
+// paper's normalization — each variant against its own smallest run —
+// which its Render, CSV and RenderChart apply.
 type Fig3Result struct {
-	// Nodes are the x-axis points.
-	Nodes []int
-	// Series holds elapsed times per variant.
-	Series []metrics.Series
-	// Fabrics records which network path each variant used.
-	Fabrics []string
+	*GridResult
 }
 
 // Fig3 reproduces the paper's Figure 3 on MareNostrum4. The big FSI
@@ -28,67 +24,40 @@ type Fig3Result struct {
 // production MPI applies at this scale; the ablation bench compares the
 // flat algorithms.
 func Fig3(opt Options) (*Fig3Result, error) {
-	mn4 := cluster.MareNostrum4()
-	cs := opt.caseOr(alya.ArteryFSIMareNostrum4())
-	nodes := opt.nodesOr([]int{4, 8, 16, 32, 64, 128, 256})
-	variants := Fig2Variants() // same three variants as Fig. 2
-
-	specs := make([]CellSpec, 0, len(variants)*len(nodes))
-	for _, v := range variants {
-		for _, n := range nodes {
-			specs = append(specs, CellSpec{
-				Label:   fmt.Sprintf("fig3 %s %d nodes", v.Label, n),
-				Cluster: mn4, Runtime: v.Runtime, Kind: v.Kind,
-				Case:  cs,
-				Nodes: n, Ranks: n * mn4.CoresPerNode(), Threads: 1,
-				Mode: opt.Mode, Allreduce: mpi.AllreduceHierarchical,
-			})
-		}
-	}
-	results, err := NewSweep(opt).Run(specs)
+	g := variantsOverNodes(Grid{
+		Name:    "fig3",
+		Title:   "Fig 3: scalability (speedup vs own 4-node run) of Alya artery FSI in MareNostrum4",
+		Cluster: cluster.MareNostrum4(), Case: opt.caseOr(alya.ArteryFSIMareNostrum4()),
+		Mode: opt.Mode, Allreduce: mpi.AllreduceHierarchical,
+	}, opt.nodesOr([]int{4, 8, 16, 32, 64, 128, 256}))
+	res, err := g.Run(opt)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &Fig3Result{Nodes: nodes}
-	for vi, v := range variants {
-		s := metrics.Series{Label: v.Label}
-		fabricPath := ""
-		for ni, n := range nodes {
-			res := results[vi*len(nodes)+ni]
-			s.Points = append(s.Points, metrics.Point{X: n, T: res.Exec.Elapsed})
-			fabricPath = res.Exec.FabricPath
-		}
-		out.Series = append(out.Series, s)
-		out.Fabrics = append(out.Fabrics, fabricPath)
-	}
-	return out, nil
+	return &Fig3Result{res}, nil
 }
 
-// SeriesByLabel finds a curve by variant name.
-func (f *Fig3Result) SeriesByLabel(label string) (*metrics.Series, error) {
+// speedups returns each variant's speedup curve, indexed
+// [series][point].
+func (f *Fig3Result) speedups() [][]float64 {
+	out := make([][]float64, len(f.Series))
 	for i := range f.Series {
-		if f.Series[i].Label == label {
-			return &f.Series[i], nil
-		}
+		out[i] = f.Series[i].Speedup()
 	}
-	return nil, fmt.Errorf("experiments: fig3 has no series %q", label)
+	return out
 }
 
 // Render writes the figure as a table of speedups plus the ideal line.
 func (f *Fig3Result) Render(w io.Writer) {
-	headers := []string{"Nodes", "Ideal"}
+	headers := []string{f.Grid.AxisHeader, "Ideal"}
 	for i, s := range f.Series {
 		headers = append(headers, fmt.Sprintf("%s (%s)", s.Label, f.Fabrics[i]))
 	}
-	t := report.NewTable("Fig 3: scalability (speedup vs own 4-node run) of Alya artery FSI in MareNostrum4", headers...)
-	speedups := make([][]float64, len(f.Series))
-	for i := range f.Series {
-		speedups[i] = f.Series[i].Speedup()
-	}
-	base := float64(f.Nodes[0])
-	for i, n := range f.Nodes {
-		row := []interface{}{n, fmt.Sprintf("%.1f", float64(n)/base)}
+	t := report.NewTable(f.Grid.Title, headers...)
+	speedups := f.speedups()
+	base := float64(f.Grid.Axis[0].X)
+	for i, ax := range f.Grid.Axis {
+		row := []any{ax.Row, fmt.Sprintf("%.1f", float64(ax.X)/base)}
 		for si := range f.Series {
 			row = append(row, fmt.Sprintf("%.2f", speedups[si][i]))
 		}
@@ -99,17 +68,14 @@ func (f *Fig3Result) Render(w io.Writer) {
 
 // CSV writes elapsed times and speedups as CSV.
 func (f *Fig3Result) CSV(w io.Writer) {
-	headers := []string{"nodes"}
+	headers := []string{f.Grid.CSVAxisHeader}
 	for _, s := range f.Series {
 		headers = append(headers, s.Label+"_seconds", s.Label+"_speedup")
 	}
 	t := report.NewTable("", headers...)
-	speedups := make([][]float64, len(f.Series))
-	for i := range f.Series {
-		speedups[i] = f.Series[i].Speedup()
-	}
-	for i, n := range f.Nodes {
-		row := []interface{}{n}
+	speedups := f.speedups()
+	for i, ax := range f.Grid.Axis {
+		row := []any{ax.Row}
 		for si, s := range f.Series {
 			row = append(row, float64(s.Points[i].T), speedups[si][i])
 		}
@@ -121,15 +87,11 @@ func (f *Fig3Result) CSV(w io.Writer) {
 // RenderChart writes the speedup curves as an ASCII chart, the closest
 // textual analogue of the paper's plot.
 func (f *Fig3Result) RenderChart(w io.Writer) {
-	speedups := make([][]float64, len(f.Series))
-	for i := range f.Series {
-		speedups[i] = f.Series[i].Speedup()
-	}
 	c := report.Chart{
 		Title:  "Fig 3: FSI speedup vs nodes (each variant normalized to its 4-node run)",
 		YLabel: "speedup",
 		Series: f.Series,
-		Values: speedups,
+		Values: f.speedups(),
 	}
 	c.Render(w)
 }

@@ -341,23 +341,32 @@ func (s *Sweep) each(n, workers int, fn func(i int) error) error {
 // throughput.
 const RankBudget = 32768
 
-// workersFor bounds the pool so concurrent cells stay within
-// RankBudget simulated ranks, using the sweep's largest cell as the
-// weight, and records the admission in the stats.
-func (s *Sweep) workersFor(specs []CellSpec) int {
+// AdmittedWorkers bounds a pool of requested workers so concurrent
+// cells stay within RankBudget simulated ranks, weighing every cell as
+// the largest of specs; one worker is always admitted. It is the
+// admission rule of every pool that simulates cells: Sweep.Run's and a
+// lease worker's, which clamps once over its whole enumeration because
+// its engine only ever sees one leased cell at a time.
+func AdmittedWorkers(specs []CellSpec, requested int) int {
 	maxRanks := 1
 	for _, sp := range specs {
 		if sp.Ranks > maxRanks {
 			maxRanks = sp.Ranks
 		}
 	}
-	workers := s.workers
-	if fit := RankBudget / maxRanks; fit < workers {
-		workers = fit
+	if fit := RankBudget / maxRanks; fit < requested {
+		requested = fit
 	}
-	if workers < 1 {
-		workers = 1
+	if requested < 1 {
+		requested = 1
 	}
+	return requested
+}
+
+// workersFor admits the compute pool for specs and records the
+// admission in the stats.
+func (s *Sweep) workersFor(specs []CellSpec) int {
+	workers := AdmittedWorkers(specs, s.workers)
 	if len(specs) > 0 {
 		s.stats.NoteAdmission(s.workers, workers)
 	}

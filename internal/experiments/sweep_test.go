@@ -184,6 +184,34 @@ func TestSweepRunWrapsErrors(t *testing.T) {
 	}
 }
 
+// TestAdmittedWorkers tables the admission rule Sweep.Run and the lease
+// worker share: the largest cell of the enumeration weighs every
+// worker, RankBudget caps their sum, and one worker always runs.
+func TestAdmittedWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		ranks     []int
+		requested int
+		want      int
+	}{
+		{nil, 8, 8},              // nothing to weigh: unclamped
+		{[]int{640}, 8, 8},       // fig2's largest cell: 51 would fit
+		{[]int{80, 12288}, 8, 2}, // fig3's largest cell, anywhere in the list, clamps
+		{[]int{12288}, 2, 2},     // already within the budget
+		{[]int{RankBudget / 2}, 64, 2},
+		{[]int{RankBudget}, 8, 1},
+		{[]int{RankBudget + 1}, 8, 1}, // over budget still runs, alone
+		{[]int{640}, 0, 1},            // a pool is never empty
+	} {
+		specs := make([]CellSpec, len(tc.ranks))
+		for i, r := range tc.ranks {
+			specs[i].Ranks = r
+		}
+		if got := AdmittedWorkers(specs, tc.requested); got != tc.want {
+			t.Errorf("AdmittedWorkers(ranks %v, requested %d) = %d, want %d", tc.ranks, tc.requested, got, tc.want)
+		}
+	}
+}
+
 // TestAdmissionTracking covers the rank-budget observability: the
 // stats record how many workers a compute phase requested vs how many
 // RankBudget admitted, the tightest observation wins, and an

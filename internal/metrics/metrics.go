@@ -3,7 +3,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/units"
@@ -22,16 +21,6 @@ type Series struct {
 	Label string
 	// Points are the samples in sweep order.
 	Points []Point
-}
-
-// TimeAt returns the sample at x, or an error if absent.
-func (s *Series) TimeAt(x int) (units.Seconds, error) {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.T, nil
-		}
-	}
-	return 0, fmt.Errorf("metrics: series %q has no sample at %d", s.Label, x)
 }
 
 // Speedup converts the series to speedups relative to its first point

@@ -40,17 +40,6 @@ func TestEfficiency(t *testing.T) {
 	}
 }
 
-func TestTimeAt(t *testing.T) {
-	s := series()
-	v, err := s.TimeAt(8)
-	if err != nil || v != 8*units.Second {
-		t.Fatalf("TimeAt(8) = %v, %v", v, err)
-	}
-	if _, err := s.TimeAt(99); err == nil {
-		t.Fatal("missing point found")
-	}
-}
-
 func TestEmptySeries(t *testing.T) {
 	var s Series
 	if len(s.Speedup()) != 0 || len(s.Efficiency()) != 0 {

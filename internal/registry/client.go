@@ -67,7 +67,8 @@ type Client struct {
 	logf      func(format string, args ...any)
 	journal   *telemetry.FleetJournal
 
-	lookups, hits, negHits, puts, putErrors, retried, prefetchSkips atomic.Int64
+	traffic                resultdb.Traffic
+	retried, prefetchSkips atomic.Int64
 
 	// absentMu guards absent: keys a manifest prefetch showed the
 	// registry lacked. Lookup consumes a mark (answers one miss
@@ -371,7 +372,7 @@ func (c *Client) clearAbsent(key string) {
 // return ok=false with a nil error (one recomputation); transport
 // failures and schema conflicts return the error.
 func (c *Client) Lookup(key string) (resultdb.Entry, bool, error) {
-	c.lookups.Add(1)
+	c.traffic.Lookup()
 	if c.skipAbsent(key) {
 		return resultdb.Entry{}, false, nil
 	}
@@ -388,12 +389,9 @@ func (c *Client) Lookup(key string) (resultdb.Entry, bool, error) {
 		if rec.Key != key || rec.Schema != resultdb.SchemaVersion() {
 			return resultdb.Entry{}, false, nil
 		}
-		if rec.Error != "" {
-			c.negHits.Add(1)
-		} else {
-			c.hits.Add(1)
-		}
-		return resultdb.Entry{Result: rec.Result, Err: rec.Error}, true, nil
+		ent := resultdb.Entry{Result: rec.Result, Err: rec.Error}
+		c.traffic.Found(ent)
+		return ent, true, nil
 	case http.StatusNotFound:
 		return resultdb.Entry{}, false, nil
 	case http.StatusConflict:
@@ -409,7 +407,7 @@ func (c *Client) Put(key string, res core.SavedResult) error {
 		return err
 	}
 	c.clearAbsent(key)
-	c.puts.Add(1)
+	c.traffic.Committed(false)
 	return nil
 }
 
@@ -423,7 +421,7 @@ func (c *Client) PutError(key, msg string) error {
 		return err
 	}
 	c.clearAbsent(key)
-	c.putErrors.Add(1)
+	c.traffic.Committed(true)
 	return nil
 }
 
@@ -471,15 +469,9 @@ func (c *Client) Keys() []string {
 // Stats snapshots the client's traffic counters, retries and
 // prefetch-avoided round trips included.
 func (c *Client) Stats() resultdb.StoreStats {
-	return resultdb.StoreStats{
-		Lookups:       c.lookups.Load(),
-		Hits:          c.hits.Load(),
-		NegHits:       c.negHits.Load(),
-		Puts:          c.puts.Load(),
-		PutErrors:     c.putErrors.Load(),
-		Retries:       c.retried.Load(),
-		PrefetchSkips: c.prefetchSkips.Load(),
-	}
+	st := c.traffic.Snapshot()
+	st.Retries, st.PrefetchSkips = c.retried.Load(), c.prefetchSkips.Load()
+	return st
 }
 
 // Close releases idle connections. The registry itself keeps running.

@@ -32,7 +32,7 @@ func fig2TestOpt(store resultdb.Store, stats *experiments.SweepStats) experiment
 }
 
 // renderFig2 flattens the figure to the bytes the CLI would emit.
-func renderFig2(t *testing.T, res *experiments.Fig2Result) []byte {
+func renderFig2(t *testing.T, res *experiments.GridResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	res.Render(&buf)

@@ -3,7 +3,6 @@ package registry
 import (
 	"errors"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/resultdb"
@@ -19,8 +18,7 @@ import (
 // lookup without a network round trip.
 type Tiered struct {
 	local, remote resultdb.Store
-
-	lookups, hits, negHits, puts, putErrors atomic.Int64
+	traffic       resultdb.Traffic
 }
 
 var _ resultdb.Store = (*Tiered)(nil)
@@ -44,9 +42,9 @@ func (t *Tiered) Get(key string) (core.SavedResult, bool) {
 // not fatal — the remote tier still answers; a remote error surfaces
 // only when the local tier missed.
 func (t *Tiered) Lookup(key string) (resultdb.Entry, bool, error) {
-	t.lookups.Add(1)
+	t.traffic.Lookup()
 	if ent, ok, err := t.local.Lookup(key); err == nil && ok {
-		t.count(ent)
+		t.traffic.Found(ent)
 		return ent, true, nil
 	}
 	ent, ok, err := t.remote.Lookup(key)
@@ -60,16 +58,8 @@ func (t *Tiered) Lookup(key string) (resultdb.Entry, bool, error) {
 	} else {
 		_ = t.local.Put(key, ent.Result)
 	}
-	t.count(ent)
+	t.traffic.Found(ent)
 	return ent, true, nil
-}
-
-func (t *Tiered) count(ent resultdb.Entry) {
-	if ent.Err != "" {
-		t.negHits.Add(1)
-	} else {
-		t.hits.Add(1)
-	}
 }
 
 // Put commits to the remote tier first, then the local one; either
@@ -81,7 +71,7 @@ func (t *Tiered) Put(key string, res core.SavedResult) error {
 	if err := t.local.Put(key, res); err != nil {
 		return err
 	}
-	t.puts.Add(1)
+	t.traffic.Committed(false)
 	return nil
 }
 
@@ -93,7 +83,7 @@ func (t *Tiered) PutError(key, msg string) error {
 	if err := t.local.PutError(key, msg); err != nil {
 		return err
 	}
-	t.putErrors.Add(1)
+	t.traffic.Committed(true)
 	return nil
 }
 
@@ -119,15 +109,9 @@ func (t *Tiered) Keys() []string {
 // skips only happen in the tiers, so they are summed through.
 func (t *Tiered) Stats() resultdb.StoreStats {
 	ls, rs := t.local.Stats(), t.remote.Stats()
-	return resultdb.StoreStats{
-		Lookups:       t.lookups.Load(),
-		Hits:          t.hits.Load(),
-		NegHits:       t.negHits.Load(),
-		Puts:          t.puts.Load(),
-		PutErrors:     t.putErrors.Load(),
-		Retries:       ls.Retries + rs.Retries,
-		PrefetchSkips: ls.PrefetchSkips + rs.PrefetchSkips,
-	}
+	st := t.traffic.Snapshot()
+	st.Retries, st.PrefetchSkips = ls.Retries+rs.Retries, ls.PrefetchSkips+rs.PrefetchSkips
+	return st
 }
 
 // Close closes both tiers, reporting every failure.

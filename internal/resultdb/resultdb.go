@@ -43,7 +43,6 @@
 package resultdb
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -174,6 +173,47 @@ func (st StoreStats) Sub(o StoreStats) StoreStats {
 // Misses derives the lookups that found nothing.
 func (st StoreStats) Misses() int64 { return st.Lookups - st.Hits - st.NegHits }
 
+// Traffic is the lookup/commit counter set every Store keeps; Snapshot
+// is the base of its Stats. Safe for concurrent use.
+type Traffic struct {
+	lookups, hits, negHits, puts, putErrors atomic.Int64
+}
+
+// Lookup counts one Get/Lookup call, whatever its outcome.
+func (t *Traffic) Lookup() { t.lookups.Add(1) }
+
+// Found counts a lookup answered with a committed entry: a hit, or a
+// negative hit when the entry is a recorded failure.
+func (t *Traffic) Found(ent Entry) {
+	if ent.Err != "" {
+		t.negHits.Add(1)
+	} else {
+		t.hits.Add(1)
+	}
+}
+
+// Committed counts one accepted commit, of a result or of a failure
+// record.
+func (t *Traffic) Committed(failure bool) {
+	if failure {
+		t.putErrors.Add(1)
+	} else {
+		t.puts.Add(1)
+	}
+}
+
+// Snapshot returns the counters; Retries and PrefetchSkips are left
+// for the stores that have them.
+func (t *Traffic) Snapshot() StoreStats {
+	return StoreStats{
+		Lookups:   t.lookups.Load(),
+		Hits:      t.hits.Load(),
+		NegHits:   t.negHits.Load(),
+		Puts:      t.puts.Load(),
+		PutErrors: t.putErrors.Load(),
+	}
+}
+
 // GetFrom derives the success-only Get view from a store's Lookup —
 // the one place its semantics live, so every backend filters
 // transport errors, misses, and recorded failures identically.
@@ -245,9 +285,8 @@ type Entry struct {
 // implementation every other backend (the network registry, the
 // tiered cache) ultimately persists through.
 type DirStore struct {
-	dir string
-
-	lookups, hits, negHits, puts, putErrors atomic.Int64
+	dir     string
+	traffic Traffic
 
 	mu       sync.Mutex
 	manifest *os.File
@@ -271,26 +310,29 @@ func Open(dir string) (*DirStore, error) {
 	}
 	known := make(map[string]bool)
 	path := filepath.Join(dir, manifestName)
-	if f, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			if key := strings.TrimSpace(sc.Text()); key != "" {
-				known[key] = true
-			}
-		}
-		// A torn final line (crash mid-append) is dropped by the key
-		// check in Get; scanner errors mean a damaged journal, which
-		// the record files recover from.
-		f.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("resultdb: manifest: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("resultdb: %w", err)
+	}
+	// Only well-formed keys replay: a torn final line (crash mid-append)
+	// or a stray one must never reach Keys, the wire manifest or a
+	// prefetch as if it named a record.
+	for _, line := range strings.Split(string(data), "\n") {
+		if key := strings.TrimSpace(line); ValidKey(key) {
+			known[key] = true
+		}
 	}
 	manifest, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("resultdb: %w", err)
+	}
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		// End the torn line, or the next committed key would be glued
+		// to it and lost to every later replay.
+		if _, err := manifest.WriteString("\n"); err != nil {
+			manifest.Close()
+			return nil, fmt.Errorf("resultdb: manifest: %w", err)
+		}
 	}
 	access, err := os.OpenFile(filepath.Join(dir, accessName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -352,7 +394,7 @@ func (s *DirStore) Get(key string) (core.SavedResult, bool) {
 // mismatched records read as misses, exactly as in Get; the error is
 // always nil for a directory store (it exists for network backends).
 func (s *DirStore) Lookup(key string) (Entry, bool, error) {
-	s.lookups.Add(1)
+	s.traffic.Lookup()
 	if !ValidKey(key) {
 		return Entry{}, false, nil
 	}
@@ -367,16 +409,13 @@ func (s *DirStore) Lookup(key string) (Entry, bool, error) {
 	if rec.Schema != SchemaVersion() || rec.Key != key {
 		return Entry{}, false, nil
 	}
-	if rec.Error != "" {
-		s.negHits.Add(1)
-	} else {
-		s.hits.Add(1)
-	}
+	ent := Entry{Result: rec.Result, Err: rec.Error}
+	s.traffic.Found(ent)
 	s.mu.Lock()
 	s.known[key] = true // reconcile: found on disk but absent from our journal view
 	s.touchLocked(key)
 	s.mu.Unlock()
-	return Entry{Result: rec.Result, Err: rec.Error}, true, nil
+	return ent, true, nil
 }
 
 // Put commits a result under a key: temp file, sync, atomic rename,
@@ -386,7 +425,7 @@ func (s *DirStore) Put(key string, res core.SavedResult) error {
 	if err := s.commit(key, record{Schema: SchemaVersion(), Key: key, Result: res}); err != nil {
 		return err
 	}
-	s.puts.Add(1)
+	s.traffic.Committed(false)
 	return nil
 }
 
@@ -401,20 +440,12 @@ func (s *DirStore) PutError(key, msg string) error {
 	if err := s.commit(key, record{Schema: SchemaVersion(), Key: key, Error: msg}); err != nil {
 		return err
 	}
-	s.putErrors.Add(1)
+	s.traffic.Committed(true)
 	return nil
 }
 
 // Stats snapshots the store's traffic counters.
-func (s *DirStore) Stats() StoreStats {
-	return StoreStats{
-		Lookups:   s.lookups.Load(),
-		Hits:      s.hits.Load(),
-		NegHits:   s.negHits.Load(),
-		Puts:      s.puts.Load(),
-		PutErrors: s.putErrors.Load(),
-	}
-}
+func (s *DirStore) Stats() StoreStats { return s.traffic.Snapshot() }
 
 // Pin protects keys from GC until the returned release is called.
 func (s *DirStore) Pin(keys []string) (release func()) {

@@ -10,59 +10,20 @@ import (
 	"repro/internal/mpi"
 )
 
-// Study is a compiled spec: every name resolved against the model,
-// every grid point expanded into an experiments.CellSpec, and the
-// report layout planned. Compilation is pure — no image builds, no
-// simulation — so `hpcstudy validate` and -list stay instant.
+// Study is a compiled spec: every name resolved against the model
+// into an experiments.Grid — the same value the built-in figures are —
+// with the grid's cells enumerated and fingerprinted. Compilation is
+// pure — no image builds, no simulation — so `hpcstudy validate` and
+// -list stay instant.
 type Study struct {
-	spec    Spec
-	title   string
-	cluster *cluster.Cluster
-	cs      alya.Case
-	configs []config
-	axis    []axisPoint
-	mode    alya.Mode
-	algo    mpi.AllreduceAlgo
-	columns []column
-	cells   []experiments.CellSpec
-	keys    []string
+	grid  *experiments.Grid
+	cells []experiments.CellSpec
+	keys  []string
 }
 
-// config is one resolved configuration.
-type config struct {
-	label     string
-	runtime   container.Runtime
-	kind      container.BuildKind
-	imageFrom *cluster.Cluster
-}
-
-// axisPoint is one resolved grid point.
-type axisPoint struct {
-	// path locates the point in the spec for duplicate-cell errors
-	// ("grid.nodes[2]").
-	path string
-	// label names the point in cell labels ("4 nodes", "8x14").
-	label string
-	// rowCell renders the axis column of the point's table/CSV row —
-	// an int for a nodes grid, the "RxT" string for a hybrid one.
-	rowCell any
-	// x is the numeric axis value (node count / rank count).
-	x                     int
-	nodes, ranks, threads int
-}
-
-// column kinds.
-const (
-	colTime = iota
-	colSpeedup
-	colEfficiency
-)
-
-// column is one planned column group; baseline indexes configs for
-// speedup/efficiency.
-type column struct {
-	kind     int
-	baseline int
+// columnKinds resolves ColumnSpec.Kind.
+var columnKinds = map[string]experiments.ColumnKind{
+	"time": experiments.ColTime, "speedup": experiments.ColSpeedup, "efficiency": experiments.ColEfficiency,
 }
 
 // Compile validates the spec against the model and expands it into
@@ -72,9 +33,13 @@ func (sp Spec) Compile() (*Study, error) {
 	if sp.Name == "" {
 		return nil, errf("name", "required")
 	}
-	st := &Study{spec: sp, title: sp.Title}
-	if st.title == "" {
-		st.title = sp.Name
+	g := &experiments.Grid{
+		Name: sp.Name, Title: sp.Title,
+		AxisHeader: sp.Report.AxisHeader, CSVAxisHeader: sp.Report.CSVAxisHeader,
+		ShowFabric: sp.Report.ShowFabric, Chart: sp.Report.Chart,
+	}
+	if g.Title == "" {
+		g.Title = sp.Name
 	}
 
 	// Cluster.
@@ -85,7 +50,7 @@ func (sp Spec) Compile() (*Study, error) {
 	if err != nil {
 		return nil, errf("cluster", "unknown machine %q (known: %s)", sp.Cluster, joinKnown(clusterNames()))
 	}
-	st.cluster = cl
+	g.Cluster = cl
 
 	// Case.
 	if sp.Case.Name == "" {
@@ -114,7 +79,7 @@ func (sp Spec) Compile() (*Study, error) {
 	if err := cs.Validate(); err != nil {
 		return nil, errf("case", "%v", err)
 	}
-	st.cs = cs
+	g.Case = cs
 
 	// Configs.
 	if len(sp.Configs) == 0 {
@@ -153,42 +118,43 @@ func (sp Spec) Compile() (*Study, error) {
 			return nil, errf(path+".label", "duplicate label %q (also configs[%d])", label, prev)
 		}
 		seenLabels[label] = i
-		st.configs = append(st.configs, config{label: label, runtime: rt, kind: kind, imageFrom: imageFrom})
+		g.Configs = append(g.Configs, experiments.GridConfig{Label: label, Runtime: rt, Kind: kind, ImageFrom: imageFrom})
 	}
 
-	// Grid.
-	if err := st.compileGrid(sp.Grid); err != nil {
+	// Grid; axisPath is the swept list's spec path for cell-level
+	// errors, and the axis headers default per grid kind.
+	if err := compileGrid(g, sp.Grid); err != nil {
 		return nil, err
+	}
+	axisPath, header, csvHeader := "grid.nodes", "Nodes", "nodes"
+	if len(sp.Grid.Hybrid) > 0 {
+		axisPath, header, csvHeader = "grid.hybrid", "MPI x threads", "config"
+	}
+	if g.AxisHeader == "" {
+		g.AxisHeader = header
+	}
+	if g.CSVAxisHeader == "" {
+		g.CSVAxisHeader = csvHeader
 	}
 
 	// Mode and allreduce.
-	if st.mode, err = parseMode(sp.Mode); err != nil {
+	if g.Mode, err = parseMode(sp.Mode); err != nil {
 		return nil, errf("mode", "%v", err)
 	}
-	if st.algo, err = parseAllreduce(sp.Allreduce); err != nil {
+	if g.Allreduce, err = parseAllreduce(sp.Allreduce); err != nil {
 		return nil, errf("allreduce", "%v", err)
 	}
 
-	// Report columns.
-	cols := sp.Report.Columns
-	if len(cols) == 0 {
-		cols = []ColumnSpec{{Kind: "time"}}
-	}
-	for i, c := range cols {
+	// Report columns; none means the grid's default single group of
+	// elapsed seconds.
+	for i, c := range sp.Report.Columns {
 		path := fmt.Sprintf("report.columns[%d]", i)
-		var kind int
-		switch c.Kind {
-		case "time":
-			kind = colTime
-		case "speedup":
-			kind = colSpeedup
-		case "efficiency":
-			kind = colEfficiency
-		default:
+		kind, ok := columnKinds[c.Kind]
+		if !ok {
 			return nil, errf(path+".kind", "unknown kind %q (time, speedup, efficiency)", c.Kind)
 		}
 		baseline := -1
-		if kind == colTime {
+		if kind == experiments.ColTime {
 			if c.Baseline != "" {
 				return nil, errf(path+".baseline", "only meaningful for speedup/efficiency columns")
 			}
@@ -196,51 +162,35 @@ func (sp Spec) Compile() (*Study, error) {
 			if c.Baseline == "" {
 				return nil, errf(path+".baseline", "required for %s columns (name a config label)", c.Kind)
 			}
-			ci, ok := seenLabels[c.Baseline]
-			if !ok {
-				return nil, errf(path+".baseline", "unknown config %q (configs: %s)", c.Baseline, joinKnown(st.configLabels()))
+			if baseline, ok = seenLabels[c.Baseline]; !ok {
+				return nil, errf(path+".baseline", "unknown config %q (configs: %s)", c.Baseline, joinKnown(configLabels(g)))
 			}
-			baseline = ci
 		}
-		st.columns = append(st.columns, column{kind: kind, baseline: baseline})
+		g.Columns = append(g.Columns, experiments.GridColumn{Kind: kind, Baseline: baseline})
 	}
 
-	// Cells: configs outer, axis inner — the same sweep order the
-	// hand-coded studies enumerate, so store pinning, sharding, and
-	// stats line up cell for cell.
-	st.cells = make([]experiments.CellSpec, 0, len(st.configs)*len(st.axis))
-	st.keys = make([]string, 0, cap(st.cells))
+	// Cells: the grid's own enumeration (configs outer, axis inner),
+	// fingerprinted so two spellings of one cell are caught here.
+	st := &Study{grid: g, cells: g.Specs()}
 	seenCells := make(map[string]string)
-	for ci := range st.configs {
-		cfg := &st.configs[ci]
-		for ai := range st.axis {
-			ax := &st.axis[ai]
-			cell := experiments.CellSpec{
-				Label:   fmt.Sprintf("%s %s %s", sp.Name, cfg.label, ax.label),
-				Cluster: st.cluster, Runtime: cfg.runtime, Kind: cfg.kind,
-				ImageFrom: cfg.imageFrom,
-				Case:      st.cs,
-				Nodes:     ax.nodes, Ranks: ax.ranks, Threads: ax.threads,
-				Mode: st.mode, Allreduce: st.algo,
-			}
-			key, err := cell.Key()
-			if err != nil {
-				return nil, errf(fmt.Sprintf("configs[%d] x %s", ci, ax.path), "%v", err)
-			}
-			at := fmt.Sprintf("configs[%d] x %s", ci, ax.path)
-			if prev, dup := seenCells[key]; dup {
-				return nil, errf(at, "duplicate cell (same fingerprint as %s)", prev)
-			}
-			seenCells[key] = at
-			st.cells = append(st.cells, cell)
-			st.keys = append(st.keys, key)
+	for i, cell := range st.cells {
+		at := fmt.Sprintf("configs[%d] x %s[%d]", i/len(g.Axis), axisPath, i%len(g.Axis))
+		key, err := cell.Key()
+		if err != nil {
+			return nil, errf(at, "%v", err)
 		}
+		if prev, dup := seenCells[key]; dup {
+			return nil, errf(at, "duplicate cell (same fingerprint as %s)", prev)
+		}
+		seenCells[key] = at
+		st.keys = append(st.keys, key)
 	}
 	return st, nil
 }
 
-// compileGrid expands the grid into axis points.
-func (st *Study) compileGrid(g GridSpec) error {
+// compileGrid expands the spec's grid into out's axis points.
+func compileGrid(out *experiments.Grid, g GridSpec) error {
+	cl := out.Cluster
 	switch {
 	case len(g.Nodes) > 0 && len(g.Hybrid) > 0:
 		return errf("grid", "nodes and hybrid are mutually exclusive")
@@ -254,9 +204,9 @@ func (st *Study) compileGrid(g GridSpec) error {
 		switch {
 		case rpn < 0:
 			return errf("grid.ranks_per_node", "must be ≥ 1 (0 means the cluster's %d cores per node), got %d",
-				st.cluster.CoresPerNode(), rpn)
+				cl.CoresPerNode(), rpn)
 		case rpn == 0:
-			rpn = st.cluster.CoresPerNode()
+			rpn = cl.CoresPerNode()
 		}
 		threads := g.Threads
 		switch {
@@ -269,13 +219,13 @@ func (st *Study) compileGrid(g GridSpec) error {
 		// oversubscribed spec fails validate with a field path instead
 		// of failing every cell at run time (and poisoning the negative
 		// cache with pure spec mistakes).
-		if cores := st.cluster.CoresPerNode(); rpn*threads > cores {
+		if cores := cl.CoresPerNode(); rpn*threads > cores {
 			path := "grid.threads"
 			if g.RanksPerNode != 0 {
 				path = "grid.ranks_per_node"
 			}
 			return errf(path, "%d ranks/node × %d threads oversubscribe %s's %d cores per node",
-				rpn, threads, st.cluster.Name, cores)
+				rpn, threads, cl.Name, cores)
 		}
 		seen := make(map[int]int)
 		for i, n := range g.Nodes {
@@ -283,17 +233,14 @@ func (st *Study) compileGrid(g GridSpec) error {
 			if n < 1 {
 				return errf(path, "must be ≥ 1, got %d", n)
 			}
-			if n > st.cluster.TotalNodes {
-				return errf(path, "%d nodes exceed %s's %d", n, st.cluster.Name, st.cluster.TotalNodes)
+			if n > cl.TotalNodes {
+				return errf(path, "%d nodes exceed %s's %d", n, cl.Name, cl.TotalNodes)
 			}
 			if prev, dup := seen[n]; dup {
 				return errf(path, "duplicate node count %d (also grid.nodes[%d])", n, prev)
 			}
 			seen[n] = i
-			st.axis = append(st.axis, axisPoint{
-				path: path, label: fmt.Sprintf("%d nodes", n), rowCell: n,
-				x: n, nodes: n, ranks: n * rpn, threads: threads,
-			})
+			out.Axis = append(out.Axis, experiments.NodesPoint(n, rpn, threads))
 		}
 	default: // hybrid
 		if g.RanksPerNode != 0 {
@@ -307,9 +254,9 @@ func (st *Study) compileGrid(g GridSpec) error {
 		case nodes < 0:
 			return errf("grid.fixed_nodes", "must be ≥ 1 (0 means the whole machine), got %d", nodes)
 		case nodes == 0:
-			nodes = st.cluster.TotalNodes
-		case nodes > st.cluster.TotalNodes:
-			return errf("grid.fixed_nodes", "%d nodes exceed %s's %d", nodes, st.cluster.Name, st.cluster.TotalNodes)
+			nodes = cl.TotalNodes
+		case nodes > cl.TotalNodes:
+			return errf("grid.fixed_nodes", "%d nodes exceed %s's %d", nodes, cl.Name, cl.TotalNodes)
 		}
 		seen := make(map[HybridSpec]int)
 		for i, h := range g.Hybrid {
@@ -330,25 +277,21 @@ func (st *Study) compileGrid(g GridSpec) error {
 			if h.Ranks%nodes != 0 {
 				return errf(path+".ranks", "%d ranks do not divide over %d nodes", h.Ranks, nodes)
 			}
-			if cores := st.cluster.CoresPerNode(); (h.Ranks/nodes)*h.Threads > cores {
+			if cores := cl.CoresPerNode(); (h.Ranks/nodes)*h.Threads > cores {
 				return errf(path, "%d ranks/node × %d threads oversubscribe %s's %d cores per node",
-					h.Ranks/nodes, h.Threads, st.cluster.Name, cores)
+					h.Ranks/nodes, h.Threads, cl.Name, cores)
 			}
-			label := fmt.Sprintf("%dx%d", h.Ranks, h.Threads)
-			st.axis = append(st.axis, axisPoint{
-				path: path, label: label, rowCell: label,
-				x: h.Ranks, nodes: nodes, ranks: h.Ranks, threads: h.Threads,
-			})
+			out.Axis = append(out.Axis, experiments.HybridPoint(nodes, h.Ranks, h.Threads))
 		}
 	}
 	return nil
 }
 
 // Name returns the spec's study name.
-func (st *Study) Name() string { return st.spec.Name }
+func (st *Study) Name() string { return st.grid.Name }
 
 // Title returns the rendered title.
-func (st *Study) Title() string { return st.title }
+func (st *Study) Title() string { return st.grid.Title }
 
 // Cells returns the compiled cells in sweep order. The slice is owned
 // by the study; callers must not mutate it.
@@ -361,14 +304,24 @@ func (st *Study) Keys() []string { return st.keys }
 // Shape summarises the compiled study for validate/list output.
 func (st *Study) Shape() string {
 	return fmt.Sprintf("%d configs x %d grid points = %d cells on %s",
-		len(st.configs), len(st.axis), len(st.cells), st.cluster.Name)
+		len(st.grid.Configs), len(st.grid.Axis), len(st.cells), st.grid.Cluster.Name)
+}
+
+// Run executes the study through the shared sweep engine, inheriting
+// everything Options carries: parallelism, the result store (local
+// directory, registry client, or tiered), sharding, FromStore merge
+// assembly, negative caching, pinning, and stats. The spec defines
+// the workload and grid, so Options.Case and Options.NodePoints are
+// not consulted.
+func (st *Study) Run(opt experiments.Options) (*experiments.GridResult, error) {
+	return st.grid.Run(opt)
 }
 
 // configLabels lists the resolved config labels in order.
-func (st *Study) configLabels() []string {
-	out := make([]string, len(st.configs))
-	for i := range st.configs {
-		out[i] = st.configs[i].label
+func configLabels(g *experiments.Grid) []string {
+	out := make([]string, len(g.Configs))
+	for i, c := range g.Configs {
+		out[i] = c.Label
 	}
 	return out
 }

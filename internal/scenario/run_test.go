@@ -168,7 +168,7 @@ func TestFig2WarmShardMergeByteIdentical(t *testing.T) {
 	var want bytes.Buffer
 	builtin.Render(&want)
 
-	render := func(r *Result) string {
+	render := func(r *experiments.GridResult) string {
 		var b bytes.Buffer
 		r.Render(&b)
 		return b.String()

@@ -1,14 +1,12 @@
-// Package scenario turns user-authored JSON study specs into runs of
-// the shared sweep engine. The paper's evaluation is five hand-coded
-// studies; this package is the declarative generalisation: a spec
-// names a cluster, a workload case, a set of runtime configurations,
-// and a grid of node/rank/thread points, plus a report layout, and the
-// compiler lowers it onto the exact machinery the built-in figures
-// use — experiments.CellSpec enumeration, the bounded-worker Sweep
-// (inheriting parallelism, the result store, sharding, merge,
-// negative caching, and pinning unchanged), and internal/report
-// rendering. A spec that re-expresses Fig. 1 or Fig. 2 produces
-// byte-identical output to the hand-coded study, cold or warm.
+// Package scenario turns user-authored JSON study specs into
+// experiments.Grid values — the same type the built-in figures are
+// values of. A spec names a cluster, a workload case, a set of runtime
+// configurations, and a grid of node/rank/thread points, plus a report
+// layout; Compile resolves every name against the model and fills a
+// Grid, so enumeration, the bounded-worker Sweep (parallelism, the
+// result store, sharding, merge, negative caching, pinning) and
+// table/CSV/chart rendering are the figures' own code, not a copy of
+// it. This package decodes and validates; it renders nothing.
 //
 // Specs are validated eagerly with field-path errors ("configs[2]
 // .runtime: unknown runtime ..."), so a typo surfaces as one precise
@@ -24,8 +22,8 @@ import (
 	"strings"
 )
 
-// Spec is the JSON form of a user-authored study: everything the five
-// hand-coded studies hard-code, as data.
+// Spec is the JSON form of a user-authored study: everything the
+// built-in figures set in Go, as data.
 type Spec struct {
 	// Name labels the study in output footers, cell labels, and
 	// errors ("fig2"). Required.

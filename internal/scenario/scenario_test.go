@@ -27,7 +27,7 @@ func TestCompileValidSpecDefaults(t *testing.T) {
 	if st.Title() != "demo" {
 		t.Fatalf("title default = %q, want the name", st.Title())
 	}
-	if got := st.configLabels(); got[0] != "Bare-metal" || got[1] != "Sing" {
+	if got := configLabels(st.grid); got[0] != "Bare-metal" || got[1] != "Sing" {
 		t.Fatalf("labels = %v (first should default to the runtime name)", got)
 	}
 	if len(st.Cells()) != 4 || len(st.Keys()) != 4 {
@@ -36,8 +36,8 @@ func TestCompileValidSpecDefaults(t *testing.T) {
 	if got := st.Cells()[1].Label; got != "demo Bare-metal 2 nodes" {
 		t.Fatalf("cell label = %q", got)
 	}
-	if st.axisHeader() != "Nodes" || st.csvAxisHeader() != "nodes" {
-		t.Fatalf("axis headers = %q/%q", st.axisHeader(), st.csvAxisHeader())
+	if st.grid.AxisHeader != "Nodes" || st.grid.CSVAxisHeader != "nodes" {
+		t.Fatalf("axis headers = %q/%q", st.grid.AxisHeader, st.grid.CSVAxisHeader)
 	}
 }
 
