@@ -115,8 +115,8 @@ func DialStore(url string) (*registry.Client, error) {
 
 // NewCellTrace creates a per-cell execution trace — virtual-time
 // events exported as Chrome Trace Event JSON — with a bounded event
-// ring (maxEvents < 1 means the default). Set it as Cell.Observer and
-// Cell.KernelTracer, run the cell, then Export or WriteFile.
+// ring (maxEvents < 1 means the default). Set it as Cell.Tap, run the
+// cell, then Export or WriteFile.
 // Options.TraceDir wires the same thing for whole sweeps.
 func NewCellTrace(label string, maxEvents int) *telemetry.CellTrace {
 	return telemetry.NewCellTrace(label, maxEvents)

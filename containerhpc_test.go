@@ -273,3 +273,125 @@ func TestFacadeExportsAreUsed(t *testing.T) {
 			len(unused), strings.Join(unused, "\n  "))
 	}
 }
+
+// internalAllow lists the exported functions and methods under internal/
+// that no non-test file references and that stay anyway, each with the
+// reason. Everything else TestInternalExportsAreReferenced finds is
+// dead surface: delete it with the tests that exercise only it.
+var internalAllow = map[string]string{
+	"experiments.GridResult.SeriesByLabel":     "accessor the figure-shape tests and root benchmarks read results through",
+	"experiments.IOStudyResult.Find":           "accessor the figure-shape tests and root benchmarks read results through",
+	"experiments.PortabilityResult.Find":       "accessor the figure-shape tests and root benchmarks read results through",
+	"experiments.SolutionsResult.RowByRuntime": "accessor the figure-shape tests and root benchmarks read results through",
+	"krylov.JacobiPrecond":                     "fixture: the preconditioner CG's tests solve with",
+	"linalg.NewCSR":                            "fixture: CG's tests build their matrices with it (krylov.CSROperator)",
+	"linalg.CSR.Diag":                          "fixture: feeds JacobiPrecond in CG's tests",
+	"linalg.CSR.IsSymmetric":                   "oracle: CG's tests check their matrix is one CG may solve",
+	"linalg.CSR.NNZ":                           "accessor the CSR construction tests read",
+	"linalg.Norm2":                             "oracle: true residuals in CG's tests",
+	"metrics.Monotone":                         "oracle of the figure-shape tests",
+	"metrics.RelDiff":                          "oracle of the figure-shape tests",
+	"metrics.Summarize":                        "oracle of the figure-shape tests",
+	"registry.Client.FetchWorkStatus":          "accessor the coordinator and hardening tests read lease state through",
+	"telemetry.FleetJournal.Drops":             "accessor the journal tests read the drop count through",
+	"vtime.Resource.Acquire":                   "BenchmarkResourceContention is a bench/baseline.json entry of the kernel gate",
+	"vtime.Resource.BusyTime":                  "accessor the Resource tests read occupancy through",
+	"vtime.Resource.FreeAt":                    "accessor the Resource tests read occupancy through",
+}
+
+// TestInternalExportsAreReferenced keeps internal/ to the code some
+// program runs: every exported function or method declared in a
+// non-test file of an internal package (internal/lint and the
+// test-only registry/chaostest harness aside) must be named by some
+// non-test file of the module — other than by its own declaration — or
+// carry a reason in internalAllow. The match is by identifier, so it
+// errs towards keeping; what it flags has no caller at all.
+func TestInternalExportsAreReferenced(t *testing.T) {
+	type decl struct {
+		key  string
+		name *ast.Ident
+	}
+	var decls []decl
+	declared := map[*ast.Ident]bool{}
+	var files []*ast.File
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		pkg := filepath.ToSlash(filepath.Dir(path))
+		if !strings.HasPrefix(pkg, "internal/") || strings.HasPrefix(pkg, "internal/lint") || pkg == "internal/registry/chaostest" {
+			return nil
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			key := strings.TrimPrefix(pkg, "internal/") + "."
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				typ, ok := recv.(*ast.Ident)
+				if !ok || !typ.IsExported() {
+					continue
+				}
+				key += typ.Name + "."
+			}
+			decls = append(decls, decl{key + fn.Name.Name, fn.Name})
+			declared[fn.Name] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+	}
+
+	var dead []string
+	kept := map[string]bool{}
+	for _, d := range decls {
+		switch _, allowed := internalAllow[d.key]; {
+		case used[d.name.Name] && allowed:
+			t.Errorf("internalAllow[%q] is stale: the name has a non-test reference", d.key)
+		case allowed:
+			kept[d.key] = true
+		case !used[d.name.Name]:
+			dead = append(dead, d.key)
+		}
+	}
+	for key := range internalAllow {
+		if !kept[key] {
+			t.Errorf("internalAllow[%q] matches no unreferenced declaration", key)
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Fatalf("%d exported functions under internal/ have no non-test reference — delete them with the tests that exercise only them, or give the reason in internalAllow:\n  %s",
+			len(dead), strings.Join(dead, "\n  "))
+	}
+}

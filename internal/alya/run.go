@@ -12,7 +12,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/solid"
 	"repro/internal/units"
-	"repro/internal/vtime"
 )
 
 func workUnits(f float64) units.Flops    { return units.Flops(f) }
@@ -78,15 +77,13 @@ type Spec struct {
 	// Mode selects real numerics or the workload model.
 	Mode Mode
 	// Allreduce picks the collective algorithm (default recursive
-	// doubling; the big FSI runs use reduce+bcast, whose binomial
-	// trees over block placement act as a hierarchical reduction —
-	// see the ablation bench).
+	// doubling, which Fig. 1 and Fig. 2 use; Fig. 3's FSI runs use
+	// hierarchical, paying the fabric's latency once per node instead
+	// of once per rank).
 	Allreduce mpi.AllreduceAlgo
-	// Observer and KernelTracer are passive telemetry taps forwarded
-	// into the MPI layer (see mpi.Config); neither affects the
-	// execution's outcome.
-	Observer     mpi.Observer
-	KernelTracer vtime.Tracer
+	// Tap is the passive telemetry tap forwarded into the MPI layer
+	// (see mpi.Config); it does not affect the execution's outcome.
+	Tap mpi.Tap
 }
 
 // Result reports one execution cell.
@@ -155,8 +152,7 @@ func Run(spec Spec) (Result, error) {
 			local := rank % job.RanksPerNode
 			return launch + perRank*units.Seconds(local+1)
 		},
-		Observer:     spec.Observer,
-		KernelTracer: spec.KernelTracer,
+		Tap: spec.Tap,
 	}
 
 	run := runState{spec: spec, model: model}
@@ -327,13 +323,11 @@ func (rs *runState) modelCFDStep(rc *rankComm, part mesh.Partition) {
 // instances, exactly as the paper describes.
 func (rs *runState) fsiBody(r *mpi.Rank) {
 	isFluid := r.ID() < rs.fluidRanks
-	var group []int
-	if isFluid {
-		group = seq(0, rs.fluidRanks)
-	} else {
-		group = seq(rs.fluidRanks, r.Size())
+	lo, hi := 0, rs.fluidRanks
+	if !isFluid {
+		lo, hi = rs.fluidRanks, r.Size()
 	}
-	comm, err := r.NewComm(group)
+	comm, err := r.NewComm(lo, hi)
 	if err != nil {
 		rs.fail(err)
 		return
@@ -376,14 +370,6 @@ func interfaceCells(part mesh.Partition) int {
 		n = 1
 	}
 	return n
-}
-
-func seq(lo, hi int) []int {
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
 }
 
 // fluidFSI runs the fluid side: a CFD step plus coupling exchanges.

@@ -58,14 +58,6 @@ func (p Path) String() string {
 	}
 }
 
-// PathForRuntime maps a runtime name to its default storage path.
-func PathForRuntime(runtime string) Path {
-	if runtime == "Docker" {
-		return PathOverlay
-	}
-	return PathBindMount
-}
-
 // Checkpoint describes one output dump of the application.
 type Checkpoint struct {
 	// Cells is the global mesh size.

@@ -38,17 +38,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestPathForRuntime(t *testing.T) {
-	if PathForRuntime("Docker") != PathOverlay {
-		t.Error("docker should default to overlay")
-	}
-	for _, rt := range []string{"Bare-metal", "Singularity", "Shifter"} {
-		if PathForRuntime(rt) != PathBindMount {
-			t.Errorf("%s should bind-mount", rt)
-		}
-	}
-}
-
 func TestOverlaySlowerThanVolumeSlowerThanNothing(t *testing.T) {
 	m := DefaultModel()
 	lenox := cluster.Lenox()

@@ -67,9 +67,6 @@ func (c *Cluster) ISA() topology.ISA { return c.Node.CPU.ISA }
 // CoresPerNode returns physical cores per node.
 func (c *Cluster) CoresPerNode() int { return c.Node.CoresPerNode() }
 
-// MaxCores returns the machine's total core count.
-func (c *Cluster) MaxCores() int { return c.TotalNodes * c.CoresPerNode() }
-
 // Allocate checks that n nodes fit the machine and returns the node ids.
 func (c *Cluster) Allocate(n int) ([]int, error) {
 	if n <= 0 {

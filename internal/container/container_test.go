@@ -96,14 +96,6 @@ func TestConversionShrinksAndFlattens(t *testing.T) {
 	}
 }
 
-func TestImageDigestStable(t *testing.T) {
-	a := buildOCI(t, topology.PPC64LE, SelfContained, "")
-	b := buildOCI(t, topology.PPC64LE, SelfContained, "")
-	if a.Digest() != b.Digest() {
-		t.Fatal("image digest not reproducible")
-	}
-}
-
 func TestDockerNeedsRoot(t *testing.T) {
 	d := Docker{}
 	if err := d.Available(cluster.Lenox()); err != nil {
@@ -296,54 +288,6 @@ func TestDeployRejectsWrongFormat(t *testing.T) {
 	}
 	if _, err := (Shifter{}).Deploy(lenox, sif, 1); !errors.Is(err, ErrWrongFormat) {
 		t.Errorf("shifter deploying SIF: %v", err)
-	}
-}
-
-func TestRegistryPushPull(t *testing.T) {
-	r := NewRegistry()
-	img := buildOCI(t, topology.AMD64, SelfContained, "")
-	r.Push(img)
-	got, err := r.Pull(img.Ref(), FormatOCI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Digest() != img.Digest() {
-		t.Fatal("pulled a different image")
-	}
-	if _, err := r.Pull("missing:latest", FormatOCI); err == nil {
-		t.Fatal("missing image pulled")
-	}
-	if _, err := r.Pull(img.Ref(), FormatSIF); err == nil {
-		t.Fatal("wrong format pulled")
-	}
-}
-
-func TestRegistryLayerCacheDedup(t *testing.T) {
-	r := NewRegistry()
-	sys := buildOCI(t, topology.AMD64, SystemSpecific, "abi-x")
-	self := buildOCI(t, topology.AMD64, SelfContained, "")
-
-	first := r.MissingBytes("Lenox", sys)
-	if first != sys.CompressedSize() {
-		t.Fatalf("cold pull %v, want full %v", first, sys.CompressedSize())
-	}
-	again := r.MissingBytes("Lenox", sys)
-	if again != 0 {
-		t.Fatalf("warm pull %v, want 0", again)
-	}
-	// The self-contained image shares base layers: a partial pull.
-	partial := r.MissingBytes("Lenox", self)
-	if partial <= 0 || partial >= self.CompressedSize() {
-		t.Fatalf("shared-layer pull %v of %v", partial, self.CompressedSize())
-	}
-	// A different cluster has a cold cache.
-	other := r.MissingBytes("CTE-POWER", sys)
-	if other != sys.CompressedSize() {
-		t.Fatalf("other cluster pull %v", other)
-	}
-	r.ResetCache("Lenox")
-	if r.MissingBytes("Lenox", sys) != sys.CompressedSize() {
-		t.Fatal("cache reset did not work")
 	}
 }
 

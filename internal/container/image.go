@@ -136,16 +136,6 @@ func (img *Image) CompressedSize() units.ByteSize {
 	return s
 }
 
-// Digest returns a deterministic identity for the whole image.
-func (img *Image) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%s|%s", img.Ref(), img.Arch, img.Format, img.Kind)
-	for _, l := range img.Layers {
-		fmt.Fprintf(h, "|%s", l.Digest)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // BuildSpec describes an image to build.
 type BuildSpec struct {
 	// Name and Tag for the registry.

@@ -104,61 +104,3 @@ func interPath(c *cluster.Cluster, img *Image) (fabric.Transport, string) {
 	t := c.Interconnect.Native
 	return t, t.Name
 }
-
-// Registry keeps built images addressable by reference and tracks which
-// layer digests a cluster has already cached, so repeated pulls dedup.
-type Registry struct {
-	images map[string]*Image
-	cached map[string]map[string]bool // cluster name -> layer digest -> present
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		images: make(map[string]*Image),
-		cached: make(map[string]map[string]bool),
-	}
-}
-
-// Push stores an image under its reference; same-reference pushes with
-// a different format are stored under ref+format to mirror multi-format
-// repositories.
-func (r *Registry) Push(img *Image) {
-	r.images[r.key(img.Ref(), img.Format)] = img
-}
-
-// Pull finds an image by reference and format.
-func (r *Registry) Pull(ref string, f Format) (*Image, error) {
-	img, ok := r.images[r.key(ref, f)]
-	if !ok {
-		return nil, fmt.Errorf("container: image %s (%v) not in registry", ref, f)
-	}
-	return img, nil
-}
-
-func (r *Registry) key(ref string, f Format) string {
-	return fmt.Sprintf("%s@%v", ref, f)
-}
-
-// MissingBytes returns the on-wire bytes a cluster still needs to fetch
-// for img, honouring the layer cache, and marks those layers cached.
-func (r *Registry) MissingBytes(clusterName string, img *Image) units.ByteSize {
-	cache := r.cached[clusterName]
-	if cache == nil {
-		cache = make(map[string]bool)
-		r.cached[clusterName] = cache
-	}
-	var need units.ByteSize
-	for _, l := range img.Layers {
-		if !cache[l.Digest] {
-			need += l.CompressedSize
-			cache[l.Digest] = true
-		}
-	}
-	return need
-}
-
-// ResetCache clears a cluster's layer cache (cold-deployment studies).
-func (r *Registry) ResetCache(clusterName string) {
-	delete(r.cached, clusterName)
-}

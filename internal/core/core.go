@@ -15,7 +15,6 @@ import (
 	"repro/internal/container"
 	"repro/internal/mpi"
 	"repro/internal/sched"
-	"repro/internal/vtime"
 )
 
 // Cell is one measurement of the study.
@@ -36,12 +35,11 @@ type Cell struct {
 	Mode alya.Mode
 	// Allreduce picks the collective algorithm.
 	Allreduce mpi.AllreduceAlgo
-	// Observer and KernelTracer are passive telemetry taps threaded
-	// through to the MPI layer. They never influence the measurement —
-	// canonCell excludes them from the cell's fingerprint, and sweeps
-	// strip them from results before persisting or comparing.
-	Observer     mpi.Observer
-	KernelTracer vtime.Tracer
+	// Tap is the passive telemetry tap threaded through to the MPI
+	// layer. It never influences the measurement — canonCell excludes
+	// it from the cell's fingerprint, and sweeps strip it from results
+	// before persisting or comparing.
+	Tap mpi.Tap
 }
 
 // Result is one cell's full outcome.
@@ -76,13 +74,12 @@ func RunCell(c Cell) (Result, error) {
 		return Result{}, err
 	}
 	exec, err := alya.Run(alya.Spec{
-		Job:          job,
-		Profile:      profile,
-		Case:         c.Case,
-		Mode:         c.Mode,
-		Allreduce:    c.Allreduce,
-		Observer:     c.Observer,
-		KernelTracer: c.KernelTracer,
+		Job:       job,
+		Profile:   profile,
+		Case:      c.Case,
+		Mode:      c.Mode,
+		Allreduce: c.Allreduce,
+		Tap:       c.Tap,
 	})
 	if err != nil {
 		return Result{}, err

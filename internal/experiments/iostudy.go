@@ -7,7 +7,6 @@ import (
 	"repro/internal/appio"
 	"repro/internal/cluster"
 	"repro/internal/report"
-	"repro/internal/units"
 )
 
 // IORow is one (runtime/path, node count) measurement of the I/O study.
@@ -110,13 +109,4 @@ func (r *IOStudyResult) Render(w io.Writer) {
 			report.Seconds(row.Report.Total()))
 	}
 	t.Render(w)
-}
-
-// StepShare reports the fraction of solver step time one checkpoint
-// adds when dumped every `everySteps` steps of duration stepTime.
-func (r *IORow) StepShare(stepTime units.Seconds, everySteps int) float64 {
-	if stepTime <= 0 || everySteps <= 0 {
-		return 0
-	}
-	return float64(r.Report.Total()) / (float64(stepTime) * float64(everySteps))
 }

@@ -573,8 +573,7 @@ func (s *Sweep) runSpec(sp CellSpec) (core.Result, error) {
 		// events.
 		rec = profile.NewRecorder()
 		tr.Forward(rec)
-		cell.Observer = tr
-		cell.KernelTracer = tr
+		cell.Tap = tr
 	}
 	res, err := core.RunCell(cell)
 	if err != nil {
@@ -598,14 +597,13 @@ func (s *Sweep) runSpec(sp CellSpec) (core.Result, error) {
 			return core.Result{}, err
 		}
 	}
-	// Kernel counters and telemetry taps are wall-cost observability,
-	// not simulation output: aggregate the counters into the sweep
-	// stats and strip both from the result, so warm (restored) and
-	// cold results stay deep-equal.
+	// Kernel counters and the telemetry tap are wall-cost
+	// observability, not simulation output: aggregate the counters
+	// into the sweep stats and strip both from the result, so warm
+	// (restored) and cold results stay deep-equal.
 	s.stats.AddKernel(res.Exec.MPI.Kernel)
 	res.Exec.MPI.Kernel = vtime.Counters{}
-	res.Cell.Observer = nil
-	res.Cell.KernelTracer = nil
+	res.Cell.Tap = nil
 	return res, nil
 }
 

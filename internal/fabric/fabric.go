@@ -67,13 +67,6 @@ func (t *Transport) Eager(size units.ByteSize) bool {
 	return size <= t.EagerThreshold
 }
 
-// SerialTime is the wire time of one message absent any contention:
-// latency plus size over bandwidth. CPU overheads are charged
-// separately by the MPI layer because they land on specific endpoints.
-func (t *Transport) SerialTime(size units.ByteSize) units.Seconds {
-	return t.Latency + t.Bandwidth.TimeFor(size)
-}
-
 // CPUCost is the endpoint CPU time for one message of the given size:
 // the per-message overhead plus any per-packet software processing.
 func (t *Transport) CPUCost(size units.ByteSize) units.Seconds {

@@ -55,15 +55,6 @@ func TestEagerThreshold(t *testing.T) {
 	}
 }
 
-func TestSerialTimeComposition(t *testing.T) {
-	tr := Transport{Name: "x", Latency: 10 * units.Microsecond, Bandwidth: 1 * units.GBps}
-	got := tr.SerialTime(1 * units.MB)
-	want := 10*units.Microsecond + units.Millisecond
-	if diff := float64(got - want); diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("SerialTime = %v, want %v", got, want)
-	}
-}
-
 func TestCPUCostPerPacket(t *testing.T) {
 	tr := Transport{
 		Name: "bridge", Bandwidth: 1 * units.GBps,
@@ -132,7 +123,7 @@ func TestTransferMonotoneInSize(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		return tr.SerialTime(x) <= tr.SerialTime(y) && tr.CPUCost(x) <= tr.CPUCost(y)
+		return tr.WireTime(x) <= tr.WireTime(y) && tr.CPUCost(x) <= tr.CPUCost(y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -159,18 +159,6 @@ func (f *Field) UnpackGhost(face mesh.Axis, buf []float64) {
 	}
 }
 
-// FaceCells returns the ghost-face cell count for the given direction.
-func (f *Field) FaceCells(face mesh.Axis) int {
-	switch face {
-	case mesh.XMinus, mesh.XPlus:
-		return f.NY * f.NZ
-	case mesh.YMinus, mesh.YPlus:
-		return f.NX * f.NZ
-	default:
-		return f.NX * f.NY
-	}
-}
-
 // Comm is the communication the distributed solvers need: halo
 // exchanges and global sums. Implementations must fill ghost layers on
 // partition-internal faces and leave physical-boundary ghosts alone

@@ -63,7 +63,13 @@ func TestInteriorRoundTrip(t *testing.T) {
 }
 
 func TestPackUnpackAllFaces(t *testing.T) {
-	faces := []mesh.Axis{mesh.XMinus, mesh.XPlus, mesh.YMinus, mesh.YPlus, mesh.ZMinus, mesh.ZPlus}
+	// Face cell counts of a 3×4×5 partition: NY·NZ, NX·NZ, NX·NY.
+	faces := []struct {
+		face  mesh.Axis
+		cells int
+	}{
+		{mesh.XMinus, 20}, {mesh.XPlus, 20}, {mesh.YMinus, 15}, {mesh.YPlus, 15}, {mesh.ZMinus, 12}, {mesh.ZPlus, 12},
+	}
 	f := New(part(t, 3, 4, 5))
 	for k := 0; k < 5; k++ {
 		for j := 0; j < 4; j++ {
@@ -72,9 +78,9 @@ func TestPackUnpackAllFaces(t *testing.T) {
 			}
 		}
 	}
-	for _, face := range faces {
-		n := f.FaceCells(face)
-		buf := make([]float64, n)
+	for _, fc := range faces {
+		face := fc.face
+		buf := make([]float64, fc.cells)
 		f.PackFace(face, buf)
 		// Unpack into a second field's ghost layer on the opposite
 		// side and verify against the original boundary layer — the
@@ -127,14 +133,6 @@ func checkGhostMatchesBoundary(t *testing.T, f, g *Field, face mesh.Axis) {
 				}
 			}
 		}
-	}
-}
-
-func TestFaceCells(t *testing.T) {
-	f := New(part(t, 3, 4, 5))
-	if f.FaceCells(mesh.XMinus) != 20 || f.FaceCells(mesh.YPlus) != 15 || f.FaceCells(mesh.ZMinus) != 12 {
-		t.Fatalf("face cells: x=%d y=%d z=%d",
-			f.FaceCells(mesh.XMinus), f.FaceCells(mesh.YPlus), f.FaceCells(mesh.ZMinus))
 	}
 }
 

@@ -1,11 +1,11 @@
-// Package krylov implements the iterative solvers of the Alya-like
-// code: preconditioned conjugate gradients (the pressure Poisson
-// workhorse) and BiCGStab (for the nonsymmetric momentum systems).
+// Package krylov implements the iterative solver of the Alya-like
+// code: preconditioned conjugate gradients, the pressure Poisson
+// workhorse.
 //
-// Both solvers are written against two small interfaces so the same
-// code runs sequentially (tests, reference solutions) and distributed
-// (dot products become MPI allreduces, operator application includes a
-// halo exchange).
+// The solver is written against two small interfaces so the same code
+// runs sequentially (tests, reference solutions) and distributed (dot
+// products become MPI allreduces, operator application includes a halo
+// exchange).
 package krylov
 
 import (
@@ -145,90 +145,6 @@ func CG(a Operator, b, x []float64, opts Options) (Result, error) {
 		beta := rzNew / rz
 		rz = rzNew
 		linalg.Aypx(beta, z, p)
-	}
-	return Result{Iterations: o.MaxIter, Residual: res, Converged: false}, nil
-}
-
-// BiCGStab solves A·x = b for general (nonsymmetric) A.
-func BiCGStab(a Operator, b, x []float64, opts Options) (Result, error) {
-	n := len(b)
-	if len(x) != n {
-		return Result{}, fmt.Errorf("krylov: bicgstab dims b=%d x=%d", n, len(x))
-	}
-	o := opts.withDefaults(n)
-
-	r := make([]float64, n)
-	rhat := make([]float64, n)
-	v := make([]float64, n)
-	p := make([]float64, n)
-	ph := make([]float64, n)
-	s := make([]float64, n)
-	sh := make([]float64, n)
-	t := make([]float64, n)
-
-	a.Apply(v, x)
-	for i := range r {
-		r[i] = b[i] - v[i]
-	}
-	copy(rhat, r)
-	linalg.Fill(v, 0)
-
-	bnorm := math.Sqrt(o.Dot(b, b))
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	res := math.Sqrt(o.Dot(r, r)) / bnorm
-	if res <= o.Tol {
-		return Result{Iterations: 0, Residual: res, Converged: true}, nil
-	}
-	for it := 1; it <= o.MaxIter; it++ {
-		rhoNew := o.Dot(rhat, r)
-		if rhoNew == 0 {
-			return Result{Iterations: it, Residual: res, Converged: false},
-				fmt.Errorf("krylov: bicgstab breakdown, ρ = 0 at iteration %d", it)
-		}
-		beta := (rhoNew / rho) * (alpha / omega)
-		rho = rhoNew
-		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
-		}
-		o.Precond(ph, p)
-		a.Apply(v, ph)
-		den := o.Dot(rhat, v)
-		if den == 0 {
-			return Result{Iterations: it, Residual: res, Converged: false},
-				fmt.Errorf("krylov: bicgstab breakdown, r̂ᵀv = 0 at iteration %d", it)
-		}
-		alpha = rho / den
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		if sn := math.Sqrt(o.Dot(s, s)) / bnorm; sn <= o.Tol {
-			linalg.Axpy(alpha, ph, x)
-			return Result{Iterations: it, Residual: sn, Converged: true}, nil
-		}
-		o.Precond(sh, s)
-		a.Apply(t, sh)
-		tt := o.Dot(t, t)
-		if tt == 0 {
-			return Result{Iterations: it, Residual: res, Converged: false},
-				fmt.Errorf("krylov: bicgstab breakdown, tᵀt = 0 at iteration %d", it)
-		}
-		omega = o.Dot(t, s) / tt
-		linalg.Axpy(alpha, ph, x)
-		linalg.Axpy(omega, sh, x)
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		res = math.Sqrt(o.Dot(r, r)) / bnorm
-		if res <= o.Tol {
-			return Result{Iterations: it, Residual: res, Converged: true}, nil
-		}
-		if omega == 0 {
-			return Result{Iterations: it, Residual: res, Converged: false},
-				fmt.Errorf("krylov: bicgstab breakdown, ω = 0 at iteration %d", it)
-		}
 	}
 	return Result{Iterations: o.MaxIter, Residual: res, Converged: false}, nil
 }

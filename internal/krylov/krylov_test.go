@@ -213,68 +213,6 @@ func TestCGMaxIter(t *testing.T) {
 	}
 }
 
-// nonsym builds a nonsymmetric advection-diffusion-like matrix.
-func nonsym(n int) *linalg.CSR {
-	var tr []linalg.Triplet
-	for i := 0; i < n; i++ {
-		tr = append(tr, linalg.Triplet{Row: i, Col: i, Val: 3})
-		if i > 0 {
-			tr = append(tr, linalg.Triplet{Row: i, Col: i - 1, Val: -1.8})
-		}
-		if i < n-1 {
-			tr = append(tr, linalg.Triplet{Row: i, Col: i + 1, Val: -0.6})
-		}
-	}
-	m, err := linalg.NewCSR(n, n, tr)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-func TestBiCGStabSolvesNonsymmetric(t *testing.T) {
-	n := 120
-	m := nonsym(n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = math.Cos(float64(i) / 3)
-	}
-	x := make([]float64, n)
-	res, err := BiCGStab(CSROperator{M: m}, b, x, Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("bicgstab did not converge: %+v", res)
-	}
-	if r := residual(m, b, x); r > 1e-8 {
-		t.Fatalf("true residual %v", r)
-	}
-}
-
-func TestBiCGStabWithPreconditioner(t *testing.T) {
-	n := 120
-	m := nonsym(n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	x := make([]float64, n)
-	res, err := BiCGStab(CSROperator{M: m}, b, x, Options{
-		Tol:     1e-10,
-		Precond: JacobiPrecond(m.Diag()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("preconditioned bicgstab did not converge: %+v", res)
-	}
-	if r := residual(m, b, x); r > 1e-8 {
-		t.Fatalf("true residual %v", r)
-	}
-}
-
 func TestOperatorFunc(t *testing.T) {
 	// Identity via OperatorFunc: CG converges in one iteration.
 	n := 8

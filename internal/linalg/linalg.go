@@ -40,13 +40,6 @@ func Aypx(alpha float64, x, y []float64) {
 	}
 }
 
-// Scale computes x *= alpha.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Copy copies src into dst.
 func Copy(dst, src []float64) {
 	if len(dst) != len(src) {
@@ -55,26 +48,8 @@ func Copy(dst, src []float64) {
 	copy(dst, src)
 }
 
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Norm2 returns the Euclidean norm.
 func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
-// NormInf returns the max-abs norm.
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
 
 // CSR is a compressed sparse row matrix.
 type CSR struct {

@@ -44,11 +44,6 @@ func (m Mesh) Cells() int { return m.NX * m.NY * m.NZ }
 // Index linearizes (i, j, k) in x-fastest order.
 func (m Mesh) Index(i, j, k int) int { return i + m.NX*(j+m.NY*k) }
 
-// Center returns the cell-centre coordinates of (i, j, k).
-func (m Mesh) Center(i, j, k int) (x, y, z float64) {
-	return (float64(i) + 0.5) * m.HX, (float64(j) + 0.5) * m.HY, (float64(k) + 0.5) * m.HZ
-}
-
 // Axis identifies a face direction of a subdomain.
 type Axis int
 
@@ -236,15 +231,6 @@ func (p Partition) Neighbors() []Neighbor {
 	add(ZMinus, p.CX, p.CY, p.CZ-1, nx*ny)
 	add(ZPlus, p.CX, p.CY, p.CZ+1, nx*ny)
 	return out
-}
-
-// HaloCells returns the total cells exchanged per halo swap.
-func (p Partition) HaloCells() int {
-	total := 0
-	for _, n := range p.Neighbors() {
-		total += n.Count
-	}
-	return total
 }
 
 // OnInlet reports whether the partition touches the inlet plane (k=0).

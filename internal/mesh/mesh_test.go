@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func mustMesh(t *testing.T, nx, ny, nz int) Mesh {
@@ -234,38 +233,5 @@ func TestAlignedNodeBoundariesAreCrossSections(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestHaloCellsQuick(t *testing.T) {
-	m := mustMesh(t, 24, 24, 24)
-	f := func(pRaw uint8) bool {
-		p := int(pRaw)%16 + 1
-		g, err := Decompose(m, p)
-		if err != nil {
-			return true // infeasible factorizations are allowed to fail
-		}
-		for r := 0; r < p; r++ {
-			part := g.Part(r)
-			sum := 0
-			for _, nb := range part.Neighbors() {
-				sum += nb.Count
-			}
-			if sum != part.HaloCells() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCenterCoordinates(t *testing.T) {
-	m := mustMesh(t, 4, 4, 4)
-	x, y, z := m.Center(0, 0, 0)
-	if x != 0.5e-3 || y != 0.5e-3 || z != 0.5e-3 {
-		t.Fatalf("center of first cell: %v %v %v", x, y, z)
 	}
 }

@@ -35,7 +35,7 @@ func BenchmarkAllreduce(b *testing.B) {
 				for i := range buf {
 					buf[i] = float64(r.ID() + i)
 				}
-				r.Allreduce(buf, OpSum)
+				r.World().Allreduce(buf, OpSum)
 			})
 		})
 	}

@@ -59,36 +59,33 @@ const (
 	tagAllreduce = -2000
 	tagBcast     = -3000
 	tagReduce    = -4000
-	tagGather    = -5000
-	tagScatter   = -6000
-	tagAllgather = -7000
-	tagAlltoall  = -8000
+
+	// tagLeaders offsets the butterfly's tags when it runs among node
+	// leaders inside the hierarchical allreduce.
+	tagLeaders = tagAllreduce - 600
 )
 
-// beginPhase opens a collective span for the world's PhaseObserver and
-// returns the observer to close it with (nil when nobody listens, so
-// the untraced hot path costs one nil check per collective).
-func (c *Comm) beginPhase(name string) PhaseObserver {
-	if po := c.r.w.phObs; po != nil {
-		po.PhaseBegin(c.r.id, name, c.r.proc.Now())
-		return po
+// beginPhase and endPhase report the calling rank entering and leaving
+// a collective to the world's Tap (when nobody listens the hot path
+// costs one nil check each).
+func (c *Comm) beginPhase(name string) {
+	if tap := c.r.w.cfg.Tap; tap != nil {
+		tap.PhaseBegin(c.r.id, name, c.r.proc.Now())
 	}
-	return nil
 }
 
-// endPhase closes a span opened by beginPhase.
-func (c *Comm) endPhase(po PhaseObserver, name string) {
-	if po != nil {
-		po.PhaseEnd(c.r.id, name, c.r.proc.Now())
+func (c *Comm) endPhase(name string) {
+	if tap := c.r.w.cfg.Tap; tap != nil {
+		tap.PhaseEnd(c.r.id, name, c.r.proc.Now())
 	}
 }
 
 // Barrier synchronizes all ranks with the dissemination algorithm:
 // ceil(log2 P) rounds of zero-byte exchanges.
 func (c *Comm) Barrier() {
-	po := c.beginPhase("barrier")
+	c.beginPhase("barrier")
 	c.barrier()
-	c.endPhase(po, "barrier")
+	c.endPhase("barrier")
 }
 
 func (c *Comm) barrier() {
@@ -111,15 +108,15 @@ func (c *Comm) Allreduce(buf []float64, op Op) {
 	if c.Size() == 1 {
 		return
 	}
-	po := c.beginPhase("allreduce")
+	c.beginPhase("allreduce")
 	c.allreduce(buf, op)
-	c.endPhase(po, "allreduce")
+	c.endPhase("allreduce")
 }
 
 func (c *Comm) allreduce(buf []float64, op Op) {
 	switch c.r.w.cfg.Allreduce {
 	case AllreduceRecursiveDoubling:
-		c.allreduceRD(buf, op)
+		c.recursiveDoubling(nil, c.me, tagAllreduce, buf, make([]float64, len(buf)), op)
 	case AllreduceRing:
 		c.allreduceRing(buf, op)
 	case AllreduceReduceBcast:
@@ -154,7 +151,7 @@ func (c *Comm) allreduceHier(buf []float64, op Op) {
 	}
 	// 2. Leaders recursive-double across nodes.
 	if lr == 0 && len(h.leaders) > 1 {
-		c.subsetRD(h.leaders, h.leaderIdx, buf, tmp, op)
+		c.recursiveDoubling(h.leaders, h.leaderIdx, tagLeaders, buf, tmp, op)
 	}
 	// 3. Intra-node binomial broadcast from the leader.
 	if ln > 1 {
@@ -172,11 +169,22 @@ func (c *Comm) allreduceHier(buf []float64, op Op) {
 	}
 }
 
-// subsetRD runs recursive doubling among the comm ranks listed in
-// subset (me = my index within it), with the standard non-power-of-two
-// fold.
-func (c *Comm) subsetRD(subset []int, me int, buf, tmp []float64, op Op) {
-	p := len(subset)
+// recursiveDoubling runs the butterfly among the comm ranks listed in
+// subset (nil: every rank of the communicator), me being the caller's
+// index among them, with the standard non-power-of-two pre/post phase:
+// the first 2*rem ranks pair up so a power-of-two core performs the
+// butterfly, then results fan back out. Tags count down from tag.
+func (c *Comm) recursiveDoubling(subset []int, me, tag int, buf, tmp []float64, op Op) {
+	p := c.n
+	if subset != nil {
+		p = len(subset)
+	}
+	at := func(i int) int {
+		if subset == nil {
+			return i
+		}
+		return subset[i]
+	}
 	pof2 := 1
 	for pof2*2 <= p {
 		pof2 *= 2
@@ -185,9 +193,10 @@ func (c *Comm) subsetRD(subset []int, me int, buf, tmp []float64, op Op) {
 	newRank := -1
 	switch {
 	case me < 2*rem && me%2 == 0:
-		c.send(subset[me+1], tagAllreduce-600, buf)
+		// Fold into the odd partner, then sit out the butterfly.
+		c.send(at(me+1), tag, buf)
 	case me < 2*rem:
-		c.recv(subset[me-1], tagAllreduce-600, tmp)
+		c.recv(at(me-1), tag, tmp)
 		op.apply(buf, tmp)
 		newRank = me / 2
 	default:
@@ -195,71 +204,22 @@ func (c *Comm) subsetRD(subset []int, me int, buf, tmp []float64, op Op) {
 	}
 	if newRank >= 0 {
 		for mask, round := 1, 0; mask < pof2; mask, round = mask<<1, round+1 {
-			peerNew := newRank ^ mask
-			peer := peerNew
-			if peerNew < rem {
-				peer = peerNew*2 + 1
+			peer := newRank ^ mask
+			if peer < rem {
+				peer = peer*2 + 1
 			} else {
-				peer = peerNew + rem
+				peer += rem
 			}
-			c.sendRecv(subset[peer], tagAllreduce-601-round, buf,
-				subset[peer], tagAllreduce-601-round, tmp)
+			c.sendRecv(at(peer), tag-1-round, buf, at(peer), tag-1-round, tmp)
 			op.apply(buf, tmp)
 		}
 	}
-	switch {
-	case me < 2*rem && me%2 == 0:
-		c.recv(subset[me+1], tagAllreduce-700, buf)
-	case me < 2*rem:
-		c.send(subset[me-1], tagAllreduce-700, buf)
-	}
-}
-
-// allreduceRD is recursive doubling with the standard non-power-of-two
-// pre/post phase: the first 2*rem ranks pair up so a power-of-two core
-// performs the butterfly, then results fan back out.
-func (c *Comm) allreduceRD(buf []float64, op Op) {
-	p := c.Size()
-	pof2 := 1
-	for pof2*2 <= p {
-		pof2 *= 2
-	}
-	rem := p - pof2
-	tmp := make([]float64, len(buf))
-
-	newRank := -1
-	switch {
-	case c.me < 2*rem && c.me%2 == 0:
-		// Fold into the odd partner, then sit out the butterfly.
-		c.send(c.me+1, tagAllreduce, buf)
-	case c.me < 2*rem:
-		c.recv(c.me-1, tagAllreduce, tmp)
-		op.apply(buf, tmp)
-		newRank = c.me / 2
-	default:
-		newRank = c.me - rem
-	}
-
-	if newRank >= 0 {
-		for mask, round := 1, 0; mask < pof2; mask, round = mask<<1, round+1 {
-			peerNew := newRank ^ mask
-			peer := peerNew
-			if peerNew < rem {
-				peer = peerNew*2 + 1
-			} else {
-				peer = peerNew + rem
-			}
-			c.sendRecv(peer, tagAllreduce-1-round, buf, peer, tagAllreduce-1-round, tmp)
-			op.apply(buf, tmp)
-		}
-	}
-
 	// Post phase: odd folded ranks return results to their even pairs.
 	switch {
-	case c.me < 2*rem && c.me%2 == 0:
-		c.recv(c.me+1, tagAllreduce-100, buf)
-	case c.me < 2*rem:
-		c.send(c.me-1, tagAllreduce-100, buf)
+	case me < 2*rem && me%2 == 0:
+		c.recv(at(me+1), tag-100, buf)
+	case me < 2*rem:
+		c.send(at(me-1), tag-100, buf)
 	}
 }
 
@@ -303,9 +263,9 @@ func (c *Comm) allreduceRing(buf []float64, op Op) {
 
 // Bcast broadcasts root's buf to all ranks over a binomial tree.
 func (c *Comm) Bcast(buf []float64, root int) {
-	po := c.beginPhase("bcast")
+	c.beginPhase("bcast")
 	c.bcast(buf, root)
-	c.endPhase(po, "bcast")
+	c.endPhase("bcast")
 }
 
 func (c *Comm) bcast(buf []float64, root int) {
@@ -351,9 +311,9 @@ func lowestPow2Above(v int) int {
 // Non-root buffers are left with their partial reductions (like MPI,
 // their contents are undefined afterwards; do not rely on them).
 func (c *Comm) Reduce(buf []float64, root int, op Op) {
-	po := c.beginPhase("reduce")
+	c.beginPhase("reduce")
 	c.reduce(buf, root, op)
-	c.endPhase(po, "reduce")
+	c.endPhase("reduce")
 }
 
 func (c *Comm) reduce(buf []float64, root int, op Op) {
@@ -396,118 +356,4 @@ func (c *Comm) AllreduceScalar(v float64, op Op) float64 {
 	buf := []float64{v}
 	c.Allreduce(buf, op)
 	return buf[0]
-}
-
-// Gather collects every rank's buf into root's out, which must be
-// len(buf)*Size() long on root (ignored elsewhere). Linear algorithm:
-// deployment-phase usage only, not on solver hot paths.
-func (c *Comm) Gather(buf []float64, root int, out []float64) {
-	po := c.beginPhase("gather")
-	c.gather(buf, root, out)
-	c.endPhase(po, "gather")
-}
-
-func (c *Comm) gather(buf []float64, root int, out []float64) {
-	p := c.Size()
-	n := len(buf)
-	if c.me == root {
-		if len(out) != n*p {
-			panic(fmt.Sprintf("mpi: gather out length %d != %d", len(out), n*p))
-		}
-		copy(out[root*n:(root+1)*n], buf)
-		for src := 0; src < p; src++ {
-			if src == root {
-				continue
-			}
-			c.recv(src, tagGather, out[src*n:(src+1)*n])
-		}
-		return
-	}
-	c.send(root, tagGather, buf)
-}
-
-// Scatter distributes root's in (len n*P) so each rank receives its
-// n-length block into buf. Linear algorithm.
-func (c *Comm) Scatter(in []float64, root int, buf []float64) {
-	po := c.beginPhase("scatter")
-	c.scatter(in, root, buf)
-	c.endPhase(po, "scatter")
-}
-
-func (c *Comm) scatter(in []float64, root int, buf []float64) {
-	p := c.Size()
-	n := len(buf)
-	if c.me == root {
-		if len(in) != n*p {
-			panic(fmt.Sprintf("mpi: scatter in length %d != %d", len(in), n*p))
-		}
-		copy(buf, in[root*n:(root+1)*n])
-		for dst := 0; dst < p; dst++ {
-			if dst == root {
-				continue
-			}
-			c.send(dst, tagScatter, in[dst*n:(dst+1)*n])
-		}
-		return
-	}
-	c.recv(root, tagScatter, buf)
-}
-
-// Allgather concatenates every rank's buf into out (len(buf)*Size()) on
-// all ranks, using the ring algorithm.
-func (c *Comm) Allgather(buf []float64, out []float64) {
-	po := c.beginPhase("allgather")
-	c.allgather(buf, out)
-	c.endPhase(po, "allgather")
-}
-
-func (c *Comm) allgather(buf []float64, out []float64) {
-	p := c.Size()
-	n := len(buf)
-	if len(out) != n*p {
-		panic(fmt.Sprintf("mpi: allgather out length %d != %d", len(out), n*p))
-	}
-	copy(out[c.me*n:(c.me+1)*n], buf)
-	if p == 1 {
-		return
-	}
-	next := (c.me + 1) % p
-	prev := (c.me - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		sendIdx := ((c.me-step)%p + p) % p
-		recvIdx := ((c.me-step-1)%p + p) % p
-		c.sendRecv(next, tagAllgather-step, out[sendIdx*n:(sendIdx+1)*n],
-			prev, tagAllgather-step, out[recvIdx*n:(recvIdx+1)*n])
-	}
-}
-
-// Alltoall exchanges blocks: rank i's in[j*n:(j+1)*n] lands in rank j's
-// out[i*n:(i+1)*n]. Pairwise-exchange algorithm (P-1 balanced steps).
-func (c *Comm) Alltoall(in, out []float64, n int) {
-	po := c.beginPhase("alltoall")
-	c.alltoall(in, out, n)
-	c.endPhase(po, "alltoall")
-}
-
-func (c *Comm) alltoall(in, out []float64, n int) {
-	p := c.Size()
-	if len(in) != n*p || len(out) != n*p {
-		panic(fmt.Sprintf("mpi: alltoall buffer lengths %d/%d != %d", len(in), len(out), n*p))
-	}
-	copy(out[c.me*n:(c.me+1)*n], in[c.me*n:(c.me+1)*n])
-	// The pairing scheme must be uniform across ranks within a step:
-	// XOR pairing for power-of-two worlds, shifted pairing otherwise.
-	pof2 := p&(p-1) == 0
-	for step := 1; step < p; step++ {
-		if pof2 {
-			peer := c.me ^ step
-			c.sendRecv(peer, tagAlltoall-step, in[peer*n:(peer+1)*n],
-				peer, tagAlltoall-step, out[peer*n:(peer+1)*n])
-			continue
-		}
-		sendTo := (c.me + step) % p
-		recvFrom := (c.me - step + p) % p
-		c.sendRecv(sendTo, tagAlltoall-step, in[sendTo*n:(sendTo+1)*n],
-			recvFrom, tagAlltoall-step, out[recvFrom*n:(recvFrom+1)*n])
-	}
 }

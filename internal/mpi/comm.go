@@ -1,17 +1,15 @@
 package mpi
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Comm is a communicator: an ordered subset of world ranks that runs
-// collectives among themselves. The FSI case uses two disjoint comms —
-// one per coupled code — exactly like Alya's split MPI_COMM_WORLD.
+// Comm is a communicator: the contiguous range [lo, lo+n) of world
+// ranks, numbered from 0 in world order, that runs collectives among
+// themselves. The FSI case uses two disjoint comms — one per coupled
+// code — exactly like Alya's split MPI_COMM_WORLD.
 type Comm struct {
 	r     *Rank
-	ranks []int // world rank per comm rank
-	me    int   // this rank's index within ranks
+	lo, n int
+	me    int // this rank's index within the range
 
 	// hierCache holds the node-grouping the hierarchical allreduce
 	// uses, built once per communicator.
@@ -37,11 +35,11 @@ func (c *Comm) hier() *hierInfo {
 		return c.hierCache
 	}
 	nodeOf := c.r.w.cfg.NodeOf
-	myNode := nodeOf(c.ranks[c.me])
+	myNode := nodeOf(c.lo + c.me)
 	h := &hierInfo{leaderIdx: -1}
 	seen := make(map[int]bool)
-	for cr, wr := range c.ranks {
-		n := nodeOf(wr)
+	for cr := 0; cr < c.n; cr++ {
+		n := nodeOf(c.lo + cr)
 		if !seen[n] {
 			seen[n] = true
 			h.leaders = append(h.leaders, cr)
@@ -67,119 +65,70 @@ func (c *Comm) hier() *hierInfo {
 // World returns the all-ranks communicator for this rank.
 func (r *Rank) World() *Comm {
 	if r.world == nil {
-		ranks := make([]int, r.w.cfg.Ranks)
-		for i := range ranks {
-			ranks[i] = i
-		}
-		r.world = &Comm{r: r, ranks: ranks, me: r.id}
+		r.world = &Comm{r: r, n: r.w.cfg.Ranks, me: r.id}
 	}
 	return r.world
 }
 
-// NewComm builds a communicator over the given world ranks, which must
-// include the calling rank. The slice is copied and sorted; comm rank
-// order is ascending world rank (MPI_Comm_split semantics with a single
-// color and key = world rank).
-func (r *Rank) NewComm(worldRanks []int) (*Comm, error) {
-	if len(worldRanks) == 0 {
-		return nil, fmt.Errorf("mpi: empty communicator")
+// NewComm builds the communicator over world ranks [lo, hi), which must
+// include the calling rank; comm rank i is world rank lo+i
+// (MPI_Comm_split semantics with key = world rank, for the contiguous
+// colourings Alya's code split produces).
+func (r *Rank) NewComm(lo, hi int) (*Comm, error) {
+	switch {
+	case lo >= hi:
+		return nil, fmt.Errorf("mpi: empty communicator [%d, %d)", lo, hi)
+	case lo < 0 || hi > r.w.cfg.Ranks:
+		return nil, fmt.Errorf("mpi: communicator [%d, %d) outside world of %d", lo, hi, r.w.cfg.Ranks)
+	case r.id < lo || r.id >= hi:
+		return nil, fmt.Errorf("mpi: rank %d not a member of its own communicator [%d, %d)", r.id, lo, hi)
 	}
-	ranks := append([]int(nil), worldRanks...)
-	sort.Ints(ranks)
-	me := -1
-	for i, wr := range ranks {
-		if wr < 0 || wr >= r.w.cfg.Ranks {
-			return nil, fmt.Errorf("mpi: communicator rank %d outside world of %d", wr, r.w.cfg.Ranks)
-		}
-		if i > 0 && ranks[i-1] == wr {
-			return nil, fmt.Errorf("mpi: duplicate rank %d in communicator", wr)
-		}
-		if wr == r.id {
-			me = i
-		}
-	}
-	if me == -1 {
-		return nil, fmt.Errorf("mpi: rank %d not a member of its own communicator", r.id)
-	}
-	return &Comm{r: r, ranks: ranks, me: me}, nil
+	return &Comm{r: r, lo: lo, n: hi - lo, me: r.id - lo}, nil
 }
 
 // Rank returns the calling rank's index within the communicator.
 func (c *Comm) Rank() int { return c.me }
 
 // Size returns the communicator size.
-func (c *Comm) Size() int { return len(c.ranks) }
-
-// WorldRank translates a comm rank to its world rank.
-func (c *Comm) WorldRank(commRank int) int { return c.ranks[commRank] }
+func (c *Comm) Size() int { return c.n }
 
 // send/recv/sendRecv translate comm ranks to world ranks for the
 // point-to-point layer. Disjoint communicators cannot cross-match
 // because matching is keyed on world-rank pairs.
-func (c *Comm) send(dst, tag int, data []float64) { c.r.Send(c.ranks[dst], tag, data) }
-func (c *Comm) recv(src, tag int, buf []float64)  { c.r.Recv(c.ranks[src], tag, buf) }
+func (c *Comm) send(dst, tag int, data []float64) { c.r.Send(c.lo+dst, tag, data) }
+func (c *Comm) recv(src, tag int, buf []float64)  { c.r.Recv(c.lo+src, tag, buf) }
 func (c *Comm) sendRecv(dst, sendTag int, sendBuf []float64, src, recvTag int, recvBuf []float64) {
-	c.r.SendRecv(c.ranks[dst], sendTag, sendBuf, c.ranks[src], recvTag, recvBuf)
+	c.r.SendRecv(c.lo+dst, sendTag, sendBuf, c.lo+src, recvTag, recvBuf)
 }
-
-// Send transmits to a comm rank (blocking, MPI semantics as Rank.Send).
-func (c *Comm) Send(dst, tag int, data []float64) { c.send(dst, tag, data) }
-
-// Recv receives from a comm rank.
-func (c *Comm) Recv(src, tag int, buf []float64) { c.recv(src, tag, buf) }
 
 // Isend starts a nonblocking send to a comm rank.
 func (c *Comm) Isend(dst, tag int, data []float64) *Request {
-	return c.r.Isend(c.ranks[dst], tag, data)
+	return c.r.Isend(c.lo+dst, tag, data)
 }
 
 // IsendModel starts a nonblocking size-only send of n float64s to a
 // comm rank: full transport costs, no payload in host memory.
 func (c *Comm) IsendModel(dst, tag, n int) *Request {
-	return c.r.IsendModel(c.ranks[dst], tag, n)
+	return c.r.IsendModel(c.lo+dst, tag, n)
 }
 
 // Irecv posts a nonblocking receive from a comm rank.
 func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
-	return c.r.Irecv(c.ranks[src], tag, buf)
+	return c.r.Irecv(c.lo+src, tag, buf)
 }
 
 // IrecvModel posts a nonblocking size-only receive of n float64s from
 // a comm rank.
 func (c *Comm) IrecvModel(src, tag, n int) *Request {
-	return c.r.IrecvModel(c.ranks[src], tag, n)
+	return c.r.IrecvModel(c.lo+src, tag, n)
 }
 
 // Base returns the underlying world rank handle (for Wait, Compute,
 // and cross-communicator point-to-point).
 func (c *Comm) Base() *Rank { return c.r }
 
-// World-level convenience wrappers so simple programs and tests can
-// call collectives directly on the rank.
-
 // Barrier synchronizes all world ranks.
 func (r *Rank) Barrier() { r.World().Barrier() }
 
-// Allreduce reduces across all world ranks.
-func (r *Rank) Allreduce(buf []float64, op Op) { r.World().Allreduce(buf, op) }
-
 // AllreduceScalar reduces one value across all world ranks.
 func (r *Rank) AllreduceScalar(v float64, op Op) float64 { return r.World().AllreduceScalar(v, op) }
-
-// Bcast broadcasts across all world ranks.
-func (r *Rank) Bcast(buf []float64, root int) { r.World().Bcast(buf, root) }
-
-// Reduce reduces to root across all world ranks.
-func (r *Rank) Reduce(buf []float64, root int, op Op) { r.World().Reduce(buf, root, op) }
-
-// Gather gathers to root across all world ranks.
-func (r *Rank) Gather(buf []float64, root int, out []float64) { r.World().Gather(buf, root, out) }
-
-// Scatter scatters from root across all world ranks.
-func (r *Rank) Scatter(in []float64, root int, buf []float64) { r.World().Scatter(in, root, buf) }
-
-// Allgather gathers everywhere across all world ranks.
-func (r *Rank) Allgather(buf []float64, out []float64) { r.World().Allgather(buf, out) }
-
-// Alltoall exchanges blocks across all world ranks.
-func (r *Rank) Alltoall(in, out []float64, n int) { r.World().Alltoall(in, out, n) }

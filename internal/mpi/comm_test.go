@@ -13,13 +13,11 @@ func TestCommSplitCollectives(t *testing.T) {
 	cfg := testConfig(p, 4)
 	results := make([]float64, p)
 	_, err := Run(cfg, func(r *Rank) {
-		var group []int
-		if r.ID() < 8 {
-			group = []int{0, 1, 2, 3, 4, 5, 6, 7}
-		} else {
-			group = []int{8, 9, 10, 11}
+		lo, hi := 0, 8
+		if r.ID() >= 8 {
+			lo, hi = 8, 12
 		}
-		comm, err := r.NewComm(group)
+		comm, err := r.NewComm(lo, hi)
 		if err != nil {
 			t.Error(err)
 			return
@@ -44,10 +42,10 @@ func TestCommSplitCollectives(t *testing.T) {
 func TestCommRankTranslation(t *testing.T) {
 	cfg := testConfig(6, 3)
 	_, err := Run(cfg, func(r *Rank) {
-		if r.ID()%2 != 0 {
-			return // odd ranks sit out
+		if r.ID() < 2 || r.ID() == 5 {
+			return // ranks outside [2, 5) sit out
 		}
-		comm, err := r.NewComm([]int{4, 0, 2}) // unsorted on purpose
+		comm, err := r.NewComm(2, 5)
 		if err != nil {
 			t.Error(err)
 			return
@@ -55,12 +53,8 @@ func TestCommRankTranslation(t *testing.T) {
 		if comm.Size() != 3 {
 			t.Errorf("size %d", comm.Size())
 		}
-		wantRank := map[int]int{0: 0, 2: 1, 4: 2}[r.ID()]
-		if comm.Rank() != wantRank {
-			t.Errorf("world %d: comm rank %d, want %d", r.ID(), comm.Rank(), wantRank)
-		}
-		if comm.WorldRank(comm.Rank()) != r.ID() {
-			t.Errorf("world rank translation broken")
+		if comm.Rank() != r.ID()-2 {
+			t.Errorf("world %d: comm rank %d, want %d", r.ID(), comm.Rank(), r.ID()-2)
 		}
 		// A bcast within the comm.
 		buf := []float64{0}
@@ -80,18 +74,23 @@ func TestCommRankTranslation(t *testing.T) {
 func TestNewCommValidation(t *testing.T) {
 	cfg := testConfig(4, 4)
 	_, err := Run(cfg, func(r *Rank) {
-		if _, err := r.NewComm(nil); err == nil {
-			t.Error("empty comm accepted")
-		}
-		if _, err := r.NewComm([]int{0, 0, r.ID()}); err == nil {
-			t.Error("duplicate ranks accepted")
-		}
-		if _, err := r.NewComm([]int{99, r.ID()}); err == nil {
-			t.Error("out-of-world rank accepted")
-		}
 		other := (r.ID() + 1) % 4
-		if _, err := r.NewComm([]int{other}); err == nil {
-			t.Error("comm without self accepted")
+		for _, tc := range []struct {
+			name   string
+			lo, hi int
+		}{
+			{"empty", 2, 2},
+			{"reversed", 3, 1},
+			{"below the world", -1, 4},
+			{"past the world", 0, 5},
+			{"excluding self", other, other + 1},
+		} {
+			if _, err := r.NewComm(tc.lo, tc.hi); err == nil {
+				t.Errorf("rank %d: %s range [%d, %d) accepted", r.ID(), tc.name, tc.lo, tc.hi)
+			}
+		}
+		if _, err := r.NewComm(r.ID(), r.ID()+1); err != nil {
+			t.Errorf("rank %d: singleton range rejected: %v", r.ID(), err)
 		}
 	})
 	if err != nil {
@@ -128,7 +127,7 @@ func TestHierarchicalAllreduceVector(t *testing.T) {
 	cfg.Allreduce = AllreduceHierarchical
 	_, err := Run(cfg, func(r *Rank) {
 		buf := []float64{float64(r.ID()), 1, -float64(r.ID())}
-		r.Allreduce(buf, OpMax)
+		r.World().Allreduce(buf, OpMax)
 		if buf[0] != 11 || buf[1] != 1 || buf[2] != 0 {
 			t.Errorf("rank %d: %v", r.ID(), buf)
 		}

@@ -56,30 +56,6 @@ func TestModelMessagesMatchZeroPayloads(t *testing.T) {
 	}
 }
 
-// TestModelBlockingPair covers SendModel/RecvModel (the blocking
-// variants) against Send/Recv with zero buffers.
-func TestModelBlockingPair(t *testing.T) {
-	const n = 1 << 14
-	real := exchangeStats(t, 2, 1, n, func(r *Rank, n int) {
-		buf := make([]float64, n)
-		if r.ID() == 0 {
-			r.Send(1, 9, buf)
-		} else {
-			r.Recv(0, 9, buf)
-		}
-	})
-	model := exchangeStats(t, 2, 1, n, func(r *Rank, n int) {
-		if r.ID() == 0 {
-			r.SendModel(1, 9, n)
-		} else {
-			r.RecvModel(0, 9, n)
-		}
-	})
-	if !reflect.DeepEqual(real, model) {
-		t.Fatalf("blocking model stats differ:\nreal  %+v\nmodel %+v", real, model)
-	}
-}
-
 // TestModelMixedWithRealRecv asserts a size-only message delivers
 // zeros into a real receive buffer (the documented mixed-mode
 // semantics), clearing stale contents.
@@ -87,9 +63,9 @@ func TestModelMixedWithRealRecv(t *testing.T) {
 	buf := []float64{1, 2, 3}
 	_, err := Run(testConfig(2, 2), func(r *Rank) {
 		if r.ID() == 0 {
-			r.SendModel(1, 4, len(buf))
+			r.Wait(r.IsendModel(1, 4, len(buf)))
 		} else {
-			r.Recv(0, 4, buf)
+			r.Wait(r.Irecv(0, 4, buf))
 		}
 	})
 	if err != nil {
@@ -112,9 +88,9 @@ func TestModelCountMismatchPanics(t *testing.T) {
 	}()
 	_, _ = Run(testConfig(2, 2), func(r *Rank) {
 		if r.ID() == 0 {
-			r.SendModel(1, 5, 8)
+			r.Wait(r.IsendModel(1, 5, 8))
 		} else {
-			r.RecvModel(0, 5, 4)
+			r.Wait(r.IrecvModel(0, 5, 4))
 		}
 	})
 }

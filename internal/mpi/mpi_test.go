@@ -239,7 +239,7 @@ func allreduceResult(t *testing.T, p, n int, algo AllreduceAlgo, op Op) [][]floa
 		for i := range buf {
 			buf[i] = float64((r.ID()+1)*(i+1)) * 0.5
 		}
-		r.Allreduce(buf, op)
+		r.World().Allreduce(buf, op)
 		out[r.ID()] = buf
 	})
 	if err != nil {
@@ -302,7 +302,7 @@ func TestBcastCorrect(t *testing.T) {
 						buf[i] = float64(i) + 0.25
 					}
 				}
-				r.Bcast(buf, root)
+				r.World().Bcast(buf, root)
 				out[r.ID()] = buf
 			})
 			if err != nil {
@@ -326,7 +326,7 @@ func TestReduceCorrect(t *testing.T) {
 		var got []float64
 		_, err := Run(cfg, func(r *Rank) {
 			buf := []float64{float64(r.ID() + 1), 1}
-			r.Reduce(buf, root, OpSum)
+			r.World().Reduce(buf, root, OpSum)
 			if r.ID() == root {
 				got = buf
 			}
@@ -341,99 +341,6 @@ func TestReduceCorrect(t *testing.T) {
 	}
 }
 
-func TestGatherScatterRoundTrip(t *testing.T) {
-	p, n := 6, 3
-	cfg := testConfig(p, 2)
-	var gathered []float64
-	scattered := make([][]float64, p)
-	_, err := Run(cfg, func(r *Rank) {
-		buf := make([]float64, n)
-		for i := range buf {
-			buf[i] = float64(r.ID()*100 + i)
-		}
-		out := make([]float64, n*p)
-		r.Gather(buf, 0, out)
-		if r.ID() == 0 {
-			gathered = out
-		}
-		// Scatter the gathered data back.
-		back := make([]float64, n)
-		r.Scatter(out, 0, back)
-		scattered[r.ID()] = back
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rk := 0; rk < p; rk++ {
-		for i := 0; i < n; i++ {
-			want := float64(rk*100 + i)
-			if gathered[rk*n+i] != want {
-				t.Fatalf("gather[%d][%d] = %v, want %v", rk, i, gathered[rk*n+i], want)
-			}
-			if scattered[rk][i] != want {
-				t.Fatalf("scatter[%d][%d] = %v, want %v", rk, i, scattered[rk][i], want)
-			}
-		}
-	}
-}
-
-func TestAllgatherCorrect(t *testing.T) {
-	for _, p := range []int{2, 3, 8} {
-		n := 2
-		cfg := testConfig(p, 3)
-		out := make([][]float64, p)
-		_, err := Run(cfg, func(r *Rank) {
-			buf := []float64{float64(r.ID()), float64(-r.ID())}
-			all := make([]float64, n*p)
-			r.Allgather(buf, all)
-			out[r.ID()] = all
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rk := 0; rk < p; rk++ {
-			for src := 0; src < p; src++ {
-				if out[rk][src*n] != float64(src) || out[rk][src*n+1] != float64(-src) {
-					t.Fatalf("p=%d rank=%d: allgather block %d = %v", p, rk, src, out[rk][src*n:src*n+2])
-				}
-			}
-		}
-	}
-}
-
-func TestAlltoallCorrect(t *testing.T) {
-	for _, p := range []int{2, 4, 5, 8} {
-		n := 2
-		cfg := testConfig(p, 3)
-		out := make([][]float64, p)
-		_, err := Run(cfg, func(r *Rank) {
-			in := make([]float64, n*p)
-			for j := 0; j < p; j++ {
-				for k := 0; k < n; k++ {
-					in[j*n+k] = float64(r.ID()*1000 + j*10 + k)
-				}
-			}
-			o := make([]float64, n*p)
-			r.Alltoall(in, o, n)
-			out[r.ID()] = o
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rk := 0; rk < p; rk++ {
-			for src := 0; src < p; src++ {
-				for k := 0; k < n; k++ {
-					want := float64(src*1000 + rk*10 + k)
-					if out[rk][src*n+k] != want {
-						t.Fatalf("p=%d: alltoall out[%d] block %d elem %d = %v, want %v",
-							p, rk, src, k, out[rk][src*n+k], want)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	// Two identical runs must produce bit-identical end times and stats.
 	run := func() Stats {
@@ -444,7 +351,7 @@ func TestDeterminism(t *testing.T) {
 				buf[i] = float64(r.ID() + i)
 			}
 			for iter := 0; iter < 5; iter++ {
-				r.Allreduce(buf[:8], OpSum)
+				r.World().Allreduce(buf[:8], OpSum)
 				next := (r.ID() + 1) % r.Size()
 				prev := (r.ID() - 1 + r.Size()) % r.Size()
 				r.SendRecv(next, iter, buf, prev, iter, buf)

@@ -22,8 +22,8 @@ type message struct {
 	// available at the receiver; for rendezvous messages, the time the
 	// sender posted (RTS time).
 	readyAt units.Seconds
-	// sentAt is when the sender entered the send, for the Observer's
-	// latency accounting.
+	// sentAt is when the sender entered the send, for the Tap's latency
+	// accounting.
 	sentAt units.Seconds
 	// sreq, when non-nil, is the sender's request to complete once the
 	// transfer finishes (rendezvous Isend or blocking Send).
@@ -99,13 +99,6 @@ func (q *Request) complete(t units.Seconds) {
 // payloadSize converts a float64 count to wire bytes.
 func payloadSize(n int) units.ByteSize { return units.ByteSize(8 * n) }
 
-// observe reports a completed transfer to the configured Observer.
-func (w *World) observe(msg *message, arrival units.Seconds) {
-	if w.cfg.Observer != nil {
-		w.cfg.Observer.Message(msg.src, msg.dst, msg.tag, msg.size, msg.tr.Name, msg.sentAt, arrival)
-	}
-}
-
 // deliver computes the arrival time of a matched transfer whose payload
 // may start moving at `start` on transport tr, accounting for NIC
 // serialization on the sending node when the path shares the NIC.
@@ -125,13 +118,6 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 	r.timed(func() { r.send(dst, tag, data, len(data), nil) })
 }
 
-// SendModel is Send for a size-only payload of n float64s: it pays
-// every transport cost of the full message without moving data — the
-// workload model's replacement for sending a zero buffer.
-func (r *Rank) SendModel(dst, tag, n int) {
-	r.timed(func() { r.send(dst, tag, nil, n, nil) })
-}
-
 // Isend starts a nonblocking send and returns its request. Eager sends
 // complete immediately after local CPU cost; rendezvous sends complete
 // when the receiver has the data (observe via Wait).
@@ -144,7 +130,9 @@ func (r *Rank) Isend(dst, tag int, data []float64) *Request {
 	return req
 }
 
-// IsendModel is Isend for a size-only payload of n float64s.
+// IsendModel is Isend for a size-only payload of n float64s: it pays
+// every transport cost of the full message without moving data — the
+// workload model's replacement for sending a zero buffer.
 func (r *Rank) IsendModel(dst, tag, n int) *Request {
 	var req *Request
 	r.timed(func() {
@@ -154,9 +142,9 @@ func (r *Rank) IsendModel(dst, tag, n int) *Request {
 	return req
 }
 
-// send implements Send/SendModel (req == nil) and Isend/IsendModel
-// (req != nil). data is nil for size-only messages; count is the
-// payload length in float64s in either case.
+// send implements Send (req == nil) and Isend/IsendModel (req != nil).
+// data is nil for size-only messages; count is the payload length in
+// float64s in either case.
 func (r *Rank) send(dst, tag int, data []float64, count int, req *Request) {
 	if dst < 0 || dst >= r.w.cfg.Ranks {
 		panic(fmt.Sprintf("mpi: rank %d sends to invalid rank %d", r.id, dst))
@@ -196,7 +184,7 @@ func (r *Rank) send(dst, tag int, data []float64, count int, req *Request) {
 			req.complete(r.proc.Now())
 		}
 		if post := box.matchPost(msg.src, msg.tag); post != nil {
-			r.finishReceive(post, msg)
+			r.settle(post, msg, r.w.landing(post, msg))
 			return
 		}
 		box.sends = append(box.sends, msg)
@@ -208,11 +196,10 @@ func (r *Rank) send(dst, tag int, data []float64, count int, req *Request) {
 	r.proc.Advance(tr.Overhead) // RTS packet cost
 	msg.readyAt = r.proc.Now()
 	if post := box.matchPost(msg.src, msg.tag); post != nil {
-		// Receiver already waiting: transfer can start once the CTS
-		// round-trip completes.
-		start := units.Max(msg.readyAt, post.postedAt) + tr.Latency
-		arrival := r.w.deliver(tr, r.node, start, size)
-		r.completeMatchedRecv(post, msg, arrival)
+		// Receiver already waiting. The sender is done when the payload
+		// lands, before the receiver's CPU cost.
+		arrival := r.w.landing(post, msg)
+		r.settle(post, msg, arrival)
 		if req != nil {
 			req.complete(arrival)
 		} else {
@@ -233,14 +220,6 @@ func (r *Rank) send(dst, tag int, data []float64, count int, req *Request) {
 func (r *Rank) Recv(src, tag int, buf []float64) {
 	r.timed(func() {
 		req := r.irecv(src, tag, buf, len(buf))
-		r.waitOne(req)
-	})
-}
-
-// RecvModel is Recv for a size-only message of n float64s.
-func (r *Rank) RecvModel(src, tag, n int) {
-	r.timed(func() {
-		req := r.irecv(src, tag, nil, n)
 		r.waitOne(req)
 	})
 }
@@ -271,67 +250,55 @@ func (r *Rank) irecv(src, tag int, buf []float64, count int) *Request {
 	box := &r.w.boxes[r.id]
 	post := &recvPost{src: src, tag: tag, buf: buf, count: count, postedAt: r.proc.Now(), req: req, owner: r}
 	if msg := box.matchSend(src, tag); msg != nil {
-		r.matchAsReceiver(post, msg)
+		done := r.settle(post, msg, r.w.landing(post, msg))
+		if !msg.eager && msg.sreq != nil {
+			// Complete the sender's request; if the sender is parked in a
+			// blocking rendezvous Send or in Wait, bring it back.
+			msg.sreq.complete(done)
+			r.wakeIfBlocked(msg.sender, done)
+		}
 		return req
 	}
 	box.posts = append(box.posts, post)
 	return req
 }
 
-// matchAsReceiver computes completion for a message found already
-// posted in the mailbox, from the receiver's side.
-func (r *Rank) matchAsReceiver(post *recvPost, msg *message) {
-	tr := msg.tr
+// landing returns when a matched message's payload reaches the
+// receiving node: an eager payload is already on its way, a rendezvous
+// transfer starts once both sides are ready and the CTS has crossed.
+func (w *World) landing(post *recvPost, msg *message) units.Seconds {
+	ready := units.Max(msg.readyAt, post.postedAt)
 	if msg.eager {
-		arrival := units.Max(msg.readyAt, post.postedAt) + tr.CPUCost(msg.size)
-		copyPayload(post, msg)
-		post.req.complete(arrival)
-		r.w.observe(msg, arrival)
-		return
+		return ready
 	}
-	// Rendezvous: CTS handshake then transfer.
-	start := units.Max(msg.readyAt, post.postedAt) + tr.Latency
-	arrival := r.w.deliver(tr, r.w.ranks[msg.src].node, start, msg.size)
-	arrival += tr.CPUCost(msg.size)
-	copyPayload(post, msg)
-	post.req.complete(arrival)
-	r.w.observe(msg, arrival)
-	if msg.sreq != nil {
-		// Complete the sender's request; if the sender is parked in a
-		// blocking rendezvous Send or in Wait, bring it back.
-		msg.sreq.complete(arrival)
-		r.wakeIfBlocked(msg.sender, arrival)
-	}
+	return w.deliver(msg.tr, msg.sender.node, ready+msg.tr.Latency, msg.size)
 }
 
-// finishReceive completes a posted receive matched from the sender's
-// side (eager case).
-func (r *Rank) finishReceive(post *recvPost, msg *message) {
-	arrival := units.Max(msg.readyAt, post.postedAt) + msg.tr.CPUCost(msg.size)
-	copyPayload(post, msg)
-	post.req.complete(arrival)
-	r.w.observe(msg, arrival)
-	r.wakeIfBlocked(post.owner, arrival)
-}
-
-// completeMatchedRecv completes a posted receive matched from the
-// sender's side (rendezvous case) with a known arrival time.
-func (r *Rank) completeMatchedRecv(post *recvPost, msg *message, arrival units.Seconds) {
+// settle completes a matched receive whose payload lands at arrival: it
+// charges the receiver's CPU cost, moves the payload, completes the
+// receive request, reports the message to the Tap and wakes the
+// receiver if it is parked. It returns the completion time. All three
+// match sites — a send finding a posted receive (eager or rendezvous)
+// and a receive finding a queued send — end here.
+func (r *Rank) settle(post *recvPost, msg *message, arrival units.Seconds) units.Seconds {
 	arrival += msg.tr.CPUCost(msg.size)
 	copyPayload(post, msg)
 	post.req.complete(arrival)
-	r.w.observe(msg, arrival)
+	if tap := r.w.cfg.Tap; tap != nil {
+		tap.Message(msg.src, msg.dst, msg.tag, msg.size, msg.tr.Name, msg.sentAt, arrival)
+	}
 	r.wakeIfBlocked(post.owner, arrival)
+	return arrival
 }
 
 // wakeIfBlocked wakes a peer rank parked in Wait if its request is now
 // satisfied — one peer per completed request; there is no bulk wake.
 // The kernel defers the wake: the peer joins the run queue at this
 // rank's next yield point, so completions separated only by fast-path
-// Syncs (a Bcast or Scatter root eagerly satisfying one blocked child
-// per send) flush as one batched insert instead of one heap push
-// each. The vtime kernel only lets us wake genuinely blocked procs, so
-// Wait marks itself via the waiting flag before parking.
+// Syncs (a Bcast root eagerly satisfying one blocked child per send)
+// flush as one batched insert instead of one heap push each. The vtime
+// kernel only lets us wake genuinely blocked procs, so Wait marks
+// itself via the waiting flag before parking.
 func (r *Rank) wakeIfBlocked(peer *Rank, at units.Seconds) {
 	if peer.waiting {
 		r.proc.Wake(peer.proc, at)
@@ -380,11 +347,11 @@ func (r *Rank) waitOne(q *Request) {
 
 // idleTo advances the rank's clock to t, reporting the jump (a wait on
 // an already-completed operation whose finish time lies ahead) to the
-// kernel tracer so profilers can attribute it. Blocked waits are
+// Tap so profilers can attribute it. Blocked waits are
 // reported by the kernel's own park/wake events instead.
 func (r *Rank) idleTo(tag string, t units.Seconds) {
-	if tr := r.w.cfg.KernelTracer; tr != nil && t > r.proc.Now() {
-		tr.Idle(r.id, tag, r.proc.Now(), t)
+	if tap := r.w.cfg.Tap; tap != nil && t > r.proc.Now() {
+		tap.Idle(r.id, tag, r.proc.Now(), t)
 	}
 	r.proc.AdvanceTo(t)
 }

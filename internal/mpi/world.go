@@ -1,14 +1,20 @@
-// Package mpi is a deterministic virtual-time MPI implementation.
+// Package mpi is the deterministic virtual-time MPI that Alya's
+// simulated runs speak — the operations some cell executes, not a
+// general MPI library.
 //
 // Ranks are coroutines scheduled by the vtime kernel; messages carry
-// real []float64 payloads, so distributed solvers built on this package
-// produce genuine numerical results while every operation's duration is
-// charged from the fabric cost models. Point-to-point matching follows
-// MPI semantics (FIFO per source/tag/communicator, eager and rendezvous
-// protocols); collectives are implemented on top of point-to-point with
-// the textbook algorithms (binomial trees, recursive doubling, ring),
-// so their scaling behaviour emerges from the message costs rather than
-// being asserted.
+// real []float64 payloads (or, in model mode, only their size), so
+// distributed solvers built on this package produce genuine numerical
+// results while every operation's duration is charged from the fabric
+// cost models. Point-to-point is blocking Send/Recv, the nonblocking
+// Isend/Irecv pair with their size-only Model variants, Wait and
+// SendRecv, matched with MPI semantics (FIFO per source/tag, eager and
+// rendezvous protocols). The collectives are Barrier and Allreduce —
+// recursive doubling, ring, binomial Reduce+Bcast, or node-hierarchical
+// — built on point-to-point with the textbook algorithms, so their
+// scaling behaviour emerges from the message costs rather than being
+// asserted. A communicator is a contiguous range of world ranks: the
+// world itself, or one side of the FSI case's two-code split.
 package mpi
 
 import (
@@ -43,36 +49,26 @@ type Config struct {
 	// cost is paid here by the runtime profiles). StartupSkew(rank)
 	// returns the rank's time-zero offset; nil means all start at 0.
 	StartupSkew func(rank int) units.Seconds
-	// Observer, when non-nil, receives every completed point-to-point
-	// message (the trace package provides implementations). It runs
-	// under the deterministic scheduler, so it needs no locking. An
-	// Observer that also implements PhaseObserver additionally receives
-	// collective phase spans.
-	Observer Observer
-	// KernelTracer, when non-nil, taps the vtime scheduler's
-	// switch/park/wake events (see vtime.Tracer). Same contract as
-	// Observer: deterministic callback order, no locking needed, and
-	// the execution's outcome does not depend on it.
-	KernelTracer vtime.Tracer
+	// Tap, when non-nil, receives the execution's telemetry. It runs
+	// under the deterministic scheduler — fixed callback order, no
+	// locking needed — and the execution's outcome does not depend on
+	// it.
+	Tap Tap
 }
 
-// Observer receives message-completion events for tracing.
-type Observer interface {
+// Tap is the one telemetry seam of an execution: the vtime scheduler's
+// switch/park/wake/idle events, every completed point-to-point
+// message, and a span around every collective.
+type Tap interface {
+	vtime.Tracer
 	// Message reports one delivered point-to-point message: endpoints,
 	// tag, payload size, transport name, send time, and arrival time.
 	Message(src, dst, tag int, size units.ByteSize, transport string, sent, arrived units.Seconds)
-}
-
-// PhaseObserver extends Observer with collective phase spans: every
-// public collective (Barrier, Allreduce, Bcast, ...) reports the
-// calling rank's entry and exit in virtual time. Spans nest — the
-// reduce+bcast allreduce reports its inner Reduce and Bcast inside the
-// allreduce span — and stay properly bracketed per rank.
-type PhaseObserver interface {
-	Observer
-	// PhaseBegin reports rank entering the named collective at start.
+	// PhaseBegin and PhaseEnd report rank entering and leaving the
+	// named collective in virtual time. Spans nest — the reduce+bcast
+	// allreduce reports its inner Reduce and Bcast inside the allreduce
+	// span — and stay properly bracketed per rank.
 	PhaseBegin(rank int, name string, start units.Seconds)
-	// PhaseEnd reports rank leaving the named collective at end.
 	PhaseEnd(rank int, name string, end units.Seconds)
 }
 
@@ -140,10 +136,6 @@ type World struct {
 	ranks []*Rank
 	nics  []*vtime.Resource
 	boxes []mailbox
-	// phObs is cfg.Observer pre-asserted to PhaseObserver (nil when the
-	// observer has no phase extension), so collectives pay one nil
-	// check per call instead of a type assertion.
-	phObs PhaseObserver
 }
 
 // Rank is the per-process handle passed to rank bodies.
@@ -205,9 +197,8 @@ func Run(cfg Config, body func(r *Rank)) (Stats, error) {
 	for n := range w.nics {
 		w.nics[n] = vtime.NewResource(fmt.Sprintf("nic-%d", n))
 	}
-	w.phObs, _ = cfg.Observer.(PhaseObserver)
-	if cfg.KernelTracer != nil {
-		w.sched.SetTracer(cfg.KernelTracer)
+	if cfg.Tap != nil {
+		w.sched.SetTracer(cfg.Tap)
 	}
 	procs := w.sched.Procs()
 	for i := range w.ranks {
@@ -245,9 +236,6 @@ func (r *Rank) ID() int { return r.id }
 
 // Size returns the world size.
 func (r *Rank) Size() int { return r.w.cfg.Ranks }
-
-// Node returns the node index hosting this rank.
-func (r *Rank) Node() int { return r.node }
 
 // Now returns the rank's virtual clock.
 func (r *Rank) Now() units.Seconds { return r.proc.Now() }

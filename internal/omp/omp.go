@@ -1,7 +1,5 @@
 // Package omp models OpenMP-style intra-rank threading for the hybrid
-// MPI×OpenMP configurations of the paper's Fig. 1 (8×14 … 112×1), and
-// provides a real work-sharing runner used when the solver executes its
-// actual numerics.
+// MPI×OpenMP configurations of the paper's Fig. 1 (8×14 … 112×1).
 //
 // The cost model charges a parallel region with: a fork/join and
 // barrier cost growing with team size, an Amdahl serial fraction, a
@@ -11,8 +9,6 @@ package omp
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -167,81 +163,4 @@ func (m Model) Efficiency(reg Region, threads int) float64 {
 		return 0
 	}
 	return float64(t1) / (float64(threads) * float64(tn))
-}
-
-// ParallelFor executes fn(i) for i in [0, n) on a real goroutine team —
-// the execution path used when the solver computes actual numerics. The
-// split is contiguous static blocks, matching the model's assumptions.
-func ParallelFor(n, threads int, fn func(i int)) {
-	if threads < 1 {
-		threads = 1
-	}
-	if threads == 1 || n < 2*threads {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		lo := t * n / threads
-		hi := (t + 1) * n / threads
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ParallelReduce computes the sum of fn(i) over [0, n) with a real
-// goroutine team, deterministically: per-thread partials are reduced in
-// thread order so the floating-point result is independent of timing.
-func ParallelReduce(n, threads int, fn func(i int) float64) float64 {
-	if threads < 1 {
-		threads = 1
-	}
-	if threads == 1 || n < 2*threads {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += fn(i)
-		}
-		return s
-	}
-	partial := make([]float64, threads)
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		lo := t * n / threads
-		hi := (t + 1) * n / threads
-		go func(t, lo, hi int) {
-			defer wg.Done()
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += fn(i)
-			}
-			partial[t] = s
-		}(t, lo, hi)
-	}
-	wg.Wait()
-	s := 0.0
-	for _, v := range partial {
-		s += v
-	}
-	return s
-}
-
-// SweetSpot returns the team width in candidates minimizing the region
-// time, for tests and for documentation of the Fig. 1 U-shape.
-func (m Model) SweetSpot(reg Region, candidates []int) int {
-	best, bestT := 1, units.Seconds(math.Inf(1))
-	for _, c := range candidates {
-		if t := m.RegionTime(reg, c); t < bestT {
-			best, bestT = c, t
-		}
-	}
-	return best
 }

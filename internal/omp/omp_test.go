@@ -2,7 +2,6 @@ package omp
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -113,19 +112,6 @@ func TestScheduleTradeoffs(t *testing.T) {
 	}
 }
 
-func TestSweetSpot(t *testing.T) {
-	m := DefaultModel(topology.LenoxNode)
-	candidates := []int{1, 2, 4, 7, 14, 28}
-	reg := testRegion()
-	best := m.SweetSpot(reg, candidates)
-	bestT := m.RegionTime(reg, best)
-	for _, c := range candidates {
-		if m.RegionTime(reg, c) < bestT {
-			t.Fatalf("SweetSpot returned %d but %d is faster", best, c)
-		}
-	}
-}
-
 func TestThreadsClamped(t *testing.T) {
 	m := DefaultModel(topology.LenoxNode)
 	reg := testRegion()
@@ -134,43 +120,6 @@ func TestThreadsClamped(t *testing.T) {
 	}
 	if m.RegionTime(reg, 100) != m.RegionTime(reg, 28) {
 		t.Error(">cores threads should clamp to node cores")
-	}
-}
-
-func TestParallelForCoversAllIndices(t *testing.T) {
-	for _, threads := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, 7, 100, 1001} {
-			var hits int64
-			seen := make([]int32, n)
-			ParallelFor(n, threads, func(i int) {
-				atomic.AddInt64(&hits, 1)
-				atomic.AddInt32(&seen[i], 1)
-			})
-			if hits != int64(n) {
-				t.Fatalf("threads=%d n=%d: %d hits", threads, n, hits)
-			}
-			for i, s := range seen {
-				if s != 1 {
-					t.Fatalf("threads=%d n=%d: index %d visited %d times", threads, n, i, s)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelReduceDeterministic(t *testing.T) {
-	n := 10000
-	f := func(i int) float64 { return 1.0 / float64(i+1) }
-	seq := ParallelReduce(n, 1, f)
-	for _, threads := range []int{2, 4, 8} {
-		a := ParallelReduce(n, threads, f)
-		b := ParallelReduce(n, threads, f)
-		if a != b {
-			t.Fatalf("threads=%d: nondeterministic reduce %v vs %v", threads, a, b)
-		}
-		if math.Abs(a-seq) > 1e-9 {
-			t.Fatalf("threads=%d: reduce %v far from sequential %v", threads, a, seq)
-		}
 	}
 }
 

@@ -79,10 +79,11 @@ type phaseOpen struct {
 	begin units.Seconds
 }
 
-// Recorder consumes the telemetry event stream (attach it with
-// telemetry.CellTrace.Forward) and accumulates per-rank wait intervals
-// and collective phase spans. It is single-goroutine like every trace
-// tap: callbacks arrive under the kernel's single-running-process
+// Recorder consumes the telemetry event stream — it implements mpi.Tap
+// structurally; attach it with telemetry.CellTrace.Forward, or as a
+// cell's Tap directly — and accumulates per-rank wait intervals and
+// collective phase spans. It is single-goroutine like every tap:
+// callbacks arrive under the kernel's single-running-process
 // invariant.
 type Recorder struct {
 	ranks []*rankRec
@@ -178,7 +179,7 @@ func (r *Recorder) Idle(id int, tag string, from, to units.Seconds) {
 	})
 }
 
-// Message implements the mpi.Observer seam (via telemetry.Handler).
+// Message implements mpi.Tap: the latest completed message.
 func (r *Recorder) Message(src, dst, tag int, size units.ByteSize,
 	transport string, sent, arrived units.Seconds) {
 	r.lastMsg = msgInfo{src: src, dst: dst, tag: tag, size: size,
@@ -186,7 +187,7 @@ func (r *Recorder) Message(src, dst, tag int, size units.ByteSize,
 	r.hasLastMsg = true
 }
 
-// PhaseBegin implements the mpi.PhaseObserver seam.
+// PhaseBegin implements mpi.Tap.
 func (r *Recorder) PhaseBegin(rank int, name string, start units.Seconds) {
 	rec := r.rank(rank)
 	rec.stack = append(rec.stack, phaseOpen{name: name, begin: start})
@@ -197,7 +198,7 @@ func (r *Recorder) PhaseBegin(rank int, name string, start units.Seconds) {
 	}
 }
 
-// PhaseEnd implements the mpi.PhaseObserver seam. Closing an outermost
+// PhaseEnd implements mpi.Tap. Closing an outermost
 // span adds its duration to the per-collective totals.
 func (r *Recorder) PhaseEnd(rank int, name string, end units.Seconds) {
 	rec := r.rank(rank)

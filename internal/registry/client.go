@@ -479,6 +479,3 @@ func (c *Client) Close() error {
 	c.hc.CloseIdleConnections()
 	return nil
 }
-
-// URL returns the registry base URL.
-func (c *Client) URL() string { return c.base }

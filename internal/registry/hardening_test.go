@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -39,6 +40,41 @@ func TestPutBodyTooLarge(t *testing.T) {
 	}
 	if !strings.Contains(we.Error, fmt.Sprint(maxRecordBytes)) {
 		t.Fatalf("413 body should name the limit: %q", we.Error)
+	}
+}
+
+// TestWorkBodyTooLarge: the work endpoints read a lease id and a
+// progress record, never more — an oversized claim, heartbeat or
+// complete body is cut off with the same typed 413 and the queue does
+// not move.
+func TestWorkBodyTooLarge(t *testing.T) {
+	store, _, _ := newRegistry(t)
+	q := NewWorkQueue(cellsNamed("g", "k1", "k2"), QueueOptions{Study: "t", BatchSize: 2, Clock: newFakeClock().Now})
+	ts := httptest.NewServer(NewServer(store, ServerOptions{Work: q}))
+	defer ts.Close()
+	before, _ := q.Status()
+	for _, endpoint := range []string{"claim", "heartbeat", "complete"} {
+		// An unterminated JSON string one byte past the limit, streamed.
+		body := io.MultiReader(strings.NewReader(`{"worker":"`), io.LimitReader(zeroReader{}, maxWorkBodyBytes))
+		resp, err := http.Post(ts.URL+"/v1/work/"+endpoint, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var we wireError
+		err = json.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || we.Code != codeTooLarge {
+			t.Errorf("%s: status %d code %q, want 413 %q", endpoint, resp.StatusCode, we.Code, codeTooLarge)
+		}
+		if !strings.Contains(we.Error, fmt.Sprint(maxWorkBodyBytes)) {
+			t.Errorf("%s: 413 body should name the limit: %q", endpoint, we.Error)
+		}
+	}
+	if after, _ := q.Status(); after != before {
+		t.Fatalf("oversized bodies moved the queue:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 

@@ -100,10 +100,6 @@ func NewServer(store *resultdb.DirStore, opt ServerOptions) *Server {
 	return s
 }
 
-// Metrics returns the server's metrics registry (tests and embedders
-// can read or extend it).
-func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
-
 // routeOf maps a request path to its metric label, so cell keys never
 // explode the label space.
 func routeOf(path string) string {

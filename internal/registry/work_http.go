@@ -2,6 +2,7 @@ package registry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -114,8 +115,7 @@ func (s *Server) handleWorkClaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wireClaimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireError{Code: codeBadRecord, Error: "undecodable claim: " + err.Error()})
+	if !decodeWorkBody(w, r, "claim", &req) {
 		return
 	}
 	if req.Worker == "" {
@@ -142,11 +142,35 @@ func (s *Server) handleWorkClaim(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxWorkBodyBytes bounds a claim/heartbeat/complete body: a lease id
+// plus a WorkerProgress is under a kilobyte.
+const maxWorkBodyBytes = 1 << 20
+
+// decodeWorkBody decodes a work-API request body into req, reading at
+// most maxWorkBodyBytes of it — like PUT /v1/cells, a peer cannot make
+// the server buffer without bound. It answers 413 or 400 itself and
+// reports whether req is usable.
+func decodeWorkBody(w http.ResponseWriter, r *http.Request, what string, req any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWorkBodyBytes)).Decode(req)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, wireError{
+			Code:  codeTooLarge,
+			Error: fmt.Sprintf("%s exceeds the %d-byte limit", what, maxWorkBodyBytes),
+		})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, wireError{Code: codeBadRecord, Error: "undecodable " + what + ": " + err.Error()})
+	return false
+}
+
 // decodeLeaseRequest reads a heartbeat/complete body, rejecting blanks.
 func decodeLeaseRequest(w http.ResponseWriter, r *http.Request) (wireLeaseRequest, bool) {
 	var req wireLeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireError{Code: codeBadRecord, Error: "undecodable lease request: " + err.Error()})
+	if !decodeWorkBody(w, r, "lease request", &req) {
 		return req, false
 	}
 	if req.Lease == "" {

@@ -99,9 +99,6 @@ func (j *Job) NodeOf(rank int) int {
 // SameNode reports whether two ranks share a node.
 func (j *Job) SameNode(a, b int) bool { return j.NodeOf(a) == j.NodeOf(b) }
 
-// TotalCores returns the cores the job occupies.
-func (j *Job) TotalCores() int { return j.Ranks * j.ThreadsPerRank }
-
 // LaunchLatency models srun's fan-out: a tree broadcast of the task
 // launch over the allocation plus a constant per-node task spawn.
 func (j *Job) LaunchLatency() units.Seconds {

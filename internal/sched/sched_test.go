@@ -16,8 +16,8 @@ func TestPlanValidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%dx%d: %v", c.ranks, c.threads, err)
 		}
-		if job.TotalCores() != 112 {
-			t.Fatalf("%dx%d occupies %d cores, want 112", c.ranks, c.threads, job.TotalCores())
+		if got := job.Ranks * job.ThreadsPerRank; got != 112 {
+			t.Fatalf("%dx%d occupies %d cores, want 112", c.ranks, c.threads, got)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package storage models the data stores that container deployment
 // moves bytes through: a shared parallel filesystem (GPFS/Lustre
-// class), node-local disks, and the external registry uplink.
+// class) and node-local disks.
 //
 // Deployment overhead — one of the paper's three §B.1 comparison
 // metrics — is dominated by where image bytes live and how many times
@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/units"
-	"repro/internal/vtime"
 )
 
 // ParallelFS is a shared cluster filesystem. Reads from many nodes
@@ -86,40 +85,4 @@ func (d *LocalDisk) WriteTime(size units.ByteSize) units.Seconds {
 // ReadTime is the time to load size bytes locally.
 func (d *LocalDisk) ReadTime(size units.ByteSize) units.Seconds {
 	return d.ReadBW.TimeFor(size)
-}
-
-// RegistryLink is the shared uplink between the cluster and the image
-// registry. All concurrent pulls serialize through it; the Resource
-// tracks its occupancy in virtual time.
-type RegistryLink struct {
-	// Bandwidth is the uplink rate.
-	Bandwidth units.Rate
-	// RTT is the per-request round-trip (HTTP range request, auth).
-	RTT units.Seconds
-	// res orders concurrent transfers in virtual time.
-	res vtime.Resource
-}
-
-// NewRegistryLink builds a link with the given rate and request RTT.
-func NewRegistryLink(bw units.Rate, rtt units.Seconds) *RegistryLink {
-	return &RegistryLink{Bandwidth: bw, RTT: rtt}
-}
-
-// Pull charges proc for transferring size bytes over the shared link:
-// the proc waits for the link, holds it for the wire time, and pays the
-// request RTT.
-func (l *RegistryLink) Pull(p *vtime.Proc, size units.ByteSize) {
-	p.Advance(l.RTT)
-	l.res.Acquire(p, l.Bandwidth.TimeFor(size))
-}
-
-// PullAt books a transfer starting no earlier than start and returns
-// its completion time, without touching a process clock.
-func (l *RegistryLink) PullAt(start units.Seconds, size units.ByteSize) units.Seconds {
-	return l.res.ReserveAt(start+l.RTT, l.Bandwidth.TimeFor(size))
-}
-
-// Reset clears link occupancy between independent experiments.
-func (l *RegistryLink) Reset() {
-	l.res = vtime.Resource{Name: l.res.Name}
 }

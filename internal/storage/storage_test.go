@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/units"
-	"repro/internal/vtime"
 )
 
 func fs() ParallelFS {
@@ -76,39 +75,5 @@ func TestLocalDisk(t *testing.T) {
 	}
 	if got := d.WriteTime(500 * units.MB); math.Abs(float64(got-2*units.Second)) > 1e-9 {
 		t.Fatalf("write %v", got)
-	}
-}
-
-func TestRegistryLinkSerializes(t *testing.T) {
-	link := NewRegistryLink(100*units.MBps, 10*units.Millisecond)
-	// Two sequential bookings must queue.
-	end1 := link.PullAt(0, 100*units.MB) // 10ms RTT + 1s
-	end2 := link.PullAt(0, 100*units.MB)
-	if math.Abs(float64(end1)-1.010) > 1e-9 {
-		t.Fatalf("first pull ends at %v", end1)
-	}
-	if end2 <= end1 {
-		t.Fatalf("second pull (%v) did not queue behind first (%v)", end2, end1)
-	}
-	link.Reset()
-	if got := link.PullAt(0, 100*units.MB); math.Abs(float64(got)-1.010) > 1e-9 {
-		t.Fatalf("after reset, pull ends at %v", got)
-	}
-}
-
-func TestRegistryLinkWithProc(t *testing.T) {
-	link := NewRegistryLink(100*units.MBps, 0)
-	s := vtime.NewScheduler(3)
-	ends := make([]units.Seconds, 3)
-	s.Run(func(p *vtime.Proc) {
-		p.Sync()
-		link.Pull(p, 100*units.MB)
-		ends[p.ID] = p.Now()
-	})
-	for i, e := range ends {
-		want := units.Seconds(i+1) * units.Second
-		if math.Abs(float64(e-want)) > 1e-9 {
-			t.Fatalf("proc %d finished at %v, want %v", i, e, want)
-		}
 	}
 }

@@ -29,8 +29,7 @@ func traceConfig(p, rpn int, tr *telemetry.CellTrace) mpi.Config {
 			return &inter
 		},
 		ComputeDilation: 1.0,
-		Observer:        tr,
-		KernelTracer:    tr,
+		Tap:             tr,
 	}
 }
 

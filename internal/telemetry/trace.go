@@ -12,11 +12,13 @@
 //     service). Progress samples the wall clock — explicitly allowed,
 //     since nothing it measures feeds simulated results.
 //
-// CellTrace implements vtime.Tracer, mpi.Observer, and
-// mpi.PhaseObserver structurally, so one value taps all three seams.
+// CellTrace implements mpi.Tap, the simulator's one telemetry seam:
+// set it as a cell's Tap and it sees the kernel's scheduling events,
+// every message and every collective span.
 package telemetry
 
 import (
+	"repro/internal/mpi"
 	"repro/internal/units"
 	"repro/internal/vtime"
 )
@@ -79,7 +81,7 @@ type CellTrace struct {
 	kernel    vtime.Counters
 	hasKernel bool
 	// fwd, when non-nil, receives every event unbounded (see Forward).
-	fwd Handler
+	fwd mpi.Tap
 }
 
 // NewCellTrace creates a trace for one cell. maxEvents bounds the ring
@@ -90,9 +92,6 @@ func NewCellTrace(label string, maxEvents int) *CellTrace {
 	}
 	return &CellTrace{label: label, ring: make([]event, 0, maxEvents)}
 }
-
-// Label returns the cell label the trace was created with.
-func (t *CellTrace) Label() string { return t.label }
 
 // Len returns the number of events currently held (≤ the ring bound).
 func (t *CellTrace) Len() int { return len(t.ring) }
@@ -141,26 +140,12 @@ func (t *CellTrace) SetKernel(c vtime.Counters) {
 	t.hasKernel = true
 }
 
-// Handler consumes the full event stream a CellTrace taps: the vtime
-// kernel seam plus the MPI message and collective-phase seams. Unlike
-// the bounded ring, a forwarded Handler sees every event — the seam the
-// profiler's attribution engine (internal/profile) hangs off, whose
-// sums must account for all of a rank's virtual time, not just the
-// most recent ring-full. Handlers run under the same contract as
-// vtime.Tracer: deterministic callback order, no locking needed, no
-// yielding or kernel mutation.
-type Handler interface {
-	vtime.Tracer
-	// Message mirrors mpi.Observer.
-	Message(src, dst, tag int, size units.ByteSize, transport string, sent, arrived units.Seconds)
-	// PhaseBegin and PhaseEnd mirror mpi.PhaseObserver.
-	PhaseBegin(rank int, name string, start units.Seconds)
-	PhaseEnd(rank int, name string, end units.Seconds)
-}
-
-// Forward attaches a Handler receiving every event offered to the
-// trace, before ring bounding. Call it before the run; nil detaches.
-func (t *CellTrace) Forward(h Handler) { t.fwd = h }
+// Forward attaches a second Tap receiving every event offered to the
+// trace, before ring bounding — the seam the profiler's attribution
+// engine (internal/profile) hangs off, whose sums must account for all
+// of a rank's virtual time, not just the most recent ring-full. Call it
+// before the run; nil detaches.
+func (t *CellTrace) Forward(tap mpi.Tap) { t.fwd = tap }
 
 // Switch implements vtime.Tracer.
 func (t *CellTrace) Switch(from, to int, now units.Seconds) {
@@ -202,7 +187,7 @@ func (t *CellTrace) FlushWakes(k int, now units.Seconds) {
 	}
 }
 
-// Message implements mpi.Observer: one completed point-to-point
+// Message implements mpi.Tap: one completed point-to-point
 // message becomes a complete-event span on the destination rank's
 // timeline, from send entry to payload arrival.
 func (t *CellTrace) Message(src, dst, tag int, size units.ByteSize,
@@ -213,7 +198,7 @@ func (t *CellTrace) Message(src, dst, tag int, size units.ByteSize,
 	}
 }
 
-// PhaseBegin implements mpi.PhaseObserver.
+// PhaseBegin implements mpi.Tap.
 func (t *CellTrace) PhaseBegin(rank int, name string, start units.Seconds) {
 	t.record(event{kind: evPhaseBegin, a: rank, t0: start, name: name})
 	if t.fwd != nil {
@@ -221,7 +206,7 @@ func (t *CellTrace) PhaseBegin(rank int, name string, start units.Seconds) {
 	}
 }
 
-// PhaseEnd implements mpi.PhaseObserver.
+// PhaseEnd implements mpi.Tap.
 func (t *CellTrace) PhaseEnd(rank int, name string, end units.Seconds) {
 	t.record(event{kind: evPhaseEnd, a: rank, t0: end, name: name})
 	if t.fwd != nil {

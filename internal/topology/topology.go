@@ -75,11 +75,6 @@ func (n NodeSpec) TotalMemBandwidth() units.Rate {
 	return n.CPU.MemBandwidth * units.Rate(n.Sockets)
 }
 
-// NodeRate returns the node's aggregate effective compute rate.
-func (n NodeSpec) NodeRate() units.FlopRate {
-	return n.CPU.EffectiveCoreRate * units.FlopRate(n.CoresPerNode())
-}
-
 // Validate reports configuration errors (zero cores, missing rates).
 func (n NodeSpec) Validate() error {
 	if n.CPU.Cores <= 0 {

@@ -60,10 +60,6 @@ func TestAggregateRates(t *testing.T) {
 	if got := n.TotalMemBandwidth(); got != 2*105*units.GBps {
 		t.Errorf("total mem bw = %v", got)
 	}
-	wantRate := units.FlopRate(48) * units.GFlopsRate(2.6)
-	if got := n.NodeRate(); got != wantRate {
-		t.Errorf("node rate = %v, want %v", got, wantRate)
-	}
 }
 
 func TestValidateCatchesBadSpecs(t *testing.T) {

@@ -68,9 +68,6 @@ const (
 	GBps               = 1000 * MBps
 )
 
-// GbpsRate converts a link speed in gigabits per second into a Rate.
-func GbpsRate(gbps float64) Rate { return Rate(gbps * 1e9 / 8) }
-
 // String renders the rate with a decimal unit.
 func (r Rate) String() string {
 	abs := math.Abs(float64(r))

@@ -50,13 +50,6 @@ func TestRateString(t *testing.T) {
 	}
 }
 
-func TestGbpsRate(t *testing.T) {
-	// 100 Gb/s = 12.5 GB/s.
-	if got := GbpsRate(100); math.Abs(float64(got)-12.5e9) > 1 {
-		t.Fatalf("GbpsRate(100) = %v", float64(got))
-	}
-}
-
 func TestRateTimeFor(t *testing.T) {
 	r := 100 * MBps
 	if got := r.TimeFor(100 * MB); math.Abs(float64(got)-1) > 1e-12 {
