@@ -1,127 +1,27 @@
 package containerhpc
 
-// The benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (E1–E5 in DESIGN.md) plus the ablation benches for the
-// design choices DESIGN.md calls out. The benchmarked quantity is the
-// wall cost of regenerating the artifact; every benchmark additionally
-// reports the headline *simulated* metric via b.ReportMetric, so
-// `go test -bench` output doubles as a summary of the reproduction:
-//
-//	sim_s/step     simulated seconds per time step
-//	speedup        simulated speedup (scalability benches)
-//	overhead_pct   container overhead vs bare metal
-//	deploy_s       simulated deployment seconds
-//
-// Full paper-scale sweeps (256 nodes = 12,288 ranks) are executed by
-// `cmd/hpcstudy`; the benches use trimmed sweeps with identical shapes
-// so a full -bench pass stays in the minutes.
+// The ablation benches for the design choices DESIGN.md calls out:
+// each reports the *simulated* seconds of a model variant (placement,
+// eager threshold, NIC sharing, allreduce algorithm, model vs real
+// numerics) via b.ReportMetric, which no `go run ./benchmark` workload
+// covers. Host-time performance is measured by `benchmark/` alone and
+// recorded in bench/BENCH_<pr>.json.
 
 import (
 	"testing"
 
-	"repro/internal/appio"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/units"
 )
 
-// reduced variants of the paper cases, as in the experiments tests.
-
+// benchLenoxCase is the Fig. 1 case with a shorter simulated solve, as
+// in the experiments tests.
 func benchLenoxCase() Case {
 	c := ArteryCFDLenox()
 	c.SimSteps = 1
 	c.ModelCGIters = 30
 	return c
-}
-
-func benchCTECase() Case {
-	c := ArteryCFDCTEPower()
-	c.SimSteps = 1
-	c.ModelCGIters = 30
-	return c
-}
-
-func benchFSICase() Case {
-	c := ArteryFSIMareNostrum4()
-	c.ModelCGIters = 40
-	return c
-}
-
-// BenchmarkFig1Lenox regenerates E1: the container-solutions execution
-// comparison on Lenox (4 runtimes × 5 hybrid configurations).
-func BenchmarkFig1Lenox(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Fig1(Options{Case: benchLenoxCase()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bare, _ := res.SeriesByLabel("Bare-metal")
-		docker, _ := res.SeriesByLabel("Docker")
-		last := len(bare.Points) - 1
-		b.ReportMetric(float64(docker.Points[last].T-bare.Points[last].T)/
-			float64(bare.Points[last].T)*100, "docker_overhead_pct")
-	}
-}
-
-// BenchmarkFig2CTEPower regenerates E2: portability timings on
-// CTE-POWER (trimmed to 2–8 nodes).
-func BenchmarkFig2CTEPower(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Fig2(Options{Case: benchCTECase(), NodePoints: []int{2, 8}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		self, _ := res.SeriesByLabel("Singularity self-contained")
-		bare, _ := res.SeriesByLabel("Bare-metal")
-		b.ReportMetric(float64(self.Points[1].T)/float64(bare.Points[1].T), "self_vs_bare_x")
-	}
-}
-
-// BenchmarkFig3MareNostrum4 regenerates E3: FSI strong scaling on
-// MareNostrum4 (trimmed to 4–16 nodes; the full 256-node sweep is
-// `hpcstudy fig3`).
-func BenchmarkFig3MareNostrum4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Fig3(Options{Case: benchFSICase(), NodePoints: []int{4, 16}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bare, _ := res.SeriesByLabel("Bare-metal")
-		self, _ := res.SeriesByLabel("Singularity self-contained")
-		b.ReportMetric(bare.Speedup()[1], "bare_speedup16")
-		b.ReportMetric(self.Speedup()[1], "self_speedup16")
-	}
-}
-
-// BenchmarkSolutionsDeployment regenerates E4: deployment overhead and
-// image sizes of the three container solutions on Lenox.
-func BenchmarkSolutionsDeployment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Solutions(Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		docker, _ := res.RowByRuntime("Docker")
-		b.ReportMetric(float64(docker.DeployByNodes[4]), "docker_deploy4n_s")
-	}
-}
-
-// BenchmarkPortabilityMatrix regenerates E5: the build-technique ×
-// architecture matrix.
-func BenchmarkPortabilityMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Portability(Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		runs := 0
-		for _, c := range res.Cells {
-			if c.Runs {
-				runs++
-			}
-		}
-		b.ReportMetric(float64(runs), "runnable_cells")
-	}
 }
 
 // runBenchCell executes one simulation cell for the ablations.
@@ -274,93 +174,5 @@ func BenchmarkAblationContention(b *testing.B) {
 				b.ReportMetric(float64(st.End), "sim_s")
 			}
 		})
-	}
-}
-
-// BenchmarkMPIAllreduceScaling measures the simulator itself: virtual
-// allreduce cost and wall cost vs world size.
-func BenchmarkMPIAllreduceScaling(b *testing.B) {
-	for _, ranks := range []int{48, 192, 768} {
-		b.Run(string(rune('0'+ranks/100))+"xx-ranks", func(b *testing.B) {
-			shm := fabric.SharedMemory(10*units.GBps, 0.4*units.Microsecond)
-			opa := fabric.OmniPath100.Native
-			cfg := mpi.Config{
-				Ranks: ranks, Nodes: ranks / 48,
-				NodeOf: func(r int) int { return r / 48 },
-				Path: func(src, dst int) *fabric.Transport {
-					if src/48 == dst/48 {
-						return &shm
-					}
-					return &opa
-				},
-				ComputeDilation: 1,
-				Allreduce:       mpi.AllreduceHierarchical,
-			}
-			for i := 0; i < b.N; i++ {
-				st, err := mpi.Run(cfg, func(r *mpi.Rank) {
-					for iter := 0; iter < 10; iter++ {
-						r.AllreduceScalar(float64(r.ID()), mpi.OpSum)
-					}
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(st.End/10)*1e6, "sim_µs/allreduce")
-				// Wall cost of the simulation itself is dominated by
-				// kernel context switches; reporting them makes the
-				// scheduling hot path diffable across commits.
-				b.ReportMetric(float64(st.Kernel.Switches)/10, "switches/allreduce")
-			}
-		})
-	}
-}
-
-// BenchmarkSweepCached measures the warm-cache hit path: a figure
-// regenerated entirely from a populated result store, executing zero
-// simulations. The reported wall time is the cost of key hashing,
-// record reads, and restore — the floor a resumed or merged sweep
-// pays per cell.
-func BenchmarkSweepCached(b *testing.B) {
-	store, err := OpenStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer store.Close()
-	opt := Options{Case: benchFSICase(), NodePoints: []int{4, 16}, Store: store}
-	if _, err := Fig3(opt); err != nil { // populate once, untimed
-		b.Fatal(err)
-	}
-	cells := int64(len(opt.NodePoints) * 3) // 3 variants per node point
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats := &SweepStats{}
-		o := opt
-		o.Stats = stats
-		if _, err := Fig3(o); err != nil {
-			b.Fatal(err)
-		}
-		if got := stats.Computed.Load(); got != 0 {
-			b.Fatalf("warm run simulated %d cells", got)
-		}
-		if got := stats.Hits.Load(); got != cells {
-			b.Fatalf("warm run replayed %d cells, want %d", got, cells)
-		}
-	}
-	b.ReportMetric(float64(cells), "cells/op")
-}
-
-// BenchmarkIOStudy regenerates E6: the checkpoint-I/O extension (the
-// paper's named future work).
-func BenchmarkIOStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := IOStudy(Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		overlay, err := res.Find(appio.PathOverlay, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(overlay.Report.Total()), "docker_ckpt_s")
 	}
 }

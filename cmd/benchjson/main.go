@@ -1,410 +1,220 @@
-// Command benchjson converts `go test -bench` text output on stdin
-// into a stable JSON artifact on stdout — the per-commit perf record
-// the CI bench job uploads as BENCH_<sha>.json. Each benchmark maps to
-// its wall cost (ns/op) plus every custom metric the benchmark
-// reported (sim_s/step, ns/switch, speedup, ...), so the artifact
-// doubles as a summary of the reproduction's simulated headline
-// numbers alongside the harness's own performance trajectory.
+// Command benchjson is the perf gate: it compares two result files
+// written by `go run ./benchmark -out` (a provenance block plus
+// runs[]), normally the newest committed bench/BENCH_<pr>.json against
+// a fresh run.
 //
-// Usage:
+//	benchjson compare [-threshold 1.5] old.json new.json
 //
-//	go test -run '^$' -bench . -benchtime 1x ./... | benchjson > BENCH_$(git rev-parse HEAD).json
-//	benchjson compare [-threshold 0.10] [-floor NS] [-cv F] old.json new.json
-//
-// Repeated runs of the same benchmark (`go test -count N`) fold into
-// one entry holding the minimum ns/op — timing noise on shared
-// runners is strictly additive, so the min is the estimate of the
-// true cost — with a `samples` count recording N and benchstat-style
-// variance statistics (mean/median/stddev/CV over the runs) so a
-// later comparison can judge how trustworthy the min is. compare
-// diffs two artifacts benchmark by benchmark and exits non-zero when
-// any shared benchmark's ns/op regressed past the threshold (a
-// fraction: 0.10 = +10%) AND by more than the noise floor (-floor,
-// absolute nanoseconds; sub-floor movement on a nanosecond-scale
-// benchmark is scheduler jitter, not a regression), so the CI bench
-// job can gate on a committed baseline. -cv F additionally flags
-// benchmarks whose recorded coefficient of variation exceeds F as
-// HIGH VARIANCE — advisory only, never gating: it says the gate's
-// threshold may need widening before trusting a pass or a fail.
-// Benchmarks present in only one artifact are reported but never
-// gate — renames must not fail CI.
+// Run it from the repository root: metric direction and the end-to-end
+// bounds come from ./BENCHMARK.json. Runs are matched by (workload,
+// traced). One half of the gate is exact and machine-independent: a run
+// with correct=false, a risen fail_frac, a differing digest (on
+// store_mixed and wire_ops only when both files used one seed) or a
+// differing kernel counter fails. The other half is thresholded:
+// vtime.ns_per_switch_* and mpi.us_per_allreduce_* fail when worse by
+// more than -threshold (1.5 = +150 %, wide enough for the spread
+// between hosts); a 0 on either side means the workload does not
+// measure it. End-to-end timings are printed against their bounds but
+// only advise until ROADMAP item 1(c) normalises them by
+// host.calib_ms. Exit status: 0 pass, 1 regression, 2 usage or I/O.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed benchmark result line.
-type Benchmark struct {
-	// Name is the benchmark identifier including the GOMAXPROCS
-	// suffix, e.g. "BenchmarkPingPongSync-8".
-	Name string `json:"name"`
-	// Pkg is the package the benchmark ran in.
-	Pkg string `json:"pkg"`
-	// Iterations is the b.N the line reports.
-	Iterations int64 `json:"iterations"`
-	// NsPerOp is the wall cost per iteration.
-	NsPerOp float64 `json:"ns_per_op"`
-	// Metrics holds every additional "value unit" pair the benchmark
-	// reported, keyed by unit (e.g. "sim_s/step", "ns/switch").
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Samples counts the runs folded into this entry when the bench
-	// stream repeated the benchmark (`go test -count N`); the entry
-	// keeps the fastest run. Zero or absent means a single run.
-	Samples int `json:"samples,omitempty"`
-	// Variance statistics over the folded ns/op observations, absent
-	// for single runs. MeanNs/MedianNs/StddevNs are in nanoseconds
-	// (stddev is the sample standard deviation, n−1); CV is the
-	// coefficient of variation, stddev/mean — the scale-free noise
-	// measure `compare -cv` warns on.
-	MeanNs   float64 `json:"mean_ns,omitempty"`
-	MedianNs float64 `json:"median_ns,omitempty"`
-	StddevNs float64 `json:"stddev_ns,omitempty"`
-	CV       float64 `json:"cv,omitempty"`
+// exactCounters are pure functions of the simulated cells.
+var exactCounters = map[string]bool{
+	"vtime.switches": true, "vtime.sync_fast": true, "vtime.heap_ops": true,
+	"vtime.wakes": true, "vtime.wake_batches": true,
 }
 
-// Report is the artifact's top-level shape.
-type Report struct {
-	Benchmarks []Benchmark `json:"benchmarks"`
+// seedDependent workloads generate their inputs from -seed (the result
+// file's provenance.seed_note says so).
+var seedDependent = map[string]bool{"store_mixed": true, "wire_ops": true}
+
+// metricSpec is one BENCHMARK.json metric; Bound is 0 on per-layer ones.
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+type benchSpec struct {
+	EndToEnd []metricSpec `json:"end_to_end"`
+	PerLayer []metricSpec `json:"per_layer"`
+}
+
+type run struct {
+	Workload string  `json:"workload"`
+	Traced   bool    `json:"traced"`
+	Correct  bool    `json:"correct"`
+	FailFrac float64 `json:"fail_frac"`
+	Metrics  map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+	Digests map[string]string `json:"digests"`
+}
+
+type resultFile struct {
+	Provenance struct {
+		Seed  int64 `json:"seed"`
+		Smoke bool  `json:"smoke"`
+	} `json:"provenance"`
+	Runs []run `json:"runs"`
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		regressed, err := runCompare(os.Stdout, os.Args[2:])
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
-		}
-		if regressed > 0 {
-			os.Exit(1)
-		}
-		return
+	if len(os.Args) < 2 || os.Args[1] != "compare" {
+		fmt.Fprintln(os.Stderr, "usage: benchjson compare [-threshold F] old.json new.json")
+		os.Exit(2)
 	}
-	if err := run(os.Stdin, os.Stdout); err != nil {
+	failed, err := runCompare(os.Stdout, "BENCHMARK.json", os.Args[2:])
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(2)
+	}
+	if failed > 0 {
 		os.Exit(1)
 	}
 }
 
-// runCompare parses `compare [-threshold F] old.json new.json` (the
-// flag may also trail the files) and reports the regression count.
-func runCompare(w io.Writer, args []string) (int, error) {
+func load(path string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// runCompare parses `[-threshold F] old.json new.json` and reports how
+// many checks failed.
+func runCompare(w io.Writer, specPath string, args []string) (int, error) {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	threshold := fs.Float64("threshold", 0.10, "ns/op regression fraction that fails the comparison")
-	floor := fs.Float64("floor", 0, "absolute ns/op increase below which a regression never gates (noise floor)")
-	cv := fs.Float64("cv", 0, "coefficient-of-variation bound; benchmarks noisier than this are flagged HIGH VARIANCE (advisory, never gates)")
+	threshold := fs.Float64("threshold", 1.5, "fraction by which a gated per-layer timing may worsen (1.5 = +150%)")
 	if err := fs.Parse(args); err != nil {
 		return 0, err
 	}
-	rest := fs.Args()
-	if len(rest) > 2 {
-		// Trailing flags: `compare old.json new.json -threshold 0.10`.
-		if err := fs.Parse(rest[2:]); err != nil {
-			return 0, err
-		}
-		if fs.NArg() != 0 {
-			return 0, fmt.Errorf("compare takes exactly two artifacts, got %q", append(rest[:2], fs.Args()...))
-		}
-		rest = rest[:2]
-	}
-	if len(rest) != 2 {
-		return 0, fmt.Errorf("usage: benchjson compare [-threshold F] [-floor NS] old.json new.json")
+	if fs.NArg() != 2 {
+		return 0, fmt.Errorf("usage: benchjson compare [-threshold F] old.json new.json")
 	}
 	if *threshold <= 0 {
 		return 0, fmt.Errorf("-threshold must be positive, got %v", *threshold)
 	}
-	if *floor < 0 {
-		return 0, fmt.Errorf("-floor must be ≥ 0, got %v", *floor)
+	var spec benchSpec
+	var oldF, newF resultFile
+	for _, f := range []struct {
+		path string
+		into any
+	}{{specPath, &spec}, {fs.Arg(0), &oldF}, {fs.Arg(1), &newF}} {
+		if err := load(f.path, f.into); err != nil {
+			return 0, err
+		}
 	}
-	if *cv < 0 {
-		return 0, fmt.Errorf("-cv must be ≥ 0, got %v", *cv)
+	if len(oldF.Runs) == 0 || len(newF.Runs) == 0 {
+		return 0, fmt.Errorf("no runs[] in %s or %s: want files written by `go run ./benchmark -out`", fs.Arg(0), fs.Arg(1))
 	}
-	oldRep, err := loadReport(rest[0])
-	if err != nil {
-		return 0, err
+	if oldF.Provenance.Smoke != newF.Provenance.Smoke {
+		return 0, fmt.Errorf("a -smoke run and a full run do different work and cannot be compared")
 	}
-	newRep, err := loadReport(rest[1])
-	if err != nil {
-		return 0, err
-	}
-	return compareReports(w, oldRep, newRep, *threshold, *floor, *cv), nil
+	return compare(w, spec, oldF, newF, *threshold), nil
 }
 
-// loadReport reads one benchjson artifact.
-func loadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// compare prints every gated and end-to-end metric of every run the
+// files share and returns the number of failed checks.
+func compare(w io.Writer, spec benchSpec, oldF, newF resultFile, threshold float64) int {
+	type key struct {
+		workload string
+		traced   bool
 	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	label := func(r run) string { return fmt.Sprintf("%s (traced=%v)", r.Workload, r.Traced) }
+	olds := make(map[key]run, len(oldF.Runs))
+	for _, r := range oldF.Runs {
+		olds[key{r.Workload, r.Traced}] = r
 	}
-	rep.Benchmarks = foldMin(rep.Benchmarks)
-	return &rep, nil
-}
-
-// foldMin collapses repeated runs of one benchmark (`go test -count N`
-// emits one result line each) into its fastest observation. Timing
-// noise on a shared runner only ever adds time, so the min-of-N is the
-// estimate of the true cost; Samples records how many runs folded, and
-// mean/median/stddev/CV over the observations quantify the noise so a
-// comparison can judge whether the min itself is trustworthy.
-func foldMin(list []Benchmark) []Benchmark {
-	idx := make(map[string]int, len(list))
-	obs := make(map[string][]float64, len(list))
-	out := make([]Benchmark, 0, len(list))
-	for _, b := range list {
-		key := benchKey(b)
-		obs[key] = append(obs[key], b.NsPerOp)
-		i, seen := idx[key]
-		if !seen {
-			idx[key] = len(out)
-			out = append(out, b)
+	sameSeed := oldF.Provenance.Seed == newF.Provenance.Seed
+	failed, shared := 0, 0
+	for _, n := range newF.Runs {
+		o, ok := olds[key{n.Workload, n.Traced}]
+		if !ok {
+			fmt.Fprintf(w, "%s: only in the new file\n", label(n))
 			continue
 		}
-		if b.NsPerOp < out[i].NsPerOp {
-			out[i] = b
+		delete(olds, key{n.Workload, n.Traced})
+		shared++
+		fmt.Fprintf(w, "%s\n", label(n))
+		fail := func(format string, args ...any) {
+			failed++
+			fmt.Fprintf(w, "  FAIL %s: %s\n", label(n), fmt.Sprintf(format, args...))
 		}
-	}
-	for i := range out {
-		runs := obs[benchKey(out[i])]
-		if len(runs) < 2 {
-			// A single observation carries whatever Samples/stats the
-			// input already had (re-folding a folded artifact is a no-op).
-			continue
+		if !n.Correct {
+			fail("correct is false")
 		}
-		out[i].Samples = len(runs)
-		out[i].MeanNs, out[i].MedianNs, out[i].StddevNs, out[i].CV = runStats(runs)
-	}
-	return out
-}
-
-// runStats summarises the ns/op observations of one benchmark: mean,
-// median, sample standard deviation (n−1), and the coefficient of
-// variation stddev/mean (0 when the mean is not positive).
-func runStats(runs []float64) (mean, median, stddev, cv float64) {
-	sorted := append([]float64(nil), runs...)
-	sort.Float64s(sorted)
-	for _, v := range sorted {
-		mean += v
-	}
-	n := len(sorted)
-	mean /= float64(n)
-	if n%2 == 1 {
-		median = sorted[n/2]
-	} else {
-		median = (sorted[n/2-1] + sorted[n/2]) / 2
-	}
-	var ss float64
-	for _, v := range sorted {
-		d := v - mean
-		ss += d * d
-	}
-	stddev = math.Sqrt(ss / float64(n-1))
-	if mean > 0 {
-		cv = stddev / mean
-	}
-	return mean, median, stddev, cv
-}
-
-// benchKey identifies a benchmark within one artifact.
-func benchKey(b Benchmark) string { return b.Pkg + "\t" + b.Name }
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// strippedKey drops a trailing "-<digits>" (the GOMAXPROCS suffix)
-// from the key. Used only as a matching fallback: a benchmark's own
-// name can also end in digits, so exact matches always win and an
-// ambiguous stripped key is never used.
-func strippedKey(b Benchmark) string {
-	key := benchKey(b)
-	if i := strings.LastIndexByte(key, '-'); i > 0 {
-		if _, err := strconv.Atoi(key[i+1:]); err == nil {
-			return key[:i]
+		if n.FailFrac > o.FailFrac {
+			fail("fail_frac rose %g -> %g", o.FailFrac, n.FailFrac)
 		}
-	}
-	return key
-}
-
-// compareReports diffs shared benchmarks on ns/op and returns how
-// many regressed past the threshold by more than floor absolute
-// nanoseconds. Every shared benchmark is listed, worst first, so CI
-// logs show the whole movement, not only the failures; new-only and
-// vanished benchmarks are counted but never gate. A positive cvBound
-// additionally flags benchmarks whose recorded coefficient of
-// variation (either side) exceeds it — advisory only, because a noisy
-// benchmark's min-of-N is still its best estimate; the flag says the
-// gate's threshold may need widening, not that the run regressed.
-func compareReports(w io.Writer, oldRep, newRep *Report, threshold, floor, cvBound float64) int {
-	// Exact-name matches first; a stripped-suffix fallback bridges
-	// baselines from runners with different core counts ("-4" vs
-	// "-8") without ever conflating distinct benchmarks — a stripped
-	// key shared by several old entries is ambiguous and unused.
-	olds := make(map[string]Benchmark, len(oldRep.Benchmarks))
-	stripped := make(map[string][]string)
-	for _, b := range oldRep.Benchmarks {
-		olds[benchKey(b)] = b
-		stripped[strippedKey(b)] = append(stripped[strippedKey(b)], benchKey(b))
-	}
-	match := func(b Benchmark) (string, bool) {
-		if _, ok := olds[benchKey(b)]; ok {
-			return benchKey(b), true
+		names := make([]string, 0, len(o.Digests))
+		for name := range o.Digests {
+			names = append(names, name)
 		}
-		if cands := stripped[strippedKey(b)]; len(cands) == 1 {
-			if _, ok := olds[cands[0]]; ok {
-				return cands[0], true
+		sort.Strings(names)
+		for _, name := range names {
+			if got, ok := n.Digests[name]; ok && got != o.Digests[name] && (sameSeed || !seedDependent[n.Workload]) {
+				fail("digests.%s differs: %.12s -> %.12s", name, o.Digests[name], got)
 			}
 		}
-		return "", false
-	}
-	type row struct {
-		b         Benchmark
-		oldNs     float64
-		delta     float64
-		cv        float64
-		regressed bool
-	}
-	var rows []row
-	added := 0
-	for _, b := range newRep.Benchmarks {
-		oldKey, ok := match(b)
-		if !ok {
-			added++
-			continue
+		specs := spec.EndToEnd
+		if n.Traced {
+			specs = spec.PerLayer
 		}
-		o := olds[oldKey]
-		delete(olds, oldKey)
-		if o.NsPerOp <= 0 {
-			continue
-		}
-		delta := b.NsPerOp/o.NsPerOp - 1
-		rows = append(rows, row{b: b, oldNs: o.NsPerOp, delta: delta,
-			cv:        maxFloat(o.CV, b.CV),
-			regressed: delta > threshold && b.NsPerOp-o.NsPerOp > floor})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].delta > rows[j].delta })
-
-	regressed, noisy := 0, 0
-	for _, r := range rows {
-		mark := ""
-		if r.regressed {
-			regressed++
-			mark = fmt.Sprintf("  REGRESSED (> +%.1f%%)", threshold*100)
-		}
-		if cvBound > 0 && r.cv > cvBound {
-			noisy++
-			mark += fmt.Sprintf("  HIGH VARIANCE (cv %.1f%% > %.1f%%)", r.cv*100, cvBound*100)
-		}
-		fmt.Fprintf(w, "%-48s %12.1f -> %12.1f ns/op  %+7.1f%%%s\n",
-			r.b.Name+" ("+r.b.Pkg+")", r.oldNs, r.b.NsPerOp, r.delta*100, mark)
-	}
-	if noisy > 0 {
-		fmt.Fprintf(w, "warning: %d of %d shared benchmarks exceed the %.1f%% CV bound — their deltas are noise-dominated (advisory, does not gate)\n",
-			noisy, len(rows), cvBound*100)
-	}
-	if len(rows) == 0 && len(oldRep.Benchmarks) > 0 && len(newRep.Benchmarks) > 0 {
-		fmt.Fprintf(w, "warning: no shared benchmarks between the artifacts — the comparison checked nothing\n")
-	}
-	if floor > 0 {
-		fmt.Fprintf(w, "%d of %d shared benchmarks regressed past +%.1f%% and the %.0f ns floor (%d added, %d vanished)\n",
-			regressed, len(rows), threshold*100, floor, added, len(olds))
-	} else {
-		fmt.Fprintf(w, "%d of %d shared benchmarks regressed past +%.1f%% (%d added, %d vanished)\n",
-			regressed, len(rows), threshold*100, added, len(olds))
-	}
-	return regressed
-}
-
-// run parses bench output from r and writes the JSON report to w.
-func run(r io.Reader, w io.Writer) error {
-	rep, err := parse(r)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// parse walks the bench output line by line: "pkg:" headers set the
-// current package, "Benchmark..." result lines append entries, and
-// everything else (goos/goarch headers, PASS/ok trailers, test logs)
-// is ignored.
-func parse(r io.Reader) (*Report, error) {
-	rep := &Report{Benchmarks: []Benchmark{}}
-	pkg := ""
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
-			pkg = strings.TrimSpace(rest)
-			continue
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		b, ok, err := parseResultLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %q: %w", line, err)
-		}
-		if ok {
-			b.Pkg = pkg
-			rep.Benchmarks = append(rep.Benchmarks, b)
+		for _, m := range specs {
+			ov, inOld := o.Metrics[m.Name]
+			nv, inNew := n.Metrics[m.Name]
+			// The per-layer timings the threshold gates; end-to-end
+			// metrics are the ones with a bound.
+			gated := strings.HasPrefix(m.Name, "vtime.ns_per_switch_") || strings.HasPrefix(m.Name, "mpi.us_per_allreduce_")
+			switch {
+			case inOld != inNew:
+				fmt.Fprintf(w, "  %-28s in one file only\n", m.Name)
+			case exactCounters[m.Name]:
+				if ov.Value != nv.Value {
+					fail("%s differs: %.0f -> %.0f (an exact counter: the simulated schedule changed)", m.Name, ov.Value, nv.Value)
+				}
+			case !gated && m.Bound == 0, ov.Value == 0 && nv.Value == 0:
+			case ov.Value == 0 || nv.Value == 0:
+				fmt.Fprintf(w, "  %-28s %12.6g -> %12.6g  not measured on one side\n", m.Name, ov.Value, nv.Value)
+			default:
+				worse := nv.Value/ov.Value - 1
+				if m.Better == "higher" {
+					worse = ov.Value/nv.Value - 1
+				}
+				line := fmt.Sprintf("  %-28s %12.6g -> %12.6g  %+6.1f%% worse", m.Name, ov.Value, nv.Value, 100*worse)
+				if m.Bound > 0 {
+					if line += fmt.Sprintf("  (bound %.0f%%)", 100*m.Bound); worse > m.Bound {
+						line += "  past its bound: advisory"
+					}
+				} else if worse > threshold {
+					fail("%s worse by %+.0f%%, past the +%.0f%% threshold", m.Name, 100*worse, 100*threshold)
+				}
+				fmt.Fprintln(w, line)
+			}
 		}
 	}
-	rep.Benchmarks = foldMin(rep.Benchmarks)
-	return rep, sc.Err()
-}
-
-// parseResultLine parses "BenchmarkX-8  100  123 ns/op  4.5 unit ..."
-// into a Benchmark. Lines without an iteration count (a benchmark name
-// echoed alone, e.g. when it failed) report ok=false.
-func parseResultLine(line string) (Benchmark, bool, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
-		return Benchmark{}, false, nil
-	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Benchmark{}, false, nil // "BenchmarkX" alone or a log line
-	}
-	b := Benchmark{Name: fields[0], Iterations: iters}
-	// The rest are "value unit" pairs.
-	rest := fields[2:]
-	if len(rest)%2 != 0 {
-		return Benchmark{}, false, fmt.Errorf("odd value/unit pairing")
-	}
-	for i := 0; i < len(rest); i += 2 {
-		val, err := strconv.ParseFloat(rest[i], 64)
-		if err != nil {
-			return Benchmark{}, false, fmt.Errorf("value %q: %w", rest[i], err)
+	for _, o := range oldF.Runs {
+		if _, unmatched := olds[key{o.Workload, o.Traced}]; unmatched {
+			fmt.Fprintf(w, "%s: only in the old file\n", label(o))
 		}
-		unit := rest[i+1]
-		if unit == "ns/op" {
-			b.NsPerOp = val
-			continue
-		}
-		if b.Metrics == nil {
-			b.Metrics = make(map[string]float64)
-		}
-		b.Metrics[unit] = val
 	}
-	return b, true, nil
+	fmt.Fprintf(w, "%d runs compared, %d checks failed\n", shared, failed)
+	return failed
 }

@@ -3,358 +3,160 @@ package main
 import (
 	"encoding/json"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// sampleOutput is a trimmed, representative `go test -bench` stream:
-// two packages, custom metrics, a sub-benchmark, and trailer noise.
-const sampleOutput = `goos: linux
-goarch: amd64
-pkg: repro
-cpu: Test CPU @ 2.00GHz
-BenchmarkFig1Lenox-8                   	       1	47307636 ns/op	        12.35 docker_overhead_pct
-BenchmarkAblationPlacement/block-8     	       2	 5010203 ns/op	         0.375 sim_s/step
-PASS
-ok  	repro	12.345s
-pkg: repro/internal/vtime
-BenchmarkPingPongSync-8                	  300000	       441.0 ns/op	       220.5 ns/switch
-ok  	repro/internal/vtime	0.5s
-`
+const specPath = "../../BENCHMARK.json"
 
-func TestParseBenchOutput(t *testing.T) {
-	var sb strings.Builder
-	if err := run(strings.NewReader(sampleOutput), &sb); err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal([]byte(sb.String()), &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if len(rep.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3:\n%s", len(rep.Benchmarks), sb.String())
-	}
+type metrics map[string]float64
 
-	fig1 := rep.Benchmarks[0]
-	if fig1.Name != "BenchmarkFig1Lenox-8" || fig1.Pkg != "repro" {
-		t.Fatalf("first benchmark misparsed: %+v", fig1)
+// testRun is one run as `benchmark -out` writes it, with only the
+// fields the comparer reads.
+func testRun(workload string, traced bool, m metrics, digests map[string]string) map[string]any {
+	ms := map[string]any{}
+	for name, v := range m {
+		ms[name] = map[string]any{"value": v, "unit": "x"}
 	}
-	if fig1.Iterations != 1 || fig1.NsPerOp != 47307636 {
-		t.Fatalf("fig1 numbers misparsed: %+v", fig1)
-	}
-	if fig1.Metrics["docker_overhead_pct"] != 12.35 {
-		t.Fatalf("fig1 custom metric lost: %+v", fig1.Metrics)
-	}
-
-	sub := rep.Benchmarks[1]
-	if sub.Name != "BenchmarkAblationPlacement/block-8" || sub.Metrics["sim_s/step"] != 0.375 {
-		t.Fatalf("sub-benchmark misparsed: %+v", sub)
-	}
-
-	pp := rep.Benchmarks[2]
-	if pp.Pkg != "repro/internal/vtime" {
-		t.Fatalf("package header not tracked across packages: %+v", pp)
-	}
-	if pp.NsPerOp != 441.0 || pp.Metrics["ns/switch"] != 220.5 {
-		t.Fatalf("vtime metrics misparsed: %+v", pp)
+	return map[string]any{
+		"workload": workload, "traced": traced, "correct": true, "fail_frac": 0.0,
+		"metrics": ms, "digests": digests,
 	}
 }
 
-func TestParseEmptyAndNoise(t *testing.T) {
-	var sb strings.Builder
-	noise := "PASS\nok  \trepro\t1.0s\nBenchmarkBroken\n--- FAIL: TestX\n"
-	if err := run(strings.NewReader(noise), &sb); err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal([]byte(sb.String()), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) != 0 {
-		t.Fatalf("noise parsed as benchmarks: %+v", rep.Benchmarks)
-	}
-	if !strings.Contains(sb.String(), `"benchmarks": []`) {
-		t.Fatalf("empty report must keep an empty array, got:\n%s", sb.String())
+// baseline is a two-workload result file: sim_cold untraced and traced,
+// wire_ops (seed-dependent, no kernel) traced.
+func baseline() map[string]any {
+	return map[string]any{
+		"provenance": map[string]any{"seed": 1, "smoke": false},
+		"runs": []any{
+			testRun("sim_cold", false, metrics{"wall_s": 10, "cells_per_s": 5}, map[string]string{"figures": "aaaa"}),
+			testRun("sim_cold", true, metrics{
+				"vtime.switches": 9175016, "vtime.ns_per_switch_640p": 300, "vtime.ns_per_switch_3072p": 0,
+				"mpi.us_per_allreduce_p8": 40, "core.cell_ms_r80": 150,
+			}, map[string]string{"figures": "aaaa", "saved_results": "bbbb"}),
+			testRun("wire_ops", true, metrics{"vtime.switches": 0, "registry.claim_us_p50": 90},
+				map[string]string{"saved_results": "cccc"}),
+		},
 	}
 }
 
-// writeArtifact marshals a report to a temp file.
-func writeArtifact(t *testing.T, rep *Report) string {
+func writeFile(t *testing.T, v any) string {
 	t.Helper()
-	data, err := json.Marshal(rep)
+	data, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "bench.json")
+	path := filepath.Join(t.TempDir(), "result.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-func bench(pkg, name string, ns float64) Benchmark {
-	return Benchmark{Name: name, Pkg: pkg, Iterations: 1, NsPerOp: ns}
+// runOf returns run i of a baseline() for the case to edit.
+func runOf(f map[string]any, i int) map[string]any { return f["runs"].([]any)[i].(map[string]any) }
+
+func setMetric(f map[string]any, i int, name string, v float64) {
+	runOf(f, i)["metrics"].(map[string]any)[name] = map[string]any{"value": v}
 }
 
-// TestCompareFlagsRegressions asserts the compare mode's gate: a
-// shared benchmark past the threshold counts, movement within it and
-// unmatched benchmarks do not, and improvements never gate.
+// TestCompareFlagsRegressions drives compare over edited copies of one
+// small result file: what fails, what is only reported, and that every
+// failure names its workload and metric.
 func TestCompareFlagsRegressions(t *testing.T) {
-	oldPath := writeArtifact(t, &Report{Benchmarks: []Benchmark{
-		bench("repro/internal/vtime", "BenchmarkPingPongSync-8", 200),
-		bench("repro/internal/vtime", "BenchmarkBarrierWakeAll-8", 1000),
-		bench("repro", "BenchmarkVanished-8", 50),
-	}})
-	newPath := writeArtifact(t, &Report{Benchmarks: []Benchmark{
-		bench("repro/internal/vtime", "BenchmarkPingPongSync-8", 250),   // +25%: regressed
-		bench("repro/internal/vtime", "BenchmarkBarrierWakeAll-8", 900), // -10%: improved
-		bench("repro", "BenchmarkAdded-8", 75),
-	}})
-
-	var out strings.Builder
-	regressed, err := runCompare(&out, []string{"-threshold", "0.10", oldPath, newPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed != 1 {
-		t.Fatalf("want 1 regression, got %d:\n%s", regressed, out.String())
-	}
-	for _, want := range []string{
-		"BenchmarkPingPongSync-8", "REGRESSED",
-		"1 of 2 shared benchmarks regressed past +10.0% (1 added, 1 vanished)",
+	for _, tc := range []struct {
+		name   string
+		edit   func(f map[string]any)
+		failed int
+		want   []string // substrings of the output
+	}{
+		{"identical", func(map[string]any) {}, 0, []string{"3 runs compared, 0 checks failed"}},
+		{"incorrect output", func(f map[string]any) { runOf(f, 0)["correct"] = false }, 1,
+			[]string{"FAIL sim_cold (traced=false): correct is false"}},
+		{"fail_frac rose", func(f map[string]any) { runOf(f, 2)["fail_frac"] = 0.01 }, 1,
+			[]string{"FAIL wire_ops (traced=true): fail_frac rose 0 -> 0.01"}},
+		{"figure digest changed", func(f map[string]any) {
+			runOf(f, 1)["digests"] = map[string]string{"figures": "ffff", "saved_results": "bbbb"}
+		}, 1, []string{"FAIL sim_cold (traced=true): digests.figures differs"}},
+		{"exact counter changed", func(f map[string]any) { setMetric(f, 1, "vtime.switches", 9175017) }, 1,
+			[]string{"FAIL sim_cold (traced=true): vtime.switches differs: 9175016 -> 9175017"}},
+		{"ns_per_switch x3", func(f map[string]any) { setMetric(f, 1, "vtime.ns_per_switch_640p", 900) }, 1,
+			[]string{"FAIL sim_cold (traced=true): vtime.ns_per_switch_640p worse by +200%, past the +150% threshold"}},
+		{"ns_per_switch x2 is inside the threshold", func(f map[string]any) { setMetric(f, 1, "vtime.ns_per_switch_640p", 600) }, 0,
+			[]string{"vtime.ns_per_switch_640p", "+100.0% worse"}},
+		{"ungated per-layer metric x10", func(f map[string]any) { setMetric(f, 1, "core.cell_ms_r80", 1500) }, 0, nil},
+		{"0 against a value is not measured", func(f map[string]any) { setMetric(f, 1, "vtime.ns_per_switch_3072p", 550) }, 0,
+			[]string{"vtime.ns_per_switch_3072p", "not measured on one side"}},
+		{"metric on one side only", func(f map[string]any) {
+			delete(runOf(f, 1)["metrics"].(map[string]any), "mpi.us_per_allreduce_p8")
+		}, 0, []string{"mpi.us_per_allreduce_p8", "in one file only"}},
+		{"wall_s +40% advises", func(f map[string]any) { setMetric(f, 0, "wall_s", 14) }, 0,
+			[]string{"wall_s", "+40.0% worse  (bound 25%)  past its bound: advisory"}},
+		{"cells_per_s is better when higher", func(f map[string]any) { setMetric(f, 0, "cells_per_s", 2.5) }, 0,
+			[]string{"cells_per_s", "+100.0% worse  (bound 25%)  past its bound: advisory"}},
+		{"traced and untraced match separately", func(f map[string]any) {
+			// Only the traced sim_cold run changes; were runs matched by
+			// workload alone, the untraced one would meet its counters.
+			f["runs"] = []any{runOf(f, 1), runOf(f, 0), runOf(f, 2)}
+			setMetric(f, 0, "vtime.switches", 1)
+		}, 1, []string{"FAIL sim_cold (traced=true): vtime.switches differs"}},
+		{"a run on one side only", func(f map[string]any) { f["runs"] = f["runs"].([]any)[:2] }, 0,
+			[]string{"wire_ops (traced=true): only in the old file", "2 runs compared"}},
+		{"seed-dependent digest under another seed", func(f map[string]any) {
+			f["provenance"] = map[string]any{"seed": 2, "smoke": false}
+			runOf(f, 2)["digests"] = map[string]string{"saved_results": "dddd"}
+		}, 0, nil},
+		{"seed-independent digest under another seed", func(f map[string]any) {
+			f["provenance"] = map[string]any{"seed": 2, "smoke": false}
+			runOf(f, 0)["digests"] = map[string]string{"figures": "ffff"}
+		}, 1, []string{"FAIL sim_cold (traced=false): digests.figures differs"}},
 	} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("compare output missing %q:\n%s", want, out.String())
+		newF := baseline()
+		tc.edit(newF)
+		var out strings.Builder
+		failed, err := runCompare(&out, specPath, []string{writeFile(t, baseline()), writeFile(t, newF)})
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if failed != tc.failed {
+			t.Errorf("%s: %d checks failed, want %d:\n%s", tc.name, failed, tc.failed, out.String())
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%s: output lacks %q:\n%s", tc.name, want, out.String())
+			}
 		}
 	}
-
-	// A looser threshold admits the same movement; flags may trail.
-	out.Reset()
-	regressed, err = runCompare(&out, []string{oldPath, newPath, "-threshold", "0.5"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed != 0 {
-		t.Fatalf("0.5 threshold flagged %d regressions:\n%s", regressed, out.String())
-	}
 }
 
-// TestCompareUsage asserts malformed invocations error instead of
-// silently passing CI.
+// TestCompareUsage: malformed invocations and files that are not
+// benchmark result files are errors (exit 2), never a silent pass.
 func TestCompareUsage(t *testing.T) {
-	good := writeArtifact(t, &Report{Benchmarks: []Benchmark{bench("p", "B-8", 1)}})
+	good := writeFile(t, baseline())
+	smoke := baseline()
+	smoke["provenance"] = map[string]any{"seed": 1, "smoke": true}
 	for _, args := range [][]string{
 		{},
 		{good},
 		{good, good, "extra"},
 		{"-threshold", "-1", good, good},
+		{"-floor", "200", good, good},
 		{good, filepath.Join(t.TempDir(), "missing.json")},
+		{good, writeFile(t, map[string]any{"benchmarks": []any{}})}, // the go test -bench artifact shape
+		{good, writeFile(t, smoke)},
 	} {
-		if _, err := runCompare(io.Discard, args); err == nil {
+		if _, err := runCompare(io.Discard, specPath, args); err == nil {
 			t.Errorf("args %q accepted", args)
 		}
 	}
-}
-
-// TestCompareAcrossCoreCounts asserts the GOMAXPROCS suffix does not
-// partition the comparison: a baseline from a 4-core runner still
-// gates a run from an 8-core one.
-func TestCompareAcrossCoreCounts(t *testing.T) {
-	oldPath := writeArtifact(t, &Report{Benchmarks: []Benchmark{
-		bench("repro/internal/vtime", "BenchmarkPingPongSync-4", 200),
-	}})
-	newPath := writeArtifact(t, &Report{Benchmarks: []Benchmark{
-		bench("repro/internal/vtime", "BenchmarkPingPongSync-8", 300),
-	}})
-	var out strings.Builder
-	regressed, err := runCompare(&out, []string{oldPath, newPath})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := runCompare(io.Discard, "missing-spec.json", []string{good, good}); err == nil {
+		t.Error("a missing BENCHMARK.json was accepted")
 	}
-	if regressed != 1 {
-		t.Fatalf("suffix mismatch hid the regression:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "no shared benchmarks") {
-		t.Fatalf("spurious no-overlap warning:\n%s", out.String())
-	}
-
-	// Genuinely disjoint artifacts warn instead of passing silently.
-	disjoint := writeArtifact(t, &Report{Benchmarks: []Benchmark{
-		bench("repro", "BenchmarkOther-8", 100),
-	}})
-	out.Reset()
-	if _, err := runCompare(&out, []string{oldPath, disjoint}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "no shared benchmarks") {
-		t.Fatalf("disjoint artifacts compared without a warning:\n%s", out.String())
-	}
-}
-
-// TestCompareExactNameBeatsStripping asserts the suffix fallback
-// never conflates benchmarks whose own names end in digits: exact
-// matches win, and an ambiguous stripped key is left unmatched.
-func TestCompareExactNameBeatsStripping(t *testing.T) {
-	oldPath := writeArtifact(t, &Report{Benchmarks: []Benchmark{
-		bench("p", "BenchmarkSweep/n-100", 100),
-		bench("p", "BenchmarkSweep/n-200", 200),
-	}})
-	newPath := writeArtifact(t, &Report{Benchmarks: []Benchmark{
-		bench("p", "BenchmarkSweep/n-100", 500), // 5×: must gate against its own baseline
-		bench("p", "BenchmarkSweep/n-200", 200),
-	}})
-	var out strings.Builder
-	regressed, err := runCompare(&out, []string{oldPath, newPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed != 1 {
-		t.Fatalf("exact-name matching failed (%d regressions):\n%s", regressed, out.String())
-	}
-	if !strings.Contains(out.String(), "2 shared benchmarks") {
-		t.Fatalf("digit-suffixed names conflated:\n%s", out.String())
-	}
-}
-
-// TestFoldMinOfN: `go test -count N` repeats each benchmark line; the
-// artifact keeps one entry per benchmark holding the fastest run, with
-// a sample count, so a committed baseline is a min-of-N measurement.
-func TestFoldMinOfN(t *testing.T) {
-	stream := `pkg: repro/internal/vtime
-BenchmarkPingPongSync-8  100  441.0 ns/op  220.5 ns/switch
-BenchmarkPingPongSync-8  100  350.0 ns/op  175.0 ns/switch
-BenchmarkPingPongSync-8  100  512.0 ns/op  256.0 ns/switch
-BenchmarkSyncFastPath-8  100  20.0 ns/op
-`
-	var sb strings.Builder
-	if err := run(strings.NewReader(stream), &sb); err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal([]byte(sb.String()), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("folded to %d entries, want 2:\n%s", len(rep.Benchmarks), sb.String())
-	}
-	pp := rep.Benchmarks[0]
-	if pp.NsPerOp != 350.0 || pp.Samples != 3 {
-		t.Fatalf("min-of-3 fold kept %+v", pp)
-	}
-	if pp.Metrics["ns/switch"] != 175.0 {
-		t.Fatalf("fold must keep the fastest run's metrics: %+v", pp.Metrics)
-	}
-	// Variance statistics over {441, 350, 512}.
-	wantMean := (441.0 + 350.0 + 512.0) / 3
-	if math.Abs(pp.MeanNs-wantMean) > 1e-9 || pp.MedianNs != 441.0 {
-		t.Fatalf("fold stats: mean %v median %v, want %v / 441", pp.MeanNs, pp.MedianNs, wantMean)
-	}
-	if pp.StddevNs <= 0 || math.Abs(pp.CV-pp.StddevNs/pp.MeanNs) > 1e-12 {
-		t.Fatalf("fold stats: stddev %v cv %v", pp.StddevNs, pp.CV)
-	}
-	if fast := rep.Benchmarks[1]; fast.Samples != 0 || fast.MeanNs != 0 || fast.CV != 0 {
-		t.Fatalf("single run grew a sample count or stats: %+v", fast)
-	}
-
-	// loadReport folds too, so a hand-concatenated artifact still
-	// compares as min-of-N.
-	path := filepath.Join(t.TempDir(), "dup.json")
-	dup := &Report{Benchmarks: []Benchmark{
-		bench("p", "B-8", 300),
-		bench("p", "B-8", 100),
-		bench("p", "B-8", 200),
-	}}
-	data, err := json.Marshal(dup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Benchmarks) != 1 || got.Benchmarks[0].NsPerOp != 100 || got.Benchmarks[0].Samples != 3 {
-		t.Fatalf("loadReport fold = %+v", got.Benchmarks)
-	}
-}
-
-// TestCompareCVAdvisory: `compare -cv` flags benchmarks whose recorded
-// coefficient of variation (either artifact's side) exceeds the bound,
-// but the flag is advisory — it never changes the regression count or
-// the exit status.
-func TestCompareCVAdvisory(t *testing.T) {
-	noisy := bench("p", "BenchmarkNoisy-8", 100)
-	noisy.Samples, noisy.CV = 5, 0.40
-	quiet := bench("p", "BenchmarkQuiet-8", 100)
-	quiet.Samples, quiet.CV = 5, 0.01
-	oldPath := writeArtifact(t, &Report{Benchmarks: []Benchmark{noisy, quiet}})
-	noisyNew := bench("p", "BenchmarkNoisy-8", 105)
-	quietNew := bench("p", "BenchmarkQuiet-8", 105)
-	newPath := writeArtifact(t, &Report{Benchmarks: []Benchmark{noisyNew, quietNew}})
-
-	var out strings.Builder
-	regressed, err := runCompare(&out, []string{"-cv", "0.10", oldPath, newPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed != 0 {
-		t.Fatalf("advisory CV flag gated (%d regressions):\n%s", regressed, out.String())
-	}
-	for _, want := range []string{
-		"HIGH VARIANCE (cv 40.0% > 10.0%)",
-		"1 of 2 shared benchmarks exceed the 10.0% CV bound",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("compare output missing %q:\n%s", want, out.String())
-		}
-	}
-	if strings.Count(out.String(), "HIGH VARIANCE") != 1 {
-		t.Fatalf("quiet benchmark flagged too:\n%s", out.String())
-	}
-
-	// Without -cv the same artifacts print no variance warnings, and a
-	// negative bound is rejected.
-	out.Reset()
-	if _, err := runCompare(&out, []string{oldPath, newPath}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "HIGH VARIANCE") {
-		t.Fatalf("CV warning without -cv:\n%s", out.String())
-	}
-	if _, err := runCompare(io.Discard, []string{"-cv", "-0.1", oldPath, newPath}); err == nil {
-		t.Error("negative -cv accepted")
-	}
-}
-
-// TestCompareNoiseFloor: a relative regression on a nanosecond-scale
-// benchmark stays below the absolute floor and must not gate, while
-// the same relative movement above the floor still does.
-func TestCompareNoiseFloor(t *testing.T) {
-	oldPath := writeArtifact(t, &Report{Benchmarks: []Benchmark{
-		bench("p", "BenchmarkTiny-8", 20),       // +50% is 10 ns: jitter
-		bench("p", "BenchmarkBig-8", 1_000_000), // +50% is 500 µs: real
-	}})
-	newPath := writeArtifact(t, &Report{Benchmarks: []Benchmark{
-		bench("p", "BenchmarkTiny-8", 30),
-		bench("p", "BenchmarkBig-8", 1_500_000),
-	}})
-	var out strings.Builder
-	regressed, err := runCompare(&out, []string{"-threshold", "0.25", "-floor", "1000", oldPath, newPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed != 1 {
-		t.Fatalf("want only the big benchmark to gate, got %d:\n%s", regressed, out.String())
-	}
-	if !strings.Contains(out.String(), "1000 ns floor") {
-		t.Fatalf("summary does not state the floor:\n%s", out.String())
-	}
-	if _, err := runCompare(io.Discard, []string{"-floor", "-1", oldPath, newPath}); err == nil {
-		t.Error("negative -floor accepted")
+	if failed, err := runCompare(io.Discard, specPath, []string{"-threshold", "3", good, good}); err != nil || failed != 0 {
+		t.Errorf("-threshold 3: %d failed, %v", failed, err)
 	}
 }

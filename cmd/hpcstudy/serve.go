@@ -84,6 +84,16 @@ func runServe(ctx context.Context, w io.Writer, cfg cliConfig) error {
 	if cfg.gcInterval > 0 && !gcPolicy.Bounded() {
 		return usageError("-gc-interval needs a bound: -max-bytes and/or -max-age (an unbounded policy collects nothing)")
 	}
+	if cfg.sweepStudy != "" {
+		// QueueOptions' zero values mean "default" for library callers;
+		// a flag the user typed must not be swapped for another value.
+		if cfg.leaseBatch < 1 {
+			return usageError(fmt.Sprintf("-lease-batch must be ≥ 1, got %d", cfg.leaseBatch))
+		}
+		if cfg.leaseTTL <= 0 {
+			return usageError(fmt.Sprintf("-lease-ttl must be positive, got %v", cfg.leaseTTL))
+		}
+	}
 	store, err := resultdb.Open(cfg.cacheDir)
 	if err != nil {
 		return err

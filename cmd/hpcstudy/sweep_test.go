@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -46,6 +47,39 @@ func TestSweepUsage(t *testing.T) {
 	_, err = buildWorkQueue(io.Discard, nil, cliConfig{sweepStudy: "fig3"}, nil)
 	if !errors.As(err, &ue) {
 		t.Fatalf("serve -sweep fig3: %v", err)
+	}
+}
+
+// TestServeRejectsNonPositiveLeaseFlags: `serve -sweep` must refuse a
+// -lease-batch or -lease-ttl the queue would silently replace with its
+// default, before it opens the store or a listener.
+func TestServeRejectsNonPositiveLeaseFlags(t *testing.T) {
+	for _, tc := range []struct {
+		batch int
+		ttl   time.Duration
+		want  string
+	}{
+		{0, 30 * time.Second, "-lease-batch must be ≥ 1, got 0"},
+		{-3, 30 * time.Second, "-lease-batch must be ≥ 1, got -3"},
+		{4, 0, "-lease-ttl must be positive, got 0s"},
+		{4, -5 * time.Second, "-lease-ttl must be positive, got -5s"},
+	} {
+		dir := filepath.Join(t.TempDir(), "store")
+		var out strings.Builder
+		err := runServe(context.Background(), &out, cliConfig{
+			cacheDir: dir, listen: "127.0.0.1:0", sweepStudy: "fig2", quick: true,
+			leaseBatch: tc.batch, leaseTTL: tc.ttl,
+		})
+		var ue usageError
+		if !errors.As(err, &ue) || err.Error() != tc.want {
+			t.Errorf("batch %d ttl %v: got %v, want usageError %q", tc.batch, tc.ttl, err, tc.want)
+		}
+		if strings.Contains(out.String(), "listening on") {
+			t.Errorf("batch %d ttl %v: a listener was opened: %s", tc.batch, tc.ttl, out.String())
+		}
+		if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+			t.Errorf("batch %d ttl %v: the store was opened before the flags were checked", tc.batch, tc.ttl)
+		}
 	}
 }
 

@@ -78,10 +78,6 @@ type (
 	ByteSize = units.ByteSize
 	// Options tunes an experiment sweep.
 	Options = experiments.Options
-	// SweepStats counts how a sweep's cells were produced (replayed
-	// from the store vs simulated) and aggregates the kernel counters
-	// over the simulated ones; attach one via Options.Stats.
-	SweepStats = experiments.SweepStats
 	// SchemaMismatchError reports a registry built from different
 	// model constants than this binary.
 	SchemaMismatchError = registry.SchemaMismatchError
@@ -249,12 +245,6 @@ func RunCell(c Cell) (Result, error) { return core.RunCell(c) }
 // The experiments (paper §B/§C). The zero Options reproduces the
 // paper-scale sweep; see the experiments package for the knobs.
 
-// Fig1 regenerates Figure 1 (container solutions on Lenox).
-func Fig1(opt Options) (*experiments.GridResult, error) { return experiments.Fig1(opt) }
-
-// Fig2 regenerates Figure 2 (portability on CTE-POWER).
-func Fig2(opt Options) (*experiments.GridResult, error) { return experiments.Fig2(opt) }
-
 // Fig3 regenerates Figure 3 (FSI scalability on MareNostrum4).
 func Fig3(opt Options) (*experiments.Fig3Result, error) { return experiments.Fig3(opt) }
 
@@ -264,10 +254,4 @@ func Solutions(opt Options) (*experiments.SolutionsResult, error) { return exper
 // Portability regenerates the build-technique × architecture matrix.
 func Portability(opt Options) (*experiments.PortabilityResult, error) {
 	return experiments.Portability(opt)
-}
-
-// IOStudy runs the paper's named future work: checkpoint I/O through
-// each container storage path.
-func IOStudy(opt Options) (*experiments.IOStudyResult, error) {
-	return experiments.IOStudy(opt)
 }

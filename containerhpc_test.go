@@ -279,22 +279,18 @@ func TestFacadeExportsAreUsed(t *testing.T) {
 // reason. Everything else TestInternalExportsAreReferenced finds is
 // dead surface: delete it with the tests that exercise only it.
 var internalAllow = map[string]string{
-	"experiments.GridResult.SeriesByLabel":     "accessor the figure-shape tests and root benchmarks read results through",
-	"experiments.IOStudyResult.Find":           "accessor the figure-shape tests and root benchmarks read results through",
-	"experiments.PortabilityResult.Find":       "accessor the figure-shape tests and root benchmarks read results through",
-	"experiments.SolutionsResult.RowByRuntime": "accessor the figure-shape tests and root benchmarks read results through",
+	"experiments.GridResult.SeriesByLabel":     "accessor the figure-shape tests read results through",
+	"experiments.IOStudyResult.Find":           "accessor the figure-shape tests read results through",
+	"experiments.PortabilityResult.Find":       "accessor the figure-shape tests read results through",
+	"experiments.SolutionsResult.RowByRuntime": "accessor the figure-shape tests read results through",
 	"krylov.JacobiPrecond":                     "fixture: the preconditioner CG's tests solve with",
 	"linalg.NewCSR":                            "fixture: CG's tests build their matrices with it (krylov.CSROperator)",
 	"linalg.CSR.Diag":                          "fixture: feeds JacobiPrecond in CG's tests",
 	"linalg.CSR.IsSymmetric":                   "oracle: CG's tests check their matrix is one CG may solve",
 	"linalg.CSR.NNZ":                           "accessor the CSR construction tests read",
 	"linalg.Norm2":                             "oracle: true residuals in CG's tests",
-	"metrics.Monotone":                         "oracle of the figure-shape tests",
-	"metrics.RelDiff":                          "oracle of the figure-shape tests",
-	"metrics.Summarize":                        "oracle of the figure-shape tests",
 	"registry.Client.FetchWorkStatus":          "accessor the coordinator and hardening tests read lease state through",
 	"telemetry.FleetJournal.Drops":             "accessor the journal tests read the drop count through",
-	"vtime.Resource.Acquire":                   "BenchmarkResourceContention is a bench/baseline.json entry of the kernel gate",
 	"vtime.Resource.BusyTime":                  "accessor the Resource tests read occupancy through",
 	"vtime.Resource.FreeAt":                    "accessor the Resource tests read occupancy through",
 }

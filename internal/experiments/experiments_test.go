@@ -7,7 +7,7 @@ import (
 	"repro/internal/alya"
 	"repro/internal/appio"
 	"repro/internal/container"
-	"repro/internal/metrics"
+	"repro/internal/report"
 )
 
 // reducedLenox returns the Fig. 1 case with a shorter simulated solve;
@@ -61,7 +61,7 @@ func TestFig1Shape(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range s.Points {
-			over := metrics.RelDiff(s.Points[i].T, bare.Points[i].T)
+			over := relDiff(s.Points[i].T, bare.Points[i].T)
 			if over > 0.05 || over < -0.02 {
 				t.Errorf("%s at %v: %.1f%% off bare metal", name, res.Grid.Axis[i].Label, over*100)
 			}
@@ -72,9 +72,9 @@ func TestFig1Shape(t *testing.T) {
 	// and is severe at 112×1.
 	overheads := make([]float64, len(res.Grid.Axis))
 	for i := range res.Grid.Axis {
-		overheads[i] = metrics.RelDiff(docker.Points[i].T, bare.Points[i].T)
+		overheads[i] = relDiff(docker.Points[i].T, bare.Points[i].T)
 	}
-	if !metrics.Monotone(overheads, 1, 0.02) {
+	if !monotone(overheads, 1, 0.02) {
 		t.Errorf("docker overhead not increasing with ranks: %v", overheads)
 	}
 	if overheads[len(overheads)-1] < 0.8 {
@@ -88,13 +88,13 @@ func TestFig1Shape(t *testing.T) {
 
 	// Claim 3: bare metal itself is roughly flat across the hybrid
 	// sweep (the study's configurations are all reasonable).
-	sum := metrics.Summarize(seriesSeconds(bare))
+	sum := summarize(seriesSeconds(bare))
 	if sum.Max > 1.5*sum.Min {
 		t.Errorf("bare-metal sweep swings too much: min %v max %v", sum.Min, sum.Max)
 	}
 }
 
-func seriesSeconds(s *metrics.Series) []float64 {
+func seriesSeconds(s *report.Series) []float64 {
 	out := make([]float64, len(s.Points))
 	for i, p := range s.Points {
 		out[i] = float64(p.T)
@@ -116,13 +116,13 @@ func TestFig2Shape(t *testing.T) {
 
 	// Claim 1: the system-specific container equals bare metal.
 	for i := range bare.Points {
-		if d := metrics.RelDiff(sys.Points[i].T, bare.Points[i].T); d > 0.03 || d < -0.01 {
+		if d := relDiff(sys.Points[i].T, bare.Points[i].T); d > 0.03 || d < -0.01 {
 			t.Errorf("system-specific at %d nodes %.1f%% off bare metal", bare.Points[i].X, d*100)
 		}
 	}
 	// Claim 2: all three strong-scale (monotonically decreasing).
-	for _, s := range []*metrics.Series{bare, sys, self} {
-		if !metrics.Monotone(seriesSeconds(s), -1, 0.02) {
+	for _, s := range []*report.Series{bare, sys, self} {
+		if !monotone(seriesSeconds(s), -1, 0.02) {
 			t.Errorf("%s not strong-scaling: %v", s.Label, seriesSeconds(s))
 		}
 	}
@@ -130,12 +130,12 @@ func TestFig2Shape(t *testing.T) {
 	// with node count (it cannot use the EDR fabric).
 	gaps := make([]float64, len(bare.Points))
 	for i := range bare.Points {
-		gaps[i] = metrics.RelDiff(self.Points[i].T, bare.Points[i].T)
+		gaps[i] = relDiff(self.Points[i].T, bare.Points[i].T)
 		if gaps[i] <= 0 {
 			t.Errorf("self-contained not slower at %d nodes", bare.Points[i].X)
 		}
 	}
-	if !metrics.Monotone(gaps, 1, 0.05) {
+	if !monotone(gaps, 1, 0.05) {
 		t.Errorf("self-contained gap not widening: %v", gaps)
 	}
 	// Claim 4: the fabric paths are the ones the paper names.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/alya"
 	"repro/internal/cluster"
 	"repro/internal/container"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/report"
 )
@@ -127,7 +126,7 @@ type GridResult struct {
 	Grid *Grid
 	// Series holds one curve per config in grid order; Point.X is the
 	// axis value.
-	Series []metrics.Series
+	Series []report.Series
 	// Fabrics records each config's network path (its last axis
 	// point's).
 	Fabrics []string
@@ -143,11 +142,11 @@ func (g *Grid) Run(opt Options) (*GridResult, error) {
 	}
 	out := &GridResult{Grid: g}
 	for ci, cfg := range g.Configs {
-		s := metrics.Series{Label: cfg.Label}
+		s := report.Series{Label: cfg.Label}
 		fabric := ""
 		for ai, ax := range g.Axis {
 			res := results[ci*len(g.Axis)+ai]
-			s.Points = append(s.Points, metrics.Point{X: ax.X, T: res.Exec.Elapsed})
+			s.Points = append(s.Points, report.Point{X: ax.X, T: res.Exec.Elapsed})
 			fabric = res.Exec.FabricPath
 		}
 		out.Series = append(out.Series, s)
@@ -157,7 +156,7 @@ func (g *Grid) Run(opt Options) (*GridResult, error) {
 }
 
 // SeriesByLabel finds a curve by config label.
-func (r *GridResult) SeriesByLabel(label string) (*metrics.Series, error) {
+func (r *GridResult) SeriesByLabel(label string) (*report.Series, error) {
 	for i := range r.Series {
 		if r.Series[i].Label == label {
 			return &r.Series[i], nil

@@ -33,10 +33,11 @@ type IOStudyResult struct {
 
 // IOStudy computes the checkpoint-write comparison on Lenox for the
 // bind-mount path (bare metal, Singularity, Shifter), Docker's overlay
-// filesystem, and Docker volumes.
+// filesystem, and Docker volumes. It is not a Grid: it simulates no
+// cell — nine rows of closed-form I/O arithmetic — so there is no
+// store, shard or merge contract to share.
 func IOStudy(opt Options) (*IOStudyResult, error) {
 	lenox := cluster.Lenox()
-	nodes := opt.nodesOr([]int{1, 2, 4})
 	ck := appio.Checkpoint{
 		Cells:         alyaLenoxCells,
 		Fields:        4, // u, v, w, p
@@ -52,32 +53,15 @@ func IOStudy(opt Options) (*IOStudyResult, error) {
 		{"Docker (overlay fs)", appio.PathOverlay},
 		{"Docker (volume)", appio.PathVolume},
 	}
-	type ioCell struct {
-		label string
-		path  appio.Path
-		nodes int
-	}
-	var cells []ioCell
+	out := &IOStudyResult{Checkpoint: ck}
 	for _, cfg := range configs {
-		for _, n := range nodes {
-			cells = append(cells, ioCell{label: cfg.label, path: cfg.path, nodes: n})
+		for _, n := range opt.nodesOr([]int{1, 2, 4}) {
+			rep, err := model.CheckpointTime(lenox, n, n*lenox.CoresPerNode(), ck, cfg.path)
+			if err != nil {
+				return nil, fmt.Errorf("iostudy %s %d nodes: %w", cfg.label, n, err)
+			}
+			out.Rows = append(out.Rows, IORow{Runtime: cfg.label, Path: cfg.path, Nodes: n, Report: rep})
 		}
-	}
-
-	out := &IOStudyResult{Checkpoint: ck, Rows: make([]IORow, len(cells))}
-	sw := NewSweep(opt)
-	err := sw.Each(len(cells), func(i int) error {
-		c := cells[i]
-		ranks := c.nodes * lenox.CoresPerNode()
-		rep, err := model.CheckpointTime(lenox, c.nodes, ranks, ck, c.path)
-		if err != nil {
-			return fmt.Errorf("iostudy %s %d nodes: %w", c.label, c.nodes, err)
-		}
-		out.Rows[i] = IORow{Runtime: c.label, Path: c.path, Nodes: c.nodes, Report: rep}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

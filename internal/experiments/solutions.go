@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/container"
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/units"
 )
@@ -37,30 +38,25 @@ type SolutionsResult struct {
 }
 
 // Solutions reproduces the deployment-overhead and image-size
-// comparison of Docker, Singularity, and Shifter on Lenox. Runtimes
-// are measured concurrently on the sweep engine's worker pool; row
-// order stays the study order.
+// comparison of Docker, Singularity, and Shifter on Lenox. It is not a
+// Grid: it simulates no cell — three rows of closed-form deployment
+// arithmetic — so there is no store, shard or merge contract to share,
+// and a plain loop in study order is the whole engine.
 func Solutions(opt Options) (*SolutionsResult, error) {
 	lenox := cluster.Lenox()
 	nodes := opt.nodesOr([]int{1, 2, 4})
-	var runtimes []container.Runtime
+	out := &SolutionsResult{Nodes: nodes}
 	for _, rt := range container.Runtimes() {
-		if _, bare := rt.(container.BareMetal); !bare {
-			runtimes = append(runtimes, rt)
+		if _, bare := rt.(container.BareMetal); bare {
+			continue
 		}
-	}
-
-	out := &SolutionsResult{Nodes: nodes, Rows: make([]SolutionRow, len(runtimes))}
-	sw := NewSweep(opt)
-	err := sw.Each(len(runtimes), func(i int) error {
-		rt := runtimes[i]
-		img, err := sw.ImageFor(rt, lenox, container.SystemSpecific)
+		img, err := core.BuildImageFor(rt, lenox, container.SystemSpecific)
 		if err != nil {
-			return fmt.Errorf("solutions %s: %w", rt.Name(), err)
+			return nil, fmt.Errorf("solutions %s: %w", rt.Name(), err)
 		}
 		profile, err := rt.ExecProfile(lenox, img)
 		if err != nil {
-			return fmt.Errorf("solutions %s: %w", rt.Name(), err)
+			return nil, fmt.Errorf("solutions %s: %w", rt.Name(), err)
 		}
 		row := SolutionRow{
 			Runtime:       rt.Name(),
@@ -71,7 +67,7 @@ func Solutions(opt Options) (*SolutionsResult, error) {
 		for _, n := range nodes {
 			rep, err := rt.Deploy(lenox, img, n)
 			if err != nil {
-				return fmt.Errorf("solutions %s %d nodes: %w", rt.Name(), n, err)
+				return nil, fmt.Errorf("solutions %s %d nodes: %w", rt.Name(), n, err)
 			}
 			row.DeployByNodes[n] = rep.Total()
 			if n == nodes[len(nodes)-1] {
@@ -82,11 +78,7 @@ func Solutions(opt Options) (*SolutionsResult, error) {
 				row.WireSize = rep.WireSize
 			}
 		}
-		out.Rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }

@@ -105,7 +105,6 @@ func DefaultConfig() *Config {
 			"repro/internal/scenario",
 			"repro/internal/registry",
 			"repro/internal/experiments",
-			"repro/internal/metrics",
 			"repro/internal/telemetry",
 			"repro/internal/profile",
 			"repro/internal/fleettrace",

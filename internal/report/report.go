@@ -8,7 +8,6 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/units"
 )
 
@@ -106,7 +105,7 @@ type Chart struct {
 	// YLabel names the plotted quantity.
 	YLabel string
 	// Series are the curves.
-	Series []metrics.Series
+	Series []Series
 	// Values overrides times with precomputed y values (e.g.
 	// speedups); indexed [series][point]. Nil means plot seconds.
 	Values [][]float64

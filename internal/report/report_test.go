@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/units"
 )
 
@@ -55,8 +54,8 @@ func TestChartRender(t *testing.T) {
 	c := Chart{
 		Title:  "speedup",
 		YLabel: "x",
-		Series: []metrics.Series{
-			{Label: "one", Points: []metrics.Point{{X: 4, T: 2}, {X: 8, T: 1}}},
+		Series: []Series{
+			{Label: "one", Points: []Point{{X: 4, T: 2}, {X: 8, T: 1}}},
 		},
 	}
 	var sb strings.Builder

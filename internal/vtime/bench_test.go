@@ -9,7 +9,6 @@ package vtime
 //	PingPongSync       — two procs alternating through Sync yields
 //	SyncFastPath       — Sync that never yields (earliest proc re-syncing)
 //	BarrierWakeAll     — one proc releasing N-1 blocked procs at once
-//	ResourceContention — N procs serializing on one Resource
 //	SkewedClocks       — N procs with uneven advances (heap churn)
 //
 // Each benchmark reports ns/switch: wall time divided by the number of
@@ -110,21 +109,6 @@ func BenchmarkBarrierWakeAll(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.Advance(units.Microsecond)
 			bar.arrive(p)
-		}
-	})
-	reportPerSwitch(b, procs*b.N)
-}
-
-// BenchmarkResourceContention is the I/O-reservation pattern: N procs
-// all Sync then serialize on one Resource.
-func BenchmarkResourceContention(b *testing.B) {
-	const procs = 8
-	s := NewScheduler(procs)
-	res := NewResource("nic")
-	s.Run(func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sync()
-			res.Acquire(p, units.Microsecond)
 		}
 	})
 	reportPerSwitch(b, procs*b.N)

@@ -107,10 +107,10 @@ type Tracer interface {
 	// backwards.
 	Wake(waker, woken int, now, wakerNow units.Seconds)
 	// Idle reports proc id's clock jumping from `from` to `to` while
-	// waiting rather than computing — resource contention
-	// (tag "resource:<name>") or an already-completed request whose
-	// completion time lies ahead of the proc's clock (tag "wait:<kind>",
-	// emitted by the MPI layer). Only emitted when to > from.
+	// waiting rather than computing: an already-completed request whose
+	// completion time lies ahead of the proc's clock (tag "wait:<kind>").
+	// The kernel itself never emits it; the MPI layer does, through the
+	// same tap, and only when to > from.
 	Idle(id int, tag string, from, to units.Seconds)
 	// FlushWakes reports a batched fold of k > 1 pending waiters into
 	// the run queue, observed at virtual time now.
@@ -508,7 +508,7 @@ func (s *Scheduler) down(i int) {
 }
 
 // Resource is a serially reusable device (a NIC, a filesystem server, a
-// container gateway) in virtual time. Acquire must be called by the
+// container gateway) in virtual time. ReserveAt must be called by the
 // currently running process after Sync, which guarantees requests are
 // served in global virtual-time order.
 type Resource struct {
@@ -519,22 +519,6 @@ type Resource struct {
 
 // NewResource names a resource; the zero value is also usable.
 func NewResource(name string) *Resource { return &Resource{Name: name} }
-
-// Acquire makes p wait until the resource is free, then holds it for
-// hold. On return p's clock includes both the wait and the hold.
-func (r *Resource) Acquire(p *Proc, hold units.Seconds) {
-	if hold < 0 {
-		panic(fmt.Sprintf("vtime: resource %s acquired by proc %d at %v for negative duration %v",
-			r.Name, p.ID, p.now, hold))
-	}
-	if t := p.sched.trace; t != nil && r.freeAt > p.now {
-		t.Idle(p.ID, "resource:"+r.Name, p.now, r.freeAt)
-	}
-	p.AdvanceTo(r.freeAt)
-	r.freeAt = p.now + hold
-	r.busy += hold
-	p.Advance(hold)
-}
 
 // ReserveAt books the resource for a transfer that starts no earlier
 // than start and takes hold; it returns the completion time without

@@ -153,7 +153,7 @@ func TestResourceSerializes(t *testing.T) {
 	done := make([]units.Seconds, 4)
 	s.Run(func(p *Proc) {
 		p.Sync()
-		res.Acquire(p, units.Second)
+		p.AdvanceTo(res.ReserveAt(p.Now(), units.Second))
 		done[p.ID] = p.Now()
 	})
 	for i, d := range done {
@@ -198,7 +198,7 @@ func TestManyProcsDeterministic(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				p.Advance(units.Seconds(p.ID%7) * units.Millisecond)
 				p.Sync()
-				res.Acquire(p, units.Millisecond)
+				p.AdvanceTo(res.ReserveAt(p.Now(), units.Millisecond))
 			}
 		})
 	}
