@@ -2,7 +2,10 @@ package alya
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/container"
@@ -281,5 +284,56 @@ func TestSpecValidation(t *testing.T) {
 	bad.SimSteps = 0
 	if _, err := Run(Spec{Job: job(t, cl, 1, 4, 1), Profile: bareProfile(t, cl), Case: bad}); err == nil {
 		t.Error("invalid case accepted")
+	}
+}
+
+// TestRankStackClass guards the per-rank goroutine stack of a ModeModel
+// cell. Go grows a stack by doubling, and the rank bodies sit just under
+// the 4 KB→8 KB step: one more by-value mesh.Partition or omp.Model in a
+// rank body's frame (or in anything between the kernel's root frame and
+// a parked rank's leaf) tips every rank over it and costs 4 KB × ranks —
+// +15–20 % rss_peak_mb on the sim_cold and fleet_cold benchmark
+// workloads (ISSUE 18). The cell is fig2-quick's largest: 640 ranks.
+func TestRankStackClass(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("race instrumentation enlarges every frame; the guard is for production builds")
+			}
+		}
+	}
+	cl := cluster.CTEPower()
+	cs := ArteryCFDCTEPower()
+	cs.SimSteps = 1
+	spec := Spec{Job: job(t, cl, 16, 640, 1), Profile: bareProfile(t, cl), Case: cs, Mode: ModeModel}
+
+	stop, sampled := make(chan struct{}), make(chan uint64)
+	go func() {
+		var peak uint64
+		var ms runtime.MemStats
+		for {
+			select {
+			case <-stop:
+				sampled <- peak
+				return
+			case <-time.After(2 * time.Millisecond):
+				runtime.ReadMemStats(&ms)
+				peak = max(peak, ms.StackInuse)
+			}
+		}
+	}()
+	_, err := Run(spec)
+	close(stop)
+	peak := <-sampled
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRank := float64(peak) / float64(spec.Job.Ranks)
+	t.Logf("peak StackInuse %d B over %d ranks: %.0f B/rank", peak, spec.Job.Ranks, perRank)
+	if perRank >= 6<<10 {
+		t.Errorf("rank stacks average %.0f B (peak StackInuse %d B / %d ranks), want < 6 KB: "+
+			"the rank bodies crossed Go's 4 KB→8 KB stack-growth cliff — slim the frames in internal/alya/run.go "+
+			"(pass partitions, omp models and solver params by pointer or build them in non-inlined helpers; see ISSUE 18)",
+			perRank, peak, spec.Job.Ranks)
 	}
 }

@@ -1,8 +1,6 @@
 package alya
 
 import (
-	"fmt"
-
 	"repro/internal/field"
 	"repro/internal/mesh"
 	"repro/internal/mpi"
@@ -27,6 +25,7 @@ const (
 type rankComm struct {
 	comm    *mpi.Comm
 	part    mesh.Partition
+	cells   float64 // part.Cells(), for the model-mode charges
 	model   omp.Model
 	threads int
 	nbrs    []mesh.Neighbor
@@ -34,7 +33,8 @@ type rankComm struct {
 	// reusable per-neighbour buffers, grown on demand
 	sendBufs [][]float64
 	recvBufs [][]float64
-	// reqs is the reusable request slice for bundled exchanges.
+	// reqs is the reusable request slice for bundled exchanges: room
+	// for one receive and one send per neighbour.
 	reqs []*mpi.Request
 
 	// commCalls counts Exchange invocations, for diagnostics.
@@ -42,21 +42,6 @@ type rankComm struct {
 }
 
 var _ field.Comm = (*rankComm)(nil)
-
-// newRankComm builds the adapter for a partition owned by comm rank
-// part.Rank (which must equal comm.Rank()).
-func newRankComm(comm *mpi.Comm, part mesh.Partition, model omp.Model, threads int) *rankComm {
-	if part.Rank != comm.Rank() {
-		panic(fmt.Sprintf("alya: partition rank %d != comm rank %d", part.Rank, comm.Rank()))
-	}
-	nbrs := part.Neighbors()
-	rc := &rankComm{
-		comm: comm, part: part, model: model, threads: threads, nbrs: nbrs,
-		sendBufs: make([][]float64, len(nbrs)),
-		recvBufs: make([][]float64, len(nbrs)),
-	}
-	return rc
-}
 
 func (rc *rankComm) buffers(i, n int) (snd, rcv []float64) {
 	if cap(rc.sendBufs[i]) < n {
@@ -73,7 +58,7 @@ func (rc *rankComm) Exchange(fields ...*field.Field) {
 		return
 	}
 	rc.commCalls++
-	reqs := make([]*mpi.Request, 0, 2*len(rc.nbrs))
+	reqs := rc.reqs[:0]
 	// Post all receives first (good MPI practice, and required for the
 	// rendezvous protocol to overlap).
 	for i, nb := range rc.nbrs {
@@ -108,9 +93,6 @@ func (rc *rankComm) ExchangeModel(nFields int) {
 		return
 	}
 	rc.commCalls++
-	if cap(rc.reqs) < 2*len(rc.nbrs) {
-		rc.reqs = make([]*mpi.Request, 0, 2*len(rc.nbrs))
-	}
 	reqs := rc.reqs[:0]
 	for _, nb := range rc.nbrs {
 		reqs = append(reqs, rc.comm.IrecvModel(nb.Rank, tagHaloBase+int(nb.Face.Opposite()), nb.Count*nFields))

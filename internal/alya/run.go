@@ -248,11 +248,15 @@ func (rs *runState) fail(err error) {
 	}
 }
 
+// A rank body's frame lies under every collective the rank ever parks
+// in, and a few hundred bytes there decide whether each rank fits Go's
+// 4 KB stack or doubles to 8 KB (TestRankStackClass). So the bodies
+// hold pointers and scalars; whatever copies a mesh.Partition or solver
+// parameters is a //go:noinline helper that has returned by then.
+
 // cfdBody is the per-rank program of the CFD case.
 func (rs *runState) cfdBody(r *mpi.Rank) {
-	comm := r.World()
-	part := rs.fluidGrid.Part(comm.Rank())
-	rc := newRankComm(comm, part, rs.model, rs.spec.Job.ThreadsPerRank)
+	rc := rs.newRankComm(r.World(), &rs.fluidGrid)
 
 	r.Barrier()
 	start := r.Now()
@@ -263,25 +267,18 @@ func (rs *runState) cfdBody(r *mpi.Rank) {
 
 	switch rs.spec.Mode {
 	case ModeReal:
-		solver, err := navier.NewSolver(part, rs.spec.Case.FluidParams, rc)
-		if err != nil {
-			rs.fail(err)
+		solver := rs.fluidSolver(rc)
+		if solver == nil {
 			return
 		}
 		for step := 0; step < rs.spec.Case.SimSteps; step++ {
-			stats, err := solver.Step()
-			if err != nil {
-				rs.fail(err)
+			if !rs.fluidStep(r, solver) {
 				return
-			}
-			if r.ID() == 0 {
-				rs.cgIters += float64(stats.CGIterations)
-				rs.maxDiv = stats.MaxDivergence
 			}
 		}
 	default:
 		for step := 0; step < rs.spec.Case.SimSteps; step++ {
-			rs.modelCFDStep(rc, part)
+			rs.modelCFDStep(rc)
 		}
 		if r.ID() == 0 {
 			rs.cgIters = float64(rs.spec.Case.ModelCGIters * rs.spec.Case.SimSteps)
@@ -294,10 +291,50 @@ func (rs *runState) cfdBody(r *mpi.Rank) {
 	}
 }
 
+// newRankComm builds the adapter for comm's rank of grid.
+//
+//go:noinline
+func (rs *runState) newRankComm(comm *mpi.Comm, grid *mesh.Grid) *rankComm {
+	part := grid.Part(comm.Rank())
+	nbrs := part.Neighbors()
+	return &rankComm{
+		comm: comm, part: part, cells: float64(part.Cells()),
+		model: rs.model, threads: rs.spec.Job.ThreadsPerRank, nbrs: nbrs,
+		sendBufs: make([][]float64, len(nbrs)),
+		recvBufs: make([][]float64, len(nbrs)),
+		reqs:     make([]*mpi.Request, 0, 2*len(nbrs)),
+	}
+}
+
+// fluidSolver builds the ModeReal flow solver; nil: failed, recorded.
+//
+//go:noinline
+func (rs *runState) fluidSolver(rc *rankComm) *navier.Solver {
+	solver, err := navier.NewSolver(rc.part, rs.spec.Case.FluidParams, rc)
+	if err != nil {
+		rs.fail(err)
+	}
+	return solver
+}
+
+// fluidStep advances the ModeReal flow solver one step; false: failed.
+func (rs *runState) fluidStep(r *mpi.Rank, solver *navier.Solver) bool {
+	stats, err := solver.Step()
+	if err != nil {
+		rs.fail(err)
+		return false
+	}
+	if r.ID() == 0 {
+		rs.cgIters += float64(stats.CGIterations)
+		rs.maxDiv = stats.MaxDivergence
+	}
+	return true
+}
+
 // modelCFDStep mirrors navier.(*Solver).Step's compute/communication
 // structure without touching field data.
-func (rs *runState) modelCFDStep(rc *rankComm, part mesh.Partition) {
-	cells := float64(part.Cells())
+func (rs *runState) modelCFDStep(rc *rankComm) {
+	cells := rc.cells
 	// Tentative velocity: assemble, then exchange the three components.
 	rc.Charge(cells*navier.AssemblyFlopsPerCell, cells*navier.AssemblyBytesPerCell)
 	rc.ExchangeModel(3)
@@ -364,46 +401,34 @@ func (rs *runState) fsiBody(r *mpi.Rank) {
 // interfaceCells returns the coupling-payload size for a fluid rank:
 // its wall-adjacent cell count (≥ 1 so every pair exchanges something,
 // as Alya's coupling keeps all ranks in the communication schedule).
-func interfaceCells(part mesh.Partition) int {
-	n := part.WallCells()
-	if n < 1 {
-		n = 1
-	}
-	return n
+//
+//go:noinline
+func (rs *runState) interfaceCells(fluidRank int) int {
+	return max(1, rs.fluidGrid.Part(fluidRank).WallCells())
 }
 
 // fluidFSI runs the fluid side: a CFD step plus coupling exchanges.
 func (rs *runState) fluidFSI(r *mpi.Rank, comm *mpi.Comm, pairOfFluid func(int) int) {
-	part := rs.fluidGrid.Part(comm.Rank())
-	rc := newRankComm(comm, part, rs.model, rs.spec.Job.ThreadsPerRank)
+	rc := rs.newRankComm(comm, &rs.fluidGrid)
 	peer := rs.fluidRanks + pairOfFluid(comm.Rank()) // world rank of solid partner
-	iface := interfaceCells(part)
+	iface := rs.interfaceCells(comm.Rank())
 	traction := make([]float64, iface)
 	motion := make([]float64, iface)
 
 	var solver *navier.Solver
 	if rs.spec.Mode == ModeReal {
-		var err error
-		solver, err = navier.NewSolver(part, rs.spec.Case.FluidParams, rc)
-		if err != nil {
-			rs.fail(err)
+		if solver = rs.fluidSolver(rc); solver == nil {
 			return
 		}
 	}
 
 	for step := 0; step < rs.spec.Case.SimSteps; step++ {
 		if rs.spec.Mode == ModeReal {
-			stats, err := solver.Step()
-			if err != nil {
-				rs.fail(err)
+			if !rs.fluidStep(r, solver) {
 				return
 			}
-			if r.ID() == 0 {
-				rs.cgIters += float64(stats.CGIterations)
-				rs.maxDiv = stats.MaxDivergence
-			}
 		} else {
-			rs.modelCFDStep(rc, part)
+			rs.modelCFDStep(rc)
 			if r.ID() == 0 {
 				rs.cgIters += float64(rs.spec.Case.ModelCGIters)
 			}
@@ -424,10 +449,20 @@ func (rs *runState) fluidFSI(r *mpi.Rank, comm *mpi.Comm, pairOfFluid func(int) 
 	}
 }
 
+// solidSolver builds the ModeReal wall solver; nil: failed, recorded.
+//
+//go:noinline
+func (rs *runState) solidSolver(rc *rankComm) *solid.Solver {
+	solver, err := solid.NewSolver(rc.part, rs.spec.Case.SolidParams, rc)
+	if err != nil {
+		rs.fail(err)
+	}
+	return solver
+}
+
 // solidFSI runs the structural side: wall substeps plus coupling.
 func (rs *runState) solidFSI(r *mpi.Rank, comm *mpi.Comm, pairOfFluid func(int) int) {
-	part := rs.solidGrid.Part(comm.Rank())
-	rc := newRankComm(comm, part, rs.model, rs.spec.Job.ThreadsPerRank)
+	rc := rs.newRankComm(comm, &rs.solidGrid)
 
 	// Enumerate the fluid comm-ranks paired to this solid comm-rank.
 	var partners []int
@@ -439,20 +474,17 @@ func (rs *runState) solidFSI(r *mpi.Rank, comm *mpi.Comm, pairOfFluid func(int) 
 	// Interface payload sizes follow the fluid partner's wall size.
 	bufs := make([][]float64, len(partners))
 	for i, f := range partners {
-		bufs[i] = make([]float64, interfaceCells(rs.fluidGrid.Part(f)))
+		bufs[i] = make([]float64, rs.interfaceCells(f))
 	}
 
 	var solver *solid.Solver
 	if rs.spec.Mode == ModeReal {
-		var err error
-		solver, err = solid.NewSolver(part, rs.spec.Case.SolidParams, rc)
-		if err != nil {
-			rs.fail(err)
+		if solver = rs.solidSolver(rc); solver == nil {
 			return
 		}
 	}
 
-	cells := float64(part.Cells())
+	cells := rc.cells
 	for step := 0; step < rs.spec.Case.SimSteps; step++ {
 		var meanVel float64
 		for sub := 0; sub < rs.spec.Case.SolidSubsteps; sub++ {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Op is an elementwise reduction operator.
@@ -135,23 +136,28 @@ func (c *Comm) allreduce(buf []float64, op Op) {
 // the fabric, then broadcast within each node. The fabric's latency is
 // paid ceil(log2 #nodes) times instead of ceil(log2 P).
 func (c *Comm) allreduceHier(buf []float64, op Op) {
-	h := c.hier()
+	if c.nodes == nil {
+		c.nodes = c.r.w.nodeGroups(c.lo, c.n)
+		c.localRank = sort.SearchInts(c.nodes.peers[c.nodes.groupOf[c.r.node]], c.me)
+	}
+	group := c.nodes.groupOf[c.r.node]
+	localPeers, leaders := c.nodes.peers[group], c.nodes.leaders
 	tmp := make([]float64, len(buf))
 	// 1. Intra-node binomial reduce to the node leader (local rank 0).
-	lr, ln := h.localRank, len(h.localPeers)
+	lr, ln := c.localRank, len(localPeers)
 	for mask := 1; mask < ln; mask <<= 1 {
 		if lr&mask != 0 {
-			c.send(h.localPeers[lr-mask], tagAllreduce-400, buf)
+			c.send(localPeers[lr-mask], tagAllreduce-400, buf)
 			break
 		}
 		if lr+mask < ln {
-			c.recv(h.localPeers[lr+mask], tagAllreduce-400, tmp)
+			c.recv(localPeers[lr+mask], tagAllreduce-400, tmp)
 			op.apply(buf, tmp)
 		}
 	}
 	// 2. Leaders recursive-double across nodes.
-	if lr == 0 && len(h.leaders) > 1 {
-		c.recursiveDoubling(h.leaders, h.leaderIdx, tagLeaders, buf, tmp, op)
+	if lr == 0 && len(leaders) > 1 {
+		c.recursiveDoubling(leaders, int(group), tagLeaders, buf, tmp, op)
 	}
 	// 3. Intra-node binomial broadcast from the leader.
 	if ln > 1 {
@@ -161,10 +167,10 @@ func (c *Comm) allreduceHier(buf []float64, op Op) {
 				mask <<= 1
 			}
 			mask >>= 1
-			c.recv(h.localPeers[lr-mask], tagAllreduce-500, buf)
+			c.recv(localPeers[lr-mask], tagAllreduce-500, buf)
 		}
 		for mask := lowestPow2Above(lr); lr+mask < ln; mask <<= 1 {
-			c.send(h.localPeers[lr+mask], tagAllreduce-500, buf)
+			c.send(localPeers[lr+mask], tagAllreduce-500, buf)
 		}
 	}
 }

@@ -11,55 +11,51 @@ type Comm struct {
 	lo, n int
 	me    int // this rank's index within the range
 
-	// hierCache holds the node-grouping the hierarchical allreduce
-	// uses, built once per communicator.
-	hierCache *hierInfo
+	// nodes is the range's shared node grouping and localRank this
+	// rank's index among its node's peers there; the first hierarchical
+	// collective looks them up.
+	nodes     *nodeGroups
+	localRank int
 }
 
-// hierInfo is the node topology of a communicator as the hierarchical
-// collectives see it.
-type hierInfo struct {
-	// localPeers are the comm ranks sharing this rank's node,
-	// ascending; localRank is this rank's index within them.
-	localPeers []int
-	localRank  int
-	// leaders are each node's lowest comm rank, ascending; leaderIdx
-	// is this rank's index among them (meaningful when localRank==0).
-	leaders   []int
-	leaderIdx int
+// nodeGroups is the node topology of one communicator range, built once
+// per World and shared by the range's ranks.
+type nodeGroups struct {
+	lo, n int
+	// leaders are each occupied node's lowest comm rank, ascending;
+	// peers[i] are the comm ranks on leaders[i]'s node, ascending.
+	leaders []int
+	peers   [][]int
+	// groupOf maps a node to its index in leaders and peers (-1: none
+	// of the range's ranks runs there).
+	groupOf []int32
 }
 
-// hier lazily computes the node grouping.
-func (c *Comm) hier() *hierInfo {
-	if c.hierCache != nil {
-		return c.hierCache
-	}
-	nodeOf := c.r.w.cfg.NodeOf
-	myNode := nodeOf(c.lo + c.me)
-	h := &hierInfo{leaderIdx: -1}
-	seen := make(map[int]bool)
-	for cr := 0; cr < c.n; cr++ {
-		n := nodeOf(c.lo + cr)
-		if !seen[n] {
-			seen[n] = true
-			h.leaders = append(h.leaders, cr)
-		}
-		if n == myNode {
-			if cr == c.me {
-				h.localRank = len(h.localPeers)
-			}
-			h.localPeers = append(h.localPeers, cr)
+// nodeGroups returns the grouping of the range [lo, lo+n). The first
+// rank to ask builds it — one rank runs at a time, so unlocked.
+func (w *World) nodeGroups(lo, n int) *nodeGroups {
+	for _, g := range w.groups {
+		if g.lo == lo && g.n == n {
+			return g
 		}
 	}
-	// Leaders arrive in first-appearance order; comm ranks ascend, so
-	// the list is ascending already. Locate self among leaders.
-	for i, l := range h.leaders {
-		if l == c.me {
-			h.leaderIdx = i
-		}
+	g := &nodeGroups{lo: lo, n: n, groupOf: make([]int32, w.cfg.Nodes)}
+	for i := range g.groupOf {
+		g.groupOf[i] = -1
 	}
-	c.hierCache = h
-	return h
+	for cr := 0; cr < n; cr++ {
+		node := w.ranks[lo+cr].node
+		i := g.groupOf[node]
+		if i < 0 {
+			i = int32(len(g.leaders))
+			g.groupOf[node] = i
+			g.leaders = append(g.leaders, cr)
+			g.peers = append(g.peers, nil)
+		}
+		g.peers[i] = append(g.peers[i], cr)
+	}
+	w.groups = append(w.groups, g)
+	return g
 }
 
 // World returns the all-ranks communicator for this rank.

@@ -122,6 +122,47 @@ func TestHierarchicalAllreduceCorrect(t *testing.T) {
 	}
 }
 
+// TestHierarchicalGroupingShared holds the node grouping to one walk
+// per communicator range: with cyclic placement (a node's ranks are not
+// contiguous) and a two-range split, every rank still reduces to its
+// range's sum, and placement is consulted once per rank at start-up —
+// not once per rank per member, which was P² NodeOf calls per cell.
+func TestHierarchicalGroupingShared(t *testing.T) {
+	const p, nodes, split = 22, 4, 9
+	cfg := testConfig(p, 0)
+	cfg.Allreduce = AllreduceHierarchical
+	cfg.Nodes = nodes
+	calls := 0
+	cfg.NodeOf = func(r int) int { calls++; return r % nodes }
+	got := make([]float64, p)
+	_, err := Run(cfg, func(r *Rank) {
+		lo, hi := 0, split
+		if r.ID() >= split {
+			lo, hi = split, p
+		}
+		comm, err := r.NewComm(lo, hi)
+		if err != nil {
+			panic(err)
+		}
+		got[r.ID()] = comm.AllreduceScalar(float64(r.ID()+1), OpSum)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		want := float64(split * (split + 1) / 2)
+		if i >= split {
+			want = float64(p*(p+1)/2 - split*(split+1)/2)
+		}
+		if v != want {
+			t.Errorf("rank %d: got %v want %v", i, v, want)
+		}
+	}
+	if calls != p {
+		t.Errorf("NodeOf called %d times for %d ranks, want one call per rank", calls, p)
+	}
+}
+
 func TestHierarchicalAllreduceVector(t *testing.T) {
 	cfg := testConfig(12, 5)
 	cfg.Allreduce = AllreduceHierarchical

@@ -136,6 +136,9 @@ type World struct {
 	ranks []*Rank
 	nics  []*vtime.Resource
 	boxes []mailbox
+	// groups holds the node grouping of each communicator range a
+	// hierarchical collective has run on (see nodeGroups).
+	groups []*nodeGroups
 }
 
 // Rank is the per-process handle passed to rank bodies.

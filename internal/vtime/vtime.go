@@ -1,14 +1,15 @@
 // Package vtime implements the deterministic virtual-time execution
 // kernel underneath the simulator.
 //
-// Simulated processes (MPI ranks, deployment agents, ...) are ordinary
-// goroutines, but they never run concurrently: exactly one process is
-// running at a time, always the runnable process with the smallest
-// virtual clock (ties broken by process id). Processes advance their
-// own clocks with model costs and interact only at explicit scheduling
-// points, so every shared model structure (message queues, NIC
-// reservations, filesystem bandwidth) is accessed in a single,
-// reproducible virtual-time order without any locking.
+// Simulated processes (MPI ranks, deployment agents, ...) are
+// coroutines, each on a goroutine of its own, and they never run
+// concurrently: exactly one process is running at a time, always the
+// runnable process with the smallest virtual clock (ties broken by
+// process id). Processes advance their own clocks with model costs and
+// interact only at explicit scheduling points, so every shared model
+// structure (message queues, NIC reservations, filesystem bandwidth) is
+// accessed in a single, reproducible virtual-time order without any
+// locking.
 //
 // This is the classic conservative sequential discrete-event design,
 // expressed with coroutines so that rank programs read as straight-line
@@ -16,29 +17,42 @@
 //
 // # Direct handoff
 //
-// Control passes directly from the yielding process to its successor:
-// the yielding goroutine picks the next runnable process off the run
-// queue and unparks it in a single synchronization hop, instead of
-// bouncing through a central run loop (two hops per scheduling point).
-// The Run goroutine participates only at startup, completion, panic
-// unwinding, and deadlock detection. One structural lever rides on
-// that shape: wakes are deferred. Wake parks the woken process on a
-// pending list (no heap traffic) and the kernel folds the whole list
-// into the run queue in one batched insert at the next yield point.
-// There is no bulk-wake call: a batch is whatever single Wakes pile up
-// before the waker's next yield point (a Sync that takes the fast path
-// is not one), and k such waiters cost one bulk operation instead of k
-// pushes. Sync stays exact because its fast-path test consults the
-// pending minimum alongside the heap minimum.
+// The process that leaves the running state — a Sync that must yield, a
+// Block, a body that returns — chooses its successor itself, straight
+// off the run queue, and leaves it for the dispatcher, which is the
+// goroutine that called Run. A switch is therefore rank → dispatcher →
+// rank: two coroutine switches (iter.Pull's yield and next), each a
+// direct goroutine-to-goroutine transfer on one OS thread that never
+// enters the Go scheduler — no run queue, no wakeup of an idle P, no
+// futex. The dispatcher does only the accounting (the Switches counter
+// and Tracer.Switch); who runs next was already decided. One structural
+// lever rides on that shape: wakes are deferred. Wake parks the woken
+// process on a pending list (no heap traffic) and the kernel folds the
+// whole list into the run queue in one batched insert at the next yield
+// point. There is no bulk-wake call: a batch is whatever single Wakes
+// pile up before the waker's next yield point (a Sync that takes the
+// fast path is not one), and k such waiters cost one bulk operation
+// instead of k pushes. Sync stays exact because its fast-path test
+// consults the pending minimum alongside the heap minimum.
 //
-// The happens-before chain of park/unpark channel operations makes the
-// single-running-process invariant a memory-ordering guarantee too:
-// every scheduler and model mutation a process performs is ordered
-// before the next process observes it.
+// A coroutine switch is a synchronisation point (iter.Pull tells the
+// race detector so), which makes the single-running-process invariant a
+// memory-ordering guarantee too: every scheduler and model mutation a
+// process performs is ordered before the next process observes it.
+//
+// The coroutines are created inside Run and resumed only from it, so
+// Run may be called from any goroutine, thread-locked or not, and
+// Schedulers may run concurrently on different goroutines. A body must
+// not change its runtime.LockOSThread state across a scheduling point
+// (the runtime throws on the next switch) nor call runtime.Goexit — so
+// no t.Fatal inside one — which would surface on Run's goroutine. When
+// Run gives up (deadlock, a panicking body) it first unwinds every
+// unfinished process: deferred calls run, no goroutine stays parked.
 package vtime
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"repro/internal/units"
@@ -124,9 +138,14 @@ type Proc struct {
 	ID    int
 	sched *Scheduler
 
-	now      units.Seconds
-	state    procState
-	resume   chan struct{} // buffered(1): unpark semaphore
+	now   units.Seconds
+	state procState
+	// The proc's coroutine (iter.Pull, in Run): the dispatcher's next
+	// resumes it until it parks or finishes, its own yield parks it
+	// (false: abandoned, unwind), stop reclaims it unresumed.
+	next     func() (struct{}, bool)
+	yield    func(struct{}) bool
+	stop     func()
 	heapIdx  int
 	blockTag string // diagnostic: what the proc is blocked on
 }
@@ -168,8 +187,7 @@ func (p *Proc) Sync() {
 	}
 	p.state = stateRunnable
 	s.flushWakes()
-	s.handoff(s.replaceTop(p))
-	<-p.resume
+	p.park(s.replaceTop(p))
 }
 
 // Block suspends the process until a peer calls Wake on it. The tag is
@@ -181,8 +199,7 @@ func (p *Proc) Block(tag string) {
 	if t := p.sched.trace; t != nil {
 		t.Park(p.ID, tag, p.now)
 	}
-	p.sched.scheduleNext()
-	<-p.resume
+	p.park(p.sched.scheduleNext())
 }
 
 // Wake makes a blocked peer runnable with its clock advanced to at (if
@@ -209,6 +226,19 @@ func (p *Proc) Wake(q *Proc, at units.Seconds) {
 	}
 }
 
+// park hands control to next (nil: nothing is runnable) through the
+// dispatcher and returns when this proc is resumed.
+func (p *Proc) park(next *Proc) {
+	p.sched.successor = next
+	if !p.yield(struct{}{}) {
+		panic(unwound{})
+	}
+}
+
+// unwound is the panic that unwinds a parked proc's body when Run
+// abandons the simulation; root swallows it.
+type unwound struct{}
+
 func (p *Proc) checkRunning(op string) {
 	if p.state != stateRunning {
 		panic(fmt.Sprintf("vtime: %s called on proc %d which is not running", op, p.ID))
@@ -226,12 +256,14 @@ type Scheduler struct {
 	pending    []*Proc
 	pendingMin *Proc
 	alive      int
-	// done wakes the Run goroutine: simulation complete, deadlock, or
-	// a captured proc panic (see failure).
-	done chan struct{}
+	// successor is the proc a parking or finishing proc chose to run
+	// next, left for the dispatcher (nil: nothing is runnable).
+	successor *Proc
 	// failure records the first process panic, re-raised from Run.
-	failure  string
-	counters Counters
+	failure string
+	// abandoned: Run is over and unwinding the unfinished procs.
+	abandoned bool
+	counters  Counters
 	// running is the proc currently holding control, tracked so the
 	// tracer can attribute handoffs to their source. Maintained only
 	// when a tracer is attached — the hot path stays untouched without
@@ -245,13 +277,11 @@ func NewScheduler(n int) *Scheduler {
 	s := &Scheduler{
 		procs: make([]*Proc, n),
 		heap:  make([]*Proc, 0, n),
-		done:  make(chan struct{}, 1),
 	}
 	for i := range s.procs {
 		s.procs[i] = &Proc{
 			ID:      i,
 			sched:   s,
-			resume:  make(chan struct{}, 1),
 			heapIdx: -1,
 			state:   stateRunnable,
 		}
@@ -271,9 +301,9 @@ func (s *Scheduler) Counters() Counters { return s.counters }
 // produces the same execution, traced or not.
 func (s *Scheduler) SetTracer(t Tracer) { s.trace = t }
 
-// handoff transfers control to next: the caller stops being the
-// running process (it parks, finishes, or is the Run goroutine at
-// startup) and next starts. One synchronization hop.
+// handoff accounts for control passing to next: the previous holder
+// has parked or finished (or this is the first dispatch) and next is
+// about to be resumed.
 func (s *Scheduler) handoff(next *Proc) {
 	next.state = stateRunning
 	s.counters.Switches++
@@ -285,20 +315,46 @@ func (s *Scheduler) handoff(next *Proc) {
 		s.trace.Switch(from, next.ID, next.now)
 		s.running = next
 	}
-	next.resume <- struct{}{}
 }
 
-// scheduleNext passes control from a process leaving the running state
-// (blocked or finished) to the next runnable process, or wakes the Run
-// goroutine when nothing is runnable (completion or deadlock).
-func (s *Scheduler) scheduleNext() {
+// scheduleNext picks the successor of a process leaving the running
+// state (blocked or finished): the next runnable process, or nil when
+// nothing is runnable (completion or deadlock).
+func (s *Scheduler) scheduleNext() *Proc {
 	s.flushWakes()
-	next := s.pop()
-	if next == nil {
-		s.done <- struct{}{}
-		return
+	return s.pop()
+}
+
+// root is the bottom frame of p's coroutine: it runs body, then retires
+// p and leaves its successor for the dispatcher.
+func (s *Scheduler) root(p *Proc, body func(p *Proc)) {
+	defer func() {
+		r := recover()
+		if s.abandoned {
+			// Unwound by reclaim: the sentinel, or what a deferred call
+			// raised on top of it, must not mask Run's own failure.
+			return
+		}
+		if r != nil {
+			s.failure = fmt.Sprintf("vtime: proc %d panicked: %v", p.ID, r)
+		}
+		p.state = stateDone
+		s.alive--
+		s.successor = nil
+		if s.failure == "" && s.alive > 0 {
+			s.successor = s.scheduleNext()
+		}
+	}()
+	body(p)
+}
+
+// reclaim unwinds every unfinished proc — never started, runnable or
+// blocked — so no goroutine outlives Run; none is left after a clean one.
+func (s *Scheduler) reclaim() {
+	s.abandoned = true
+	for _, p := range s.procs {
+		p.stop() // no-op on a finished proc
 	}
-	s.handoff(next)
 }
 
 // Run starts body(i, proc) for every process and drives the simulation
@@ -316,31 +372,17 @@ func (s *Scheduler) Run(body func(p *Proc)) units.Seconds {
 	}
 	s.heap = append(s.heap, s.procs...)
 	for _, p := range s.procs {
-		proc := p
-		go func() {
-			<-proc.resume
-			defer func() {
-				if r := recover(); r != nil {
-					s.failure = fmt.Sprintf("vtime: proc %d panicked: %v", proc.ID, r)
-				}
-				proc.state = stateDone
-				s.alive--
-				if s.failure != "" || s.alive == 0 {
-					// A panic abandons the simulation (peers may be
-					// stranded; Run surfaces the original failure);
-					// otherwise the last proc finished and the
-					// simulation is complete.
-					s.done <- struct{}{}
-					return
-				}
-				s.scheduleNext()
-			}()
-			body(proc)
-		}()
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			s.root(p, body)
+		})
 	}
-	if first := s.pop(); first != nil {
-		s.handoff(first)
-		<-s.done
+	defer s.reclaim()
+	// Dispatch: resume the chosen proc, and when it parks or finishes
+	// take the successor it left.
+	for p := s.pop(); p != nil; p = s.successor {
+		s.handoff(p)
+		p.next()
 	}
 	if s.failure != "" {
 		panic(s.failure)

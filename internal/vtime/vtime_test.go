@@ -2,7 +2,9 @@ package vtime
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/units"
@@ -408,4 +410,224 @@ func TestTwoProcScheduleExact(t *testing.T) {
 	// and is a full switch; add the initial handoff and the one to proc 1
 	// when proc 0 exits.
 	check("sync", s, order, []int{0, 1, 0, 1, 0, 1}, 2*iters+2)
+}
+
+// eventLog is a Tracer that writes every callback and its arguments
+// down, one line each.
+type eventLog struct{ lines []string }
+
+func (l *eventLog) logf(format string, args ...any) {
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+func (l *eventLog) Switch(from, to int, now units.Seconds) {
+	l.logf("switch %d>%d @%g", from, to, float64(now))
+}
+func (l *eventLog) Park(id int, tag string, now units.Seconds) {
+	l.logf("park %d [%s] @%g", id, tag, float64(now))
+}
+func (l *eventLog) Wake(waker, woken int, now, wakerNow units.Seconds) {
+	l.logf("wake %d>%d @%g from @%g", waker, woken, float64(now), float64(wakerNow))
+}
+func (l *eventLog) Idle(id int, tag string, from, to units.Seconds) {
+	l.logf("idle %d [%s] %g..%g", id, tag, float64(from), float64(to))
+}
+func (l *eventLog) FlushWakes(k int, now units.Seconds) {
+	l.logf("flush %d @%g", k, float64(now))
+}
+
+// TestScheduleGolden is the kernel-level twin of the figure goldens: a
+// scripted five-proc run — skewed clocks, Sync on its fast and slow
+// paths, a gate that releases three waiters in one batch, a proc that
+// finishes early — whose complete Tracer event sequence and final
+// counters are compared with the literal below. The literal was
+// recorded at commit 4f14b8f, when control moved by channel
+// park/unpark; it changes only if who runs next changes.
+func TestScheduleGolden(t *testing.T) {
+	const ms = units.Millisecond
+	s := NewScheduler(5)
+	log := &eventLog{}
+	s.SetTracer(log)
+	procs := s.Procs()
+	end := s.Run(func(p *Proc) {
+		switch p.ID {
+		case 0: // the gatekeeper
+			p.Advance(5 * ms)
+			p.Sync() // slow path: everyone else is earlier
+			p.Wake(procs[1], 7*ms)
+			p.Wake(procs[2], 6*ms)
+			p.Wake(procs[3], 6*ms)
+			p.Sync() // fast path: the pending minimum is later than now
+			p.Advance(2 * ms)
+			p.Sync() // slow path: folds the batch of three
+			p.Block("tail")
+		case 4: // finishes early
+			p.Advance(ms / 2)
+			p.Sync()
+		default: // the waiters
+			p.Advance(units.Seconds(p.ID) * ms)
+			p.Sync()
+			p.Block("gate")
+			p.Advance(ms)
+			p.Sync()
+			if p.ID == 3 {
+				p.Wake(procs[0], p.Now())
+			}
+		}
+	})
+	log.logf("end @%g counters %+v", float64(end), s.Counters())
+	got := strings.Join(log.lines, "\n")
+	if got != scheduleGolden {
+		t.Errorf("schedule moved.\ngot:\n%s\nwant:\n%s", got, scheduleGolden)
+	}
+}
+
+const scheduleGolden = `switch -1>0 @0
+switch 0>1 @0
+switch 1>2 @0
+switch 2>3 @0
+switch 3>4 @0
+switch 4>1 @0.001
+park 1 [gate] @0.001
+switch 1>2 @0.002
+park 2 [gate] @0.002
+switch 2>3 @0.003
+park 3 [gate] @0.003
+switch 3>0 @0.005
+wake 0>1 @0.007 from @0.005
+wake 0>2 @0.006 from @0.005
+wake 0>3 @0.006 from @0.005
+flush 3 @0.007
+switch 0>2 @0.006
+switch 2>3 @0.006
+switch 3>0 @0.007
+park 0 [tail] @0.007
+switch 0>1 @0.007
+switch 1>2 @0.007
+switch 2>3 @0.007
+wake 3>0 @0.007 from @0.007
+switch 3>0 @0.007
+switch 0>1 @0.008
+end @0.008 counters {Switches:17 SyncFast:2 PingPong:0 Wakes:4 WakeBatches:1 HeapOps:29}`
+
+// TestAbandonedRunReclaimsProcs covers what Run leaves behind when it
+// panics: every proc that had not finished — parked in Block, runnable
+// in the heap, or never started — is unwound (its deferred calls run)
+// and its goroutine ends, so a failed cell leaks nothing into a
+// long-lived process; a panic raised by such a deferred call does not
+// replace the failure Run reports. The messages are the ones the
+// channel kernel produced at commit 4f14b8f, byte for byte.
+func TestAbandonedRunReclaimsProcs(t *testing.T) {
+	const n = 64
+	for _, tc := range []struct {
+		name     string
+		culprit  int // the proc whose own panic is the failure, -1 for none
+		body     func(p *Proc)
+		wantText string
+	}{
+		{
+			name: "deadlock", culprit: -1,
+			body: func(p *Proc) {
+				p.Advance(units.Seconds(p.ID%5) * units.Millisecond)
+				p.Sync()
+				if p.ID%8 == 0 {
+					p.Block("stuck")
+				}
+			},
+			wantText: "vtime: deadlock — proc 0 @0s [stuck]; proc 8 @3.000ms [stuck]; proc 16 @1.000ms [stuck]; " +
+				"proc 24 @4.000ms [stuck]; proc 32 @2.000ms [stuck]; proc 40 @0s [stuck]; " +
+				"proc 48 @3.000ms [stuck]; proc 56 @1.000ms [stuck];",
+		},
+		{
+			name: "panic among parked and runnable peers", culprit: 5,
+			body: func(p *Proc) {
+				switch {
+				case p.ID < 5:
+					p.Block("waiting-on-dead-peer")
+				case p.ID == 5:
+					p.Advance(units.Second)
+					p.Sync()
+					panic("model bug")
+				default:
+					p.Advance(2 * units.Second)
+					p.Sync()
+				}
+			},
+			wantText: "vtime: proc 5 panicked: model bug",
+		},
+		{
+			name: "panic before any peer started", culprit: 0,
+			body:     func(p *Proc) { panic(fmt.Sprintf("bad input %d", p.ID)) },
+			wantText: "vtime: proc 0 panicked: bad input 0",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			started, deferred := 0, 0
+			var text any
+			func() {
+				defer func() { text = recover() }()
+				NewScheduler(n).Run(func(p *Proc) {
+					started++
+					defer func() {
+						deferred++
+						if p.ID != tc.culprit && recover() != nil {
+							panic("raised while unwinding")
+						}
+					}()
+					tc.body(p)
+				})
+			}()
+			if text != tc.wantText {
+				t.Errorf("Run panicked with\n%v\nwant\n%s", text, tc.wantText)
+			}
+			if deferred != started {
+				t.Errorf("%d procs started but %d ran their deferred calls", started, deferred)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines before Run, %d after it panicked", before, after)
+			}
+		})
+	}
+}
+
+// TestConcurrentSchedulers runs independent schedulers on several
+// goroutines at once, as the sweep pool does with -parallel 2: each
+// Run dispatches its own coroutines from whichever goroutine called it,
+// and all must produce the serial run's schedule. Meaningful under
+// -race, where the kernel's happens-before chain is iter.Pull's.
+func TestConcurrentSchedulers(t *testing.T) {
+	run := func() (units.Seconds, Counters) {
+		s := NewScheduler(64)
+		res := NewResource("shared")
+		procs := s.Procs()
+		end := s.Run(func(p *Proc) {
+			for i := 0; i < 20; i++ {
+				p.Advance(units.Seconds(p.ID%7) * units.Millisecond)
+				p.Sync()
+				p.AdvanceTo(res.ReserveAt(p.Now(), units.Millisecond))
+			}
+			if p.ID > 0 {
+				p.Block("gate")
+				return
+			}
+			p.Advance(units.Second)
+			p.Sync() // every peer is parked at the gate by now
+			for _, q := range procs[1:] {
+				p.Wake(q, p.Now())
+			}
+		})
+		return end, s.Counters()
+	}
+	wantEnd, wantCounters := run()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if end, c := run(); end != wantEnd || c != wantCounters {
+				t.Errorf("concurrent run ended @%v with %+v, serial run @%v with %+v", end, c, wantEnd, wantCounters)
+			}
+		}()
+	}
+	wg.Wait()
 }
