@@ -36,9 +36,6 @@ type rankComm struct {
 	// reqs is the reusable request slice for bundled exchanges: room
 	// for one receive and one send per neighbour.
 	reqs []*mpi.Request
-
-	// commCalls counts Exchange invocations, for diagnostics.
-	commCalls int
 }
 
 var _ field.Comm = (*rankComm)(nil)
@@ -57,7 +54,6 @@ func (rc *rankComm) Exchange(fields ...*field.Field) {
 	if len(rc.nbrs) == 0 {
 		return
 	}
-	rc.commCalls++
 	reqs := rc.reqs[:0]
 	// Post all receives first (good MPI practice, and required for the
 	// rendezvous protocol to overlap).
@@ -75,6 +71,9 @@ func (rc *rankComm) Exchange(fields ...*field.Field) {
 		reqs = append(reqs, rc.comm.Isend(nb.Rank, tagHaloBase+int(nb.Face), snd))
 	}
 	rc.comm.Base().Wait(reqs...)
+	// A request is a whole endpoint record; keep none reachable until the
+	// next exchange overwrites the slot.
+	clear(reqs)
 	for i, nb := range rc.nbrs {
 		n := nb.Count * len(fields)
 		_, rcv := rc.buffers(i, n)
@@ -92,7 +91,6 @@ func (rc *rankComm) ExchangeModel(nFields int) {
 	if len(rc.nbrs) == 0 {
 		return
 	}
-	rc.commCalls++
 	reqs := rc.reqs[:0]
 	for _, nb := range rc.nbrs {
 		reqs = append(reqs, rc.comm.IrecvModel(nb.Rank, tagHaloBase+int(nb.Face.Opposite()), nb.Count*nFields))
@@ -101,6 +99,7 @@ func (rc *rankComm) ExchangeModel(nFields int) {
 		reqs = append(reqs, rc.comm.IsendModel(nb.Rank, tagHaloBase+int(nb.Face), nb.Count*nFields))
 	}
 	rc.comm.Base().Wait(reqs...)
+	clear(reqs) // as in Exchange
 }
 
 // AllSum implements field.Comm.

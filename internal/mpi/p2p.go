@@ -2,98 +2,68 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/units"
 )
 
-// message is an in-flight point-to-point payload.
-type message struct {
-	src, dst, tag int
-	// data carries the payload values; nil for size-only (model)
-	// messages, which move no bytes in host memory but are costed
-	// exactly like a payload of count float64s.
-	data  []float64
-	count int
-	size  units.ByteSize
-	tr    *fabric.Transport
-	eager bool
-	// readyAt is, for eager messages, the time the payload is fully
-	// available at the receiver; for rendezvous messages, the time the
-	// sender posted (RTS time).
-	readyAt units.Seconds
-	// sentAt is when the sender entered the send, for the Tap's latency
-	// accounting.
-	sentAt units.Seconds
-	// sreq, when non-nil, is the sender's request to complete once the
-	// transfer finishes (rendezvous Isend or blocking Send).
-	sreq *Request
-	// sender lets the receiver wake a blocked sender.
-	sender *Rank
-}
-
-// recvPost is a posted receive awaiting a matching send.
-type recvPost struct {
-	src, tag int
-	// buf receives the payload; nil for size-only (model) receives
-	// that only validate the expected count.
-	buf      []float64
-	count    int
-	postedAt units.Seconds
-	req      *Request
-	owner    *Rank
-}
-
-// mailbox holds a destination rank's unexpected messages and posted
-// receives. Matching is FIFO within (src, tag).
-type mailbox struct {
-	sends []*message
-	posts []*recvPost
-}
-
-func (m *mailbox) matchSend(src, tag int) *message {
-	for i, msg := range m.sends {
-		if msg.src == src && msg.tag == tag {
-			m.sends = append(m.sends[:i], m.sends[i+1:]...)
-			return msg
-		}
-	}
-	return nil
-}
-
-func (m *mailbox) matchPost(src, tag int) *recvPost {
-	for i, p := range m.posts {
-		if p.src == src && p.tag == tag {
-			m.posts = append(m.posts[:i], m.posts[i+1:]...)
-			return p
-		}
-	}
-	return nil
-}
-
-// Request tracks completion of a nonblocking operation.
+// Request is one endpoint of a point-to-point transfer, a send or a
+// receive: the handle Isend and Irecv return to its owner and, until a
+// counterpart arrives, the entry queued in the destination's mailbox.
 type Request struct {
 	owner      *Rank
-	done       bool
 	completeAt units.Seconds
 	// kind is the tag Wait parks and idles under ("wait:isend", ...),
 	// stored whole so the hot path builds no string.
 	kind string
-	seq  int
+	// src — the sending world rank — and tag are the match key.
+	src, tag int
+	// buf is a send's private copy of the payload or a receive's
+	// destination; nil for a size-only (model) endpoint, which moves no
+	// bytes in host memory but is costed, and its length validated,
+	// exactly like a payload of count float64s.
+	buf   []float64
+	count int
+	// at is when this side is ready: a receive's post time, an eager
+	// send's arrival at the receiver, a rendezvous send's RTS time.
+	at units.Seconds
+	// The rest is set on sends only. sentAt is when the sender entered
+	// the send, for the Tap's latency accounting.
+	size   units.ByteSize
+	tr     *fabric.Transport
+	sentAt units.Seconds
+	eager  bool
+	done   bool
 }
 
 // Done reports whether the request has completed.
 func (q *Request) Done() bool { return q.done }
 
-func (r *Rank) newRequest(kind string) *Request {
-	r.reqSeq++
-	return &Request{owner: r, kind: kind, seq: r.reqSeq}
-}
-
 // complete marks the request finished at time t.
 func (q *Request) complete(t units.Seconds) {
 	q.done = true
 	q.completeAt = t
+}
+
+// mailbox holds a destination rank's unexpected sends and posted
+// receives.
+type mailbox struct {
+	sends, posts []*Request
+}
+
+// match removes and returns the oldest request in queue keyed (src,
+// tag) — matching is FIFO within a key — or nil when there is none.
+// Delete zeroes the slot it vacates, so a drained queue's backing array
+// keeps no matched request reachable.
+func match(queue *[]*Request, src, tag int) *Request {
+	for i, q := range *queue {
+		if q.src == src && q.tag == tag {
+			*queue = slices.Delete(*queue, i, i+1)
+			return q
+		}
+	}
+	return nil
 }
 
 // payloadSize converts a float64 count to wire bytes.
@@ -114,8 +84,10 @@ func (w *World) deliver(tr *fabric.Transport, srcNode int, start units.Seconds, 
 // eager (buffered, sender returns after its CPU cost); large messages
 // use rendezvous and block the sender until the receiver has the data —
 // matching the synchronous behaviour of real MPI large-message sends.
+// An eager send's request is complete on return from send, so the wait
+// is then a no-op.
 func (r *Rank) Send(dst, tag int, data []float64) {
-	r.timed(func() { r.send(dst, tag, data, len(data), nil) })
+	r.timed(func() { r.waitOne(r.send(dst, tag, data, len(data), "wait:send-rdv")) })
 }
 
 // Isend starts a nonblocking send and returns its request. Eager sends
@@ -123,10 +95,7 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 // when the receiver has the data (observe via Wait).
 func (r *Rank) Isend(dst, tag int, data []float64) *Request {
 	var req *Request
-	r.timed(func() {
-		req = r.newRequest("wait:isend")
-		r.send(dst, tag, data, len(data), req)
-	})
+	r.timed(func() { req = r.send(dst, tag, data, len(data), "wait:isend") })
 	return req
 }
 
@@ -135,17 +104,14 @@ func (r *Rank) Isend(dst, tag int, data []float64) *Request {
 // workload model's replacement for sending a zero buffer.
 func (r *Rank) IsendModel(dst, tag, n int) *Request {
 	var req *Request
-	r.timed(func() {
-		req = r.newRequest("wait:isend")
-		r.send(dst, tag, nil, n, req)
-	})
+	r.timed(func() { req = r.send(dst, tag, nil, n, "wait:isend") })
 	return req
 }
 
-// send implements Send (req == nil) and Isend/IsendModel (req != nil).
-// data is nil for size-only messages; count is the payload length in
-// float64s in either case.
-func (r *Rank) send(dst, tag int, data []float64, count int, req *Request) {
+// send starts a send and returns its request, which the caller waits on
+// under kind. data is nil for size-only messages; count is the payload
+// length in float64s in either case.
+func (r *Rank) send(dst, tag int, data []float64, count int, kind string) *Request {
 	if dst < 0 || dst >= r.w.cfg.Ranks {
 		panic(fmt.Sprintf("mpi: rank %d sends to invalid rank %d", r.id, dst))
 	}
@@ -167,61 +133,41 @@ func (r *Rank) send(dst, tag int, data []float64, count int, req *Request) {
 		copy(payload, data)
 	}
 
-	eager := tr.Eager(size)
-	cpu := tr.CPUCost(size)
-	msg := &message{
-		src: r.id, dst: dst, tag: tag,
-		data: payload, count: count, size: size, tr: tr,
-		eager: eager, sender: r, sreq: req,
-		sentAt: r.proc.Now(),
+	s := &Request{
+		owner: r, kind: kind, src: r.id, tag: tag,
+		buf: payload, count: count, size: size, tr: tr,
+		eager: tr.Eager(size), sentAt: r.proc.Now(),
+	}
+	if s.eager {
+		// Fire and forget: the sender is done after its CPU cost.
+		r.proc.Advance(tr.CPUCost(size))
+		s.at = r.w.deliver(tr, r.node, r.proc.Now(), size)
+		s.complete(r.proc.Now())
+	} else {
+		r.proc.Advance(tr.Overhead) // RTS packet cost
+		s.at = r.proc.Now()
 	}
 	box := &r.w.boxes[dst]
-
-	if eager {
-		r.proc.Advance(cpu)
-		msg.readyAt = r.w.deliver(tr, r.node, r.proc.Now(), size)
-		if req != nil {
-			req.complete(r.proc.Now())
-		}
-		if post := box.matchPost(msg.src, msg.tag); post != nil {
-			r.settle(post, msg, r.w.landing(post, msg))
-			return
-		}
-		box.sends = append(box.sends, msg)
-		return
+	recv := match(&box.posts, r.id, tag)
+	if recv == nil {
+		box.sends = append(box.sends, s)
+		return s
 	}
-
-	// Rendezvous: post the RTS, then either block (Send) or let the
-	// request track completion (Isend).
-	r.proc.Advance(tr.Overhead) // RTS packet cost
-	msg.readyAt = r.proc.Now()
-	if post := box.matchPost(msg.src, msg.tag); post != nil {
+	arrival := r.w.landing(recv, s)
+	r.settle(recv, s, arrival)
+	if !s.eager {
 		// Receiver already waiting. The sender is done when the payload
 		// lands, before the receiver's CPU cost.
-		arrival := r.w.landing(post, msg)
-		r.settle(post, msg, arrival)
-		if req != nil {
-			req.complete(arrival)
-		} else {
-			r.idleTo("wait:send-rdv", arrival)
-		}
-		return
+		s.complete(arrival)
 	}
-	box.sends = append(box.sends, msg)
-	if req == nil {
-		msg.sreq = r.newRequest("wait:send-rdv")
-		r.waitOne(msg.sreq)
-	}
+	return s
 }
 
 // Recv blocks until a matching message arrives and copies it into buf.
 // buf must have exactly the sent length; mismatches panic, which in a
 // simulator is the most useful behaviour for a truncation bug.
 func (r *Rank) Recv(src, tag int, buf []float64) {
-	r.timed(func() {
-		req := r.irecv(src, tag, buf, len(buf))
-		r.waitOne(req)
-	})
+	r.timed(func() { r.waitOne(r.irecv(src, tag, buf, len(buf))) })
 }
 
 // Irecv posts a nonblocking receive into buf.
@@ -245,49 +191,49 @@ func (r *Rank) irecv(src, tag int, buf []float64, count int) *Request {
 	if src == r.id {
 		panic(fmt.Sprintf("mpi: rank %d receives from itself (tag %d)", r.id, tag))
 	}
-	req := r.newRequest("wait:irecv")
 	r.proc.Sync()
+	recv := &Request{owner: r, kind: "wait:irecv", src: src, tag: tag, buf: buf, count: count, at: r.proc.Now()}
 	box := &r.w.boxes[r.id]
-	post := &recvPost{src: src, tag: tag, buf: buf, count: count, postedAt: r.proc.Now(), req: req, owner: r}
-	if msg := box.matchSend(src, tag); msg != nil {
-		done := r.settle(post, msg, r.w.landing(post, msg))
-		if !msg.eager && msg.sreq != nil {
-			// Complete the sender's request; if the sender is parked in a
-			// blocking rendezvous Send or in Wait, bring it back.
-			msg.sreq.complete(done)
-			r.wakeIfBlocked(msg.sender, done)
-		}
-		return req
+	s := match(&box.sends, src, tag)
+	if s == nil {
+		box.posts = append(box.posts, recv)
+		return recv
 	}
-	box.posts = append(box.posts, post)
-	return req
+	done := r.settle(recv, s, r.w.landing(recv, s))
+	if !s.eager {
+		// A queued rendezvous send completes with the receive; if its
+		// owner is parked in a blocking Send or in Wait, bring it back.
+		s.complete(done)
+		r.wakeIfBlocked(s.owner, done)
+	}
+	return recv
 }
 
-// landing returns when a matched message's payload reaches the
-// receiving node: an eager payload is already on its way, a rendezvous
-// transfer starts once both sides are ready and the CTS has crossed.
-func (w *World) landing(post *recvPost, msg *message) units.Seconds {
-	ready := units.Max(msg.readyAt, post.postedAt)
-	if msg.eager {
+// landing returns when a matched send's payload reaches the receiving
+// node: an eager payload is already on its way, a rendezvous transfer
+// starts once both sides are ready and the CTS has crossed.
+func (w *World) landing(recv, send *Request) units.Seconds {
+	ready := units.Max(send.at, recv.at)
+	if send.eager {
 		return ready
 	}
-	return w.deliver(msg.tr, msg.sender.node, ready+msg.tr.Latency, msg.size)
+	return w.deliver(send.tr, send.owner.node, ready+send.tr.Latency, send.size)
 }
 
 // settle completes a matched receive whose payload lands at arrival: it
 // charges the receiver's CPU cost, moves the payload, completes the
-// receive request, reports the message to the Tap and wakes the
-// receiver if it is parked. It returns the completion time. All three
-// match sites — a send finding a posted receive (eager or rendezvous)
-// and a receive finding a queued send — end here.
-func (r *Rank) settle(post *recvPost, msg *message, arrival units.Seconds) units.Seconds {
-	arrival += msg.tr.CPUCost(msg.size)
-	copyPayload(post, msg)
-	post.req.complete(arrival)
+// receive, reports the message to the Tap and wakes the receiver if it
+// is parked. It returns the completion time. Both match sites — a send
+// finding a posted receive and a receive finding a queued send — end
+// here.
+func (r *Rank) settle(recv, send *Request, arrival units.Seconds) units.Seconds {
+	arrival += send.tr.CPUCost(send.size)
+	copyPayload(recv, send)
+	recv.complete(arrival)
 	if tap := r.w.cfg.Tap; tap != nil {
-		tap.Message(msg.src, msg.dst, msg.tag, msg.size, msg.tr.Name, msg.sentAt, arrival)
+		tap.Message(send.src, recv.owner.id, send.tag, send.size, send.tr.Name, send.sentAt, arrival)
 	}
-	r.wakeIfBlocked(post.owner, arrival)
+	r.wakeIfBlocked(recv.owner, arrival)
 	return arrival
 }
 
@@ -306,20 +252,20 @@ func (r *Rank) wakeIfBlocked(peer *Rank, at units.Seconds) {
 	}
 }
 
-func copyPayload(post *recvPost, msg *message) {
-	if post.count != msg.count {
+func copyPayload(recv, send *Request) {
+	if recv.count != send.count {
 		panic(fmt.Sprintf("mpi: recv buffer length %d != message length %d (src %d dst %d tag %d)",
-			post.count, msg.count, msg.src, msg.dst, msg.tag))
+			recv.count, send.count, send.src, recv.owner.id, send.tag))
 	}
 	// Size-only endpoints move no data between themselves. A size-only
 	// message delivers zeros, so a real receive buffer matched against
 	// one is cleared to preserve the zero-payload semantics.
 	switch {
-	case post.buf == nil:
-	case msg.data != nil:
-		copy(post.buf, msg.data)
+	case recv.buf == nil:
+	case send.buf != nil:
+		copy(recv.buf, send.buf)
 	default:
-		clear(post.buf)
+		clear(recv.buf)
 	}
 }
 

@@ -9,7 +9,10 @@
 // cost models. Point-to-point is blocking Send/Recv, the nonblocking
 // Isend/Irecv pair with their size-only Model variants, Wait and
 // SendRecv, matched with MPI semantics (FIFO per source/tag, eager and
-// rendezvous protocols). The collectives are Barrier and Allreduce —
+// rendezvous protocols). Each side of a transfer is one Request: the
+// handle its owner waits on is also what queues in the destination's
+// mailbox until the other side arrives, so a matched message is two
+// heap objects. The collectives are Barrier and Allreduce —
 // recursive doubling, ring, binomial Reduce+Bcast, or node-hierarchical
 // — built on point-to-point with the textbook algorithms, so their
 // scaling behaviour emerges from the message costs rather than being
@@ -159,7 +162,6 @@ type Rank struct {
 	commTime  units.Seconds
 	bytesSent units.ByteSize
 	msgsSent  int
-	reqSeq    int
 }
 
 // Stats summarizes one execution.

@@ -44,7 +44,6 @@ type msgInfo struct {
 	src, dst, tag int
 	size          units.ByteSize
 	transport     string
-	sent          units.Seconds
 	arrived       units.Seconds
 }
 
@@ -183,7 +182,7 @@ func (r *Recorder) Idle(id int, tag string, from, to units.Seconds) {
 func (r *Recorder) Message(src, dst, tag int, size units.ByteSize,
 	transport string, sent, arrived units.Seconds) {
 	r.lastMsg = msgInfo{src: src, dst: dst, tag: tag, size: size,
-		transport: transport, sent: sent, arrived: arrived}
+		transport: transport, arrived: arrived}
 	r.hasLastMsg = true
 }
 
