@@ -46,7 +46,6 @@ import (
 	"repro/internal/resultdb"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -107,15 +106,6 @@ func OpenStore(dir string) (*resultdb.DirStore, error) { return resultdb.Open(di
 // merges against a URL behave exactly as against a local directory.
 func DialStore(url string) (*registry.Client, error) {
 	return registry.Dial(url, registry.ClientOptions{})
-}
-
-// NewCellTrace creates a per-cell execution trace — virtual-time
-// events exported as Chrome Trace Event JSON — with a bounded event
-// ring (maxEvents < 1 means the default). Set it as Cell.Tap, run the
-// cell, then Export or WriteFile.
-// Options.TraceDir wires the same thing for whole sweeps.
-func NewCellTrace(label string, maxEvents int) *telemetry.CellTrace {
-	return telemetry.NewCellTrace(label, maxEvents)
 }
 
 // LoadScenario reads, validates, and compiles a JSON scenario spec

@@ -279,6 +279,7 @@ func TestFacadeExportsAreUsed(t *testing.T) {
 // reason. Everything else TestInternalExportsAreReferenced finds is
 // dead surface: delete it with the tests that exercise only it.
 var internalAllow = map[string]string{
+	"experiments.CellError.Unwrap":             "errors.Is/As call it through the error-unwrapping interface, never by name",
 	"experiments.GridResult.SeriesByLabel":     "accessor the figure-shape tests read results through",
 	"experiments.IOStudyResult.Find":           "accessor the figure-shape tests read results through",
 	"experiments.PortabilityResult.Find":       "accessor the figure-shape tests read results through",

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/solid"
 	"repro/internal/units"
+	"repro/internal/vtime"
 )
 
 func workUnits(f float64) units.Flops    { return units.Flops(f) }
@@ -81,9 +82,9 @@ type Spec struct {
 	// hierarchical, paying the fabric's latency once per node instead
 	// of once per rank).
 	Allreduce mpi.AllreduceAlgo
-	// Tap is the passive telemetry tap forwarded into the MPI layer
-	// (see mpi.Config); it does not affect the execution's outcome.
-	Tap mpi.Tap
+	// Log, when non-nil, records the execution (see mpi.Config); it
+	// does not affect the execution's outcome.
+	Log *vtime.Log
 }
 
 // Result reports one execution cell.
@@ -152,7 +153,7 @@ func Run(spec Spec) (Result, error) {
 			local := rank % job.RanksPerNode
 			return launch + perRank*units.Seconds(local+1)
 		},
-		Tap: spec.Tap,
+		Log: spec.Log,
 	}
 
 	run := runState{spec: spec, model: model}

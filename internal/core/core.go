@@ -15,6 +15,7 @@ import (
 	"repro/internal/container"
 	"repro/internal/mpi"
 	"repro/internal/sched"
+	"repro/internal/vtime"
 )
 
 // Cell is one measurement of the study.
@@ -35,11 +36,11 @@ type Cell struct {
 	Mode alya.Mode
 	// Allreduce picks the collective algorithm.
 	Allreduce mpi.AllreduceAlgo
-	// Tap is the passive telemetry tap threaded through to the MPI
-	// layer. It never influences the measurement — canonCell excludes
-	// it from the cell's fingerprint, and sweeps strip it from results
-	// before persisting or comparing.
-	Tap mpi.Tap
+	// Log, when non-nil, records the execution's events (see
+	// mpi.Config). It never influences the measurement — canonCell
+	// excludes it from the cell's fingerprint, and sweeps strip it from
+	// results before persisting or comparing.
+	Log *vtime.Log
 }
 
 // Result is one cell's full outcome.
@@ -79,7 +80,7 @@ func RunCell(c Cell) (Result, error) {
 		Case:      c.Case,
 		Mode:      c.Mode,
 		Allreduce: c.Allreduce,
-		Tap:       c.Tap,
+		Log:       c.Log,
 	})
 	if err != nil {
 		return Result{}, err

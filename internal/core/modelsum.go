@@ -12,16 +12,18 @@ import (
 	"repro/internal/container"
 	"repro/internal/navier"
 	"repro/internal/omp"
+	"repro/internal/sched"
 	"repro/internal/solid"
+	"repro/internal/units"
 )
 
 // ModelChecksum fingerprints the simulator's model constants: the
 // cluster tables (which embed the fabric transports and storage
 // models), the container runtimes' build/deploy/execution profiles,
-// the paper's workload cases, the solver per-cell cost constants, and
-// the OpenMP models. Any change to a number that can alter simulated
-// output changes the checksum, so persisted results stamped with it
-// self-invalidate instead of replaying outdated figures.
+// the paper's workload cases, the solver per-cell cost constants, the
+// OpenMP models and the job-launch latency. Any change to a number that
+// can alter simulated output changes the checksum, so persisted results
+// stamped with it self-invalidate instead of replaying outdated figures.
 func ModelChecksum() string {
 	modelChecksumOnce.Do(func() {
 		sig, err := modelSignature(cluster.All())
@@ -75,8 +77,13 @@ func modelSignature(clusters []*cluster.Cluster) ([]byte, error) {
 		Cases    []alya.Case
 		Solver   map[string]float64
 		OMP      []omp.Model
+		// Launch samples srun's fan-out cost, which offsets every rank's
+		// start: one node count per launch-tree depth, up to the largest
+		// cluster.
+		Launch map[int]units.Seconds
 	}{
 		Clusters: clusters,
+		Launch:   make(map[int]units.Seconds),
 		Cases: []alya.Case{
 			alya.ArteryCFDLenox(),
 			alya.ArteryCFDCTEPower(),
@@ -95,8 +102,14 @@ func modelSignature(clusters []*cluster.Cluster) ([]byte, error) {
 			"solid.StepBytesPerCell":        solid.StepBytesPerCell,
 		},
 	}
+	maxNodes := 1
 	for _, cl := range clusters {
 		sig.OMP = append(sig.OMP, omp.DefaultModel(cl.Node))
+		maxNodes = max(maxNodes, cl.TotalNodes)
+	}
+	for n := 1; n < 2*maxNodes; n *= 2 {
+		nodes := min(n, maxNodes)
+		sig.Launch[nodes] = (&sched.Job{Nodes: nodes}).LaunchLatency()
 	}
 	for _, rt := range container.Runtimes() {
 		rs := runtimeSig{Name: rt.Name(), Config: rt}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/sched"
 	"repro/internal/units"
 )
 
@@ -68,5 +70,34 @@ func TestModelChecksumFlipsOnConstantChange(t *testing.T) {
 				t.Fatalf("checksum did not change after mutating %s", m.name)
 			}
 		})
+	}
+}
+
+// TestModelSignatureCoversLaunchLatency: the job-launch latency offsets
+// every rank's start, so it moves every figure; the signature must
+// carry it for every allocation size a cluster can grant, or editing
+// its constants would replay stale results from warm stores.
+func TestModelSignatureCoversLaunchLatency(t *testing.T) {
+	clusters := cluster.All()
+	sig, err := modelSignature(clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Launch map[string]units.Seconds
+	}
+	if err := json.Unmarshal(sig, &got); err != nil {
+		t.Fatal(err)
+	}
+	carried := map[units.Seconds]bool{}
+	for _, l := range got.Launch { //lint:allow maporder -- builds a set
+		carried[l] = true
+	}
+	for _, cl := range clusters {
+		for n := 1; n <= cl.TotalNodes; n++ {
+			if l := (&sched.Job{Nodes: n}).LaunchLatency(); !carried[l] {
+				t.Fatalf("%s: launch latency %v at %d nodes is not in the model signature", cl.Name, l, n)
+			}
+		}
 	}
 }

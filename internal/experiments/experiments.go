@@ -74,14 +74,15 @@ type Options struct {
 	// only accumulate, so a caller reporting per phase passes each
 	// phase a fresh value (the CLI: one per study).
 	Stats *SweepStats
-	// TraceDir, when non-empty, makes the sweep record every simulated
+	// TraceDir, when non-empty, makes the sweep log every simulated
 	// cell's execution (kernel scheduling, point-to-point messages,
-	// collective phases — all in virtual time) and export one Chrome
-	// Trace Event JSON file per cell, named by the cell's store key.
-	// Tracing is a passive tap: results and figures are byte-identical
-	// with or without it, and the trace itself is deterministic (the
-	// same cell produces the same bytes on every run). Restored cells
-	// write no trace — only simulations have a schedule to record.
+	// collective phases — all in virtual time) and write one Chrome
+	// Trace Event JSON file and one time-attribution profile per cell,
+	// named by the cell's store key. Tracing is passive: results and
+	// figures are byte-identical with or without it, and the artifacts
+	// themselves are deterministic (the same cell produces the same
+	// bytes on every run). Restored cells write nothing — only
+	// simulations have a schedule to record.
 	TraceDir string
 	// Progress, when non-nil, receives one event per produced cell —
 	// restored or simulated — as the sweep runs, counted per Run call

@@ -105,8 +105,8 @@ type Sweep struct {
 	fromStore bool
 	stats     *SweepStats
 
-	// Telemetry taps (see Options.TraceDir / Options.Progress). Both
-	// are passive: results are identical with or without them.
+	// Telemetry (see Options.TraceDir / Options.Progress). Both are
+	// passive: results are identical with or without them.
 	traceDir string
 	progress func(ProgressEvent)
 
@@ -554,42 +554,40 @@ func (s *Sweep) cellFor(sp CellSpec) (core.Cell, error) {
 }
 
 // runSpec executes one cell: memoized image build, then the
-// measurement. With tracing enabled, a CellTrace taps the execution
-// and is exported keyed by the cell's fingerprint, together with the
-// cell's time-attribution profile (<key>.profile.json, consumed by
-// `hpcstudy analyze`); an artifact that cannot be written fails the
-// cell loudly rather than silently losing what the operator asked for.
+// measurement. With tracing enabled, the cell runs with an event log,
+// which after the run is folded twice, keyed by the cell's fingerprint:
+// into the Chrome trace (<key>.trace.json) and into the cell's
+// time-attribution profile (<key>.profile.json, consumed by `hpcstudy
+// analyze`); an artifact that cannot be written fails the cell loudly
+// rather than silently losing what the operator asked for.
 func (s *Sweep) runSpec(sp CellSpec) (core.Result, error) {
 	cell, err := s.cellFor(sp)
 	if err != nil {
 		return core.Result{}, err
 	}
-	var tr *telemetry.CellTrace
-	var rec *profile.Recorder
 	if s.traceDir != "" {
-		tr = telemetry.NewCellTrace(sp.Label, telemetry.DefaultTraceEvents)
-		// The recorder consumes the unbounded forwarded stream, so
-		// attribution stays exact even when the trace ring drops old
-		// events.
-		rec = profile.NewRecorder()
-		tr.Forward(rec)
-		cell.Tap = tr
+		cell.Log = &vtime.Log{}
 	}
 	res, err := core.RunCell(cell)
 	if err != nil {
 		return core.Result{}, err
 	}
 	s.stats.Computed.Add(1)
-	if tr != nil {
-		tr.SetKernel(res.Exec.MPI.Kernel)
+	if log := cell.Log; log != nil {
 		key, err := sp.Key()
 		if err != nil {
 			return core.Result{}, err
 		}
-		if err := tr.WriteFile(s.traceDir, key); err != nil {
+		trace, err := telemetry.Export(sp.Label, log, res.Exec.MPI.Kernel)
+		if err != nil {
 			return core.Result{}, err
 		}
-		prof, err := rec.Profile(sp.Label, key, res.Exec.MPI.RankEnd)
+		if err := telemetry.WriteTrace(s.traceDir, key, trace); err != nil {
+			return core.Result{}, err
+		}
+		// The trace keeps the newest events only; the profile folds them
+		// all, and drains the log as it goes.
+		prof, err := profile.Build(sp.Label, key, log, res.Exec.MPI.RankEnd)
 		if err != nil {
 			return core.Result{}, err
 		}
@@ -597,13 +595,13 @@ func (s *Sweep) runSpec(sp CellSpec) (core.Result, error) {
 			return core.Result{}, err
 		}
 	}
-	// Kernel counters and the telemetry tap are wall-cost
-	// observability, not simulation output: aggregate the counters
-	// into the sweep stats and strip both from the result, so warm
-	// (restored) and cold results stay deep-equal.
+	// Kernel counters and the event log are wall-cost observability,
+	// not simulation output: aggregate the counters into the sweep stats
+	// and strip both from the result, so warm (restored) and cold
+	// results stay deep-equal.
 	s.stats.AddKernel(res.Exec.MPI.Kernel)
 	res.Exec.MPI.Kernel = vtime.Counters{}
-	res.Cell.Tap = nil
+	res.Cell.Log = nil
 	return res, nil
 }
 

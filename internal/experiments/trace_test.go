@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -120,6 +122,37 @@ func TestTraceDirPerCellDeterministic(t *testing.T) {
 		t.Fatalf("wrote %d traces and %d profiles, want 6 each", traces, profiles)
 	}
 	_ = res2
+}
+
+// TestTracedCellArtifactsPinned pins one real cell's traced artifacts
+// across commits: the sha256 of the Chrome trace and of the attribution
+// profile a small fig2 cell writes. The literals were printed at commit
+// 6efdaf5, before the observer became an event log; they change only
+// if the cell's schedule, the trace format or the attribution does.
+func TestTracedCellArtifactsPinned(t *testing.T) {
+	dir := t.TempDir()
+	opt := fig2TraceOpt(dir)
+	opt.NodePoints = []int{2}
+	sp := Fig2Specs(opt)[0]
+	if _, err := NewSweep(opt).Run([]CellSpec{sp}); err != nil {
+		t.Fatal(err)
+	}
+	key, err := sp.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for suffix, want := range map[string]string{ //lint:allow maporder -- independent per-file checks
+		".trace.json":   "6b9a8ec6bc506784eb561d6b52351f57d82dd4fd253b6b8c430da15c80bd356d",
+		".profile.json": "27103170642faf1fb38c3bcea9d41467daf938e2cc8bde0bde69f5843cf429d1",
+	} {
+		data, err := os.ReadFile(filepath.Join(dir, key+suffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s%s: sha256 %s, want %s", sp.Label, suffix, got, want)
+		}
+	}
 }
 
 // TestTraceDirSkipsRestoredCells: a warm sweep replays from the store

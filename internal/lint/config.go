@@ -77,9 +77,9 @@ func DefaultConfig() *Config {
 		"repro/internal/field",
 		"repro/internal/linalg",
 		"repro/internal/resultdb",
-		// telemetry's trace sink runs inside the kernel's callbacks; its
-		// host-side Progress reporter samples the wall clock only under
-		// explicit //lint:allow wallclock escapes.
+		// telemetry folds the kernel's event log into traces that are
+		// part of the result; its host-side Progress reporter samples the
+		// wall clock only under explicit //lint:allow wallclock escapes.
 		"repro/internal/telemetry",
 		// registry carries lease deadlines, heartbeat cadence, and retry
 		// backoff — operational wall time that must stay behind explicit

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/vtime"
 )
 
 // Op is an elementwise reduction operator.
@@ -66,18 +68,15 @@ const (
 	tagLeaders = tagAllreduce - 600
 )
 
-// beginPhase and endPhase report the calling rank entering and leaving
-// a collective to the world's Tap (when nobody listens the hot path
-// costs one nil check each).
-func (c *Comm) beginPhase(name string) {
-	if tap := c.r.w.cfg.Tap; tap != nil {
-		tap.PhaseBegin(c.r.id, name, c.r.proc.Now())
-	}
-}
+// beginPhase and endPhase log the calling rank entering and leaving a
+// collective (without a log the hot path costs one nil check each).
+func (c *Comm) beginPhase(name string) { c.phase(vtime.EvPhaseBegin, name) }
 
-func (c *Comm) endPhase(name string) {
-	if tap := c.r.w.cfg.Tap; tap != nil {
-		tap.PhaseEnd(c.r.id, name, c.r.proc.Now())
+func (c *Comm) endPhase(name string) { c.phase(vtime.EvPhaseEnd, name) }
+
+func (c *Comm) phase(kind vtime.Kind, name string) {
+	if l := c.r.w.cfg.Log; l != nil {
+		l.Add(vtime.Event{Kind: kind, A: int32(c.r.id), T0: c.r.proc.Now()}, name)
 	}
 }
 

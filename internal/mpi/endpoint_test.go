@@ -8,36 +8,29 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/units"
+	"repro/internal/vtime"
 )
 
-// transcriptTap records what TestEndpointPaths pins of an execution's
-// telemetry: every Message, and every Park, Wake and Idle with its tag
-// and times. Switches are the kernel's business (vtime.TestScheduleGolden).
-type transcriptTap struct{ lines []string }
-
-func (tt *transcriptTap) logf(format string, args ...any) {
-	tt.lines = append(tt.lines, fmt.Sprintf(format, args...))
-}
-
-func (tt *transcriptTap) Switch(from, to int, now units.Seconds) {}
-func (tt *transcriptTap) FlushWakes(k int, now units.Seconds)    {}
-func (tt *transcriptTap) PhaseBegin(int, string, units.Seconds)  {}
-func (tt *transcriptTap) PhaseEnd(int, string, units.Seconds)    {}
-
-func (tt *transcriptTap) Park(id int, tag string, now units.Seconds) {
-	tt.logf("park %d %s %v", id, tag, float64(now))
-}
-
-func (tt *transcriptTap) Wake(waker, woken int, now, wakerNow units.Seconds) {
-	tt.logf("wake %d>%d %v %v", waker, woken, float64(now), float64(wakerNow))
-}
-
-func (tt *transcriptTap) Idle(id int, tag string, from, to units.Seconds) {
-	tt.logf("idle %d %s %v %v", id, tag, float64(from), float64(to))
-}
-
-func (tt *transcriptTap) Message(src, dst, tag int, size units.ByteSize, transport string, sent, arrived units.Seconds) {
-	tt.logf("msg %d>%d tag %d %dB %s %v %v", src, dst, tag, int64(size), transport, float64(sent), float64(arrived))
+// transcript renders what TestEndpointPaths pins of an execution's
+// log: every message, and every park, wake and idle with its tag and
+// times. Switches are the kernel's business (vtime.TestScheduleGolden).
+func transcript(l *vtime.Log) []string {
+	var lines []string
+	for i := 0; i < l.Len(); i++ {
+		e := l.At(i)
+		switch e.Kind {
+		case vtime.EvPark:
+			lines = append(lines, fmt.Sprintf("park %d %s %v", e.A, l.Name(e.Name), float64(e.T0)))
+		case vtime.EvWake:
+			lines = append(lines, fmt.Sprintf("wake %d>%d %v %v", e.A, e.B, float64(e.T0), float64(e.T1)))
+		case vtime.EvIdle:
+			lines = append(lines, fmt.Sprintf("idle %d %s %v %v", e.A, l.Name(e.Name), float64(e.T0), float64(e.T1)))
+		case vtime.EvMessage:
+			lines = append(lines, fmt.Sprintf("msg %d>%d tag %d %dB %s %v %v",
+				e.A, e.B, e.C, int64(e.Size), l.Name(e.Name), float64(e.T0), float64(e.T1)))
+		}
+	}
+	return lines
 }
 
 // endpointWire is the fixed transport of the endpoint tests: its numbers
@@ -55,14 +48,14 @@ var endpointWire = fabric.Transport{
 	SharesNIC:      true,
 }
 
-func endpointConfig(tap Tap) Config {
+func endpointConfig(log *vtime.Log) Config {
 	return Config{
 		Ranks:           2,
 		Nodes:           2,
 		NodeOf:          func(r int) int { return r },
 		Path:            func(src, dst int) *fabric.Transport { return &endpointWire },
 		ComputeDilation: 1,
-		Tap:             tap,
+		Log:             log,
 	}
 }
 
@@ -70,7 +63,7 @@ func endpointConfig(tap Tap) Config {
 // send call and arrival order, printed by the test itself at commit
 // 4b6770a — before the queue entries and the handle became one record. A
 // size-only exchange renders exactly as its payload twin, so the two
-// share a pin. They change only with the cost model or the Tap contract.
+// share a pin. They change only with the cost model or the log's contents.
 var endpointPins = map[string]string{
 	"eager/Send/recv-first": `end 1.1249999999999999e-05 1.4531999999999999e-05 bytes 32 msgs 1 maxcomm 1.4531999999999999e-05
 park 1 wait:irecv 0
@@ -111,7 +104,7 @@ idle 1 wait:irecv 9.999999999999999e-06 1.8048e-05`,
 // TestEndpointPaths drives one message from rank 0 to rank 1 down every
 // path of the point-to-point layer — {eager, rendezvous} × {Send,
 // Isend+Wait} × {receive posted first, send queued first} × {payload,
-// size-only} — and pins both ranks' end clocks, the Stats and the Tap
+// size-only} — and pins both ranks' end clocks, the Stats and the log's
 // transcript. The side that arrives second does so 10 µs in. Size-only
 // means IrecvModel and, where a size-only send exists, IsendModel; a
 // blocking Send has no such variant and delivers zeros into the
@@ -135,8 +128,8 @@ func TestEndpointPaths(t *testing.T) {
 							data[i] = float64(i + 1)
 						}
 						got := make([]float64, proto.n)
-						tap := &transcriptTap{}
-						st, err := Run(endpointConfig(tap), func(r *Rank) {
+						log := &vtime.Log{}
+						st, err := Run(endpointConfig(log), func(r *Rank) {
 							if r.ID() == 0 {
 								if recvFirst {
 									r.Compute(late)
@@ -175,7 +168,7 @@ func TestEndpointPaths(t *testing.T) {
 						rendered := fmt.Sprintf("end %v %v bytes %d msgs %d maxcomm %v\n%s",
 							float64(st.RankEnd[0]), float64(st.RankEnd[1]),
 							int64(st.TotalBytes), st.TotalMessages, float64(st.MaxCommTime),
-							strings.Join(tap.lines, "\n"))
+							strings.Join(transcript(log), "\n"))
 						if want := endpointPins[pin]; rendered != want {
 							t.Errorf("transcript moved.\ngot:\n%s\nwant:\n%s", rendered, want)
 						}

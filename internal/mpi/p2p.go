@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/units"
+	"repro/internal/vtime"
 )
 
 // Request is one endpoint of a point-to-point transfer, a send or a
@@ -29,7 +30,7 @@ type Request struct {
 	// send's arrival at the receiver, a rendezvous send's RTS time.
 	at units.Seconds
 	// The rest is set on sends only. sentAt is when the sender entered
-	// the send, for the Tap's latency accounting.
+	// the send, for the log's latency accounting.
 	size   units.ByteSize
 	tr     *fabric.Transport
 	sentAt units.Seconds
@@ -222,7 +223,7 @@ func (w *World) landing(recv, send *Request) units.Seconds {
 
 // settle completes a matched receive whose payload lands at arrival: it
 // charges the receiver's CPU cost, moves the payload, completes the
-// receive, reports the message to the Tap and wakes the receiver if it
+// receive, logs the message and wakes the receiver if it
 // is parked. It returns the completion time. Both match sites — a send
 // finding a posted receive and a receive finding a queued send — end
 // here.
@@ -230,8 +231,9 @@ func (r *Rank) settle(recv, send *Request, arrival units.Seconds) units.Seconds 
 	arrival += send.tr.CPUCost(send.size)
 	copyPayload(recv, send)
 	recv.complete(arrival)
-	if tap := r.w.cfg.Tap; tap != nil {
-		tap.Message(send.src, recv.owner.id, send.tag, send.size, send.tr.Name, send.sentAt, arrival)
+	if l := r.w.cfg.Log; l != nil {
+		l.Add(vtime.Event{Kind: vtime.EvMessage, A: int32(send.src), B: int32(recv.owner.id), C: int32(send.tag),
+			T0: send.sentAt, T1: arrival, Size: send.size}, send.tr.Name)
 	}
 	r.wakeIfBlocked(recv.owner, arrival)
 	return arrival
@@ -291,13 +293,13 @@ func (r *Rank) waitOne(q *Request) {
 	r.idleTo(q.kind, q.completeAt)
 }
 
-// idleTo advances the rank's clock to t, reporting the jump (a wait on
-// an already-completed operation whose finish time lies ahead) to the
-// Tap so profilers can attribute it. Blocked waits are
-// reported by the kernel's own park/wake events instead.
+// idleTo advances the rank's clock to t, logging the jump (a wait on
+// an already-completed operation whose finish time lies ahead) so
+// profilers can attribute it. Blocked waits are logged by the kernel's
+// own park/wake events instead.
 func (r *Rank) idleTo(tag string, t units.Seconds) {
-	if tap := r.w.cfg.Tap; tap != nil && t > r.proc.Now() {
-		tap.Idle(r.id, tag, r.proc.Now(), t)
+	if l := r.w.cfg.Log; l != nil && t > r.proc.Now() {
+		l.Add(vtime.Event{Kind: vtime.EvIdle, A: int32(r.id), T0: r.proc.Now(), T1: t}, tag)
 	}
 	r.proc.AdvanceTo(t)
 }

@@ -52,27 +52,14 @@ type Config struct {
 	// cost is paid here by the runtime profiles). StartupSkew(rank)
 	// returns the rank's time-zero offset; nil means all start at 0.
 	StartupSkew func(rank int) units.Seconds
-	// Tap, when non-nil, receives the execution's telemetry. It runs
-	// under the deterministic scheduler — fixed callback order, no
-	// locking needed — and the execution's outcome does not depend on
-	// it.
-	Tap Tap
-}
-
-// Tap is the one telemetry seam of an execution: the vtime scheduler's
-// switch/park/wake/idle events, every completed point-to-point
-// message, and a span around every collective.
-type Tap interface {
-	vtime.Tracer
-	// Message reports one delivered point-to-point message: endpoints,
-	// tag, payload size, transport name, send time, and arrival time.
-	Message(src, dst, tag int, size units.ByteSize, transport string, sent, arrived units.Seconds)
-	// PhaseBegin and PhaseEnd report rank entering and leaving the
-	// named collective in virtual time. Spans nest — the reduce+bcast
-	// allreduce reports its inner Reduce and Bcast inside the allreduce
-	// span — and stay properly bracketed per rank.
-	PhaseBegin(rank int, name string, start units.Seconds)
-	PhaseEnd(rank int, name string, end units.Seconds)
+	// Log, when non-nil, records the execution: the kernel's switch,
+	// park, wake and flush events, and from this layer every delivered
+	// point-to-point message, every clock jump onto an
+	// already-completed request (idle), and a begin/end span around
+	// every collective — spans nest (reduce+bcast reports its inner
+	// Reduce and Bcast inside the allreduce span) and stay bracketed
+	// per rank. The execution's outcome does not depend on it.
+	Log *vtime.Log
 }
 
 // AllreduceAlgo selects the collective algorithm for Allreduce.
@@ -202,9 +189,7 @@ func Run(cfg Config, body func(r *Rank)) (Stats, error) {
 	for n := range w.nics {
 		w.nics[n] = vtime.NewResource(fmt.Sprintf("nic-%d", n))
 	}
-	if cfg.Tap != nil {
-		w.sched.SetTracer(cfg.Tap)
-	}
+	w.sched.SetLog(cfg.Log)
 	procs := w.sched.Procs()
 	for i := range w.ranks {
 		node := cfg.NodeOf(i)

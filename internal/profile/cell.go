@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/units"
+	"repro/internal/vtime"
 )
 
 // CellProfile is one cell's complete time attribution: per-rank and
@@ -38,7 +39,7 @@ type CellProfile struct {
 
 // Breakdown attributes one rank's (or the whole cell's) virtual time.
 // Compute is defined as Total minus the three wait categories, so the
-// four categories sum to Total by construction; Profile validates the
+// four categories sum to Total by construction; Build validates the
 // underlying wait partition exactly.
 type Breakdown struct {
 	Total          units.Seconds `json:"total"`
@@ -77,22 +78,30 @@ type FoldedEntry struct {
 	Nanos int64  `json:"nanos"`
 }
 
-// Profile closes the recording and builds the cell's attribution.
-// rankEnd is each rank's final virtual clock (mpi.Stats.RankEnd); its
-// length fixes the rank count. Profile validates the event stream it
-// saw: no rank still parked or inside a phase, wait intervals monotone
-// and within [0, end] — a violated invariant is an error, never a
-// silently wrong report.
-func (r *Recorder) Profile(label, key string, rankEnd []units.Seconds) (*CellProfile, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
+// Build folds a cell's log into its attribution. rankEnd is each rank's
+// final virtual clock (mpi.Stats.RankEnd); its length fixes the rank
+// count. Build is the log's last reader: it drains the log, releasing
+// each chunk once folded. It validates the event stream: every event
+// names a rank of the world, no rank is still parked or inside a phase
+// at the end, wait intervals are monotone and within [0, end] — a
+// violated invariant is an error, never a silently wrong report.
+func Build(label, key string, log *vtime.Log, rankEnd []units.Seconds) (*CellProfile, error) {
 	n := len(rankEnd)
 	if n == 0 {
 		return nil, fmt.Errorf("profile: no ranks")
 	}
-	if len(r.ranks) > n {
-		return nil, fmt.Errorf("profile: events for rank %d beyond world size %d", len(r.ranks)-1, n)
+	r := &recorder{
+		log:        log,
+		ranks:      make([]rankRec, n),
+		paths:      []string{""},
+		pathOf:     make(map[phaseStep]int32),
+		phaseTime:  make(map[string]units.Seconds),
+		phaseCount: make(map[string]int),
+	}
+	for e := range log.Drain() {
+		if err := r.event(e); err != nil {
+			return nil, err
+		}
 	}
 	p := &CellProfile{Label: label, Key: key, Ranks: n, PerRank: make([]Breakdown, n)}
 	for _, end := range rankEnd {
@@ -103,18 +112,13 @@ func (r *Recorder) Profile(label, key string, rankEnd []units.Seconds) (*CellPro
 
 	folded := make(map[string]units.Seconds)
 	phaseWait := make(map[string]units.Seconds)
-	for id := 0; id < n; id++ {
-		var rec *rankRec
-		if id < len(r.ranks) {
-			rec = r.ranks[id]
-		} else {
-			rec = &rankRec{}
-		}
+	for id := range r.ranks {
+		rec := &r.ranks[id]
 		if rec.parked {
-			return nil, fmt.Errorf("profile: rank %d still parked on %q at end of run", id, rec.parkTag)
+			return nil, fmt.Errorf("profile: rank %d still parked on %q at end of run", id, log.Name(rec.parkTag))
 		}
 		if len(rec.stack) > 0 {
-			return nil, fmt.Errorf("profile: rank %d still inside phase %q at end of run", id, rec.stack[len(rec.stack)-1].name)
+			return nil, fmt.Errorf("profile: rank %d still inside phase %q at end of run", id, log.Name(rec.stack[len(rec.stack)-1].name))
 		}
 		end := rankEnd[id]
 		b := Breakdown{Total: end}
@@ -126,19 +130,20 @@ func (r *Recorder) Profile(label, key string, rankEnd []units.Seconds) (*CellPro
 			}
 			prev = w.to
 			dur := w.to - w.from
+			tag, phase := log.Name(w.tag), r.paths[w.phase]
 			switch {
-			case strings.HasPrefix(w.tag, resourcePrefix):
+			case strings.HasPrefix(tag, resourcePrefix):
 				b.ResourceWait += dur
-			case w.phase != "":
+			case phase != "":
 				b.CollectiveWait += dur
 			default:
 				b.P2PWait += dur
 			}
-			if w.phase != "" {
-				name, _, _ := strings.Cut(w.phase, ";")
+			if phase != "" {
+				name, _, _ := strings.Cut(phase, ";")
 				phaseWait[name] += dur
 			}
-			folded[foldedStack(id, w.phase, w.tag)] += dur
+			folded[foldedStack(id, phase, tag)] += dur
 		}
 		b.Compute = b.Total - b.P2PWait - b.CollectiveWait - b.ResourceWait
 		if b.Compute < 0 {

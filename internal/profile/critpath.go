@@ -3,6 +3,7 @@ package profile
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/units"
 )
@@ -54,7 +55,7 @@ type PathSegment struct {
 // contention) stay on the same rank. Each wait is consumed at most
 // once, so the walk terminates even through zero-duration release
 // chains.
-func (r *Recorder) criticalPath(rankEnd []units.Seconds, makespan units.Seconds) (PathReport, error) {
+func (r *recorder) criticalPath(rankEnd []units.Seconds, makespan units.Seconds) (PathReport, error) {
 	cur := 0
 	for id, end := range rankEnd {
 		if end > rankEnd[cur] {
@@ -65,18 +66,13 @@ func (r *Recorder) criticalPath(rankEnd []units.Seconds, makespan units.Seconds)
 	// walk may still use on that rank; waits are consumed newest-first.
 	consumed := make([]int, len(rankEnd))
 	for id := range consumed {
-		if id < len(r.ranks) {
-			consumed[id] = len(r.ranks[id].waits)
-		}
+		consumed[id] = len(r.ranks[id].waits)
 	}
 
 	var segs []PathSegment // built backward, reversed at the end
 	t := rankEnd[cur]
 	for {
-		var waits []wait
-		if cur < len(r.ranks) {
-			waits = r.ranks[cur].waits
-		}
+		waits := r.ranks[cur].waits
 		// Latest unconsumed wait on cur ending at or before t.
 		idx := sort.Search(consumed[cur], func(i int) bool { return waits[i].to > t }) - 1
 		if idx < 0 {
@@ -91,10 +87,10 @@ func (r *Recorder) criticalPath(rankEnd []units.Seconds, makespan units.Seconds)
 			// Idle catch-up: in-flight arrival or resource contention;
 			// the constraint lives on this rank's timeline.
 			kind := "comm"
-			if len(w.tag) >= len(resourcePrefix) && w.tag[:len(resourcePrefix)] == resourcePrefix {
+			if strings.HasPrefix(r.log.Name(w.tag), resourcePrefix) {
 				kind = "resource"
 			}
-			segs = appendSeg(segs, PathSegment{Rank: cur, Kind: kind, From: w.from, To: w.to, Label: pathLabel(w)})
+			segs = appendSeg(segs, PathSegment{Rank: cur, Kind: kind, From: w.from, To: w.to, Label: r.pathLabel(w)})
 			t = w.from
 		default:
 			// Release edge: cross to the releasing rank at its clock at
@@ -104,10 +100,10 @@ func (r *Recorder) criticalPath(rankEnd []units.Seconds, makespan units.Seconds)
 				jump = w.to
 			}
 			segs = appendSeg(segs, PathSegment{
-				Rank: w.by, Kind: "comm", From: jump, To: w.to,
-				Label: pathLabel(w), Slack: w.to - w.from,
+				Rank: int(w.by), Kind: "comm", From: jump, To: w.to,
+				Label: r.pathLabel(w), Slack: w.to - w.from,
 			})
-			cur, t = w.by, jump
+			cur, t = int(w.by), jump
 		}
 		if t <= 0 {
 			break
@@ -160,12 +156,14 @@ func appendSeg(segs []PathSegment, s PathSegment) []PathSegment {
 }
 
 // pathLabel describes a wait for the path report.
-func pathLabel(w wait) string {
-	if w.hasMsg {
-		return fmt.Sprintf("%d->%d tag %d %s over %s", w.msg.src, w.msg.dst, w.msg.tag, w.msg.size, w.msg.transport)
+func (r *recorder) pathLabel(w wait) string {
+	if w.msg >= 0 {
+		m := r.msgs[w.msg]
+		return fmt.Sprintf("%d->%d tag %d %s over %s", m.A, m.B, m.C, m.Size, r.log.Name(m.Name))
 	}
-	if w.phase != "" {
-		return w.phase + ";" + w.tag
+	tag := r.log.Name(w.tag)
+	if w.phase != 0 {
+		return r.paths[w.phase] + ";" + tag
 	}
-	return w.tag
+	return tag
 }

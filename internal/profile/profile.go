@@ -1,11 +1,10 @@
-// Package profile turns the telemetry event stream into explanations:
+// Package profile turns an execution's event log into explanations:
 // where every virtual nanosecond of a cell went, per rank and per
 // collective phase, and which chain of dependencies set the makespan.
 //
-// A Recorder taps the full event stream online (telemetry.CellTrace
-// forwards every event before ring bounding, so attribution never
-// loses events to the trace ring's recency policy) and classifies each
-// rank's timeline into four categories:
+// Build folds a cell's whole vtime.Log — every event, not just the
+// newest ones the Chrome trace keeps — and classifies each rank's
+// timeline into four categories:
 //
 //   - compute: the rank's clock advancing under model costs — solver
 //     work, MPI packing/overhead CPU charges, container startup skew;
@@ -22,201 +21,168 @@
 // boundaries are equal as float64s, not merely close. Category
 // durations are sums over that exact partition, and compute is defined
 // as total minus the wait sums — the per-rank categories therefore sum
-// to the rank's total virtual time by construction, and Profile
+// to the rank's total virtual time by construction, and Build
 // validates the partition (monotone, in-bounds, nothing left open)
 // before reporting.
 package profile
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/units"
+	"repro/internal/vtime"
 )
 
 // Category detail tags follow the kernel's park/idle tags: "wait:irecv",
 // "wait:isend", "wait:send-rdv", "resource:<name>".
 const resourcePrefix = "resource:"
 
-// msgInfo captures the point-to-point message whose completion released
-// a blocked rank, for critical-path edge labelling.
-type msgInfo struct {
-	src, dst, tag int
-	size          units.ByteSize
-	transport     string
-	arrived       units.Seconds
-}
-
-// wait is one closed wait interval on a rank's timeline.
+// wait is one closed wait interval on a rank's timeline. It holds no
+// pointers: names are indices into the log's and the recorder's tables.
 type wait struct {
 	from, to units.Seconds
 	// wakerAt is the waker's clock at the releasing action (the causal
 	// source time); equal to `to` for idle catch-ups with no waker.
 	wakerAt units.Seconds
-	tag     string
-	// phase is the ";"-joined collective span stack the rank was inside
-	// ("" outside collectives).
-	phase string
+	tag     uint16
+	// phase indexes the recorder's table of ";"-joined collective span
+	// stacks the rank was inside (0: outside collectives).
+	phase int32
 	// by is the releasing rank, -1 for idle catch-ups.
-	by     int
-	msg    msgInfo
-	hasMsg bool
+	by int32
+	// msg indexes the recorder's table of the point-to-point messages
+	// whose completion released a blocked rank, -1 for none.
+	msg int32
 }
 
-// rankRec accumulates one rank's attribution state during the run.
+// rankRec accumulates one rank's attribution state during the fold.
 type rankRec struct {
-	parked    bool
-	parkAt    units.Seconds
-	parkTag   string
-	stack     []phaseOpen
-	phasePath string
-	waits     []wait
+	parked  bool
+	parkAt  units.Seconds
+	parkTag uint16
+	stack   []phaseOpen
+	phase   int32
+	waits   []wait
 }
 
+// phaseOpen is one open collective span; outer is the enclosing path.
 type phaseOpen struct {
-	name  string
+	name  uint16
 	begin units.Seconds
+	outer int32
 }
 
-// Recorder consumes the telemetry event stream — it implements mpi.Tap
-// structurally; attach it with telemetry.CellTrace.Forward, or as a
-// cell's Tap directly — and accumulates per-rank wait intervals and
-// collective phase spans. It is single-goroutine like every tap:
-// callbacks arrive under the kernel's single-running-process
-// invariant.
-type Recorder struct {
-	ranks []*rankRec
+// recorder is the attribution state machine the log replays through:
+// per-rank wait intervals and collective phase spans.
+type recorder struct {
+	log   *vtime.Log
+	ranks []rankRec
+	// paths holds the phase paths waits refer to (paths[0] is ""),
+	// pathOf finds one by enclosing path and innermost span name.
+	paths  []string
+	pathOf map[phaseStep]int32
 	// phase time aggregation: outermost span durations per collective.
 	phaseTime  map[string]units.Seconds
 	phaseCount map[string]int
-	// lastMsg pairs a message completion with the wake it triggers (the
-	// MPI layer wakes the released rank immediately after observing the
-	// message, so the match is the immediately preceding event).
-	lastMsg    msgInfo
-	hasLastMsg bool
-	err        error
+	// msgs holds the messages waits refer to. last is the latest
+	// completed message, which a wake is matched against (the MPI
+	// layer wakes the released rank immediately after logging the
+	// message); lastRef is its index in msgs once a wait refers to it.
+	msgs    []vtime.Event
+	last    vtime.Event
+	hasLast bool
+	lastRef int32
 }
 
-// NewRecorder creates an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		phaseTime:  make(map[string]units.Seconds),
-		phaseCount: make(map[string]int),
-	}
+type phaseStep struct {
+	outer int32
+	name  uint16
 }
 
-// fail records the first inconsistency; Profile reports it.
-func (r *Recorder) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("profile: "+format, args...)
+// event folds one logged event; an event inconsistent with the ones
+// before it is an error. Switches and wake-batch flushes carry no
+// attribution.
+func (r *recorder) event(e vtime.Event) error {
+	id := e.A
+	switch e.Kind {
+	case vtime.EvSwitch, vtime.EvFlush:
+		return nil
+	case vtime.EvMessage:
+		r.last, r.hasLast, r.lastRef = e, true, -1
+		return nil
+	case vtime.EvWake:
+		id = e.B
 	}
-}
-
-func (r *Recorder) rank(id int) *rankRec {
-	for id >= len(r.ranks) {
-		r.ranks = append(r.ranks, &rankRec{})
+	if id < 0 || int(id) >= len(r.ranks) {
+		return fmt.Errorf("profile: events for rank %d beyond world size %d", id, len(r.ranks))
 	}
-	return r.ranks[id]
-}
-
-// Switch implements vtime.Tracer (handoffs carry no attribution).
-func (r *Recorder) Switch(from, to int, now units.Seconds) {}
-
-// FlushWakes implements vtime.Tracer (batch folds carry no attribution).
-func (r *Recorder) FlushWakes(k int, now units.Seconds) {}
-
-// Park implements vtime.Tracer: the rank starts a blocked wait.
-func (r *Recorder) Park(id int, tag string, now units.Seconds) {
-	if id < 0 {
-		r.fail("park of proc %d", id)
-		return
-	}
-	rec := r.rank(id)
-	if rec.parked {
-		r.fail("rank %d parked twice (at %v, again at %v)", id, rec.parkAt, now)
-		return
-	}
-	rec.parked, rec.parkAt, rec.parkTag = true, now, tag
-}
-
-// Wake implements vtime.Tracer: closes the woken rank's wait interval,
-// recording who released it and (when the immediately preceding event
-// was the releasing message's completion) which message.
-func (r *Recorder) Wake(waker, woken int, now, wakerNow units.Seconds) {
-	if woken < 0 {
-		r.fail("wake of proc %d", woken)
-		return
-	}
-	rec := r.rank(woken)
-	if !rec.parked {
-		r.fail("rank %d woken without park at %v", woken, now)
-		return
-	}
-	w := wait{
-		from: rec.parkAt, to: now, wakerAt: wakerNow,
-		tag: rec.parkTag, phase: rec.phasePath, by: waker,
-	}
-	if r.hasLastMsg && r.lastMsg.arrived == now &&
-		((r.lastMsg.src == waker && r.lastMsg.dst == woken) ||
-			(r.lastMsg.src == woken && r.lastMsg.dst == waker)) {
-		w.msg, w.hasMsg = r.lastMsg, true
-	}
-	rec.parked = false
-	rec.waits = append(rec.waits, w)
-}
-
-// Idle implements vtime.Tracer: a clock jump with no park — resource
-// contention or catching up to an already-completed operation.
-func (r *Recorder) Idle(id int, tag string, from, to units.Seconds) {
-	if id < 0 || to <= from {
-		return
-	}
-	rec := r.rank(id)
-	rec.waits = append(rec.waits, wait{
-		from: from, to: to, wakerAt: to,
-		tag: tag, phase: rec.phasePath, by: -1,
-	})
-}
-
-// Message implements mpi.Tap: the latest completed message.
-func (r *Recorder) Message(src, dst, tag int, size units.ByteSize,
-	transport string, sent, arrived units.Seconds) {
-	r.lastMsg = msgInfo{src: src, dst: dst, tag: tag, size: size,
-		transport: transport, arrived: arrived}
-	r.hasLastMsg = true
-}
-
-// PhaseBegin implements mpi.Tap.
-func (r *Recorder) PhaseBegin(rank int, name string, start units.Seconds) {
-	rec := r.rank(rank)
-	rec.stack = append(rec.stack, phaseOpen{name: name, begin: start})
-	if rec.phasePath == "" {
-		rec.phasePath = name
-	} else {
-		rec.phasePath += ";" + name
-	}
-}
-
-// PhaseEnd implements mpi.Tap. Closing an outermost
-// span adds its duration to the per-collective totals.
-func (r *Recorder) PhaseEnd(rank int, name string, end units.Seconds) {
-	rec := r.rank(rank)
-	n := len(rec.stack)
-	if n == 0 || rec.stack[n-1].name != name {
-		r.fail("rank %d closes phase %q without matching open", rank, name)
-		return
-	}
-	top := rec.stack[n-1]
-	rec.stack = rec.stack[:n-1]
-	if n == 1 {
-		rec.phasePath = ""
-		r.phaseTime[name] += end - top.begin
-		r.phaseCount[name]++
-	} else {
-		parts := make([]string, 0, n-1)
-		for _, p := range rec.stack {
-			parts = append(parts, p.name)
+	rec := &r.ranks[id]
+	switch e.Kind {
+	case vtime.EvPark:
+		// The rank starts a blocked wait.
+		if rec.parked {
+			return fmt.Errorf("profile: rank %d parked twice (at %v, again at %v)", id, rec.parkAt, e.T0)
 		}
-		rec.phasePath = strings.Join(parts, ";")
+		rec.parked, rec.parkAt, rec.parkTag = true, e.T0, e.Name
+	case vtime.EvWake:
+		// The woken rank's wait closes, recording who released it and
+		// (when the latest message joins the two ranks and arrived at
+		// the wake) which message.
+		if !rec.parked {
+			return fmt.Errorf("profile: rank %d woken without park at %v", id, e.T0)
+		}
+		w := wait{from: rec.parkAt, to: e.T0, wakerAt: e.T1,
+			tag: rec.parkTag, phase: rec.phase, by: e.A, msg: -1}
+		if m := r.last; r.hasLast && m.T1 == e.T0 &&
+			((m.A == e.A && m.B == e.B) || (m.A == e.B && m.B == e.A)) {
+			if r.lastRef < 0 {
+				r.lastRef = int32(len(r.msgs))
+				r.msgs = append(r.msgs, m)
+			}
+			w.msg = r.lastRef
+		}
+		rec.parked = false
+		rec.waits = append(rec.waits, w)
+	case vtime.EvIdle:
+		// A clock jump with no park: resource contention or catching up
+		// to an already-completed operation.
+		if e.T1 > e.T0 {
+			rec.waits = append(rec.waits, wait{from: e.T0, to: e.T1, wakerAt: e.T1,
+				tag: e.Name, phase: rec.phase, by: -1, msg: -1})
+		}
+	case vtime.EvPhaseBegin:
+		rec.stack = append(rec.stack, phaseOpen{name: e.Name, begin: e.T0, outer: rec.phase})
+		rec.phase = r.path(rec.phase, e.Name)
+	case vtime.EvPhaseEnd:
+		// Closing an outermost span adds its duration to the
+		// per-collective totals.
+		n := len(rec.stack)
+		if n == 0 || rec.stack[n-1].name != e.Name {
+			return fmt.Errorf("profile: rank %d closes phase %q without matching open", id, r.log.Name(e.Name))
+		}
+		top := rec.stack[n-1]
+		rec.stack, rec.phase = rec.stack[:n-1], top.outer
+		if n == 1 {
+			name := r.log.Name(e.Name)
+			r.phaseTime[name] += e.T0 - top.begin
+			r.phaseCount[name]++
+		}
 	}
+	return nil
+}
+
+// path returns the phase path of span name entered inside path outer.
+func (r *recorder) path(outer int32, name uint16) int32 {
+	step := phaseStep{outer, name}
+	id, ok := r.pathOf[step]
+	if !ok {
+		path := r.log.Name(name)
+		if outer != 0 {
+			path = r.paths[outer] + ";" + path
+		}
+		id = int32(len(r.paths))
+		r.paths = append(r.paths, path)
+		r.pathOf[step] = id
+	}
+	return id
 }

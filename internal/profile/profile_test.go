@@ -10,39 +10,68 @@ import (
 	"testing"
 
 	"repro/internal/units"
+	"repro/internal/vtime"
 )
 
 // sec builds a units.Seconds from an exactly-representable float.
 func sec(v float64) units.Seconds { return units.Seconds(v) }
 
-// recordSample drives a recorder through a two-rank scenario touching
-// every category: rank 0 stalls on a NIC resource, rank 1 blocks on a
-// recv released by rank 0's send and then waits inside an Allreduce.
-// All times are dyadic rationals, so every boundary is exact.
-func recordSample() *Recorder {
-	r := NewRecorder()
+// stream builds an event log the way the kernel and the MPI layer
+// append to it.
+type stream struct{ log vtime.Log }
+
+func (s *stream) park(id int32, tag string, at float64) {
+	s.log.Add(vtime.Event{Kind: vtime.EvPark, A: id, T0: sec(at)}, tag)
+}
+
+func (s *stream) wake(waker, woken int32, now, wakerNow float64) {
+	s.log.Add(vtime.Event{Kind: vtime.EvWake, A: waker, B: woken, T0: sec(now), T1: sec(wakerNow)}, "")
+}
+
+func (s *stream) idle(id int32, tag string, from, to float64) {
+	s.log.Add(vtime.Event{Kind: vtime.EvIdle, A: id, T0: sec(from), T1: sec(to)}, tag)
+}
+
+func (s *stream) message(src, dst, tag int32, size units.ByteSize, transport string, sent, arrived float64) {
+	s.log.Add(vtime.Event{Kind: vtime.EvMessage, A: src, B: dst, C: tag, T0: sec(sent), T1: sec(arrived), Size: size}, transport)
+}
+
+func (s *stream) phaseBegin(rank int32, name string, at float64) {
+	s.log.Add(vtime.Event{Kind: vtime.EvPhaseBegin, A: rank, T0: sec(at)}, name)
+}
+
+func (s *stream) phaseEnd(rank int32, name string, at float64) {
+	s.log.Add(vtime.Event{Kind: vtime.EvPhaseEnd, A: rank, T0: sec(at)}, name)
+}
+
+// recordSample logs a two-rank scenario touching every category: rank 0
+// stalls on a NIC resource, rank 1 blocks on a recv released by rank
+// 0's send and then waits inside an Allreduce. All times are dyadic
+// rationals, so every boundary is exact.
+func recordSample() *vtime.Log {
+	s := &stream{}
 	// Rank 0: resource stall [3, 4].
-	r.Idle(0, "resource:nic", sec(3), sec(4))
+	s.idle(0, "resource:nic", 3, 4)
 	// Rank 1: p2p wait [2, 5], released by rank 0 acting at its clock 4.5;
 	// the releasing message completes immediately before the wake.
-	r.Park(1, "wait:irecv", sec(2))
-	r.Message(0, 1, 7, units.ByteSize(8192), "ib", sec(4.5), sec(5))
-	r.Wake(0, 1, sec(5), sec(4.5))
+	s.park(1, "wait:irecv", 2)
+	s.message(0, 1, 7, 8192, "ib", 4.5, 5)
+	s.wake(0, 1, 5, 4.5)
 	// Both ranks run an Allreduce; rank 1 blocks inside it for [6, 7].
-	r.PhaseBegin(0, "Allreduce", sec(5.5))
-	r.PhaseBegin(1, "Allreduce", sec(6))
-	r.Park(1, "wait:irecv", sec(6))
-	r.Wake(0, 1, sec(7), sec(6.5))
-	r.PhaseEnd(1, "Allreduce", sec(7))
-	r.PhaseEnd(0, "Allreduce", sec(7))
-	return r
+	s.phaseBegin(0, "Allreduce", 5.5)
+	s.phaseBegin(1, "Allreduce", 6)
+	s.park(1, "wait:irecv", 6)
+	s.wake(0, 1, 7, 6.5)
+	s.phaseEnd(1, "Allreduce", 7)
+	s.phaseEnd(0, "Allreduce", 7)
+	return &s.log
 }
 
 // TestBreakdownPartitionsTotalExactly is the attribution contract: the
 // four categories sum to each rank's total virtual time as exact
 // float64s, and the cell totals fold the per-rank rows.
 func TestBreakdownPartitionsTotalExactly(t *testing.T) {
-	p, err := recordSample().Profile("cell", "k", []units.Seconds{sec(10), sec(8)})
+	p, err := Build("cell", "k", recordSample(), []units.Seconds{sec(10), sec(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +108,13 @@ func TestBreakdownPartitionsTotalExactly(t *testing.T) {
 // makespan; a release edge crosses to the waker with the blocked time
 // as slack.
 func TestCriticalPathTilesMakespan(t *testing.T) {
-	r := NewRecorder()
+	s := &stream{}
 	// Rank 1 finishes last and spent [2, 6] blocked on rank 0, which
 	// released it acting at its own clock 5.
-	r.Park(1, "wait:irecv", sec(2))
-	r.Message(0, 1, 9, units.ByteSize(4096), "ib", sec(5), sec(6))
-	r.Wake(0, 1, sec(6), sec(5))
-	p, err := r.Profile("cell", "k", []units.Seconds{sec(8), sec(10)})
+	s.park(1, "wait:irecv", 2)
+	s.message(0, 1, 9, 4096, "ib", 5, 6)
+	s.wake(0, 1, 6, 5)
+	p, err := Build("cell", "k", &s.log, []units.Seconds{sec(8), sec(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,64 +155,50 @@ func TestCriticalPathTilesMakespan(t *testing.T) {
 	}
 }
 
-// TestRecorderRejectsInconsistentStreams: a broken event stream (or a
+// TestRecorderRejectsInconsistentStreams: a broken event log (or a
 // wait partition that fails to tile the timeline) is an error, never a
 // silently wrong report.
 func TestRecorderRejectsInconsistentStreams(t *testing.T) {
 	ends := []units.Seconds{sec(10), sec(10)}
 	cases := []struct {
 		name string
-		rec  func() *Recorder
+		log  func(s *stream)
 		ends []units.Seconds
 		want string
 	}{
-		{"double park", func() *Recorder {
-			r := NewRecorder()
-			r.Park(0, "wait:irecv", sec(1))
-			r.Park(0, "wait:isend", sec(2))
-			return r
+		{"double park", func(s *stream) {
+			s.park(0, "wait:irecv", 1)
+			s.park(0, "wait:isend", 2)
 		}, ends, "parked twice"},
-		{"wake without park", func() *Recorder {
-			r := NewRecorder()
-			r.Wake(1, 0, sec(3), sec(2))
-			return r
+		{"wake without park", func(s *stream) {
+			s.wake(1, 0, 3, 2)
 		}, ends, "woken without park"},
-		{"phase close without open", func() *Recorder {
-			r := NewRecorder()
-			r.PhaseEnd(0, "Barrier", sec(4))
-			return r
+		{"phase close without open", func(s *stream) {
+			s.phaseEnd(0, "Barrier", 4)
 		}, ends, "without matching open"},
-		{"still parked at end", func() *Recorder {
-			r := NewRecorder()
-			r.Park(0, "wait:irecv", sec(1))
-			return r
+		{"still parked at end", func(s *stream) {
+			s.park(0, "wait:irecv", 1)
 		}, ends, "still parked"},
-		{"still inside phase at end", func() *Recorder {
-			r := NewRecorder()
-			r.PhaseBegin(0, "Allreduce", sec(1))
-			return r
+		{"still inside phase at end", func(s *stream) {
+			s.phaseBegin(0, "Allreduce", 1)
 		}, ends, "still inside phase"},
-		{"wait past rank end", func() *Recorder {
-			r := NewRecorder()
-			r.Idle(0, "resource:nic", sec(8), sec(12))
-			return r
+		{"wait past rank end", func(s *stream) {
+			s.idle(0, "resource:nic", 8, 12)
 		}, ends, "breaks the timeline partition"},
-		{"overlapping waits", func() *Recorder {
-			r := NewRecorder()
-			r.Idle(0, "resource:nic", sec(2), sec(6))
-			r.Idle(0, "resource:fs", sec(4), sec(8))
-			return r
+		{"overlapping waits", func(s *stream) {
+			s.idle(0, "resource:nic", 2, 6)
+			s.idle(0, "resource:fs", 4, 8)
 		}, ends, "breaks the timeline partition"},
-		{"events beyond world size", func() *Recorder {
-			r := NewRecorder()
-			r.Idle(3, "resource:nic", sec(1), sec(2))
-			return r
+		{"events beyond world size", func(s *stream) {
+			s.idle(3, "resource:nic", 1, 2)
 		}, ends, "beyond world size"},
-		{"no ranks", NewRecorder, nil, "no ranks"},
+		{"no ranks", func(*stream) {}, nil, "no ranks"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.rec().Profile("cell", "k", tc.ends)
+			s := &stream{}
+			tc.log(s)
+			_, err := Build("cell", "k", &s.log, tc.ends)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.want)
 			}
@@ -194,8 +209,8 @@ func TestRecorderRejectsInconsistentStreams(t *testing.T) {
 // TestProfileFileRoundTripDeterministic: WriteFile is byte-identical
 // across writes, and ReadFile/ReadDir restore the exact profile.
 func TestProfileFileRoundTripDeterministic(t *testing.T) {
-	p, err := recordSample().Profile("cell a", "1111111111111111111111111111111111111111111111111111111111111111",
-		[]units.Seconds{sec(10), sec(8)})
+	p, err := Build("cell a", "1111111111111111111111111111111111111111111111111111111111111111",
+		recordSample(), []units.Seconds{sec(10), sec(8)})
 	if err != nil {
 		t.Fatal(err)
 	}

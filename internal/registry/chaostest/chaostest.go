@@ -201,17 +201,15 @@ func (p *Proxy) logf(format string, args ...any) {
 	}
 }
 
-// Serve accepts and relays until ctx is cancelled.
+// Serve accepts and relays until ctx is cancelled. Before it returns it
+// closes every connection still being relayed and waits for the relays,
+// so none of them logs after Serve has returned.
 func (p *Proxy) Serve(ctx context.Context) error {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-done:
-		}
-		p.ln.Close()
-	}()
+	ctx, cancel := context.WithCancel(ctx)
+	var relays sync.WaitGroup
+	defer relays.Wait()
+	defer cancel()
+	context.AfterFunc(ctx, func() { p.ln.Close() })
 	for {
 		conn, err := p.ln.Accept()
 		if err != nil {
@@ -226,11 +224,16 @@ func (p *Proxy) Serve(ctx context.Context) error {
 			conn.Close()
 			continue
 		}
-		go p.relay(ctx, n, conn)
+		relays.Add(1)
+		go func() {
+			defer relays.Done()
+			p.relay(ctx, n, conn)
+		}()
 	}
 }
 
-// relay pipes one connection both ways, with the configured delay.
+// relay pipes one connection both ways, with the configured delay,
+// until both directions end or ctx is cancelled.
 func (p *Proxy) relay(ctx context.Context, id int64, client net.Conn) {
 	defer client.Close()
 	if p.opt.Delay > 0 {
@@ -241,12 +244,18 @@ func (p *Proxy) relay(ctx context.Context, id int64, client net.Conn) {
 		case <-time.After(p.opt.Delay):
 		}
 	}
-	server, err := net.Dial("tcp", p.target)
+	var dialer net.Dialer
+	server, err := dialer.DialContext(ctx, "tcp", p.target)
 	if err != nil {
 		p.logf("chaosproxy: conn %d: dial %s: %v", id, p.target, err)
 		return
 	}
 	defer server.Close()
+	// Cancellation closes both ends, which ends both copies.
+	defer context.AfterFunc(ctx, func() {
+		client.Close()
+		server.Close()
+	})()
 	var wg sync.WaitGroup
 	wg.Add(2)
 	halfClose := func(dst, src net.Conn) {

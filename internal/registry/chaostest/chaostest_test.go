@@ -2,10 +2,13 @@ package chaostest
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,5 +140,76 @@ func TestProxyRelayAndReset(t *testing.T) {
 	cancel()
 	if err := <-served; err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// TestProxyServeWaitsForRelays: cancelling Serve while a connection is
+// still being relayed closes it and waits for its relay, so no relay
+// logs after Serve has returned (where a test's t.Logf would panic).
+func TestProxyServeWaitsForRelays(t *testing.T) {
+	backend, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	held, released := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(released)
+		c, err := backend.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 2)
+		if _, err := io.ReadFull(c, buf); err == nil {
+			close(held)
+		}
+		io.Copy(io.Discard, c)
+	}()
+
+	var mu sync.Mutex
+	returned := false
+	late := make(chan string, 16)
+	p, err := NewProxy("127.0.0.1:0", backend.Addr().String(), ProxyOptions{
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			if returned {
+				late <- fmt.Sprintf(format, args...)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() {
+		err := p.Serve(ctx)
+		mu.Lock()
+		returned = true
+		mu.Unlock()
+		served <- err
+	}()
+
+	client, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Write([]byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	cancel()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	client.Close()
+	<-released
+	select {
+	case line := <-late:
+		t.Fatalf("relay logged after Serve returned: %s", line)
+	case <-time.After(100 * time.Millisecond):
 	}
 }

@@ -1,3 +1,19 @@
+// Package telemetry is the unified observability layer: virtual-time
+// execution traces, a zero-dependency metrics registry with Prometheus
+// text exposition, and study/sweep progress reporting.
+//
+// The package splits along the repository's determinism boundary:
+//
+//   - Export folds a cell's event log into a Chrome trace timestamped
+//     in *virtual* time only — it is wallclock-clean, and the same cell
+//     produces a byte-identical trace on every run.
+//   - Registry and Progress live on the host side (CLI, registry
+//     service). Progress samples the wall clock — explicitly allowed,
+//     since nothing it measures feeds simulated results.
+//
+// The simulator's one telemetry seam is data: a vtime.Log set as a
+// cell's Log receives the kernel's scheduling events, every message and
+// every collective span, and Export reads it after the run.
 package telemetry
 
 import (
@@ -9,6 +25,12 @@ import (
 	"repro/internal/units"
 	"repro/internal/vtime"
 )
+
+// DefaultTraceEvents bounds a cell's Chrome trace to the newest events
+// of its log: enough for a quick cell's full schedule while keeping a
+// paper-scale cell's trace to tens of megabytes. The tail of a schedule
+// is where a regression usually lives, so recency wins.
+const DefaultTraceEvents = 1 << 16
 
 // The Chrome Trace Event Format wire types (the JSON Object Format
 // variant: a traceEvents array plus metadata), shared by the cell
@@ -41,16 +63,15 @@ type chromeOtherData struct {
 	Label string `json:"label"`
 	// Clock names the timestamp domain; always "virtual".
 	Clock string `json:"clock"`
-	// TotalEvents counts events offered to the ring; DroppedEvents the
-	// oldest ones the bounded ring overwrote.
+	// TotalEvents counts the events the cell logged; DroppedEvents the
+	// oldest ones the trace leaves out (see DefaultTraceEvents).
 	TotalEvents   int64 `json:"totalEvents"`
 	DroppedEvents int64 `json:"droppedEvents"`
-	// Kernel reports the execution's final scheduler counters, when
-	// attached via SetKernel.
-	Kernel *chromeKernel `json:"kernel,omitempty"`
+	// Kernel reports the execution's final scheduler counters.
+	Kernel chromeKernel `json:"kernel"`
 }
 
-// chromeKernel mirrors vtime.Counters with wire tags.
+// chromeKernel mirrors vtime.Counters, field for field, with wire tags.
 type chromeKernel struct {
 	Switches    int64 `json:"switches"`
 	SyncFast    int64 `json:"syncFast"`
@@ -118,62 +139,61 @@ const kernelTid = -1
 // usec converts virtual seconds to the trace's microsecond timestamps.
 func usec(s units.Seconds) float64 { return float64(s) * 1e6 }
 
-// chrome renders one recorded event.
-func (e event) chrome() ChromeEvent {
-	switch e.kind {
-	case evSwitch:
-		return ChromeEvent{Name: "switch", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: e.b,
-			Args: switchArgs{From: e.a}}
-	case evPark:
-		return ChromeEvent{Name: "park", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: e.a,
-			Args: parkArgs{Tag: e.name}}
-	case evWake:
-		return ChromeEvent{Name: "wake", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: e.a,
-			Args: wakeArgs{Woken: e.b, AtSrc: usec(e.t1)}}
-	case evIdle:
-		return ChromeEvent{Name: "idle", Cat: "wait", Ph: "X", Ts: usec(e.t0), Dur: usec(e.t1 - e.t0), Tid: e.a,
-			Args: idleArgs{Tag: e.name}}
-	case evFlush:
-		return ChromeEvent{Name: "flush-wakes", Cat: "kernel", Ph: "i", Ts: usec(e.t0), Tid: kernelTid,
-			Args: flushArgs{Batch: e.a}}
-	case evMessage:
-		return ChromeEvent{Name: "msg", Cat: "mpi", Ph: "X", Ts: usec(e.t0), Dur: usec(e.t1 - e.t0), Tid: e.b,
-			Args: msgArgs{Src: e.a, Dst: e.b, Tag: e.c, Bytes: e.size.Bytes(), Transport: e.name}}
-	case evPhaseBegin:
-		return ChromeEvent{Name: e.name, Cat: "collective", Ph: "B", Ts: usec(e.t0), Tid: e.a}
-	case evPhaseEnd:
-		return ChromeEvent{Name: e.name, Cat: "collective", Ph: "E", Ts: usec(e.t0), Tid: e.a}
+// chrome renders one logged event.
+func chrome(log *vtime.Log, e vtime.Event) ChromeEvent {
+	a, b := int(e.A), int(e.B)
+	switch e.Kind {
+	case vtime.EvSwitch:
+		return ChromeEvent{Name: "switch", Cat: "kernel", Ph: "i", Ts: usec(e.T0), Tid: b,
+			Args: switchArgs{From: a}}
+	case vtime.EvPark:
+		return ChromeEvent{Name: "park", Cat: "kernel", Ph: "i", Ts: usec(e.T0), Tid: a,
+			Args: parkArgs{Tag: log.Name(e.Name)}}
+	case vtime.EvWake:
+		return ChromeEvent{Name: "wake", Cat: "kernel", Ph: "i", Ts: usec(e.T0), Tid: a,
+			Args: wakeArgs{Woken: b, AtSrc: usec(e.T1)}}
+	case vtime.EvIdle:
+		return ChromeEvent{Name: "idle", Cat: "wait", Ph: "X", Ts: usec(e.T0), Dur: usec(e.T1 - e.T0), Tid: a,
+			Args: idleArgs{Tag: log.Name(e.Name)}}
+	case vtime.EvFlush:
+		return ChromeEvent{Name: "flush-wakes", Cat: "kernel", Ph: "i", Ts: usec(e.T0), Tid: kernelTid,
+			Args: flushArgs{Batch: a}}
+	case vtime.EvMessage:
+		return ChromeEvent{Name: "msg", Cat: "mpi", Ph: "X", Ts: usec(e.T0), Dur: usec(e.T1 - e.T0), Tid: b,
+			Args: msgArgs{Src: a, Dst: b, Tag: int(e.C), Bytes: e.Size.Bytes(), Transport: log.Name(e.Name)}}
+	case vtime.EvPhaseBegin:
+		return ChromeEvent{Name: log.Name(e.Name), Cat: "collective", Ph: "B", Ts: usec(e.T0), Tid: a}
+	case vtime.EvPhaseEnd:
+		return ChromeEvent{Name: log.Name(e.Name), Cat: "collective", Ph: "E", Ts: usec(e.T0), Tid: a}
 	default:
-		panic(fmt.Sprintf("telemetry: unknown event kind %d", e.kind))
+		panic(fmt.Sprintf("telemetry: unknown event kind %d", e.Kind))
 	}
 }
 
-// Export renders the trace as Chrome Trace Event Format JSON. The
-// output is a pure function of the recorded events: the same cell
-// produces byte-identical bytes on every run.
-func (t *CellTrace) Export() ([]byte, error) {
-	events := t.ordered()
+// Export renders a cell's log as Chrome Trace Event Format JSON
+// (chrome://tracing, Perfetto): its newest DefaultTraceEvents events,
+// oldest first, with the execution's final scheduler counters. The
+// output is a pure function of the log: the same cell produces
+// byte-identical bytes on every run.
+func Export(label string, log *vtime.Log, kernel vtime.Counters) ([]byte, error) {
+	return export(label, log, kernel, DefaultTraceEvents)
+}
+
+// export renders the newest keep events of log.
+func export(label string, log *vtime.Log, kernel vtime.Counters, keep int) ([]byte, error) {
+	n := log.Len()
+	first := max(0, n-keep)
 	other := chromeOtherData{
-		Label:         t.label,
+		Label:         label,
 		Clock:         "virtual",
-		TotalEvents:   t.total,
-		DroppedEvents: t.total - int64(len(events)),
+		TotalEvents:   int64(n),
+		DroppedEvents: int64(first),
+		Kernel:        chromeKernel(kernel),
 	}
-	if t.hasKernel {
-		k := t.kernel
-		other.Kernel = &chromeKernel{
-			Switches:    k.Switches,
-			SyncFast:    k.SyncFast,
-			PingPong:    k.PingPong,
-			Wakes:       k.Wakes,
-			WakeBatches: k.WakeBatches,
-			HeapOps:     k.HeapOps,
-		}
-	}
-	out := make([]ChromeEvent, 0, len(events)+1)
-	out = append(out, ChromeProcessName(0, t.label))
-	for _, e := range events {
-		out = append(out, e.chrome())
+	out := make([]ChromeEvent, 0, n-first+1)
+	out = append(out, ChromeProcessName(0, label))
+	for i := first; i < n; i++ {
+		out = append(out, chrome(log, log.At(i)))
 	}
 	data, err := MarshalChrome(out, other)
 	if err != nil {
@@ -182,13 +202,9 @@ func (t *CellTrace) Export() ([]byte, error) {
 	return data, nil
 }
 
-// WriteFile exports the trace into dir as <name>.trace.json, creating
-// dir if needed.
-func (t *CellTrace) WriteFile(dir, name string) error {
-	data, err := t.Export()
-	if err != nil {
-		return err
-	}
+// WriteTrace writes an exported trace into dir as <name>.trace.json,
+// creating dir if needed.
+func WriteTrace(dir, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
@@ -198,7 +214,3 @@ func (t *CellTrace) WriteFile(dir, name string) error {
 	}
 	return nil
 }
-
-// compile-time interface check against the kernel seam (the mpi seams
-// are structural; experiments wires them).
-var _ vtime.Tracer = (*CellTrace)(nil)

@@ -12,9 +12,9 @@ import (
 )
 
 // Fleet tracing: the wall-clock span/event layer for the
-// coordinator–worker–registry plane. Where CellTrace records *virtual*
-// time inside one simulated cell, a FleetJournal records *wall* time
-// around it — claims, leases, heartbeats, store GETs/PUTs, batch
+// coordinator–worker–registry plane. Where a cell's event log records
+// *virtual* time inside one simulated cell, a FleetJournal records
+// *wall* time around it — claims, leases, heartbeats, store GETs/PUTs, batch
 // simulation — as structured JSONL that `hpcstudy fleetlog` merges
 // across processes into one timeline (see internal/fleettrace).
 //

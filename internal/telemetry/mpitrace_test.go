@@ -1,7 +1,6 @@
-// The cross-package determinism test: a CellTrace attached to a real
-// MPI execution must be byte-identical across runs. Lives in the
-// external test package so it can import mpi (the production
-// dependency points the other way — mpi knows only the interfaces).
+// The cross-package determinism test: the trace exported from a real
+// MPI execution's log must be byte-identical across runs. Lives in the
+// external test package so it can import mpi.
 package telemetry_test
 
 import (
@@ -12,9 +11,10 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
 	"repro/internal/units"
+	"repro/internal/vtime"
 )
 
-func traceConfig(p, rpn int, tr *telemetry.CellTrace) mpi.Config {
+func traceConfig(p, rpn int, log *vtime.Log) mpi.Config {
 	nodes := (p + rpn - 1) / rpn
 	shm := fabric.SharedMemory(8*units.GBps, 0.5*units.Microsecond)
 	inter := fabric.GigabitEthernet.Native
@@ -29,16 +29,16 @@ func traceConfig(p, rpn int, tr *telemetry.CellTrace) mpi.Config {
 			return &inter
 		},
 		ComputeDilation: 1.0,
-		Tap:             tr,
+		Log:             log,
 	}
 }
 
 // traceRun executes a small program exercising point-to-point,
-// collectives, and blocking (parks and wakes) under a fresh trace.
+// collectives, and blocking (parks and wakes) into a fresh log.
 func traceRun(t *testing.T) []byte {
 	t.Helper()
-	tr := telemetry.NewCellTrace("mpi-4x2", 0)
-	st, err := mpi.Run(traceConfig(4, 2, tr), func(r *mpi.Rank) {
+	log := &vtime.Log{}
+	st, err := mpi.Run(traceConfig(4, 2, log), func(r *mpi.Rank) {
 		buf := []float64{float64(r.ID())}
 		r.World().Allreduce(buf, mpi.OpSum)
 		if r.ID() == 0 {
@@ -52,8 +52,7 @@ func traceRun(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.SetKernel(st.Kernel)
-	data, err := tr.Export()
+	data, err := telemetry.Export("mpi-4x2", log, st.Kernel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,34 +9,51 @@ import (
 	"repro/internal/vtime"
 )
 
+// TestRingKeepsNewestEvents: past its bound the trace keeps the newest
+// events, oldest first, and counts the ones it leaves out — what the
+// fixed-size ring it replaced kept.
 func TestRingKeepsNewestEvents(t *testing.T) {
-	tr := NewCellTrace("ring", 4)
+	log := &vtime.Log{}
 	for i := 0; i < 6; i++ {
-		tr.Switch(i, i+1, 0)
+		log.Add(vtime.Event{Kind: vtime.EvSwitch, A: int32(i), B: int32(i + 1)}, "")
 	}
-	if tr.Len() != 4 || tr.Total() != 6 {
-		t.Fatalf("len %d total %d, want 4 and 6", tr.Len(), tr.Total())
+	data, err := export("ring", log, vtime.Counters{}, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := tr.ordered()
-	for i, e := range got {
-		if want := i + 2; e.a != want {
-			t.Fatalf("ordered[%d].a = %d, want %d (oldest-first after drop)", i, e.a, want)
+	var doc struct {
+		TraceEvents []struct {
+			Args struct {
+				From int `json:"from"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+		OtherData chromeOtherData `json:"otherData"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.OtherData; got.TotalEvents != 6 || got.DroppedEvents != 2 || len(doc.TraceEvents) != 5 {
+		t.Fatalf("total %d dropped %d events %d, want 6, 2 and metadata + 4",
+			got.TotalEvents, got.DroppedEvents, len(doc.TraceEvents))
+	}
+	for i, e := range doc.TraceEvents[1:] {
+		if want := i + 2; e.Args.From != want {
+			t.Fatalf("event %d is switch from %d, want %d (oldest-first after drop)", i, e.Args.From, want)
 		}
 	}
 }
 
 func TestExportGolden(t *testing.T) {
-	tr := NewCellTrace("tiny", 8)
-	tr.Switch(-1, 0, 0)
-	tr.PhaseBegin(0, "barrier", 1e-6)
-	tr.Park(0, "recv", 2e-6)
-	tr.Wake(1, 0, 3e-6, 2.5e-6)
-	tr.Message(1, 0, 7, 4096, "shm", 2e-6, 3.5e-6)
-	tr.Idle(0, "resource:nic-0", 2e-6, 4e-6)
-	tr.PhaseEnd(0, "barrier", 4e-6)
-	tr.FlushWakes(2, 5e-6)
-	tr.SetKernel(vtime.Counters{Switches: 3, Wakes: 1})
-	data, err := tr.Export()
+	log := &vtime.Log{}
+	log.Add(vtime.Event{Kind: vtime.EvSwitch, A: -1, B: 0}, "")
+	log.Add(vtime.Event{Kind: vtime.EvPhaseBegin, A: 0, T0: 1e-6}, "barrier")
+	log.Add(vtime.Event{Kind: vtime.EvPark, A: 0, T0: 2e-6}, "recv")
+	log.Add(vtime.Event{Kind: vtime.EvWake, A: 1, B: 0, T0: 3e-6, T1: 2.5e-6}, "")
+	log.Add(vtime.Event{Kind: vtime.EvMessage, A: 1, B: 0, C: 7, T0: 2e-6, T1: 3.5e-6, Size: 4096}, "shm")
+	log.Add(vtime.Event{Kind: vtime.EvIdle, A: 0, T0: 2e-6, T1: 4e-6}, "resource:nic-0")
+	log.Add(vtime.Event{Kind: vtime.EvPhaseEnd, A: 0, T0: 4e-6}, "barrier")
+	log.Add(vtime.Event{Kind: vtime.EvFlush, A: 2, T0: 5e-6}, "")
+	data, err := Export("tiny", log, vtime.Counters{Switches: 3, Wakes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +76,18 @@ func TestExportGolden(t *testing.T) {
 }
 
 func TestExportValidJSONAndWriteFile(t *testing.T) {
-	tr := NewCellTrace("cell", 0)
-	tr.Switch(-1, 0, 0)
-	tr.Message(0, 1, 0, 8, "tcp", 0, 1e-6)
-	dir := filepath.Join(t.TempDir(), "traces")
-	if err := tr.WriteFile(dir, "deadbeef"); err != nil {
+	log := &vtime.Log{}
+	log.Add(vtime.Event{Kind: vtime.EvSwitch, A: -1, B: 0}, "")
+	log.Add(vtime.Event{Kind: vtime.EvMessage, A: 0, B: 1, T1: 1e-6, Size: 8}, "tcp")
+	data, err := Export("cell", log, vtime.Counters{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "deadbeef.trace.json"))
+	dir := filepath.Join(t.TempDir(), "traces")
+	if err := WriteTrace(dir, "deadbeef", data); err != nil {
+		t.Fatal(err)
+	}
+	data, err = os.ReadFile(filepath.Join(dir, "deadbeef.trace.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@
 // direct goroutine-to-goroutine transfer on one OS thread that never
 // enters the Go scheduler — no run queue, no wakeup of an idle P, no
 // futex. The dispatcher does only the accounting (the Switches counter
-// and Tracer.Switch); who runs next was already decided. One structural
+// and the log's switch event); who runs next was already decided. One structural
 // lever rides on that shape: wakes are deferred. Wake parks the woken
 // process on a pending list (no heap traffic) and the kernel folds the
 // whole list into the run queue in one batched insert at the next yield
@@ -101,36 +101,6 @@ func (c Counters) Add(o Counters) Counters {
 	}
 }
 
-// Tracer receives the kernel's scheduling events, timestamped in
-// virtual time. Every callback runs under the single-running-process
-// invariant (the event source is the scheduler itself), so
-// implementations need no locking — but they must not yield, block, or
-// touch kernel state: a tracer is a passive tap on the schedule, and
-// anything it does is charged to no process.
-type Tracer interface {
-	// Switch reports a direct handoff: control passed from proc `from`
-	// to proc `to`, whose clock reads now. from is -1 for the initial
-	// handoff out of the Run goroutine.
-	Switch(from, to int, now units.Seconds)
-	// Park reports proc id blocking on tag at time now.
-	Park(id int, tag string, now units.Seconds)
-	// Wake reports proc waker making proc woken runnable; now is the
-	// woken process's (possibly advanced) clock and wakerNow the
-	// waker's clock at the instant of the wake — the causal source
-	// time a profiler follows when walking the happens-before graph
-	// backwards.
-	Wake(waker, woken int, now, wakerNow units.Seconds)
-	// Idle reports proc id's clock jumping from `from` to `to` while
-	// waiting rather than computing: an already-completed request whose
-	// completion time lies ahead of the proc's clock (tag "wait:<kind>").
-	// The kernel itself never emits it; the MPI layer does, through the
-	// same tap, and only when to > from.
-	Idle(id int, tag string, from, to units.Seconds)
-	// FlushWakes reports a batched fold of k > 1 pending waiters into
-	// the run queue, observed at virtual time now.
-	FlushWakes(k int, now units.Seconds)
-}
-
 // Proc is one simulated process. All methods must be called from the
 // process's own goroutine while it is the running process, except
 // Wake, which a running process calls on blocked peers.
@@ -196,8 +166,8 @@ func (p *Proc) Block(tag string) {
 	p.checkRunning("Block")
 	p.state = stateBlocked
 	p.blockTag = tag
-	if t := p.sched.trace; t != nil {
-		t.Park(p.ID, tag, p.now)
+	if l := p.sched.log; l != nil {
+		l.Add(Event{Kind: EvPark, A: int32(p.ID), T0: p.now}, tag)
 	}
 	p.park(p.sched.scheduleNext())
 }
@@ -221,8 +191,8 @@ func (p *Proc) Wake(q *Proc, at units.Seconds) {
 		s.pendingMin = q
 	}
 	s.counters.Wakes++
-	if s.trace != nil {
-		s.trace.Wake(p.ID, q.ID, q.now, p.now)
+	if s.log != nil {
+		s.log.Add(Event{Kind: EvWake, A: int32(p.ID), B: int32(q.ID), T0: q.now, T1: p.now}, "")
 	}
 }
 
@@ -265,11 +235,10 @@ type Scheduler struct {
 	abandoned bool
 	counters  Counters
 	// running is the proc currently holding control, tracked so the
-	// tracer can attribute handoffs to their source. Maintained only
-	// when a tracer is attached — the hot path stays untouched without
-	// one.
+	// log can attribute handoffs to their source. Maintained only when
+	// a log is attached — the hot path stays untouched without one.
 	running *Proc
-	trace   Tracer
+	log     *Log
 }
 
 // NewScheduler creates a scheduler for n processes starting at time 0.
@@ -296,10 +265,9 @@ func (s *Scheduler) Procs() []*Proc { return s.procs }
 // after Run returns.
 func (s *Scheduler) Counters() Counters { return s.counters }
 
-// SetTracer attaches a scheduling-event tap. Call it before Run; nil
-// detaches. Tracing does not perturb the schedule — the same cell
-// produces the same execution, traced or not.
-func (s *Scheduler) SetTracer(t Tracer) { s.trace = t }
+// SetLog attaches the log the kernel appends its switch, park, wake and
+// flush events to. Call it before Run; nil detaches.
+func (s *Scheduler) SetLog(l *Log) { s.log = l }
 
 // handoff accounts for control passing to next: the previous holder
 // has parked or finished (or this is the first dispatch) and next is
@@ -307,12 +275,12 @@ func (s *Scheduler) SetTracer(t Tracer) { s.trace = t }
 func (s *Scheduler) handoff(next *Proc) {
 	next.state = stateRunning
 	s.counters.Switches++
-	if s.trace != nil {
-		from := -1
+	if s.log != nil {
+		from := int32(-1)
 		if s.running != nil {
-			from = s.running.ID
+			from = int32(s.running.ID)
 		}
-		s.trace.Switch(from, next.ID, next.now)
+		s.log.Add(Event{Kind: EvSwitch, A: from, B: int32(next.ID), T0: next.now}, "")
 		s.running = next
 	}
 }
@@ -448,12 +416,12 @@ func (s *Scheduler) flushWakes() {
 		s.push(s.pending[0])
 	} else {
 		s.counters.WakeBatches++
-		if s.trace != nil {
+		if s.log != nil {
 			var at units.Seconds
 			if s.running != nil {
 				at = s.running.now
 			}
-			s.trace.FlushWakes(k, at)
+			s.log.Add(Event{Kind: EvFlush, A: int32(k), T0: at}, "")
 		}
 		s.counters.HeapOps += int64(k)
 		n := len(s.heap)

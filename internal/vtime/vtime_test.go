@@ -412,41 +412,40 @@ func TestTwoProcScheduleExact(t *testing.T) {
 	check("sync", s, order, []int{0, 1, 0, 1, 0, 1}, 2*iters+2)
 }
 
-// eventLog is a Tracer that writes every callback and its arguments
-// down, one line each.
-type eventLog struct{ lines []string }
-
-func (l *eventLog) logf(format string, args ...any) {
-	l.lines = append(l.lines, fmt.Sprintf(format, args...))
-}
-func (l *eventLog) Switch(from, to int, now units.Seconds) {
-	l.logf("switch %d>%d @%g", from, to, float64(now))
-}
-func (l *eventLog) Park(id int, tag string, now units.Seconds) {
-	l.logf("park %d [%s] @%g", id, tag, float64(now))
-}
-func (l *eventLog) Wake(waker, woken int, now, wakerNow units.Seconds) {
-	l.logf("wake %d>%d @%g from @%g", waker, woken, float64(now), float64(wakerNow))
-}
-func (l *eventLog) Idle(id int, tag string, from, to units.Seconds) {
-	l.logf("idle %d [%s] %g..%g", id, tag, float64(from), float64(to))
-}
-func (l *eventLog) FlushWakes(k int, now units.Seconds) {
-	l.logf("flush %d @%g", k, float64(now))
+// transcript renders the kernel's events in l one line each.
+func transcript(l *Log) []string {
+	var lines []string
+	for i := 0; i < l.Len(); i++ {
+		var line string
+		switch e := l.At(i); e.Kind {
+		case EvSwitch:
+			line = fmt.Sprintf("switch %d>%d @%g", e.A, e.B, float64(e.T0))
+		case EvPark:
+			line = fmt.Sprintf("park %d [%s] @%g", e.A, l.Name(e.Name), float64(e.T0))
+		case EvWake:
+			line = fmt.Sprintf("wake %d>%d @%g from @%g", e.A, e.B, float64(e.T0), float64(e.T1))
+		case EvFlush:
+			line = fmt.Sprintf("flush %d @%g", e.A, float64(e.T0))
+		default:
+			line = fmt.Sprintf("unexpected kernel event %+v", e)
+		}
+		lines = append(lines, line)
+	}
+	return lines
 }
 
 // TestScheduleGolden is the kernel-level twin of the figure goldens: a
 // scripted five-proc run — skewed clocks, Sync on its fast and slow
 // paths, a gate that releases three waiters in one batch, a proc that
-// finishes early — whose complete Tracer event sequence and final
+// finishes early — whose complete logged event sequence and final
 // counters are compared with the literal below. The literal was
 // recorded at commit 4f14b8f, when control moved by channel
 // park/unpark; it changes only if who runs next changes.
 func TestScheduleGolden(t *testing.T) {
 	const ms = units.Millisecond
 	s := NewScheduler(5)
-	log := &eventLog{}
-	s.SetTracer(log)
+	log := &Log{}
+	s.SetLog(log)
 	procs := s.Procs()
 	end := s.Run(func(p *Proc) {
 		switch p.ID {
@@ -474,8 +473,8 @@ func TestScheduleGolden(t *testing.T) {
 			}
 		}
 	})
-	log.logf("end @%g counters %+v", float64(end), s.Counters())
-	got := strings.Join(log.lines, "\n")
+	lines := append(transcript(log), fmt.Sprintf("end @%g counters %+v", float64(end), s.Counters()))
+	got := strings.Join(lines, "\n")
 	if got != scheduleGolden {
 		t.Errorf("schedule moved.\ngot:\n%s\nwant:\n%s", got, scheduleGolden)
 	}
@@ -630,4 +629,37 @@ func TestConcurrentSchedulers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestLogChunksAndDrain: events and their names read back across chunk
+// boundaries, and Drain yields every event in order, leaving the log
+// empty with its names still readable.
+func TestLogChunksAndDrain(t *testing.T) {
+	var l Log
+	const n = 2*chunkLen + 3
+	tag := func(i int) string { return fmt.Sprintf("tag%d", i%3) }
+	for i := 0; i < n; i++ {
+		l.Add(Event{Kind: EvPark, A: int32(i)}, tag(i))
+	}
+	if l.Len() != n {
+		t.Fatalf("Len = %d, want %d", l.Len(), n)
+	}
+	for _, i := range []int{0, chunkLen - 1, chunkLen, n - 1} {
+		if e := l.At(i); e.A != int32(i) || l.Name(e.Name) != tag(i) {
+			t.Fatalf("At(%d) = %+v named %q", i, e, l.Name(e.Name))
+		}
+	}
+	next := 0
+	for e := range l.Drain() {
+		if e.A != int32(next) {
+			t.Fatalf("Drain yielded event %d as number %d", e.A, next)
+		}
+		next++
+	}
+	if next != n || l.Len() != 0 {
+		t.Fatalf("Drain yielded %d of %d events and left %d", next, n, l.Len())
+	}
+	if got := l.Name(1); got != tag(0) {
+		t.Fatalf("name 1 after Drain = %q, want %q", got, tag(0))
+	}
 }
