@@ -67,10 +67,10 @@ func TestAnalyzeDeterministic(t *testing.T) {
 		for id, b := range p.PerRank {
 			// Compute is defined as the residual of the wait partition, so
 			// this identity is bit-exact in the engine's evaluation order.
-			if res := b.Total - b.P2PWait - b.CollectiveWait - b.ResourceWait; res != b.Compute {
+			if res := b.Total - b.P2PWait - b.CollectiveWait; res != b.Compute {
 				t.Errorf("%s rank %d: total minus waits = %v, compute %v", p.Label, id, res, b.Compute)
 			}
-			if b.Compute < 0 || b.P2PWait < 0 || b.CollectiveWait < 0 || b.ResourceWait < 0 {
+			if b.Compute < 0 || b.P2PWait < 0 || b.CollectiveWait < 0 {
 				t.Errorf("%s rank %d: negative category in %+v", p.Label, id, b)
 			}
 		}

@@ -65,8 +65,8 @@
 // Traces are deterministic and purely observational: figure bytes are
 // identical with or without them. A traced run also writes one
 // attribution profile per cell; the analyze verb turns those into
-// per-rank time-attribution tables (compute vs point-to-point,
-// collective, and resource waits — summing exactly to each rank's
+// per-rank time-attribution tables (compute vs point-to-point and
+// collective waits — summing exactly to each rank's
 // virtual time), critical-path reports whose length equals the cell
 // makespan, folded stacks for flamegraph tools, and -diff "A=B"
 // comparisons attributing the makespan delta between two cells to

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,6 +183,19 @@ func TestRunFSIModelAndReal(t *testing.T) {
 		if res.MPI.TotalMessages == 0 {
 			t.Fatalf("%v: no traffic in a coupled run", mode)
 		}
+	}
+}
+
+// TestFailedRankReturnsItsError: a rank that fails returns early and
+// leaves its coupling partners blocked on it forever; Run reports the
+// rank's error, not the kernel deadlock it caused.
+func TestFailedRankReturnsItsError(t *testing.T) {
+	cl := cluster.CTEPower()
+	cs := QuickFSI(1)
+	cs.SolidParams.Dt = 1e-3 // far above the wall solver's CFL bound
+	_, err := Run(Spec{Job: job(t, cl, 2, 8, 1), Profile: bareProfile(t, cl), Case: cs, Mode: ModeReal})
+	if err == nil || !strings.Contains(err.Error(), "solid: dt") {
+		t.Fatalf("err = %v, want the wall solver's CFL error", err)
 	}
 }
 

@@ -4,14 +4,28 @@
 //
 //   - ModeReal runs the actual Navier–Stokes / elasticity numerics with
 //     real halo payloads (small meshes: tests, examples).
-//   - ModeModel traverses the identical communication structure with
-//     correctly sized payloads and charges the identical per-cell
-//     compute costs, without allocating or computing the fields
-//     (paper-scale meshes: 20–50M cells, up to 12,288 ranks).
+//   - ModeModel steps a workload model of each solver instead: correctly
+//     sized size-only payloads and the solvers' per-cell compute costs,
+//     without allocating or computing the fields (paper-scale meshes:
+//     20–50M cells, up to 12,288 ranks).
 //
-// Both modes share the cost constants exported by the navier and solid
-// packages, so the virtual-time behaviour of a configuration is the
-// same in both; TestExecModesAgree asserts it.
+// Both modes run one rank program; the mode only chooses the code value
+// a rank steps. Every charge, halo and reduction costs the same in both,
+// through the cost constants the navier and solid packages export, so a
+// step's cost per CG iteration tracks the solver's (TestExecModesAgree
+// bounds the ratio). The model's
+// sequence of calls is a simplified skeleton of the solvers', not a
+// copy of it:
+//
+//   - per CG iteration it performs two reductions, where krylov.CG
+//     performs three (pᵀAp, ‖r‖, rᵀz);
+//   - it skips CG's setup operator apply and its three setup reductions;
+//   - it exchanges one three-field velocity halo before CG, where
+//     navier's step exchanges two;
+//   - its solid substep charges before its halo, where solid's step
+//     charges after.
+//
+// Making the two one step program would move every ModeModel result.
 package alya
 
 import (
@@ -82,6 +96,9 @@ type Case struct {
 
 // Validate reports an inconsistent case.
 func (c *Case) Validate() error {
+	if c.Kind != CFD && c.Kind != FSI {
+		return fmt.Errorf("alya: case %q has unknown kind %v", c.Name, c.Kind)
+	}
 	if c.Steps < 1 || c.SimSteps < 1 || c.SimSteps > c.Steps {
 		return fmt.Errorf("alya: case %q steps %d / sim steps %d", c.Name, c.Steps, c.SimSteps)
 	}

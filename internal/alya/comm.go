@@ -24,7 +24,7 @@ const (
 // time through the OpenMP cost model.
 type rankComm struct {
 	comm    *mpi.Comm
-	part    mesh.Partition
+	part    *mesh.Partition
 	cells   float64 // part.Cells(), for the model-mode charges
 	model   omp.Model
 	threads int

@@ -156,45 +156,29 @@ func Run(spec Spec) (Result, error) {
 		Log: spec.Log,
 	}
 
-	run := runState{spec: spec, model: model}
-	var body func(r *mpi.Rank)
-	switch spec.Case.Kind {
-	case CFD:
-		grid, err := decomposeFor(spec.Case.FluidMesh, job.Ranks, job, 0)
-		if err != nil {
-			return Result{}, err
-		}
-		run.fluidGrid = grid
-		body = run.cfdBody
-	case FSI:
-		fluidRanks := int(float64(job.Ranks) * spec.Case.FluidFraction)
-		if fluidRanks < 1 {
-			fluidRanks = 1
-		}
-		if fluidRanks >= job.Ranks {
-			fluidRanks = job.Ranks - 1
-		}
-		fg, err := decomposeFor(spec.Case.FluidMesh, fluidRanks, job, 0)
-		if err != nil {
-			return Result{}, err
-		}
-		sg, err := decomposeFor(spec.Case.SolidMesh, job.Ranks-fluidRanks, job, fluidRanks)
-		if err != nil {
-			return Result{}, err
-		}
-		run.fluidGrid, run.solidGrid = fg, sg
-		run.fluidRanks = fluidRanks
-		body = run.fsiBody
-	default:
-		return Result{}, fmt.Errorf("alya: unknown case kind %v", spec.Case.Kind)
+	// The split of MPI_COMM_WORLD: the fluid code on world ranks
+	// [0, fluidRanks), the solid code on the rest — none for CFD.
+	run := runState{spec: spec, model: model, fluidRanks: job.Ranks}
+	if spec.Case.Kind == FSI {
+		run.fluidRanks = min(max(int(float64(job.Ranks)*spec.Case.FluidFraction), 1), job.Ranks-1)
 	}
-
-	st, err := mpi.Run(cfg, body)
-	if err != nil {
+	var err error
+	if run.fluidGrid, err = decomposeFor(spec.Case.FluidMesh, run.fluidRanks, job, 0); err != nil {
 		return Result{}, err
 	}
-	if run.err != nil {
-		return Result{}, run.err
+	if run.fluidRanks < job.Ranks {
+		if run.solidGrid, err = decomposeFor(spec.Case.SolidMesh, job.Ranks-run.fluidRanks, job, run.fluidRanks); err != nil {
+			return Result{}, err
+		}
+		run.iface = make([]int, run.fluidRanks)
+		for f := range run.iface {
+			run.iface[f] = max(1, run.fluidGrid.Part(f).WallCells())
+		}
+	}
+
+	st, err := run.simulate(cfg)
+	if err != nil {
+		return Result{}, err
 	}
 
 	perStep := run.solveTime / units.Seconds(spec.Case.SimSteps)
@@ -231,8 +215,13 @@ type runState struct {
 	model     omp.Model
 	fluidGrid mesh.Grid
 	solidGrid mesh.Grid
-	// fluidRanks is the world size of the fluid code (FSI).
+	// fluidRanks is the world size of the fluid code; the solid code
+	// runs on the remaining ranks.
 	fluidRanks int
+	// iface is each fluid rank's coupling-payload size (FSI): its
+	// wall-adjacent cell count, ≥ 1 so every pair exchanges something,
+	// as Alya's coupling keeps all ranks in the communication schedule.
+	iface []int
 
 	solveStart  units.Seconds
 	solveTime   units.Seconds
@@ -249,15 +238,44 @@ func (rs *runState) fail(err error) {
 	}
 }
 
-// A rank body's frame lies under every collective the rank ever parks
-// in, and a few hundred bytes there decide whether each rank fits Go's
-// 4 KB stack or doubles to 8 KB (TestRankStackClass). So the bodies
-// hold pointers and scalars; whatever copies a mesh.Partition or solver
-// parameters is a //go:noinline helper that has returned by then.
+// simulate runs the rank program on every rank. A rank that fails
+// returns early and leaves its partners blocked on it for good, so the
+// kernel then panics with a deadlock: the recorded error is the cause
+// and outranks it. Any other panic propagates; either way the kernel
+// has unwound every rank before it reaches here.
+func (rs *runState) simulate(cfg mpi.Config) (st mpi.Stats, err error) {
+	defer func() {
+		if rs.err != nil {
+			recover()
+			err = rs.err
+		}
+	}()
+	return mpi.Run(cfg, rs.body)
+}
 
-// cfdBody is the per-rank program of the CFD case.
-func (rs *runState) cfdBody(r *mpi.Rank) {
-	rc := rs.newRankComm(r.World(), &rs.fluidGrid)
+// body is the per-rank program: world ranks [0, fluidRanks) run the
+// fluid code and the rest the solid code, each on its own communicator,
+// and the two exchange interface data every coupling iteration — two
+// code instances, exactly as the paper describes.
+func (rs *runState) body(r *mpi.Rank) {
+	lo, hi, grid := 0, rs.fluidRanks, &rs.fluidGrid
+	if r.ID() >= rs.fluidRanks {
+		lo, hi, grid = rs.fluidRanks, r.Size(), &rs.solidGrid
+	}
+	comm, err := r.NewComm(lo, hi)
+	if err != nil {
+		rs.fail(err)
+		return
+	}
+	part := grid.Part(comm.Rank())
+	nbrs := part.Neighbors()
+	rc := &rankComm{
+		comm: comm, part: part, cells: float64(part.Cells()),
+		model: rs.model, threads: rs.spec.Job.ThreadsPerRank, nbrs: nbrs,
+		sendBufs: make([][]float64, len(nbrs)),
+		recvBufs: make([][]float64, len(nbrs)),
+		reqs:     make([]*mpi.Request, 0, 2*len(nbrs)),
+	}
 
 	r.Barrier()
 	start := r.Now()
@@ -265,83 +283,152 @@ func (rs *runState) cfdBody(r *mpi.Rank) {
 		rs.solveStart = start
 		rs.startupComm = r.CommTime()
 	}
-
-	switch rs.spec.Mode {
-	case ModeReal:
-		solver := rs.fluidSolver(rc)
-		if solver == nil {
-			return
-		}
-		for step := 0; step < rs.spec.Case.SimSteps; step++ {
-			if !rs.fluidStep(r, solver) {
-				return
-			}
-		}
-	default:
-		for step := 0; step < rs.spec.Case.SimSteps; step++ {
-			rs.modelCFDStep(rc)
-		}
-		if r.ID() == 0 {
-			rs.cgIters = float64(rs.spec.Case.ModelCGIters * rs.spec.Case.SimSteps)
-		}
+	if r.ID() < rs.fluidRanks {
+		rs.fluidRank(r, rc)
+	} else {
+		rs.solidRank(r, rc)
 	}
-
+	if rs.err != nil {
+		return
+	}
 	r.Barrier()
 	if r.ID() == 0 {
 		rs.solveTime = r.Now() - start
 	}
 }
 
-// newRankComm builds the adapter for comm's rank of grid.
-//
-//go:noinline
-func (rs *runState) newRankComm(comm *mpi.Comm, grid *mesh.Grid) *rankComm {
-	part := grid.Part(comm.Rank())
-	nbrs := part.Neighbors()
-	return &rankComm{
-		comm: comm, part: part, cells: float64(part.Cells()),
-		model: rs.model, threads: rs.spec.Job.ThreadsPerRank, nbrs: nbrs,
-		sendBufs: make([][]float64, len(nbrs)),
-		recvBufs: make([][]float64, len(nbrs)),
-		reqs:     make([]*mpi.Request, 0, 2*len(nbrs)),
+// pairOf returns the solid comm rank that fluid comm rank f couples
+// with; the solid side enumerates its fluid partners by the same map.
+func (rs *runState) pairOf(f int) int {
+	return f * (rs.spec.Job.Ranks - rs.fluidRanks) / rs.fluidRanks
+}
+
+// fluidCode is what a fluid rank steps: *navier.Solver or modelFluid.
+type fluidCode interface {
+	Step() (navier.StepStats, error)
+	WallPressure() float64
+	SetWallVelocity(v float64)
+}
+
+// solidCode is what a solid rank steps: *solid.Solver or modelSolid.
+type solidCode interface {
+	Step() (solid.StepStats, error)
+	SetTraction(p float64)
+}
+
+// fluidRank steps the fluid code; beside a solid code, every step ends
+// with the coupling exchanges with the rank's solid partner.
+func (rs *runState) fluidRank(r *mpi.Rank, rc *rankComm) {
+	var code fluidCode = modelFluid{rc: rc, iters: rs.spec.Case.ModelCGIters}
+	if rs.spec.Mode == ModeReal {
+		solver, err := navier.NewSolver(rc.part, rs.spec.Case.FluidParams, rc)
+		if err != nil {
+			rs.fail(err)
+			return
+		}
+		code = solver
+	}
+	var peer int
+	var traction, motion []float64
+	if rs.fluidRanks < r.Size() {
+		peer = rs.fluidRanks + rs.pairOf(rc.comm.Rank()) // world rank of the solid partner
+		traction = make([]float64, rs.iface[rc.comm.Rank()])
+		motion = make([]float64, len(traction))
+	}
+
+	for step := 0; step < rs.spec.Case.SimSteps; step++ {
+		stats, err := code.Step()
+		if err != nil {
+			rs.fail(err)
+			return
+		}
+		if r.ID() == 0 {
+			rs.cgIters += float64(stats.CGIterations)
+			rs.maxDiv = stats.MaxDivergence
+		}
+		for ci := 0; traction != nil && ci < rs.spec.Case.CouplingIters; ci++ {
+			wp := code.WallPressure()
+			for i := range traction {
+				traction[i] = wp
+			}
+			r.Send(peer, tagCoupleTraction, traction)
+			r.Recv(peer, tagCoupleMotion, motion)
+			code.SetWallVelocity(motion[0] * 1e-3)
+		}
 	}
 }
 
-// fluidSolver builds the ModeReal flow solver; nil: failed, recorded.
-//
-//go:noinline
-func (rs *runState) fluidSolver(rc *rankComm) *navier.Solver {
-	solver, err := navier.NewSolver(rc.part, rs.spec.Case.FluidParams, rc)
-	if err != nil {
-		rs.fail(err)
+// solidRank steps the solid code, SolidSubsteps per fluid step, and
+// couples with every fluid rank paired to it.
+func (rs *runState) solidRank(r *mpi.Rank, rc *rankComm) {
+	var code solidCode = modelSolid{rc: rc}
+	if rs.spec.Mode == ModeReal {
+		solver, err := solid.NewSolver(rc.part, rs.spec.Case.SolidParams, rc)
+		if err != nil {
+			rs.fail(err)
+			return
+		}
+		code = solver
 	}
-	return solver
+	var partners []int
+	for f := 0; f < rs.fluidRanks; f++ {
+		if rs.pairOf(f) == rc.comm.Rank() {
+			partners = append(partners, f)
+		}
+	}
+	// Interface payload sizes follow the fluid partner's wall size.
+	bufs := make([][]float64, len(partners))
+	for i, f := range partners {
+		bufs[i] = make([]float64, rs.iface[f])
+	}
+
+	for step := 0; step < rs.spec.Case.SimSteps; step++ {
+		var meanVel float64
+		for sub := 0; sub < rs.spec.Case.SolidSubsteps; sub++ {
+			stats, err := code.Step()
+			if err != nil {
+				rs.fail(err)
+				return
+			}
+			meanVel = stats.MeanRadialVelocity
+		}
+		for ci := 0; ci < rs.spec.Case.CouplingIters; ci++ {
+			var tractionSum float64
+			for i, f := range partners {
+				r.Recv(f, tagCoupleTraction, bufs[i])
+				tractionSum += bufs[i][0]
+			}
+			if len(partners) > 0 {
+				code.SetTraction(tractionSum / float64(len(partners)))
+			}
+			for i, f := range partners {
+				for j := range bufs[i] {
+					bufs[i][j] = meanVel
+				}
+				r.Send(f, tagCoupleMotion, bufs[i])
+			}
+		}
+	}
 }
 
-// fluidStep advances the ModeReal flow solver one step; false: failed.
-func (rs *runState) fluidStep(r *mpi.Rank, solver *navier.Solver) bool {
-	stats, err := solver.Step()
-	if err != nil {
-		rs.fail(err)
-		return false
-	}
-	if r.ID() == 0 {
-		rs.cgIters += float64(stats.CGIterations)
-		rs.maxDiv = stats.MaxDivergence
-	}
-	return true
+// modelFluid is ModeModel's fluid code: navier.Solver.Step's compute
+// charges over a simplified skeleton of its communication (the package
+// doc lists the differences), with size-only halos and a fixed CG
+// iteration count. It holds no fields, so it has no wall pressure and
+// ignores the wall velocity it is given.
+type modelFluid struct {
+	rc    *rankComm
+	iters int
 }
 
-// modelCFDStep mirrors navier.(*Solver).Step's compute/communication
-// structure without touching field data.
-func (rs *runState) modelCFDStep(rc *rankComm) {
-	cells := rc.cells
+func (m modelFluid) Step() (navier.StepStats, error) {
+	rc, cells := m.rc, m.rc.cells
 	// Tentative velocity: assemble, then exchange the three components.
 	rc.Charge(cells*navier.AssemblyFlopsPerCell, cells*navier.AssemblyBytesPerCell)
 	rc.ExchangeModel(3)
 	// Pressure CG: per iteration one stencil apply (with its pressure
 	// halo) and two global dot products.
-	for it := 0; it < rs.spec.Case.ModelCGIters; it++ {
+	for it := 0; it < m.iters; it++ {
 		rc.Charge(cells*navier.CGIterFlopsPerCell, cells*navier.CGIterBytesPerCell)
 		rc.ExchangeModel(1)
 		rc.AllSum(1)
@@ -353,172 +440,24 @@ func (rs *runState) modelCFDStep(rc *rankComm) {
 	rc.ExchangeModel(3)
 	rc.AllMax(1)
 	rc.AllMax(1)
+	return navier.StepStats{CGIterations: m.iters}, nil
 }
 
-// fsiBody is the per-rank program of the coupled FSI case: world ranks
-// [0, fluidRanks) run the fluid code, the rest run the solid code, and
-// the two exchange interface data every coupling iteration — two code
-// instances, exactly as the paper describes.
-func (rs *runState) fsiBody(r *mpi.Rank) {
-	isFluid := r.ID() < rs.fluidRanks
-	lo, hi := 0, rs.fluidRanks
-	if !isFluid {
-		lo, hi = rs.fluidRanks, r.Size()
-	}
-	comm, err := r.NewComm(lo, hi)
-	if err != nil {
-		rs.fail(err)
-		return
-	}
+func (modelFluid) WallPressure() float64   { return 0 }
+func (modelFluid) SetWallVelocity(float64) {}
 
-	solidRanks := r.Size() - rs.fluidRanks
-	// Pairing: fluid comm-rank f couples with solid comm-rank
-	// f*solidRanks/fluidRanks; the reverse mapping on the solid side
-	// enumerates its fluid partners deterministically.
-	pairOfFluid := func(f int) int { return f * solidRanks / rs.fluidRanks }
+// modelSolid is ModeModel's solid code: solid.Solver.Step's charge,
+// three-field halo and reductions, size-only.
+type modelSolid struct{ rc *rankComm }
 
-	r.Barrier()
-	start := r.Now()
-	if r.ID() == 0 {
-		rs.solveStart = start
-		rs.startupComm = r.CommTime()
-	}
-
-	if isFluid {
-		rs.fluidFSI(r, comm, pairOfFluid)
-	} else {
-		rs.solidFSI(r, comm, pairOfFluid)
-	}
-	if rs.err != nil {
-		return
-	}
-
-	r.Barrier()
-	if r.ID() == 0 {
-		rs.solveTime = r.Now() - start
-	}
+func (m modelSolid) Step() (solid.StepStats, error) {
+	rc := m.rc
+	rc.Charge(rc.cells*solid.StepFlopsPerCell, rc.cells*solid.StepBytesPerCell)
+	rc.ExchangeModel(3)
+	rc.AllSum(1)
+	rc.AllSum(1)
+	rc.AllMax(1)
+	return solid.StepStats{}, nil
 }
 
-// interfaceCells returns the coupling-payload size for a fluid rank:
-// its wall-adjacent cell count (≥ 1 so every pair exchanges something,
-// as Alya's coupling keeps all ranks in the communication schedule).
-//
-//go:noinline
-func (rs *runState) interfaceCells(fluidRank int) int {
-	return max(1, rs.fluidGrid.Part(fluidRank).WallCells())
-}
-
-// fluidFSI runs the fluid side: a CFD step plus coupling exchanges.
-func (rs *runState) fluidFSI(r *mpi.Rank, comm *mpi.Comm, pairOfFluid func(int) int) {
-	rc := rs.newRankComm(comm, &rs.fluidGrid)
-	peer := rs.fluidRanks + pairOfFluid(comm.Rank()) // world rank of solid partner
-	iface := rs.interfaceCells(comm.Rank())
-	traction := make([]float64, iface)
-	motion := make([]float64, iface)
-
-	var solver *navier.Solver
-	if rs.spec.Mode == ModeReal {
-		if solver = rs.fluidSolver(rc); solver == nil {
-			return
-		}
-	}
-
-	for step := 0; step < rs.spec.Case.SimSteps; step++ {
-		if rs.spec.Mode == ModeReal {
-			if !rs.fluidStep(r, solver) {
-				return
-			}
-		} else {
-			rs.modelCFDStep(rc)
-			if r.ID() == 0 {
-				rs.cgIters += float64(rs.spec.Case.ModelCGIters)
-			}
-		}
-		for ci := 0; ci < rs.spec.Case.CouplingIters; ci++ {
-			if rs.spec.Mode == ModeReal {
-				wp := solver.WallPressure()
-				for i := range traction {
-					traction[i] = wp
-				}
-			}
-			r.Send(peer, tagCoupleTraction, traction)
-			r.Recv(peer, tagCoupleMotion, motion)
-			if rs.spec.Mode == ModeReal {
-				solver.SetWallVelocity(motion[0] * 1e-3)
-			}
-		}
-	}
-}
-
-// solidSolver builds the ModeReal wall solver; nil: failed, recorded.
-//
-//go:noinline
-func (rs *runState) solidSolver(rc *rankComm) *solid.Solver {
-	solver, err := solid.NewSolver(rc.part, rs.spec.Case.SolidParams, rc)
-	if err != nil {
-		rs.fail(err)
-	}
-	return solver
-}
-
-// solidFSI runs the structural side: wall substeps plus coupling.
-func (rs *runState) solidFSI(r *mpi.Rank, comm *mpi.Comm, pairOfFluid func(int) int) {
-	rc := rs.newRankComm(comm, &rs.solidGrid)
-
-	// Enumerate the fluid comm-ranks paired to this solid comm-rank.
-	var partners []int
-	for f := 0; f < rs.fluidRanks; f++ {
-		if pairOfFluid(f) == comm.Rank() {
-			partners = append(partners, f)
-		}
-	}
-	// Interface payload sizes follow the fluid partner's wall size.
-	bufs := make([][]float64, len(partners))
-	for i, f := range partners {
-		bufs[i] = make([]float64, rs.interfaceCells(f))
-	}
-
-	var solver *solid.Solver
-	if rs.spec.Mode == ModeReal {
-		if solver = rs.solidSolver(rc); solver == nil {
-			return
-		}
-	}
-
-	cells := rc.cells
-	for step := 0; step < rs.spec.Case.SimSteps; step++ {
-		var meanVel float64
-		for sub := 0; sub < rs.spec.Case.SolidSubsteps; sub++ {
-			if rs.spec.Mode == ModeReal {
-				stats, err := solver.Step()
-				if err != nil {
-					rs.fail(err)
-					return
-				}
-				meanVel = stats.MeanRadialVelocity
-			} else {
-				rc.Charge(cells*solid.StepFlopsPerCell, cells*solid.StepBytesPerCell)
-				rc.ExchangeModel(3)
-				rc.AllSum(1)
-				rc.AllSum(1)
-				rc.AllMax(1)
-			}
-		}
-		for ci := 0; ci < rs.spec.Case.CouplingIters; ci++ {
-			var tractionSum float64
-			for i, f := range partners {
-				r.Recv(f, tagCoupleTraction, bufs[i])
-				tractionSum += bufs[i][0]
-			}
-			if rs.spec.Mode == ModeReal && len(partners) > 0 {
-				solver.SetTraction(tractionSum / float64(len(partners)))
-			}
-			for i, f := range partners {
-				for j := range bufs[i] {
-					bufs[i][j] = meanVel
-				}
-				r.Send(f, tagCoupleMotion, bufs[i])
-			}
-		}
-	}
-}
+func (modelSolid) SetTraction(float64) {}

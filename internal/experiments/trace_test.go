@@ -126,9 +126,11 @@ func TestTraceDirPerCellDeterministic(t *testing.T) {
 
 // TestTracedCellArtifactsPinned pins one real cell's traced artifacts
 // across commits: the sha256 of the Chrome trace and of the attribution
-// profile a small fig2 cell writes. The literals were printed at commit
-// 6efdaf5, before the observer became an event log; they change only
-// if the cell's schedule, the trace format or the attribution does.
+// profile a small fig2 cell writes. The trace literal was printed at
+// commit 6efdaf5, before the observer became an event log; the profile
+// literal was re-printed when the profile dropped its resource-wait
+// category, which no event produced. They change only if the cell's
+// schedule, the trace format or the attribution does.
 func TestTracedCellArtifactsPinned(t *testing.T) {
 	dir := t.TempDir()
 	opt := fig2TraceOpt(dir)
@@ -143,7 +145,7 @@ func TestTracedCellArtifactsPinned(t *testing.T) {
 	}
 	for suffix, want := range map[string]string{ //lint:allow maporder -- independent per-file checks
 		".trace.json":   "6b9a8ec6bc506784eb561d6b52351f57d82dd4fd253b6b8c430da15c80bd356d",
-		".profile.json": "27103170642faf1fb38c3bcea9d41467daf938e2cc8bde0bde69f5843cf429d1",
+		".profile.json": "b34b56815ba3e45c6042ed8a3dbe9827defa7426167121fb1b28401f516db8fc",
 	} {
 		data, err := os.ReadFile(filepath.Join(dir, key+suffix))
 		if err != nil {

@@ -20,7 +20,7 @@ type Field struct {
 }
 
 // New allocates a zeroed field for a partition.
-func New(p mesh.Partition) *Field {
+func New(p *mesh.Partition) *Field {
 	nx, ny, nz := p.Dims()
 	return &Field{NX: nx, NY: ny, NZ: nz, Data: make([]float64, (nx+2)*(ny+2)*(nz+2))}
 }

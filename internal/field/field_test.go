@@ -6,7 +6,7 @@ import (
 	"repro/internal/mesh"
 )
 
-func part(t *testing.T, nx, ny, nz int) mesh.Partition {
+func part(t *testing.T, nx, ny, nz int) *mesh.Partition {
 	t.Helper()
 	m, err := mesh.NewMesh(nx, ny, nz, 1, 1, 1)
 	if err != nil {

@@ -159,7 +159,7 @@ func (g Grid) RankAt(cx, cy, cz int) int {
 }
 
 // Part returns a rank's subdomain.
-func (g Grid) Part(rank int) Partition {
+func (g Grid) Part(rank int) *Partition {
 	if rank < 0 || rank >= g.Parts() {
 		panic(fmt.Sprintf("mesh: rank %d outside %d parts", rank, g.Parts()))
 	}
@@ -167,7 +167,7 @@ func (g Grid) Part(rank int) Partition {
 	i0, i1 := blockRange(g.Mesh.NX, g.PX, cx)
 	j0, j1 := blockRange(g.Mesh.NY, g.PY, cy)
 	k0, k1 := blockRange(g.Mesh.NZ, g.PZ, cz)
-	return Partition{
+	return &Partition{
 		Grid: g, Rank: rank,
 		CX: cx, CY: cy, CZ: cz,
 		I0: i0, I1: i1, J0: j0, J1: j1, K0: k0, K1: k1,
@@ -193,12 +193,12 @@ type Partition struct {
 }
 
 // Dims returns the local extent per axis.
-func (p Partition) Dims() (nx, ny, nz int) {
+func (p *Partition) Dims() (nx, ny, nz int) {
 	return p.I1 - p.I0, p.J1 - p.J0, p.K1 - p.K0
 }
 
 // Cells returns the local cell count.
-func (p Partition) Cells() int {
+func (p *Partition) Cells() int {
 	nx, ny, nz := p.Dims()
 	return nx * ny * nz
 }
@@ -215,7 +215,7 @@ type Neighbor struct {
 
 // Neighbors lists the face-adjacent peers in a fixed axis order
 // (x-, x+, y-, y+, z-, z+), omitting physical-boundary faces.
-func (p Partition) Neighbors() []Neighbor {
+func (p *Partition) Neighbors() []Neighbor {
 	nx, ny, nz := p.Dims()
 	var out []Neighbor
 	add := func(face Axis, cx, cy, cz, count int) {
@@ -234,19 +234,19 @@ func (p Partition) Neighbors() []Neighbor {
 }
 
 // OnInlet reports whether the partition touches the inlet plane (k=0).
-func (p Partition) OnInlet() bool { return p.K0 == 0 }
+func (p *Partition) OnInlet() bool { return p.K0 == 0 }
 
 // OnOutlet reports whether the partition touches the outlet plane.
-func (p Partition) OnOutlet() bool { return p.K1 == p.Grid.Mesh.NZ }
+func (p *Partition) OnOutlet() bool { return p.K1 == p.Grid.Mesh.NZ }
 
 // OnWall reports whether the partition touches the lateral boundary.
-func (p Partition) OnWall() bool {
+func (p *Partition) OnWall() bool {
 	return p.I0 == 0 || p.I1 == p.Grid.Mesh.NX || p.J0 == 0 || p.J1 == p.Grid.Mesh.NY
 }
 
 // WallCells counts this partition's cells on the lateral boundary —
 // the FSI coupling interface.
-func (p Partition) WallCells() int {
+func (p *Partition) WallCells() int {
 	nx, ny, nz := p.Dims()
 	count := 0
 	if p.I0 == 0 {

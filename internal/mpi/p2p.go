@@ -29,17 +29,21 @@ type Request struct {
 	// at is when this side is ready: a receive's post time, an eager
 	// send's arrival at the receiver, a rendezvous send's RTS time.
 	at units.Seconds
-	// The rest is set on sends only. sentAt is when the sender entered
-	// the send, for the log's latency accounting.
-	size   units.ByteSize
+	// tr and sentAt are set on sends only. sentAt is when the sender
+	// entered the send, for the log's latency accounting.
 	tr     *fabric.Transport
 	sentAt units.Seconds
-	eager  bool
 	done   bool
 }
 
 // Done reports whether the request has completed.
 func (q *Request) Done() bool { return q.done }
+
+// size is a send's wire size.
+func (q *Request) size() units.ByteSize { return payloadSize(q.count) }
+
+// eager reports whether a send takes the eager protocol.
+func (q *Request) eager() bool { return q.tr.Eager(q.size()) }
 
 // complete marks the request finished at time t.
 func (q *Request) complete(t units.Seconds) {
@@ -136,10 +140,10 @@ func (r *Rank) send(dst, tag int, data []float64, count int, kind string) *Reque
 
 	s := &Request{
 		owner: r, kind: kind, src: r.id, tag: tag,
-		buf: payload, count: count, size: size, tr: tr,
-		eager: tr.Eager(size), sentAt: r.proc.Now(),
+		buf: payload, count: count, tr: tr, sentAt: r.proc.Now(),
 	}
-	if s.eager {
+	eager := tr.Eager(size)
+	if eager {
 		// Fire and forget: the sender is done after its CPU cost.
 		r.proc.Advance(tr.CPUCost(size))
 		s.at = r.w.deliver(tr, r.node, r.proc.Now(), size)
@@ -156,7 +160,7 @@ func (r *Rank) send(dst, tag int, data []float64, count int, kind string) *Reque
 	}
 	arrival := r.w.landing(recv, s)
 	r.settle(recv, s, arrival)
-	if !s.eager {
+	if !eager {
 		// Receiver already waiting. The sender is done when the payload
 		// lands, before the receiver's CPU cost.
 		s.complete(arrival)
@@ -201,7 +205,7 @@ func (r *Rank) irecv(src, tag int, buf []float64, count int) *Request {
 		return recv
 	}
 	done := r.settle(recv, s, r.w.landing(recv, s))
-	if !s.eager {
+	if !s.eager() {
 		// A queued rendezvous send completes with the receive; if its
 		// owner is parked in a blocking Send or in Wait, bring it back.
 		s.complete(done)
@@ -215,10 +219,10 @@ func (r *Rank) irecv(src, tag int, buf []float64, count int) *Request {
 // starts once both sides are ready and the CTS has crossed.
 func (w *World) landing(recv, send *Request) units.Seconds {
 	ready := units.Max(send.at, recv.at)
-	if send.eager {
+	if send.eager() {
 		return ready
 	}
-	return w.deliver(send.tr, send.owner.node, ready+send.tr.Latency, send.size)
+	return w.deliver(send.tr, send.owner.node, ready+send.tr.Latency, send.size())
 }
 
 // settle completes a matched receive whose payload lands at arrival: it
@@ -228,12 +232,12 @@ func (w *World) landing(recv, send *Request) units.Seconds {
 // finding a posted receive and a receive finding a queued send — end
 // here.
 func (r *Rank) settle(recv, send *Request, arrival units.Seconds) units.Seconds {
-	arrival += send.tr.CPUCost(send.size)
+	arrival += send.tr.CPUCost(send.size())
 	copyPayload(recv, send)
 	recv.complete(arrival)
 	if l := r.w.cfg.Log; l != nil {
 		l.Add(vtime.Event{Kind: vtime.EvMessage, A: int32(send.src), B: int32(recv.owner.id), C: int32(send.tag),
-			T0: send.sentAt, T1: arrival, Size: send.size}, send.tr.Name)
+			T0: send.sentAt, T1: arrival, Size: send.size()}, send.tr.Name)
 	}
 	r.wakeIfBlocked(recv.owner, arrival)
 	return arrival

@@ -20,9 +20,10 @@ import (
 )
 
 // Per-cell work of each solver phase: floating-point operations and
-// memory traffic. These feed Comm.Charge here and the model-mode
-// workload generator in the alya package, so the real and modelled
-// executions charge identical compute costs.
+// memory traffic. These feed Comm.Charge here and the alya package's
+// ModeModel fluid code, so a phase's charge costs the same in both
+// modes; the model's communication is a simplified skeleton of Step's
+// (the alya package doc lists the differences).
 const (
 	// AssemblyFlopsPerCell covers the tentative-velocity update
 	// (upwind advection + diffusion, three components) plus the
@@ -73,7 +74,7 @@ func DefaultParams() Params {
 // Solver advances one subdomain of the fluid problem.
 type Solver struct {
 	// Part is the owned subdomain.
-	Part mesh.Partition
+	Part *mesh.Partition
 	// P holds the parameters.
 	P Params
 	// Comm provides halos and reductions.
@@ -107,7 +108,7 @@ type StepStats struct {
 }
 
 // NewSolver builds a solver for one partition.
-func NewSolver(part mesh.Partition, p Params, comm field.Comm) (*Solver, error) {
+func NewSolver(part *mesh.Partition, p Params, comm field.Comm) (*Solver, error) {
 	if p.Dt <= 0 || p.Rho <= 0 || p.Nu < 0 {
 		return nil, fmt.Errorf("navier: bad parameters %+v", p)
 	}

@@ -38,15 +38,14 @@ type CellProfile struct {
 }
 
 // Breakdown attributes one rank's (or the whole cell's) virtual time.
-// Compute is defined as Total minus the three wait categories, so the
-// four categories sum to Total by construction; Build validates the
+// Compute is defined as Total minus the two wait categories, so the
+// three categories sum to Total by construction; Build validates the
 // underlying wait partition exactly.
 type Breakdown struct {
 	Total          units.Seconds `json:"total"`
 	Compute        units.Seconds `json:"compute"`
 	P2PWait        units.Seconds `json:"p2pWait"`
 	CollectiveWait units.Seconds `json:"collectiveWait"`
-	ResourceWait   units.Seconds `json:"resourceWait"`
 }
 
 // add folds o into b (for cell totals).
@@ -55,7 +54,6 @@ func (b *Breakdown) add(o Breakdown) {
 	b.Compute += o.Compute
 	b.P2PWait += o.P2PWait
 	b.CollectiveWait += o.CollectiveWait
-	b.ResourceWait += o.ResourceWait
 }
 
 // PhaseStat aggregates one collective across all ranks: how many
@@ -131,21 +129,16 @@ func Build(label, key string, log *vtime.Log, rankEnd []units.Seconds) (*CellPro
 			prev = w.to
 			dur := w.to - w.from
 			tag, phase := log.Name(w.tag), r.paths[w.phase]
-			switch {
-			case strings.HasPrefix(tag, resourcePrefix):
-				b.ResourceWait += dur
-			case phase != "":
-				b.CollectiveWait += dur
-			default:
-				b.P2PWait += dur
-			}
 			if phase != "" {
+				b.CollectiveWait += dur
 				name, _, _ := strings.Cut(phase, ";")
 				phaseWait[name] += dur
+			} else {
+				b.P2PWait += dur
 			}
 			folded[foldedStack(id, phase, tag)] += dur
 		}
-		b.Compute = b.Total - b.P2PWait - b.CollectiveWait - b.ResourceWait
+		b.Compute = b.Total - b.P2PWait - b.CollectiveWait
 		if b.Compute < 0 {
 			return nil, fmt.Errorf("profile: rank %d waits exceed its total time by %v", id, -b.Compute)
 		}

@@ -3,7 +3,6 @@ package profile
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/units"
 )
@@ -19,9 +18,8 @@ type PathReport struct {
 	// boundary time exactly (To of one == From of the next).
 	Segments []PathSegment `json:"segments"`
 	// Composition of the path by segment kind.
-	Compute  units.Seconds `json:"compute"`
-	Comm     units.Seconds `json:"comm"`
-	Resource units.Seconds `json:"resource"`
+	Compute units.Seconds `json:"compute"`
+	Comm    units.Seconds `json:"comm"`
 	// Hops counts rank changes along the path.
 	Hops int `json:"hops"`
 }
@@ -32,8 +30,8 @@ type PathSegment struct {
 	// edge this is the releasing rank: the span covers its completion
 	// action plus the wire flight to the released rank.
 	Rank int `json:"rank"`
-	// Kind is "compute", "comm" (a message/release edge or in-flight
-	// arrival wait), or "resource" (contended device).
+	// Kind is "compute" or "comm" (a message/release edge or in-flight
+	// arrival wait).
 	Kind string        `json:"kind"`
 	From units.Seconds `json:"from"`
 	To   units.Seconds `json:"to"`
@@ -51,10 +49,9 @@ type PathSegment struct {
 // last-finishing rank. At each blocked wait it crosses to the rank
 // that performed the release, at that rank's clock at the instant of
 // the releasing action (the Wake seam's wakerNow) — the exact causal
-// source. Idle catch-ups (message flight already under way, resource
-// contention) stay on the same rank. Each wait is consumed at most
-// once, so the walk terminates even through zero-duration release
-// chains.
+// source. Idle catch-ups (message flight already under way) stay on the
+// same rank. Each wait is consumed at most once, so the walk terminates
+// even through zero-duration release chains.
 func (r *recorder) criticalPath(rankEnd []units.Seconds, makespan units.Seconds) (PathReport, error) {
 	cur := 0
 	for id, end := range rankEnd {
@@ -84,13 +81,9 @@ func (r *recorder) criticalPath(rankEnd []units.Seconds, makespan units.Seconds)
 		segs = appendSeg(segs, PathSegment{Rank: cur, Kind: "compute", From: w.to, To: t})
 		switch {
 		case w.by < 0:
-			// Idle catch-up: in-flight arrival or resource contention;
-			// the constraint lives on this rank's timeline.
-			kind := "comm"
-			if strings.HasPrefix(r.log.Name(w.tag), resourcePrefix) {
-				kind = "resource"
-			}
-			segs = appendSeg(segs, PathSegment{Rank: cur, Kind: kind, From: w.from, To: w.to, Label: r.pathLabel(w)})
+			// Idle catch-up: an in-flight arrival; the constraint lives on
+			// this rank's timeline.
+			segs = appendSeg(segs, PathSegment{Rank: cur, Kind: "comm", From: w.from, To: w.to, Label: r.pathLabel(w)})
 			t = w.from
 		default:
 			// Release edge: cross to the releasing rank at its clock at
@@ -122,8 +115,6 @@ func (r *recorder) criticalPath(rankEnd []units.Seconds, makespan units.Seconds)
 			rep.Compute += s.To - s.From
 		case "comm":
 			rep.Comm += s.To - s.From
-		case "resource":
-			rep.Resource += s.To - s.From
 		}
 		if last >= 0 && s.Rank != last {
 			rep.Hops++

@@ -50,7 +50,6 @@ func Diff(a, b *CellProfile) *DiffReport {
 	cat("compute", a.Totals.Compute, b.Totals.Compute)
 	cat("p2pWait", a.Totals.P2PWait, b.Totals.P2PWait)
 	cat("collectiveWait", a.Totals.CollectiveWait, b.Totals.CollectiveWait)
-	cat("resourceWait", a.Totals.ResourceWait, b.Totals.ResourceWait)
 
 	phase := func(p *CellProfile, name string) units.Seconds {
 		for _, ph := range p.Phases {

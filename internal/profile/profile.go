@@ -4,7 +4,7 @@
 //
 // Build folds a cell's whole vtime.Log — every event, not just the
 // newest ones the Chrome trace keeps — and classifies each rank's
-// timeline into four categories:
+// timeline into three categories:
 //
 //   - compute: the rank's clock advancing under model costs — solver
 //     work, MPI packing/overhead CPU charges, container startup skew;
@@ -12,9 +12,7 @@
 //     any collective (park→wake intervals and completed-request
 //     clock catch-ups);
 //   - collectiveWait: the same wait states inside a collective phase
-//     span (Barrier, Allreduce, ...);
-//   - resourceWait: clock jumps waiting for a serially-reusable
-//     resource (NIC injection, filesystem bandwidth).
+//     span (Barrier, Allreduce, ...).
 //
 // Wait intervals are closed from exact clock values the kernel itself
 // used, so they tile each rank's [0, end] timeline exactly: interval
@@ -32,10 +30,6 @@ import (
 	"repro/internal/units"
 	"repro/internal/vtime"
 )
-
-// Category detail tags follow the kernel's park/idle tags: "wait:irecv",
-// "wait:isend", "wait:send-rdv", "resource:<name>".
-const resourcePrefix = "resource:"
 
 // wait is one closed wait interval on a rank's timeline. It holds no
 // pointers: names are indices into the log's and the recorder's tables.
@@ -144,8 +138,8 @@ func (r *recorder) event(e vtime.Event) error {
 		rec.parked = false
 		rec.waits = append(rec.waits, w)
 	case vtime.EvIdle:
-		// A clock jump with no park: resource contention or catching up
-		// to an already-completed operation.
+		// A clock jump with no park: catching up to an already-completed
+		// operation.
 		if e.T1 > e.T0 {
 			rec.waits = append(rec.waits, wait{from: e.T0, to: e.T1, wakerAt: e.T1,
 				tag: e.Name, phase: rec.phase, by: -1, msg: -1})

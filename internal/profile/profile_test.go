@@ -45,13 +45,13 @@ func (s *stream) phaseEnd(rank int32, name string, at float64) {
 }
 
 // recordSample logs a two-rank scenario touching every category: rank 0
-// stalls on a NIC resource, rank 1 blocks on a recv released by rank
-// 0's send and then waits inside an Allreduce. All times are dyadic
-// rationals, so every boundary is exact.
+// idles catching up to a completed send, rank 1 blocks on a recv
+// released by rank 0's send and then waits inside an Allreduce. All
+// times are dyadic rationals, so every boundary is exact.
 func recordSample() *vtime.Log {
 	s := &stream{}
-	// Rank 0: resource stall [3, 4].
-	s.idle(0, "resource:nic", 3, 4)
+	// Rank 0: idle catch-up [3, 4].
+	s.idle(0, "wait:isend", 3, 4)
 	// Rank 1: p2p wait [2, 5], released by rank 0 acting at its clock 4.5;
 	// the releasing message completes immediately before the wake.
 	s.park(1, "wait:irecv", 2)
@@ -68,7 +68,7 @@ func recordSample() *vtime.Log {
 }
 
 // TestBreakdownPartitionsTotalExactly is the attribution contract: the
-// four categories sum to each rank's total virtual time as exact
+// three categories sum to each rank's total virtual time as exact
 // float64s, and the cell totals fold the per-rank rows.
 func TestBreakdownPartitionsTotalExactly(t *testing.T) {
 	p, err := Build("cell", "k", recordSample(), []units.Seconds{sec(10), sec(8)})
@@ -76,11 +76,11 @@ func TestBreakdownPartitionsTotalExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Breakdown{
-		{Total: 10, Compute: 9, ResourceWait: 1},
+		{Total: 10, Compute: 9, P2PWait: 1},
 		{Total: 8, Compute: 4, P2PWait: 3, CollectiveWait: 1},
 	}
 	for id, b := range p.PerRank {
-		if sum := b.Compute + b.P2PWait + b.CollectiveWait + b.ResourceWait; sum != b.Total {
+		if sum := b.Compute + b.P2PWait + b.CollectiveWait; sum != b.Total {
 			t.Errorf("rank %d: categories sum to %v, total %v (bits differ by %d)",
 				id, sum, b.Total, math.Float64bits(float64(sum))^math.Float64bits(float64(b.Total)))
 		}
@@ -88,7 +88,7 @@ func TestBreakdownPartitionsTotalExactly(t *testing.T) {
 			t.Errorf("rank %d breakdown = %+v, want %+v", id, b, want[id])
 		}
 	}
-	if sum := p.Totals.Compute + p.Totals.P2PWait + p.Totals.CollectiveWait + p.Totals.ResourceWait; sum != p.Totals.Total {
+	if sum := p.Totals.Compute + p.Totals.P2PWait + p.Totals.CollectiveWait; sum != p.Totals.Total {
 		t.Errorf("cell categories sum to %v, total %v", sum, p.Totals.Total)
 	}
 	if p.Totals.Total != 18 {
@@ -136,7 +136,7 @@ func TestCriticalPathTilesMakespan(t *testing.T) {
 	if length != p.Makespan {
 		t.Errorf("path length %v != makespan %v", length, p.Makespan)
 	}
-	if sum := path.Compute + path.Comm + path.Resource; sum != p.Makespan {
+	if sum := path.Compute + path.Comm; sum != p.Makespan {
 		t.Errorf("path composition sums to %v, want %v", sum, p.Makespan)
 	}
 
@@ -183,14 +183,14 @@ func TestRecorderRejectsInconsistentStreams(t *testing.T) {
 			s.phaseBegin(0, "Allreduce", 1)
 		}, ends, "still inside phase"},
 		{"wait past rank end", func(s *stream) {
-			s.idle(0, "resource:nic", 8, 12)
+			s.idle(0, "wait:irecv", 8, 12)
 		}, ends, "breaks the timeline partition"},
 		{"overlapping waits", func(s *stream) {
-			s.idle(0, "resource:nic", 2, 6)
-			s.idle(0, "resource:fs", 4, 8)
+			s.idle(0, "wait:irecv", 2, 6)
+			s.idle(0, "wait:isend", 4, 8)
 		}, ends, "breaks the timeline partition"},
 		{"events beyond world size", func(s *stream) {
-			s.idle(3, "resource:nic", 1, 2)
+			s.idle(3, "wait:irecv", 1, 2)
 		}, ends, "beyond world size"},
 		{"no ranks", func(*stream) {}, nil, "no ranks"},
 	}

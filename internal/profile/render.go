@@ -20,17 +20,16 @@ func pct(part, whole units.Seconds) string {
 // cell's virtual time went, as per-rank-mean seconds and percentages.
 func Summary(w io.Writer, ps []*CellProfile) {
 	t := report.NewTable("Time attribution (per-rank mean seconds)",
-		"cell", "ranks", "makespan", "compute", "p2p", "collective", "resource", "comm%", "path-comm%")
+		"cell", "ranks", "makespan", "compute", "p2p", "collective", "comm%", "path-comm%")
 	for _, p := range ps {
 		n := units.Seconds(p.Ranks)
-		wait := p.Totals.P2PWait + p.Totals.CollectiveWait + p.Totals.ResourceWait
+		wait := p.Totals.P2PWait + p.Totals.CollectiveWait
 		t.AddRow(p.Label, p.Ranks, report.Seconds(p.Makespan),
 			report.Seconds(p.Totals.Compute/n),
 			report.Seconds(p.Totals.P2PWait/n),
 			report.Seconds(p.Totals.CollectiveWait/n),
-			report.Seconds(p.Totals.ResourceWait/n),
 			pct(wait, p.Totals.Total),
-			pct(p.Path.Comm+p.Path.Resource, p.Makespan))
+			pct(p.Path.Comm, p.Makespan))
 	}
 	t.Render(w)
 }
@@ -38,11 +37,11 @@ func Summary(w io.Writer, ps []*CellProfile) {
 // RankTable renders one cell's per-rank breakdown.
 func RankTable(w io.Writer, p *CellProfile) {
 	t := report.NewTable(fmt.Sprintf("%s — per-rank attribution (seconds)", p.Label),
-		"rank", "total", "compute", "p2p", "collective", "resource", "wait%")
+		"rank", "total", "compute", "p2p", "collective", "wait%")
 	for id, b := range p.PerRank {
 		t.AddRow(id, report.Seconds(b.Total), report.Seconds(b.Compute),
-			report.Seconds(b.P2PWait), report.Seconds(b.CollectiveWait), report.Seconds(b.ResourceWait),
-			pct(b.P2PWait+b.CollectiveWait+b.ResourceWait, b.Total))
+			report.Seconds(b.P2PWait), report.Seconds(b.CollectiveWait),
+			pct(b.P2PWait+b.CollectiveWait, b.Total))
 	}
 	t.Render(w)
 }
@@ -66,10 +65,9 @@ func PhaseTable(w io.Writer, p *CellProfile) {
 func PathText(w io.Writer, p *CellProfile, top int) {
 	fmt.Fprintf(w, "%s — critical path (length %s = makespan)\n",
 		p.Label, report.Seconds(p.Makespan))
-	fmt.Fprintf(w, "  compute %s (%s)  comm %s (%s)  resource %s (%s)  hops %d  segments %d\n",
+	fmt.Fprintf(w, "  compute %s (%s)  comm %s (%s)  hops %d  segments %d\n",
 		report.Seconds(p.Path.Compute), pct(p.Path.Compute, p.Makespan),
 		report.Seconds(p.Path.Comm), pct(p.Path.Comm, p.Makespan),
-		report.Seconds(p.Path.Resource), pct(p.Path.Resource, p.Makespan),
 		p.Path.Hops, len(p.Path.Segments))
 	idx := longestSegments(p.Path.Segments, top)
 	if len(idx) == 0 {
@@ -124,11 +122,11 @@ func longestSegments(segs []PathSegment, top int) []int {
 
 // AttributionCSV writes every cell's per-rank breakdown as CSV.
 func AttributionCSV(w io.Writer, ps []*CellProfile) {
-	t := report.NewTable("", "cell", "key", "rank", "total", "compute", "p2p_wait", "collective_wait", "resource_wait")
+	t := report.NewTable("", "cell", "key", "rank", "total", "compute", "p2p_wait", "collective_wait")
 	for _, p := range ps {
 		for id, b := range p.PerRank {
 			t.AddRow(p.Label, p.Key, id, report.Seconds(b.Total), report.Seconds(b.Compute),
-				report.Seconds(b.P2PWait), report.Seconds(b.CollectiveWait), report.Seconds(b.ResourceWait))
+				report.Seconds(b.P2PWait), report.Seconds(b.CollectiveWait))
 		}
 	}
 	t.CSV(w)

@@ -59,7 +59,7 @@ func (p Params) WaveSpeed() float64 {
 // Solver advances one subdomain of the wall displacement field.
 type Solver struct {
 	// Part is the owned subdomain (of the wall mesh).
-	Part mesh.Partition
+	Part *mesh.Partition
 	// P holds the parameters.
 	P Params
 	// Comm provides halos and reductions.
@@ -86,7 +86,7 @@ type StepStats struct {
 }
 
 // NewSolver builds a wall solver for one partition.
-func NewSolver(part mesh.Partition, p Params, comm field.Comm) (*Solver, error) {
+func NewSolver(part *mesh.Partition, p Params, comm field.Comm) (*Solver, error) {
 	if p.Dt <= 0 || p.Rho <= 0 || p.E <= 0 {
 		return nil, fmt.Errorf("solid: bad parameters %+v", p)
 	}
