@@ -17,12 +17,14 @@ import (
 //	simulate  running cells (a "simulate" span covers the instant)
 //	backoff   waiting out a retry delay
 //	wire      a request attempt in flight (claim, heartbeat, GET, PUT)
-//	idle      none of the above — between leases, between claims
+//	idle      a "held" span (the coordinator holding a claim until work
+//	          frees up), or none of the above — between requests
 //
 // Instants covered by several spans resolve by fixed priority
-// (backoff > wire > simulate > idle): a backoff or wire wait inside a
-// lease is wire time, not simulation. The four categories tile the
-// observed span *exactly* — the same integer-nanosecond contract
+// (held > backoff > wire > simulate > uncovered): a backoff or wire
+// wait inside a lease is wire time, not simulation, and the held part
+// of a claim's round trip is idle, not wire. The four categories tile
+// the observed span *exactly* — the same integer-nanosecond contract
 // internal/profile enforces for virtual time — and Validate rechecks
 // the sum, so a broken partition is an error, never a quietly wrong
 // table.
@@ -74,6 +76,8 @@ func categoryOf(ev *telemetry.FleetEvent) string {
 		return CatSimulate
 	case ev.Name == "backoff":
 		return CatBackoff
+	case ev.Name == "held":
+		return CatIdle
 	case wireCategory(ev.Name):
 		return CatWire
 	}
@@ -83,6 +87,8 @@ func categoryOf(ev *telemetry.FleetEvent) string {
 // priority resolves overlap: higher wins the instant.
 func priority(cat string) int {
 	switch cat {
+	case CatIdle:
+		return 4
 	case CatBackoff:
 		return 3
 	case CatWire:
@@ -160,7 +166,7 @@ func attributeProc(p *Proc) (WorkerAttribution, error) {
 		if hi <= lo || hi <= first || lo >= last {
 			continue
 		}
-		cat := CatIdle
+		cat := "" // uncovered: idle
 		for _, s := range spans {
 			if s.start <= lo && hi <= s.end && priority(s.cat) > priority(cat) {
 				cat = s.cat

@@ -46,6 +46,8 @@ func category(ev *telemetry.FleetEvent) string {
 		return "simulate"
 	case ev.Name == "backoff":
 		return "backoff"
+	case ev.Name == "held":
+		return "idle"
 	case ev.Name == "serve":
 		return "serve"
 	case ev.Kind == telemetry.FleetPoint:

@@ -131,10 +131,10 @@ func isServer(p *Proc) bool {
 
 // wireCategory reports whether a span name is a wire operation for
 // attribution. Everything that is not structure (lease), work
-// (simulate), or pacing (backoff) rides the wire.
+// (simulate), or pacing (backoff, held) rides the wire.
 func wireCategory(name string) bool {
 	switch name {
-	case "lease", "simulate", "backoff", "serve", "requeue":
+	case "lease", "simulate", "backoff", "held", "serve", "requeue":
 		return false
 	}
 	return true

@@ -128,6 +128,8 @@ func TestAttributionTilesExactly(t *testing.T) {
 		span("w-a", 4, "heartbeat", "w-a#3", "", 200, 250),    // wire inside simulate: wire wins
 		span("w-a", 5, "backoff", "w-a#4", "w-a#5", 600, 700), // backoff
 		span("w-a", 6, "store-put", "w-a#5", "", 700, 800),    // wire
+		span("w-a", 7, "claim", "w-a#6", "", 800, 1000),       // wire, but ...
+		span("w-a", 8, "held", "", "", 850, 1000),             // ... the coordinator's hold is idle
 	}
 	run := &Run{Procs: []Proc{{Name: "w-a", Events: events}}}
 	attrs, err := run.Attribution()
@@ -136,12 +138,12 @@ func TestAttributionTilesExactly(t *testing.T) {
 	}
 	a := attrs[0]
 	want := WorkerAttribution{
-		Proc: "w-a", SpanNs: 800,
+		Proc: "w-a", SpanNs: 1000,
 		SimulateNs: 350, // [100,500] minus the heartbeat's [200,250]
-		WireNs:     250, // [0,100] + [200,250] + [700,800]
+		WireNs:     300, // [0,100] + [200,250] + [700,850]
 		BackoffNs:  100, // [600,700]
-		IdleNs:     100, // [500,600]
-		Cells:      1, Requests: 3,
+		IdleNs:     250, // [500,600] + [850,1000]
+		Cells:      1, Requests: 4,
 	}
 	if a != want {
 		t.Fatalf("attribution = %+v, want %+v", a, want)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleettrace"
 	"repro/internal/resultdb"
 	"repro/internal/telemetry"
 )
@@ -199,5 +200,41 @@ func TestLeaseExpiryJournalsOrphanAndRequeue(t *testing.T) {
 	if requeue.Parent != succClaim.Span {
 		t.Fatalf("requeue parent = %q, want the triggering claim %q (orphan → successor link)",
 			requeue.Parent, succClaim.Span)
+	}
+}
+
+// TestHeldClaimAttributedIdle: the part of a claim's round trip the
+// coordinator spent holding it is idle in the worker's attribution, not
+// wire time.
+func TestHeldClaimAttributedIdle(t *testing.T) {
+	const heartbeat = 200 * time.Millisecond
+	q := NewWorkQueue(cellsNamed("g", "c1"), QueueOptions{
+		Study: "t", BatchSize: 1, LeaseTTL: time.Minute, Heartbeat: heartbeat,
+	})
+	store, err := resultdb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ts := httptest.NewServer(NewServer(store, ServerOptions{Work: q}))
+	defer ts.Close()
+	var buf bytes.Buffer
+	c, err := Dial(ts.URL, ClientOptions{Journal: telemetry.NewFleetJournal(&buf, "w2", nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q.Claim("w1") // live, so w2's claim is held to the heartbeat bound
+	if wc, err := c.ClaimWork("w2"); err != nil || wc.Done || wc.Lease != nil {
+		t.Fatalf("claim: %+v err=%v, want wait", wc, err)
+	}
+	run := &fleettrace.Run{Procs: []fleettrace.Proc{{Name: "w2", Events: decodeJournal(t, &buf)}}}
+	attrs, err := run.Attribution()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := attrs[0]
+	if a.IdleNs < heartbeat.Nanoseconds() || a.WireNs > (20*time.Millisecond).Nanoseconds() {
+		t.Fatalf("attribution %+v, want ≥ %v idle and about 0 wire", a, heartbeat)
 	}
 }

@@ -31,7 +31,10 @@ import (
 // Expiry is lazy: deadlines are checked against the queue's clock at
 // every claim/heartbeat/complete/status call rather than by a timer
 // goroutine, so tests drive every failure mode deterministically with
-// an injected clock and an idle coordinator spends nothing.
+// an injected clock and an idle coordinator spends nothing. The queue
+// never blocks: a claim that finds nothing free is held by the HTTP
+// handler (work_http.go) on the queue's settlement signal and the
+// bound Claim returns.
 
 // WorkCell is one unit of leased work on the wire: the cell's store
 // key, its display label, and its deployment-affinity group (cells
@@ -153,8 +156,9 @@ type QueueOptions struct {
 	// LeaseTTL is how long a lease survives without a heartbeat.
 	// Default 30s.
 	LeaseTTL time.Duration
-	// Heartbeat is the renewal interval advertised to workers.
-	// Default LeaseTTL/4.
+	// Heartbeat is the renewal interval advertised to workers, and
+	// (capped at 10 s) the longest a claim is held while every batch
+	// is leased out. Default LeaseTTL/4.
 	Heartbeat time.Duration
 	// Clock supplies the queue's notion of now. Default time.Now —
 	// lease bookkeeping is operational wall time and never reaches
@@ -199,6 +203,7 @@ type WorkQueue struct {
 	total int
 
 	mu      sync.Mutex
+	changed chan struct{} // closed and replaced when a lease settles
 	pending [][]WorkCell
 	leases  map[string]*workLease
 	workers map[string]*workerRec
@@ -276,6 +281,7 @@ func NewWorkQueue(cells []WorkCell, opt QueueOptions) *WorkQueue {
 		opt:     opt,
 		stamp:   WorkStamp(opt.Study, keys),
 		total:   len(cells),
+		changed: make(chan struct{}),
 		leases:  make(map[string]*workLease),
 		workers: make(map[string]*workerRec),
 	}
@@ -316,15 +322,31 @@ func NewWorkQueue(cells []WorkCell, opt QueueOptions) *WorkQueue {
 // Stamp returns the queue's enumeration fingerprint.
 func (q *WorkQueue) Stamp() string { return q.stamp }
 
+// changes returns the channel the next lease settlement (completion,
+// failure or expiry) closes. A claimant takes it before claiming, so a
+// settlement between its claim and its wait still wakes it.
+func (q *WorkQueue) changes() <-chan struct{} {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.changed
+}
+
+// settled wakes every held claim. Callers hold q.mu.
+func (q *WorkQueue) settled() {
+	close(q.changed)
+	q.changed = make(chan struct{})
+}
+
 func (q *WorkQueue) logf(format string, args ...any) {
 	if q.opt.Logf != nil {
 		q.opt.Logf(format, args...)
 	}
 }
 
-// expire revokes every lease whose deadline has passed, requeueing the
+// expire revokes every lease whose deadline has arrived, requeueing the
 // cells its worker did not commit. Called under q.mu by every public
-// operation, so silence is detected at the next wire activity — no
+// operation, so silence is detected at the next wire activity — at
+// the latest when a held claim's hold ends at that deadline — with no
 // timer goroutine, and tests drive it with the injected clock. The
 // trigger is the propagated span id of the request whose activity
 // surfaced the expiry (a successor's claim, a status poll), journaled
@@ -336,9 +358,12 @@ func (q *WorkQueue) expire(now time.Time, trigger string) workEvents {
 	for id, l := range q.leases {
 		// Order-insensitive collection; processed in sorted order below
 		// so requeue order is deterministic.
-		if l.deadline.Before(now) {
+		if !now.Before(l.deadline) {
 			overdue = append(overdue, id)
 		}
+	}
+	if len(overdue) > 0 {
+		q.settled()
 	}
 	sort.Strings(overdue)
 	for _, id := range overdue {
@@ -406,10 +431,15 @@ func (q *WorkQueue) dropCommitted(cells []WorkCell) []WorkCell {
 	return remaining
 }
 
+// maxClaimHold caps how long a claim is held, well inside a client's
+// 30 s default request timeout.
+const maxClaimHold = 10 * time.Second
+
 // Claim hands the next batch to a worker as a lease. When no batch is
 // free it returns a nil lease: done=true if every cell is committed
-// (the worker should exit), otherwise wait (retry after the returned
-// interval — an active lease may yet expire and requeue its cells).
+// (the worker should exit), otherwise wait, the longest nothing can
+// change unless a lease settles first — the earliest live lease
+// deadline, capped at min(Heartbeat, maxClaimHold).
 func (q *WorkQueue) Claim(worker string) (lease *WorkLease, wait time.Duration, done bool, ev workEvents) {
 	return q.ClaimFrom(worker, "")
 }
@@ -426,7 +456,12 @@ func (q *WorkQueue) ClaimFrom(worker, origin string) (lease *WorkLease, wait tim
 		if len(q.leases) == 0 && q.done == q.total {
 			return nil, 0, true, ev
 		}
-		return nil, q.opt.Heartbeat, false, ev
+		wait = min(q.opt.Heartbeat, maxClaimHold)
+		//lint:allow maporder -- a minimum is order-insensitive
+		for _, l := range q.leases {
+			wait = min(wait, l.deadline.Sub(now))
+		}
+		return nil, wait, false, ev
 	}
 	cells := q.pending[0]
 	q.pending = q.pending[1:]
@@ -511,6 +546,7 @@ func (q *WorkQueue) CompleteFrom(id string, failed bool, p *WorkerProgress, orig
 		return "", false, ev
 	}
 	delete(q.leases, id)
+	q.settled()
 	worker = l.worker
 	rec := q.touch(l.worker, now)
 	if rec.lease == id {

@@ -114,6 +114,10 @@ func routeOf(path string) string {
 		return "status"
 	case strings.HasPrefix(path, "/v1/cells/"):
 		return "cells"
+	case path == "/v1/work/claim":
+		// A claim may be held until work frees up; its own label
+		// keeps that hold out of the other work calls' latency.
+		return "claim"
 	case path == "/v1/work" || strings.HasPrefix(path, "/v1/work/"):
 		return "work"
 	default:
@@ -374,6 +378,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	srv := s.httpServer()
+	// Requests inherit ctx, so a held claim answers as soon as the
+	// shutdown begins instead of pinning it for the rest of its hold.
+	srv.BaseContext = func(net.Listener) context.Context { return ctx }
 
 	gcDone := make(chan struct{})
 	if s.opt.GCInterval > 0 && s.opt.GC.Bounded() {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Client side of the /v1/work lease API. These methods speak to a
@@ -13,17 +15,15 @@ import (
 // coordinator restart looks like any transient outage until the
 // retries run out.
 
-// WorkClaim is the decoded answer to a claim: exactly one of Done, a
-// Lease, or a Wait interval.
+// WorkClaim is the decoded answer to a claim: Done, a Lease, or
+// neither — a wait: all work is leased out and the coordinator already
+// held the claim as long as it usefully could, so claim again at once.
 type WorkClaim struct {
 	// Done reports sweep completion: every cell committed, the worker
 	// should exit.
 	Done bool
 	// Lease is the granted batch, nil when Done or waiting.
 	Lease *WorkLease
-	// Wait is how long to pause before re-claiming when all work is
-	// leased out (a lease may yet expire and requeue).
-	Wait time.Duration
 }
 
 // errNotCoordinator decodes a work-API 404 into a friendly error.
@@ -58,11 +58,21 @@ func (c *Client) ClaimWork(worker string) (WorkClaim, error) {
 	if err := json.Unmarshal(data, &wc); err != nil {
 		return WorkClaim{}, fmt.Errorf("registry: undecodable claim response: %w", err)
 	}
+	if wc.HeldMillis > 0 {
+		// The coordinator's hold is idle time inside the claim's wire
+		// span; its own span lets fleetlog attribute it so.
+		end := c.journal.Now()
+		c.journal.Emit(telemetry.FleetEvent{
+			Kind: telemetry.FleetSpan, Name: "held",
+			StartNs: end - wc.HeldMillis*int64(time.Millisecond), EndNs: end,
+			Outcome: wc.Status, Label: "claim",
+		})
+	}
 	switch wc.Status {
 	case "done":
 		return WorkClaim{Done: true}, nil
 	case "wait":
-		return WorkClaim{Wait: time.Duration(wc.RetryMillis) * time.Millisecond}, nil
+		return WorkClaim{}, nil
 	case "lease":
 		if wc.Lease == nil {
 			return WorkClaim{}, fmt.Errorf("registry: claim granted a lease without a body")

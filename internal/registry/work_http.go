@@ -1,10 +1,12 @@
 package registry
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -12,7 +14,7 @@ import (
 // Wire shapes for the /v1/work lease API:
 //
 //	GET  /v1/work            → 200 WorkStatus | 404
-//	POST /v1/work/claim      → 200 wireClaim  | 404 | 409
+//	POST /v1/work/claim      → 200 wireClaim  | 404 | 409 (may be held)
 //	POST /v1/work/heartbeat  → 200 | 404 | 410
 //	POST /v1/work/complete   → 200 | 404 | 410
 //
@@ -20,6 +22,12 @@ import (
 // (it was started as a plain cache, not a sweep coordinator). 410 with
 // code "lease-gone" means the named lease was revoked or already
 // settled; the worker must abandon the batch's remaining cells.
+//
+// A claim that finds every batch leased out is held open until a
+// completion or an expiry lets it answer a lease or "done", or until
+// the hold ends (the earliest live lease deadline, or
+// min(heartbeat, 10 s)) and it answers "wait". The coordinator paces
+// idle workers this way: a worker told to wait claims again at once.
 
 // wireClaimRequest is the body of POST /v1/work/claim.
 type wireClaimRequest struct {
@@ -27,13 +35,15 @@ type wireClaimRequest struct {
 	Worker string `json:"worker"`
 }
 
-// wireClaim answers a claim: a granted lease, an instruction to retry
-// after RetryMillis (work is all leased out but may yet requeue), or
-// status "done" (every cell committed; the worker should exit).
+// wireClaim answers a claim: a granted lease, "wait" (work is all
+// leased out but may yet requeue; claim again), or "done" (every cell
+// committed; the worker should exit). HeldMillis is how long the
+// coordinator held the claim before answering, so the worker can
+// journal that part of the round trip as idle rather than wire time.
 type wireClaim struct {
-	Status      string     `json:"status"` // "lease" | "wait" | "done"
-	RetryMillis int64      `json:"retry_ms,omitempty"`
-	Lease       *wireLease `json:"lease,omitempty"`
+	Status     string     `json:"status"` // "lease" | "wait" | "done"
+	HeldMillis int64      `json:"held_ms,omitempty"`
+	Lease      *wireLease `json:"lease,omitempty"`
 }
 
 // wireLease is one granted lease on the wire.
@@ -121,24 +131,67 @@ func (s *Server) handleWorkClaim(w http.ResponseWriter, r *http.Request) {
 	if req.Worker == "" {
 		req.Worker = r.RemoteAddr
 	}
-	lease, wait, done, ev := s.opt.Work.ClaimFrom(req.Worker, r.Header.Get(headerSpan))
-	s.noteWorkEvents(ev)
+	lease, done, held := s.holdClaim(r.Context(), req.Worker, r.Header.Get(headerSpan))
 	defer s.refreshWorkGauges()
+	answer := wireClaim{Status: "wait", HeldMillis: held.Milliseconds()}
 	switch {
 	case done:
-		writeJSON(w, http.StatusOK, wireClaim{Status: "done"})
-	case lease == nil:
-		writeJSON(w, http.StatusOK, wireClaim{Status: "wait", RetryMillis: wait.Milliseconds()})
-	default:
+		answer.Status = "done"
+	case lease != nil:
 		s.noteLease("granted")
-		writeJSON(w, http.StatusOK, wireClaim{Status: "lease", Lease: &wireLease{
+		answer.Status = "lease"
+		answer.Lease = &wireLease{
 			ID:              lease.ID,
 			Study:           lease.Study,
 			Stamp:           lease.Stamp,
 			Cells:           lease.Cells,
 			TTLMillis:       lease.TTL.Milliseconds(),
 			HeartbeatMillis: lease.Heartbeat.Milliseconds(),
-		}})
+		}
+	}
+	writeJSON(w, http.StatusOK, answer)
+}
+
+// holdClaim claims for a worker, holding on while every batch is
+// leased out: each lease settlement re-runs the claim, and the hold
+// ends at the bound the first claim returned (the earliest live lease
+// deadline, or min(heartbeat, 10 s)) with one last claim, or as soon
+// as ctx ends — the client went away or Serve began shutting down.
+// It returns the lease, done, and how long the claim was held; a nil
+// lease with done=false means "wait".
+func (s *Server) holdClaim(ctx context.Context, worker, origin string) (*WorkLease, bool, time.Duration) {
+	q := s.opt.Work
+	var start time.Time
+	since := func() time.Duration {
+		if start.IsZero() {
+			return 0
+		}
+		//lint:allow wallclock -- hold time feeds the worker's fleet journal; no simulated quantity depends on it
+		return time.Since(start)
+	}
+	var bound <-chan time.Time
+	last := false
+	for {
+		changed := q.changes()
+		lease, wait, done, ev := q.ClaimFrom(worker, origin)
+		s.noteWorkEvents(ev)
+		if lease != nil || done || last {
+			return lease, done, since()
+		}
+		if bound == nil {
+			//lint:allow wallclock -- claim holds pace idle workers on the real clock; cell results are content-addressed
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			//lint:allow wallclock -- claim holds pace idle workers on the real clock; cell results are content-addressed
+			start, bound = time.Now(), t.C
+		}
+		select {
+		case <-changed:
+		case <-bound:
+			last = true
+		case <-ctx.Done():
+			return nil, false, since()
+		}
 	}
 }
 

@@ -56,7 +56,10 @@ type WorkerReport struct {
 
 // RunWorker drains a coordinator's work queue: claim a lease, heartbeat
 // it in the background, run its cells, settle it, repeat until the
-// coordinator reports the sweep done. Failure semantics:
+// coordinator reports the sweep done. While peers hold every lease the
+// coordinator holds the claim open and answers the moment a lease
+// settles, so a "wait" answer is re-claimed at once: the coordinator,
+// not the worker, paces an idle worker. Failure semantics:
 //
 //   - A cell error does not abort the batch — remaining cells still
 //     run, then the lease completes as failed and the coordinator
@@ -91,13 +94,7 @@ func RunWorker(c *Client, opt WorkerOptions) (WorkerReport, error) {
 				opt.Name, rep.Batches, rep.Cells, rep.Failures, rep.LeasesLost)
 			return rep, nil
 		case claim.Lease == nil:
-			wait := claim.Wait
-			if wait <= 0 {
-				wait = 250 * time.Millisecond
-			}
-			logf("worker %s: all work leased out; retrying in %v", opt.Name, wait)
-			//lint:allow wallclock -- claim pacing while peers hold every lease; no simulated quantity depends on it
-			time.Sleep(wait)
+			logf("worker %s: all work leased out; claiming again", opt.Name)
 			continue
 		}
 		lease := claim.Lease

@@ -5,7 +5,9 @@
 // Rates are *effective* application rates for a memory-bound implicit
 // CFD code (sparse kernels dominated by irregular memory traffic), not
 // vendor peak numbers. They were calibrated so the reproduced figures
-// land in the ranges the paper reports; see DESIGN.md §2.
+// land in the ranges reported by the paper, "Containers in HPC: A
+// Scalability and Portability Study in Production Biological
+// Simulations" (Rudyy et al., IPDPS 2019).
 package topology
 
 import (
