@@ -351,3 +351,32 @@ func TestRankStackClass(t *testing.T) {
 			perRank, peak, spec.Job.Ranks)
 	}
 }
+
+// TestCellAllocsPerMessage counts, rather than times, the allocation
+// cost of a cell's communication: fig2-quick's 2-node CTE-POWER cell
+// (80 ranks, one simulated step) must allocate fewer than one heap
+// object per twenty delivered messages, set-up included. Recycled
+// endpoints and per-Comm collective scratch make a message free; a
+// closure or slice that a step program adds to the halo or allreduce
+// path costs at least one object per call and fails this, where the
+// two-rank pins in internal/mpi cannot see it.
+func TestCellAllocsPerMessage(t *testing.T) {
+	cl := cluster.CTEPower()
+	cs := ArteryCFDCTEPower()
+	cs.SimSteps = 1
+	spec := Spec{Job: job(t, cl, 2, 80, 1), Profile: bareProfile(t, cl), Case: cs, Mode: ModeModel}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(spec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := after.Mallocs - before.Mallocs
+	perMsg := float64(objects) / float64(res.MPI.TotalMessages)
+	t.Logf("%d heap objects over %d messages: %.4f per message", objects, res.MPI.TotalMessages, perMsg)
+	if perMsg >= 0.05 {
+		t.Errorf("%.4f heap objects per delivered message (%d over %d), want < 0.05", perMsg, objects, res.MPI.TotalMessages)
+	}
+}

@@ -71,9 +71,6 @@ func (rc *rankComm) Exchange(fields ...*field.Field) {
 		reqs = append(reqs, rc.comm.Isend(nb.Rank, tagHaloBase+int(nb.Face), snd))
 	}
 	rc.comm.Base().Wait(reqs...)
-	// A request is a whole endpoint record; keep none reachable until the
-	// next exchange overwrites the slot.
-	clear(reqs)
 	for i, nb := range rc.nbrs {
 		n := nb.Count * len(fields)
 		_, rcv := rc.buffers(i, n)
@@ -99,7 +96,6 @@ func (rc *rankComm) ExchangeModel(nFields int) {
 		reqs = append(reqs, rc.comm.IsendModel(nb.Rank, tagHaloBase+int(nb.Face), nb.Count*nFields))
 	}
 	rc.comm.Base().Wait(reqs...)
-	clear(reqs) // as in Exchange
 }
 
 // AllSum implements field.Comm.

@@ -116,7 +116,7 @@ func (c *Comm) Allreduce(buf []float64, op Op) {
 func (c *Comm) allreduce(buf []float64, op Op) {
 	switch c.r.w.cfg.Allreduce {
 	case AllreduceRecursiveDoubling:
-		c.recursiveDoubling(nil, c.me, tagAllreduce, buf, make([]float64, len(buf)), op)
+		c.recursiveDoubling(nil, c.me, tagAllreduce, buf, scratch(&c.tmp, len(buf)), op)
 	case AllreduceRing:
 		c.allreduceRing(buf, op)
 	case AllreduceReduceBcast:
@@ -141,7 +141,7 @@ func (c *Comm) allreduceHier(buf []float64, op Op) {
 	}
 	group := c.nodes.groupOf[c.r.node]
 	localPeers, leaders := c.nodes.peers[group], c.nodes.leaders
-	tmp := make([]float64, len(buf))
+	tmp := scratch(&c.tmp, len(buf))
 	// 1. Intra-node binomial reduce to the node leader (local rank 0).
 	lr, ln := c.localRank, len(localPeers)
 	for mask := 1; mask < ln; mask <<= 1 {
@@ -238,7 +238,7 @@ func (c *Comm) allreduceRing(buf []float64, op Op) {
 		return
 	}
 	// Chunk boundaries (block distribution of buf across ranks).
-	bounds := make([]int, p+1)
+	bounds := scratch(&c.ints, p+1)
 	for i := 0; i <= p; i++ {
 		bounds[i] = i * n / p
 	}
@@ -248,7 +248,7 @@ func (c *Comm) allreduceRing(buf []float64, op Op) {
 	}
 	next := (c.me + 1) % p
 	prev := (c.me - 1 + p) % p
-	tmp := make([]float64, n) // large enough for any chunk
+	tmp := scratch(&c.tmp, n) // large enough for any chunk
 
 	// Reduce-scatter phase.
 	for step := 0; step < p-1; step++ {
@@ -330,12 +330,12 @@ func (c *Comm) reduce(buf []float64, root int, op Op) {
 		panic(fmt.Sprintf("mpi: reduce root %d out of range", root))
 	}
 	vrank := (c.me - root + p) % p
-	tmp := make([]float64, len(buf))
+	tmp := scratch(&c.tmp, len(buf))
 	// Mirror image of the bcast tree: receive from children first.
 	low := lowestPow2Above(vrank)
 	// Children of vrank are vrank+m for m in {low, low*2, ...}; to
 	// reduce bottom-up we visit them from the largest down.
-	var children []int
+	children := scratch(&c.ints, p)[:0] // fewer than p: no regrowth
 	for mask := low; vrank+mask < p; mask <<= 1 {
 		children = append(children, vrank+mask)
 	}
@@ -358,7 +358,8 @@ func (c *Comm) reduce(buf []float64, root int, op Op) {
 // AllreduceScalar reduces a single value — the hot path of Krylov dot
 // products — and returns the result.
 func (c *Comm) AllreduceScalar(v float64, op Op) float64 {
-	buf := []float64{v}
+	buf := c.one[:]
+	buf[0] = v
 	c.Allreduce(buf, op)
 	return buf[0]
 }

@@ -16,6 +16,20 @@ type Comm struct {
 	// collective looks them up.
 	nodes     *nodeGroups
 	localRank int
+
+	// one, tmp and ints are the collectives' temporaries, kept from call
+	// to call: a rank runs one collective on a Comm at a time.
+	one  [1]float64
+	tmp  []float64
+	ints []int
+}
+
+// scratch returns *s resized to n, reallocating only to grow it.
+func scratch[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	return (*s)[:n]
 }
 
 // nodeGroups is the node topology of one communicator range, built once

@@ -179,33 +179,148 @@ func TestEndpointPaths(t *testing.T) {
 	}
 }
 
-// TestEndpointAllocs holds the fold: a matched Isend/Irecv pair is two
-// heap objects, one Request per side — no separate queue entries. The
-// pairs are size-only (no payload copy) and alternate eager and
+// TestEndpointAllocs holds the recycling: once a world's free list
+// holds its peak of in-flight records, a matched message allocates
+// nothing, whether its endpoints are Isend/Irecv+Wait, blocking
+// Send/Recv or one SendRecv exchange. The messages alternate eager and
 // rendezvous; measuring at two lengths cancels the world's set-up.
 func TestEndpointAllocs(t *testing.T) {
-	allocs := func(pairs int) float64 {
-		return testing.AllocsPerRun(3, func() {
-			_, err := Run(endpointConfig(nil), func(r *Rank) {
-				for i := 0; i < pairs; i++ {
-					n := 4 + 252*(i%2)
-					if r.ID() == 0 {
-						r.Wait(r.IsendModel(1, i, n))
-					} else {
-						r.Wait(r.IrecvModel(0, i, n))
+	snd, rcv := make([]float64, 256), make([]float64, 256)
+	for _, c := range []struct {
+		name string
+		step func(r *Rank, i, n int)
+	}{
+		{"Isend+Irecv", func(r *Rank, i, n int) {
+			if r.ID() == 0 {
+				r.Wait(r.IsendModel(1, i, n))
+			} else {
+				r.Wait(r.IrecvModel(0, i, n))
+			}
+		}},
+		{"Send+Recv", func(r *Rank, i, n int) {
+			if r.ID() == 0 {
+				r.Send(1, i, snd[:n])
+			} else {
+				r.Recv(0, i, rcv[:n])
+			}
+		}},
+		{"SendRecv", func(r *Rank, i, n int) {
+			peer := 1 - r.ID()
+			buf := snd[:n]
+			if r.ID() == 1 {
+				buf = rcv[:n] // the ranks share no buffer
+			}
+			r.SendRecv(peer, i, buf, peer, i, buf)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := func(steps int) float64 {
+				return testing.AllocsPerRun(3, func() {
+					_, err := Run(endpointConfig(nil), func(r *Rank) {
+						for i := 0; i < steps; i++ {
+							c.step(r, i, 4+252*(i%2))
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
+				})
+			}
+			// The runtime itself allocates an object or two per run, not
+			// always the same number: hence the tolerance, which one
+			// object per hundred steps exceeds.
+			const short, long = 1000, 3000
+			if perStep := (allocs(long) - allocs(short)) / (long - short); math.Abs(perStep) > 0.01 {
+				t.Fatalf("%.3f heap objects per %s step, want 0", perStep, c.name)
 			}
 		})
 	}
-	// The runtime itself allocates an object or two per run, not always
-	// the same number: hence the tolerance, which a third object per
-	// pair exceeds a hundredfold.
-	const short, long = 1000, 3000
-	if perPair := (allocs(long) - allocs(short)) / (long - short); math.Abs(perPair-2) > 0.01 {
-		t.Fatalf("%.3f heap objects per matched Isend/Irecv pair, want 2", perPair)
+}
+
+// TestWaitConsumesRequest holds MPI_Wait's contract: Wait consumes its
+// requests, so waiting on one again — in a later Wait, or listed twice
+// in one — panics instead of reading whichever message reused the
+// record.
+func TestWaitConsumesRequest(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		wait func(r *Rank, q *Request)
+	}{
+		{"again after Wait", func(r *Rank, q *Request) { r.Wait(q); r.Wait(q) }},
+		{"twice in one Wait", func(r *Rank, q *Request) { r.Wait(q, q) }},
+	} {
+		// Receive posted first, the record is settled and free when the
+		// first wait returns; send first, the eager send is still queued
+		// in the receiver's mailbox.
+		for _, recvFirst := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/recv-first=%v", c.name, recvFirst), func(t *testing.T) {
+				const want = "mpi: rank 0 waits on a request already consumed by Wait"
+				defer func() {
+					if got := fmt.Sprint(recover()); !strings.HasSuffix(got, want) {
+						t.Fatalf("panic %q, want one ending %q", got, want)
+					}
+				}()
+				_, _ = Run(endpointConfig(nil), func(r *Rank) {
+					if r.ID() == 0 {
+						if recvFirst {
+							r.Compute(units.Microsecond)
+						}
+						c.wait(r, r.Isend(1, 7, []float64{1}))
+						return
+					}
+					if !recvFirst {
+						r.Compute(units.Microsecond)
+					}
+					r.Recv(0, 7, make([]float64, 1))
+				})
+			})
+		}
+	}
+}
+
+// TestCollectiveAllocs holds the collectives to their per-Comm scratch:
+// after the first call on a Comm, a Barrier, an AllreduceScalar or a
+// short Allreduce allocates nothing under any algorithm, at a power of
+// two and at a size that takes recursive doubling's pre/post phase.
+func TestCollectiveAllocs(t *testing.T) {
+	for _, algo := range []AllreduceAlgo{AllreduceRecursiveDoubling, AllreduceRing, AllreduceReduceBcast, AllreduceHierarchical} {
+		for _, p := range []int{6, 8} {
+			for _, c := range []struct {
+				name string
+				call func(c *Comm, buf []float64)
+			}{
+				{"Barrier", func(c *Comm, _ []float64) { c.Barrier() }},
+				{"AllreduceScalar", func(c *Comm, _ []float64) { c.AllreduceScalar(1, OpSum) }},
+				{"Allreduce", func(c *Comm, buf []float64) { c.Allreduce(buf, OpMax) }},
+			} {
+				t.Run(fmt.Sprintf("%v/P=%d/%s", algo, p, c.name), func(t *testing.T) {
+					cfg := testConfig(p, 4)
+					cfg.Allreduce = algo
+					bufs := make([][]float64, p)
+					for i := range bufs {
+						bufs[i] = make([]float64, 4)
+					}
+					allocs := func(calls int) float64 {
+						return testing.AllocsPerRun(3, func() {
+							_, err := Run(cfg, func(r *Rank) {
+								for i := 0; i < calls; i++ {
+									c.call(r.World(), bufs[r.ID()])
+								}
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+						})
+					}
+					// As in TestEndpointAllocs, the tolerance absorbs the
+					// runtime's own object or two per run; an allocating
+					// collective costs at least one object per call.
+					const short, long = 50, 250
+					if perCall := (allocs(long) - allocs(short)) / (long - short); math.Abs(perCall) > 0.05 {
+						t.Fatalf("%.3f heap objects per call, want 0", perCall)
+					}
+				})
+			}
+		}
 	}
 }

@@ -12,8 +12,14 @@ import (
 // Request is one endpoint of a point-to-point transfer, a send or a
 // receive: the handle Isend and Irecv return to its owner and, until a
 // counterpart arrives, the entry queued in the destination's mailbox.
+// Those are its two holders — the owner until Wait returns it, the
+// mailbox until a match removes it — and the World recycles the record
+// once both have let go, so a request must not be used after its Wait.
 type Request struct {
-	owner      *Rank
+	// owner is nil once Wait has consumed the request.
+	owner *Rank
+	// held counts the holders that have yet to release the record.
+	held       int8
 	completeAt units.Seconds
 	// kind is the tag Wait parks and idles under ("wait:isend", ...),
 	// stored whole so the hot path builds no string.
@@ -26,6 +32,8 @@ type Request struct {
 	// exactly like a payload of count float64s.
 	buf   []float64
 	count int
+	// own is a send's payload storage, kept across reuse of the record.
+	own []float64
 	// at is when this side is ready: a receive's post time, an eager
 	// send's arrival at the receiver, a rendezvous send's RTS time.
 	at units.Seconds
@@ -35,9 +43,6 @@ type Request struct {
 	sentAt units.Seconds
 	done   bool
 }
-
-// Done reports whether the request has completed.
-func (q *Request) Done() bool { return q.done }
 
 // size is a send's wire size.
 func (q *Request) size() units.ByteSize { return payloadSize(q.count) }
@@ -51,6 +56,27 @@ func (q *Request) complete(t units.Seconds) {
 	q.completeAt = t
 }
 
+// request hands out a record with both holders set, from the free list
+// when it has one. One rank runs at a time, so the list is unlocked.
+func (w *World) request() (q *Request) {
+	if n := len(w.free); n > 0 {
+		q, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		q = new(Request)
+	}
+	q.held = 2
+	return q
+}
+
+// release drops one holder of q after its last read; the last holder
+// zeroes the record, keeping a send's payload storage, and frees it.
+func (w *World) release(q *Request) {
+	if q.held--; q.held == 0 {
+		*q = Request{own: q.own}
+		w.free = append(w.free, q)
+	}
+}
+
 // mailbox holds a destination rank's unexpected sends and posted
 // receives.
 type mailbox struct {
@@ -59,8 +85,6 @@ type mailbox struct {
 
 // match removes and returns the oldest request in queue keyed (src,
 // tag) — matching is FIFO within a key — or nil when there is none.
-// Delete zeroes the slot it vacates, so a drained queue's backing array
-// keeps no matched request reachable.
 func match(queue *[]*Request, src, tag int) *Request {
 	for i, q := range *queue {
 		if q.src == src && q.tag == tag {
@@ -129,18 +153,15 @@ func (r *Rank) send(dst, tag int, data []float64, count int, kind string) *Reque
 	r.bytesSent += size
 	r.msgsSent++
 
+	s := r.w.request()
+	s.owner, s.kind, s.src, s.tag = r, kind, r.id, tag
+	s.count, s.tr, s.sentAt = count, tr, r.proc.Now()
 	// The payload is copied at send time: MPI buffer semantics. The
 	// copy also prevents aliasing bugs between rank bodies. Size-only
 	// messages skip the copy — there is nothing to alias.
-	var payload []float64
 	if data != nil {
-		payload = make([]float64, len(data))
-		copy(payload, data)
-	}
-
-	s := &Request{
-		owner: r, kind: kind, src: r.id, tag: tag,
-		buf: payload, count: count, tr: tr, sentAt: r.proc.Now(),
+		s.own = append(s.own[:0], data...)
+		s.buf = s.own
 	}
 	eager := tr.Eager(size)
 	if eager {
@@ -165,6 +186,8 @@ func (r *Rank) send(dst, tag int, data []float64, count int, kind string) *Reque
 		// lands, before the receiver's CPU cost.
 		s.complete(arrival)
 	}
+	r.w.release(recv)
+	r.w.release(s) // matched on arrival: never queued
 	return s
 }
 
@@ -197,7 +220,9 @@ func (r *Rank) irecv(src, tag int, buf []float64, count int) *Request {
 		panic(fmt.Sprintf("mpi: rank %d receives from itself (tag %d)", r.id, tag))
 	}
 	r.proc.Sync()
-	recv := &Request{owner: r, kind: "wait:irecv", src: src, tag: tag, buf: buf, count: count, at: r.proc.Now()}
+	recv := r.w.request()
+	recv.owner, recv.kind, recv.src, recv.tag = r, "wait:irecv", src, tag
+	recv.buf, recv.count, recv.at = buf, count, r.proc.Now()
 	box := &r.w.boxes[r.id]
 	s := match(&box.sends, src, tag)
 	if s == nil {
@@ -211,6 +236,8 @@ func (r *Rank) irecv(src, tag int, buf []float64, count int) *Request {
 		s.complete(done)
 		r.wakeIfBlocked(s.owner, done)
 	}
+	r.w.release(s)
+	r.w.release(recv) // matched on arrival: never queued
 	return recv
 }
 
@@ -276,7 +303,8 @@ func copyPayload(recv, send *Request) {
 }
 
 // Wait blocks until every request completes, advancing the rank's clock
-// to the latest completion.
+// to the latest completion. It consumes the requests, as MPI_Wait
+// does: a waited request must not be used again.
 func (r *Rank) Wait(reqs ...*Request) {
 	r.timed(func() {
 		for _, q := range reqs {
@@ -286,7 +314,11 @@ func (r *Rank) Wait(reqs ...*Request) {
 }
 
 func (r *Rank) waitOne(q *Request) {
-	if q.owner != r {
+	switch q.owner {
+	case r:
+	case nil:
+		panic(fmt.Sprintf("mpi: rank %d waits on a request already consumed by Wait", r.id))
+	default:
 		panic(fmt.Sprintf("mpi: rank %d waits on rank %d's request", r.id, q.owner.id))
 	}
 	for !q.done {
@@ -295,6 +327,8 @@ func (r *Rank) waitOne(q *Request) {
 	}
 	r.waiting = false
 	r.idleTo(q.kind, q.completeAt)
+	q.owner = nil // a match never reads an eager send's owner
+	r.w.release(q)
 }
 
 // idleTo advances the rank's clock to t, logging the jump (a wait on

@@ -11,13 +11,15 @@
 // SendRecv, matched with MPI semantics (FIFO per source/tag, eager and
 // rendezvous protocols). Each side of a transfer is one Request: the
 // handle its owner waits on is also what queues in the destination's
-// mailbox until the other side arrives, so a matched message is two
-// heap objects. The collectives are Barrier and Allreduce —
-// recursive doubling, ring, binomial Reduce+Bcast, or node-hierarchical
-// — built on point-to-point with the textbook algorithms, so their
-// scaling behaviour emerges from the message costs rather than being
-// asserted. A communicator is a contiguous range of world ranks: the
-// world itself, or one side of the FSI case's two-code split.
+// mailbox until the other side arrives, and the World recycles it once
+// both have let go: Wait consumes its requests, and a running cell
+// allocates nothing per message. The collectives are Barrier and
+// Allreduce — recursive doubling, ring, binomial Reduce+Bcast, or
+// node-hierarchical — built on point-to-point with the textbook
+// algorithms, so their scaling behaviour emerges from the message costs
+// rather than being asserted. A communicator is a contiguous range of
+// world ranks: the world itself, or one side of the FSI case's two-code
+// split.
 package mpi
 
 import (
@@ -126,6 +128,8 @@ type World struct {
 	ranks []*Rank
 	nics  []*vtime.Resource
 	boxes []mailbox
+	// free holds the settled Requests that both holders have released.
+	free []*Request
 	// groups holds the node grouping of each communicator range a
 	// hierarchical collective has run on (see nodeGroups).
 	groups []*nodeGroups
