@@ -380,3 +380,32 @@ func TestCellAllocsPerMessage(t *testing.T) {
 		t.Errorf("%.4f heap objects per delivered message (%d over %d), want < 0.05", perMsg, objects, res.MPI.TotalMessages)
 	}
 }
+
+// TestFSICellBytesPerRank counts the heap a ModeModel FSI cell allocates
+// per rank: Fig. 3's smallest cell (4 MareNostrum4 nodes, 192 ranks, one
+// simulated step, CG cut to 4 iterations) must stay under 8 KiB per
+// rank, set-up included. Size-only halos and a size-only coupling keep
+// a model rank's payload at zero bytes; a rank that allocates its
+// interface traction and motion, or a solid rank its per-partner
+// buffers, reads well over 100 KiB here.
+func TestFSICellBytesPerRank(t *testing.T) {
+	cl := cluster.MareNostrum4()
+	cs := ArteryFSIMareNostrum4()
+	cs.SimSteps, cs.ModelCGIters = 1, 4
+	spec := Spec{Job: job(t, cl, 4, 192, 1), Profile: bareProfile(t, cl), Case: cs, Mode: ModeModel,
+		Allreduce: mpi.AllreduceHierarchical}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(spec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRank := float64(after.TotalAlloc-before.TotalAlloc) / float64(spec.Job.Ranks)
+	t.Logf("%d B allocated over %d ranks: %.0f B per rank", after.TotalAlloc-before.TotalAlloc, spec.Job.Ranks, perRank)
+	if perRank >= 8<<10 {
+		t.Errorf("%.0f B allocated per rank, want < 8 KiB: a ModeModel rank allocates no halo or coupling payload",
+			perRank)
+	}
+}

@@ -4,10 +4,12 @@
 //
 //   - ModeReal runs the actual Navier–Stokes / elasticity numerics with
 //     real halo payloads (small meshes: tests, examples).
-//   - ModeModel steps a workload model of each solver instead: correctly
-//     sized size-only payloads and the solvers' per-cell compute costs,
-//     without allocating or computing the fields (paper-scale meshes:
-//     20–50M cells, up to 12,288 ranks).
+//   - ModeModel steps a workload model of each solver instead: the
+//     solvers' per-cell compute costs, and halos and FSI coupling
+//     exchanges as size-only messages costed like correctly sized
+//     payloads. It neither computes the fields nor allocates them or
+//     any message payload (paper-scale meshes: 20–50M cells, up to
+//     12,288 ranks).
 //
 // Both modes run one rank program; the mode only chooses the code value
 // a rank steps. Every charge, halo and reduction costs the same in both,

@@ -30,7 +30,8 @@ type rankComm struct {
 	threads int
 	nbrs    []mesh.Neighbor
 
-	// reusable per-neighbour buffers, grown on demand
+	// reusable per-neighbour buffers, made by the first Exchange and
+	// grown on demand; ExchangeModel never needs them
 	sendBufs [][]float64
 	recvBufs [][]float64
 	// reqs is the reusable request slice for bundled exchanges: room
@@ -41,6 +42,10 @@ type rankComm struct {
 var _ field.Comm = (*rankComm)(nil)
 
 func (rc *rankComm) buffers(i, n int) (snd, rcv []float64) {
+	if rc.sendBufs == nil {
+		rc.sendBufs = make([][]float64, len(rc.nbrs))
+		rc.recvBufs = make([][]float64, len(rc.nbrs))
+	}
 	if cap(rc.sendBufs[i]) < n {
 		rc.sendBufs[i] = make([]float64, n)
 		rc.recvBufs[i] = make([]float64, n)

@@ -48,7 +48,8 @@ type Mode int
 // Execution modes.
 const (
 	// ModeModel charges compute analytically and exchanges size-only
-	// messages costed like correctly sized payloads. Scales to the
+	// messages costed like correctly sized payloads, halos and FSI
+	// coupling alike, so a rank allocates no payload. Scales to the
 	// paper's 12,288-core runs.
 	ModeModel Mode = iota
 	// ModeReal runs the actual solvers with real data.
@@ -272,9 +273,7 @@ func (rs *runState) body(r *mpi.Rank) {
 	rc := &rankComm{
 		comm: comm, part: part, cells: float64(part.Cells()),
 		model: rs.model, threads: rs.spec.Job.ThreadsPerRank, nbrs: nbrs,
-		sendBufs: make([][]float64, len(nbrs)),
-		recvBufs: make([][]float64, len(nbrs)),
-		reqs:     make([]*mpi.Request, 0, 2*len(nbrs)),
+		reqs: make([]*mpi.Request, 0, 2*len(nbrs)),
 	}
 
 	r.Barrier()
@@ -303,37 +302,39 @@ func (rs *runState) pairOf(f int) int {
 	return f * (rs.spec.Job.Ranks - rs.fluidRanks) / rs.fluidRanks
 }
 
-// fluidCode is what a fluid rank steps: *navier.Solver or modelFluid.
+// fluidCode is what a fluid rank steps: realFluid or modelFluid. Couple
+// is its half of one coupling iteration: send the solid partner the
+// wall traction, then receive the wall motion.
 type fluidCode interface {
 	Step() (navier.StepStats, error)
-	WallPressure() float64
-	SetWallVelocity(v float64)
+	Couple(r *mpi.Rank)
 }
 
-// solidCode is what a solid rank steps: *solid.Solver or modelSolid.
+// solidCode is what a solid rank steps: realSolid or modelSolid. Couple
+// is its half of one coupling iteration: receive every fluid partner's
+// traction, then send each the wall's mean radial velocity v.
 type solidCode interface {
 	Step() (solid.StepStats, error)
-	SetTraction(p float64)
+	Couple(r *mpi.Rank, v float64)
 }
 
 // fluidRank steps the fluid code; beside a solid code, every step ends
 // with the coupling exchanges with the rank's solid partner.
 func (rs *runState) fluidRank(r *mpi.Rank, rc *rankComm) {
-	var code fluidCode = modelFluid{rc: rc, iters: rs.spec.Case.ModelCGIters}
+	var couplings, peer, n int
+	if rs.fluidRanks < r.Size() {
+		couplings = rs.spec.Case.CouplingIters
+		peer = rs.fluidRanks + rs.pairOf(rc.comm.Rank()) // world rank of the solid partner
+		n = rs.iface[rc.comm.Rank()]
+	}
+	var code fluidCode = modelFluid{rc: rc, iters: rs.spec.Case.ModelCGIters, peer: peer, n: n}
 	if rs.spec.Mode == ModeReal {
 		solver, err := navier.NewSolver(rc.part, rs.spec.Case.FluidParams, rc)
 		if err != nil {
 			rs.fail(err)
 			return
 		}
-		code = solver
-	}
-	var peer int
-	var traction, motion []float64
-	if rs.fluidRanks < r.Size() {
-		peer = rs.fluidRanks + rs.pairOf(rc.comm.Rank()) // world rank of the solid partner
-		traction = make([]float64, rs.iface[rc.comm.Rank()])
-		motion = make([]float64, len(traction))
+		code = &realFluid{Solver: solver, peer: peer, traction: make([]float64, n), motion: make([]float64, n)}
 	}
 
 	for step := 0; step < rs.spec.Case.SimSteps; step++ {
@@ -346,14 +347,8 @@ func (rs *runState) fluidRank(r *mpi.Rank, rc *rankComm) {
 			rs.cgIters += float64(stats.CGIterations)
 			rs.maxDiv = stats.MaxDivergence
 		}
-		for ci := 0; traction != nil && ci < rs.spec.Case.CouplingIters; ci++ {
-			wp := code.WallPressure()
-			for i := range traction {
-				traction[i] = wp
-			}
-			r.Send(peer, tagCoupleTraction, traction)
-			r.Recv(peer, tagCoupleMotion, motion)
-			code.SetWallVelocity(motion[0] * 1e-3)
+		for ci := 0; ci < couplings; ci++ {
+			code.Couple(r)
 		}
 	}
 }
@@ -361,25 +356,25 @@ func (rs *runState) fluidRank(r *mpi.Rank, rc *rankComm) {
 // solidRank steps the solid code, SolidSubsteps per fluid step, and
 // couples with every fluid rank paired to it.
 func (rs *runState) solidRank(r *mpi.Rank, rc *rankComm) {
-	var code solidCode = modelSolid{rc: rc}
-	if rs.spec.Mode == ModeReal {
-		solver, err := solid.NewSolver(rc.part, rs.spec.Case.SolidParams, rc)
-		if err != nil {
-			rs.fail(err)
-			return
-		}
-		code = solver
-	}
 	var partners []int
 	for f := 0; f < rs.fluidRanks; f++ {
 		if rs.pairOf(f) == rc.comm.Rank() {
 			partners = append(partners, f)
 		}
 	}
-	// Interface payload sizes follow the fluid partner's wall size.
-	bufs := make([][]float64, len(partners))
-	for i, f := range partners {
-		bufs[i] = make([]float64, rs.iface[f])
+	var code solidCode = modelSolid{rc: rc, partners: partners, iface: rs.iface}
+	if rs.spec.Mode == ModeReal {
+		solver, err := solid.NewSolver(rc.part, rs.spec.Case.SolidParams, rc)
+		if err != nil {
+			rs.fail(err)
+			return
+		}
+		// Interface payload sizes follow the fluid partner's wall size.
+		bufs := make([][]float64, len(partners))
+		for i, f := range partners {
+			bufs[i] = make([]float64, rs.iface[f])
+		}
+		code = &realSolid{Solver: solver, partners: partners, bufs: bufs}
 	}
 
 	for step := 0; step < rs.spec.Case.SimSteps; step++ {
@@ -393,32 +388,64 @@ func (rs *runState) solidRank(r *mpi.Rank, rc *rankComm) {
 			meanVel = stats.MeanRadialVelocity
 		}
 		for ci := 0; ci < rs.spec.Case.CouplingIters; ci++ {
-			var tractionSum float64
-			for i, f := range partners {
-				r.Recv(f, tagCoupleTraction, bufs[i])
-				tractionSum += bufs[i][0]
-			}
-			if len(partners) > 0 {
-				code.SetTraction(tractionSum / float64(len(partners)))
-			}
-			for i, f := range partners {
-				for j := range bufs[i] {
-					bufs[i][j] = meanVel
-				}
-				r.Send(f, tagCoupleMotion, bufs[i])
-			}
+			code.Couple(r, meanVel)
 		}
+	}
+}
+
+// realFluid is ModeReal's fluid code: the solver and its interface
+// buffers for the solid partner at world rank peer.
+type realFluid struct {
+	*navier.Solver
+	peer             int
+	traction, motion []float64
+}
+
+func (f *realFluid) Couple(r *mpi.Rank) {
+	wp := f.WallPressure()
+	for i := range f.traction {
+		f.traction[i] = wp
+	}
+	r.Send(f.peer, tagCoupleTraction, f.traction)
+	r.Recv(f.peer, tagCoupleMotion, f.motion)
+	f.SetWallVelocity(f.motion[0] * 1e-3)
+}
+
+// realSolid is ModeReal's solid code: the solver and one interface
+// buffer per fluid partner.
+type realSolid struct {
+	*solid.Solver
+	partners []int
+	bufs     [][]float64
+}
+
+func (s *realSolid) Couple(r *mpi.Rank, v float64) {
+	var tractionSum float64
+	for i, f := range s.partners {
+		r.Recv(f, tagCoupleTraction, s.bufs[i])
+		tractionSum += s.bufs[i][0]
+	}
+	if len(s.partners) > 0 {
+		s.SetTraction(tractionSum / float64(len(s.partners)))
+	}
+	for i, f := range s.partners {
+		for j := range s.bufs[i] {
+			s.bufs[i][j] = v
+		}
+		r.Send(f, tagCoupleMotion, s.bufs[i])
 	}
 }
 
 // modelFluid is ModeModel's fluid code: navier.Solver.Step's compute
 // charges over a simplified skeleton of its communication (the package
 // doc lists the differences), with size-only halos and a fixed CG
-// iteration count. It holds no fields, so it has no wall pressure and
-// ignores the wall velocity it is given.
+// iteration count. It holds no fields, so its coupling with the solid
+// partner at world rank peer is size-only too: n float64s each way,
+// the traction and motion a real fluid would send and receive.
 type modelFluid struct {
-	rc    *rankComm
-	iters int
+	rc      *rankComm
+	iters   int
+	peer, n int
 }
 
 func (m modelFluid) Step() (navier.StepStats, error) {
@@ -443,12 +470,18 @@ func (m modelFluid) Step() (navier.StepStats, error) {
 	return navier.StepStats{CGIterations: m.iters}, nil
 }
 
-func (modelFluid) WallPressure() float64   { return 0 }
-func (modelFluid) SetWallVelocity(float64) {}
+func (m modelFluid) Couple(r *mpi.Rank) {
+	r.SendModel(m.peer, tagCoupleTraction, m.n)
+	r.RecvModel(m.peer, tagCoupleMotion, m.n)
+}
 
 // modelSolid is ModeModel's solid code: solid.Solver.Step's charge,
-// three-field halo and reductions, size-only.
-type modelSolid struct{ rc *rankComm }
+// three-field halo and reductions, and the coupling with its fluid
+// partners, all size-only. iface is indexed by fluid rank.
+type modelSolid struct {
+	rc              *rankComm
+	partners, iface []int
+}
 
 func (m modelSolid) Step() (solid.StepStats, error) {
 	rc := m.rc
@@ -460,4 +493,11 @@ func (m modelSolid) Step() (solid.StepStats, error) {
 	return solid.StepStats{}, nil
 }
 
-func (modelSolid) SetTraction(float64) {}
+func (m modelSolid) Couple(r *mpi.Rank, _ float64) {
+	for _, f := range m.partners {
+		r.RecvModel(f, tagCoupleTraction, m.iface[f])
+	}
+	for _, f := range m.partners {
+		r.SendModel(f, tagCoupleMotion, m.iface[f])
+	}
+}

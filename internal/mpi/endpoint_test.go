@@ -182,7 +182,8 @@ func TestEndpointPaths(t *testing.T) {
 // TestEndpointAllocs holds the recycling: once a world's free list
 // holds its peak of in-flight records, a matched message allocates
 // nothing, whether its endpoints are Isend/Irecv+Wait, blocking
-// Send/Recv or one SendRecv exchange. The messages alternate eager and
+// Send/Recv, their size-only SendModel/RecvModel or one SendRecv
+// exchange. The messages alternate eager and
 // rendezvous; measuring at two lengths cancels the world's set-up.
 func TestEndpointAllocs(t *testing.T) {
 	snd, rcv := make([]float64, 256), make([]float64, 256)
@@ -202,6 +203,13 @@ func TestEndpointAllocs(t *testing.T) {
 				r.Send(1, i, snd[:n])
 			} else {
 				r.Recv(0, i, rcv[:n])
+			}
+		}},
+		{"SendModel+RecvModel", func(r *Rank, i, n int) {
+			if r.ID() == 0 {
+				r.SendModel(1, i, n)
+			} else {
+				r.RecvModel(0, i, n)
 			}
 		}},
 		{"SendRecv", func(r *Rank, i, n int) {

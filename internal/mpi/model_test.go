@@ -20,7 +20,7 @@ func exchangeStats(t *testing.T, p, rpn, n int, body func(r *Rank, n int)) Stats
 // model exchange must be indistinguishable — same end time, same comm
 // time, same byte counts — from sending real zero-filled buffers of
 // the same length, for both eager and rendezvous sizes, intra- and
-// inter-node.
+// inter-node, through the nonblocking and the blocking endpoints.
 func TestModelMessagesMatchZeroPayloads(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -32,25 +32,51 @@ func TestModelMessagesMatchZeroPayloads(t *testing.T) {
 		{"rendezvous-intra", 2, 2, 1 << 16},
 		{"rendezvous-inter", 2, 1, 1 << 16},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			real := exchangeStats(t, tc.p, tc.rpn, tc.n, func(r *Rank, n int) {
+	pairs := []struct {
+		name        string
+		real, model func(r *Rank, n int)
+	}{
+		{"Isend+Irecv",
+			func(r *Rank, n int) {
 				buf := make([]float64, n)
 				if r.ID() == 0 {
 					r.Wait(r.Isend(1, 3, buf))
 				} else {
 					r.Wait(r.Irecv(0, 3, buf))
 				}
-			})
-			model := exchangeStats(t, tc.p, tc.rpn, tc.n, func(r *Rank, n int) {
+			},
+			func(r *Rank, n int) {
 				if r.ID() == 0 {
 					r.Wait(r.IsendModel(1, 3, n))
 				} else {
 					r.Wait(r.IrecvModel(0, 3, n))
 				}
-			})
-			if !reflect.DeepEqual(real, model) {
-				t.Fatalf("model stats differ from zero-payload stats:\nreal  %+v\nmodel %+v", real, model)
+			}},
+		{"Send+Recv",
+			func(r *Rank, n int) {
+				buf := make([]float64, n)
+				if r.ID() == 0 {
+					r.Send(1, 3, buf)
+				} else {
+					r.Recv(0, 3, buf)
+				}
+			},
+			func(r *Rank, n int) {
+				if r.ID() == 0 {
+					r.SendModel(1, 3, n)
+				} else {
+					r.RecvModel(0, 3, n)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, pair := range pairs {
+				real := exchangeStats(t, tc.p, tc.rpn, tc.n, pair.real)
+				model := exchangeStats(t, tc.p, tc.rpn, tc.n, pair.model)
+				if !reflect.DeepEqual(real, model) {
+					t.Errorf("%s: model stats differ from zero-payload stats:\nreal  %+v\nmodel %+v", pair.name, real, model)
+				}
 			}
 		})
 	}

@@ -119,6 +119,12 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 	r.timed(func() { r.waitOne(r.send(dst, tag, data, len(data), "wait:send-rdv")) })
 }
 
+// SendModel is Send for a size-only payload of n float64s, costed,
+// matched and logged exactly like a send of n zeros.
+func (r *Rank) SendModel(dst, tag, n int) {
+	r.timed(func() { r.waitOne(r.send(dst, tag, nil, n, "wait:send-rdv")) })
+}
+
 // Isend starts a nonblocking send and returns its request. Eager sends
 // complete immediately after local CPU cost; rendezvous sends complete
 // when the receiver has the data (observe via Wait).
@@ -196,6 +202,11 @@ func (r *Rank) send(dst, tag int, data []float64, count int, kind string) *Reque
 // simulator is the most useful behaviour for a truncation bug.
 func (r *Rank) Recv(src, tag int, buf []float64) {
 	r.timed(func() { r.waitOne(r.irecv(src, tag, buf, len(buf))) })
+}
+
+// RecvModel is Recv for a size-only message of n float64s.
+func (r *Rank) RecvModel(src, tag, n int) {
+	r.timed(func() { r.waitOne(r.irecv(src, tag, nil, n)) })
 }
 
 // Irecv posts a nonblocking receive into buf.
