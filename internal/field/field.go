@@ -2,6 +2,23 @@
 // the communication interface the distributed solvers are written
 // against. The same solver code runs sequentially (SeqComm) and under
 // the simulated MPI (the alya package installs an MPI-backed Comm).
+//
+// Layout and stride contract. A Field's Data holds (NX+2)×(NY+2)×(NZ+2)
+// values, x fastest: cell (i, j, k), i∈[-1,NX], j∈[-1,NY], k∈[-1,NZ]
+// (−1 and N are ghosts), lives at Idx(i, j, k) = (i+1) + sy·(j+1) +
+// sz·(k+1) with sy = NX+2 and sz = (NX+2)(NY+2) (Strides). So the
+// face neighbours of index m are m±1, m±sy and m±sz; the owned cells
+// of row (j, k) are the NX consecutive values from Idx(0, j, k); and
+// every field of one partition has the same layout, so an index names
+// the same cell in each. The stencil kernels — Laplace here, the navier
+// and solid solvers' loops — index Data directly on this contract,
+// computing a row's start once and stepping by the strides.
+//
+// A face's ghost Layer is written by a halo exchange (UnpackGhost) on a
+// partition-internal face and by the solver's boundary condition on a
+// physical one. The edge and corner ghosts lie on no face: nothing
+// writes them but ClearEdges, so a stencil that reads them must clear
+// them first.
 package field
 
 import (
@@ -31,11 +48,11 @@ func (f *Field) Idx(i, j, k int) int {
 	return (i + 1) + (f.NX+2)*((j+1)+(f.NY+2)*(k+1))
 }
 
-// At reads the value at (i, j, k), ghosts included.
-func (f *Field) At(i, j, k int) float64 { return f.Data[f.Idx(i, j, k)] }
-
-// Set writes the value at (i, j, k), ghosts included.
-func (f *Field) Set(i, j, k int, v float64) { f.Data[f.Idx(i, j, k)] = v }
+// Strides returns the flat-index distance between y and z neighbours;
+// the x distance is 1.
+func (f *Field) Strides() (sy, sz int) {
+	return f.NX + 2, (f.NX + 2) * (f.NY + 2)
+}
 
 // Interior returns the owned-cell count.
 func (f *Field) Interior() int { return f.NX * f.NY * f.NZ }
@@ -45,13 +62,10 @@ func (f *Field) CopyInterior(dst []float64) {
 	if len(dst) != f.Interior() {
 		panic(fmt.Sprintf("field: interior copy length %d != %d", len(dst), f.Interior()))
 	}
-	n := 0
-	for k := 0; k < f.NZ; k++ {
-		for j := 0; j < f.NY; j++ {
-			for i := 0; i < f.NX; i++ {
-				dst[n] = f.At(i, j, k)
-				n++
-			}
+	for k, n := 0, 0; k < f.NZ; k++ {
+		for j := 0; j < f.NY; j, n = j+1, n+f.NX {
+			m := f.Idx(0, j, k)
+			copy(dst[n:n+f.NX], f.Data[m:m+f.NX])
 		}
 	}
 }
@@ -61,102 +75,94 @@ func (f *Field) SetInterior(src []float64) {
 	if len(src) != f.Interior() {
 		panic(fmt.Sprintf("field: interior set length %d != %d", len(src), f.Interior()))
 	}
-	n := 0
-	for k := 0; k < f.NZ; k++ {
-		for j := 0; j < f.NY; j++ {
-			for i := 0; i < f.NX; i++ {
-				f.Set(i, j, k, src[n])
-				n++
-			}
+	for k, n := 0, 0; k < f.NZ; k++ {
+		for j := 0; j < f.NY; j, n = j+1, n+f.NX {
+			m := f.Idx(0, j, k)
+			copy(f.Data[m:m+f.NX], src[n:n+f.NX])
 		}
+	}
+}
+
+// Layer is one face's ghost layer as runs of flat indices: ghost cell
+// (a, b), a < NA and b < NB, sits at G + a·DA + b·DB, and the owned
+// cell beside it at that index + In. The order a-fastest is the order
+// of a face's halo buffer: (j, k) on x faces, (i, k) on y faces and
+// (i, j) on z faces.
+type Layer struct{ G, In, DA, NA, DB, NB int }
+
+// Layer returns the ghost layer on one face.
+func (f *Field) Layer(face mesh.Axis) Layer {
+	sy, sz := f.Strides()
+	switch face {
+	case mesh.XMinus:
+		return Layer{f.Idx(-1, 0, 0), 1, sy, f.NY, sz, f.NZ}
+	case mesh.XPlus:
+		return Layer{f.Idx(f.NX, 0, 0), -1, sy, f.NY, sz, f.NZ}
+	case mesh.YMinus:
+		return Layer{f.Idx(0, -1, 0), sy, 1, f.NX, sz, f.NZ}
+	case mesh.YPlus:
+		return Layer{f.Idx(0, f.NY, 0), -sy, 1, f.NX, sz, f.NZ}
+	case mesh.ZMinus:
+		return Layer{f.Idx(0, 0, -1), sz, 1, f.NX, sy, f.NY}
+	default:
+		return Layer{f.Idx(0, 0, f.NZ), -sz, 1, f.NX, sy, f.NY}
 	}
 }
 
 // PackFace gathers the interior boundary layer adjacent to the given
 // face into buf (length = face cell count) for sending to a neighbour.
 func (f *Field) PackFace(face mesh.Axis, buf []float64) {
-	n := 0
-	switch face {
-	case mesh.XMinus, mesh.XPlus:
-		i := 0
-		if face == mesh.XPlus {
-			i = f.NX - 1
-		}
-		for k := 0; k < f.NZ; k++ {
-			for j := 0; j < f.NY; j++ {
-				buf[n] = f.At(i, j, k)
-				n++
-			}
-		}
-	case mesh.YMinus, mesh.YPlus:
-		j := 0
-		if face == mesh.YPlus {
-			j = f.NY - 1
-		}
-		for k := 0; k < f.NZ; k++ {
-			for i := 0; i < f.NX; i++ {
-				buf[n] = f.At(i, j, k)
-				n++
-			}
-		}
-	case mesh.ZMinus, mesh.ZPlus:
-		k := 0
-		if face == mesh.ZPlus {
-			k = f.NZ - 1
-		}
-		for j := 0; j < f.NY; j++ {
-			for i := 0; i < f.NX; i++ {
-				buf[n] = f.At(i, j, k)
-				n++
-			}
-		}
+	l := f.Layer(face)
+	if l.NA*l.NB != len(buf) {
+		panic(fmt.Sprintf("field: pack face %v has %d cells, buffer %d", face, l.NA*l.NB, len(buf)))
 	}
-	if n != len(buf) {
-		panic(fmt.Sprintf("field: pack face %v filled %d of %d", face, n, len(buf)))
+	for b, n := 0, 0; b < l.NB; b++ {
+		for a, m := 0, l.G+b*l.DB+l.In; a < l.NA; a, m, n = a+1, m+l.DA, n+1 {
+			buf[n] = f.Data[m]
+		}
 	}
 }
 
 // UnpackGhost scatters buf into the ghost layer on the given face.
 func (f *Field) UnpackGhost(face mesh.Axis, buf []float64) {
-	n := 0
-	switch face {
-	case mesh.XMinus, mesh.XPlus:
-		i := -1
-		if face == mesh.XPlus {
-			i = f.NX
+	l := f.Layer(face)
+	if l.NA*l.NB != len(buf) {
+		panic(fmt.Sprintf("field: unpack face %v has %d cells, buffer %d", face, l.NA*l.NB, len(buf)))
+	}
+	for b, n := 0, 0; b < l.NB; b++ {
+		for a, m := 0, l.G+b*l.DB; a < l.NA; a, m, n = a+1, m+l.DA, n+1 {
+			f.Data[m] = buf[n]
 		}
-		for k := 0; k < f.NZ; k++ {
-			for j := 0; j < f.NY; j++ {
-				f.Set(i, j, k, buf[n])
-				n++
-			}
-		}
-	case mesh.YMinus, mesh.YPlus:
-		j := -1
-		if face == mesh.YPlus {
-			j = f.NY
-		}
-		for k := 0; k < f.NZ; k++ {
-			for i := 0; i < f.NX; i++ {
-				f.Set(i, j, k, buf[n])
-				n++
-			}
-		}
-	case mesh.ZMinus, mesh.ZPlus:
-		k := -1
-		if face == mesh.ZPlus {
-			k = f.NZ
-		}
-		for j := 0; j < f.NY; j++ {
-			for i := 0; i < f.NX; i++ {
-				f.Set(i, j, k, buf[n])
-				n++
+	}
+}
+
+// ClearEdges zeroes the edge and corner ghosts: the ghost cells on no
+// face's Layer, which neither a halo exchange nor a boundary condition
+// writes.
+func (f *Field) ClearEdges() {
+	for k := -1; k <= f.NZ; k++ {
+		for j := -1; j <= f.NY; j++ {
+			kOut, jOut := k < 0 || k == f.NZ, j < 0 || j == f.NY
+			m := f.Idx(-1, j, k)
+			switch {
+			case kOut && jOut:
+				clear(f.Data[m : m+f.NX+2])
+			case kOut || jOut:
+				f.Data[m], f.Data[m+f.NX+1] = 0, 0
 			}
 		}
 	}
-	if n != len(buf) {
-		panic(fmt.Sprintf("field: unpack face %v consumed %d of %d", face, n, len(buf)))
-	}
+}
+
+// Laplace is the 7-point Laplacian at flat index m of a field's Data d
+// with strides sy, sz (Strides), an owned cell with its face ghosts
+// filled, on a grid of spacing hx, hy, hz. It takes the layout apart,
+// not a *Field, to stay small enough to inline into the per-cell loops.
+func Laplace(d []float64, m, sy, sz int, hx, hy, hz float64) float64 {
+	c := d[m]
+	return (d[m-1]-2*c+d[m+1])/(hx*hx) +
+		(d[m-sy]-2*c+d[m+sy])/(hy*hy) +
+		(d[m-sz]-2*c+d[m+sz])/(hz*hz)
 }
 
 // Comm is the communication the distributed solvers need: halo

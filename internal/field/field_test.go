@@ -43,51 +43,55 @@ func TestFieldIndexing(t *testing.T) {
 }
 
 func TestInteriorRoundTrip(t *testing.T) {
-	f := New(part(t, 3, 3, 3))
-	src := make([]float64, 27)
-	for i := range src {
-		src[i] = float64(i) + 0.5
-	}
-	f.SetInterior(src)
-	dst := make([]float64, 27)
-	f.CopyInterior(dst)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatalf("round trip lost element %d: %v != %v", i, dst[i], src[i])
+	for _, d := range oddDims {
+		f := New(part(t, d[0], d[1], d[2]))
+		src := make([]float64, f.Interior())
+		for i := range src {
+			src[i] = float64(i) + 0.5
 		}
-	}
-	// Ghosts must remain zero.
-	if f.At(-1, 0, 0) != 0 || f.At(3, 2, 2) != 0 {
-		t.Fatal("interior set leaked into ghosts")
+		f.SetInterior(src)
+		dst := make([]float64, len(src))
+		f.CopyInterior(dst)
+		for i := range src {
+			if dst[i] != src[i] {
+				t.Fatalf("%v: round trip lost element %d: %v != %v", d, i, dst[i], src[i])
+			}
+		}
+		// Ghosts must remain zero.
+		for k := -1; k <= f.NZ; k++ {
+			for j := -1; j <= f.NY; j++ {
+				for i := -1; i <= f.NX; i++ {
+					if ghostCoords(f, i, j, k) > 0 && at(f, i, j, k) != 0 {
+						t.Fatalf("%v: interior set leaked into ghost (%d,%d,%d)", d, i, j, k)
+					}
+				}
+			}
+		}
 	}
 }
 
 func TestPackUnpackAllFaces(t *testing.T) {
-	// Face cell counts of a 3×4×5 partition: NY·NZ, NX·NZ, NX·NY.
-	faces := []struct {
-		face  mesh.Axis
-		cells int
-	}{
-		{mesh.XMinus, 20}, {mesh.XPlus, 20}, {mesh.YMinus, 15}, {mesh.YPlus, 15}, {mesh.ZMinus, 12}, {mesh.ZPlus, 12},
-	}
-	f := New(part(t, 3, 4, 5))
-	for k := 0; k < 5; k++ {
-		for j := 0; j < 4; j++ {
-			for i := 0; i < 3; i++ {
-				f.Set(i, j, k, float64(100*i+10*j+k))
+	for _, d := range oddDims {
+		f := New(part(t, d[0], d[1], d[2]))
+		for k := 0; k < f.NZ; k++ {
+			for j := 0; j < f.NY; j++ {
+				for i := 0; i < f.NX; i++ {
+					set(f, i, j, k, float64(100*i+10*j+k))
+				}
 			}
 		}
-	}
-	for _, fc := range faces {
-		face := fc.face
-		buf := make([]float64, fc.cells)
-		f.PackFace(face, buf)
-		// Unpack into a second field's ghost layer on the opposite
-		// side and verify against the original boundary layer — the
-		// halo exchange invariant.
-		g := New(part(t, 3, 4, 5))
-		g.UnpackGhost(face.Opposite(), buf)
-		checkGhostMatchesBoundary(t, f, g, face)
+		// Face cell counts: NY·NZ, NX·NZ, NX·NY.
+		cells := [...]int{d[1] * d[2], d[1] * d[2], d[0] * d[2], d[0] * d[2], d[0] * d[1], d[0] * d[1]}
+		for face := mesh.XMinus; face <= mesh.ZPlus; face++ {
+			buf := make([]float64, cells[face])
+			f.PackFace(face, buf)
+			// Unpack into a second field's ghost layer on the opposite
+			// side and verify against the original boundary layer — the
+			// halo exchange invariant.
+			g := New(part(t, d[0], d[1], d[2]))
+			g.UnpackGhost(face.Opposite(), buf)
+			checkGhostMatchesBoundary(t, f, g, face)
+		}
 	}
 }
 
@@ -95,7 +99,6 @@ func TestPackUnpackAllFaces(t *testing.T) {
 // equals f's interior boundary layer adjacent to face.
 func checkGhostMatchesBoundary(t *testing.T, f, g *Field, face mesh.Axis) {
 	t.Helper()
-	get := func(fl *Field, i, j, k int) float64 { return fl.At(i, j, k) }
 	switch face {
 	case mesh.XMinus, mesh.XPlus:
 		iSrc, iDst := 0, f.NX
@@ -104,7 +107,7 @@ func checkGhostMatchesBoundary(t *testing.T, f, g *Field, face mesh.Axis) {
 		}
 		for k := 0; k < f.NZ; k++ {
 			for j := 0; j < f.NY; j++ {
-				if get(f, iSrc, j, k) != get(g, iDst, j, k) {
+				if at(f, iSrc, j, k) != at(g, iDst, j, k) {
 					t.Fatalf("face %v: mismatch at (%d,%d)", face, j, k)
 				}
 			}
@@ -116,7 +119,7 @@ func checkGhostMatchesBoundary(t *testing.T, f, g *Field, face mesh.Axis) {
 		}
 		for k := 0; k < f.NZ; k++ {
 			for i := 0; i < f.NX; i++ {
-				if get(f, i, jSrc, k) != get(g, i, jDst, k) {
+				if at(f, i, jSrc, k) != at(g, i, jDst, k) {
 					t.Fatalf("face %v: mismatch at (%d,%d)", face, i, k)
 				}
 			}
@@ -128,7 +131,7 @@ func checkGhostMatchesBoundary(t *testing.T, f, g *Field, face mesh.Axis) {
 		}
 		for j := 0; j < f.NY; j++ {
 			for i := 0; i < f.NX; i++ {
-				if get(f, i, j, kSrc) != get(g, i, j, kDst) {
+				if at(f, i, j, kSrc) != at(g, i, j, kDst) {
 					t.Fatalf("face %v: mismatch at (%d,%d)", face, i, j)
 				}
 			}

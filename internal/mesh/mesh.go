@@ -233,15 +233,24 @@ func (p *Partition) Neighbors() []Neighbor {
 	return out
 }
 
-// OnInlet reports whether the partition touches the inlet plane (k=0).
-func (p *Partition) OnInlet() bool { return p.K0 == 0 }
-
-// OnOutlet reports whether the partition touches the outlet plane.
-func (p *Partition) OnOutlet() bool { return p.K1 == p.Grid.Mesh.NZ }
-
-// OnWall reports whether the partition touches the lateral boundary.
-func (p *Partition) OnWall() bool {
-	return p.I0 == 0 || p.I1 == p.Grid.Mesh.NX || p.J0 == 0 || p.J1 == p.Grid.Mesh.NY
+// OnBoundary reports whether the partition's given face lies on the
+// mesh boundary: the lateral wall for x and y faces, the inlet plane
+// (k=0) for ZMinus and the outlet plane for ZPlus.
+func (p *Partition) OnBoundary(face Axis) bool {
+	switch face {
+	case XMinus:
+		return p.I0 == 0
+	case XPlus:
+		return p.I1 == p.Grid.Mesh.NX
+	case YMinus:
+		return p.J0 == 0
+	case YPlus:
+		return p.J1 == p.Grid.Mesh.NY
+	case ZMinus:
+		return p.K0 == 0
+	default:
+		return p.K1 == p.Grid.Mesh.NZ
+	}
 }
 
 // WallCells counts this partition's cells on the lateral boundary —

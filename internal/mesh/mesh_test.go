@@ -162,18 +162,15 @@ func TestBoundaryFlags(t *testing.T) {
 	}
 	for r := 0; r < 8; r++ {
 		p := g.Part(r)
-		_, _, cz := g.Coords(r)
-		if p.OnInlet() != (cz == 0) {
-			t.Errorf("rank %d inlet flag wrong", r)
-		}
-		if p.OnOutlet() != (cz == g.PZ-1) {
-			t.Errorf("rank %d outlet flag wrong", r)
+		cx, cy, cz := g.Coords(r)
+		want := [...]bool{cx == 0, cx == g.PX-1, cy == 0, cy == g.PY-1, cz == 0, cz == g.PZ-1}
+		for face := XMinus; face <= ZPlus; face++ {
+			if p.OnBoundary(face) != want[face] {
+				t.Errorf("rank %d boundary flag on %v wrong", r, face)
+			}
 		}
 		// With at most 8 parts of a cube, every part touches some
 		// lateral boundary.
-		if !p.OnWall() {
-			t.Errorf("rank %d should touch the wall in an 8-way split", r)
-		}
 		if p.WallCells() <= 0 {
 			t.Errorf("rank %d wall cells %d", r, p.WallCells())
 		}

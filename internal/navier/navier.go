@@ -7,6 +7,14 @@
 // the pressure CG become global reductions and every stencil
 // application is preceded by a halo exchange — the communication
 // pattern whose scaling the paper measures.
+//
+// The kernels index the fields' Data on the field package's layout and
+// stride contract: a row's start is computed once, a cell's neighbours
+// are m±1, m±sy and m±sz, and the 7-point Laplacian is field.Laplace,
+// which the solid solver shares. Each floating-point expression keeps
+// the operands and evaluation order of its (i, j, k) form, so the
+// results match that form bit for bit; the package tests keep it as
+// the reference.
 package navier
 
 import (
@@ -154,81 +162,31 @@ const (
 // fillGhosts sets the physical-boundary ghost layers of f according to
 // the BC kind. Partition-internal faces are left for Comm.Exchange.
 func (s *Solver) fillGhosts(f *field.Field, kind bcKind) {
-	p := s.Part
-	nx, ny, nz := f.NX, f.NY, f.NZ
-
-	// Lateral boundaries (vessel wall).
-	if p.I0 == 0 {
-		for k := 0; k < nz; k++ {
-			for j := 0; j < ny; j++ {
-				s.wallGhost(f, kind, -1, j, k, 0, j, k)
-			}
+	p, d := s.Part, f.Data
+	for face := mesh.XMinus; face <= mesh.ZPlus; face++ {
+		if !p.OnBoundary(face) {
+			continue
 		}
-	}
-	if p.I1 == p.Grid.Mesh.NX {
-		for k := 0; k < nz; k++ {
-			for j := 0; j < ny; j++ {
-				s.wallGhost(f, kind, nx, j, k, nx-1, j, k)
-			}
-		}
-	}
-	if p.J0 == 0 {
-		for k := 0; k < nz; k++ {
-			for i := 0; i < nx; i++ {
-				s.wallGhost(f, kind, i, -1, k, i, 0, k)
-			}
-		}
-	}
-	if p.J1 == p.Grid.Mesh.NY {
-		for k := 0; k < nz; k++ {
-			for i := 0; i < nx; i++ {
-				s.wallGhost(f, kind, i, ny, k, i, ny-1, k)
-			}
-		}
-	}
-
-	// Inlet (global k == 0).
-	if p.OnInlet() {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				in := f.At(i, j, 0)
-				switch kind {
-				case bcVelU, bcVelV:
-					f.Set(i, j, -1, -in)
-				case bcVelW:
-					prof := s.inletProfile(p.I0+i, p.J0+j)
-					f.Set(i, j, -1, 2*prof-in)
-				case bcPres:
-					f.Set(i, j, -1, in)
+		l := f.Layer(face)
+		for b := 0; b < l.NB; b++ {
+			for a, m := 0, l.G+b*l.DB; a < l.NA; a, m = a+1, m+l.DA {
+				in := d[m+l.In]
+				switch {
+				case face == mesh.ZPlus && kind == bcPres:
+					d[m] = -in // p = 0 at the outlet face
+				case face == mesh.ZPlus:
+					d[m] = in // zero gradient
+				case kind == bcPres:
+					d[m] = in
+				case face == mesh.ZMinus && kind == bcVelW:
+					d[m] = 2*s.inletProfile(p.I0+a, p.J0+b) - in
+				case face == mesh.ZMinus:
+					d[m] = -in
+				default: // vessel wall: no-slip with the FSI wall-motion term
+					d[m] = -in + 2*s.wallVel
 				}
 			}
 		}
-	}
-	// Outlet (global k == NZ).
-	if p.OnOutlet() {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				in := f.At(i, j, nz-1)
-				switch kind {
-				case bcVelU, bcVelV, bcVelW:
-					f.Set(i, j, nz, in) // zero gradient
-				case bcPres:
-					f.Set(i, j, nz, -in) // p = 0 at the outlet face
-				}
-			}
-		}
-	}
-}
-
-// wallGhost fills one lateral-wall ghost cell: no-slip for velocity
-// (with the FSI wall-motion term), mirror for pressure.
-func (s *Solver) wallGhost(f *field.Field, kind bcKind, gi, gj, gk, ii, ij, ik int) {
-	in := f.At(ii, ij, ik)
-	switch kind {
-	case bcVelU, bcVelV, bcVelW:
-		f.Set(gi, gj, gk, -in+2*s.wallVel)
-	case bcPres:
-		f.Set(gi, gj, gk, in)
 	}
 }
 
@@ -244,21 +202,24 @@ func (s *Solver) syncVelocity(u, v, w *field.Field) {
 func (s *Solver) Step() (StepStats, error) {
 	nx, ny, nz := s.U.NX, s.U.NY, s.U.NZ
 	dt, nu := s.P.Dt, s.P.Nu
+	u, v, w := s.U.Data, s.V.Data, s.W.Data
+	us, vs, ws := s.us.Data, s.vs.Data, s.ws.Data
+	sy, sz := s.U.Strides()
 
 	// 1. Tentative velocity: u* = u + dt(ν∇²u − (u·∇)u).
 	s.syncVelocity(s.U, s.V, s.W)
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				au := s.advect(s.U, i, j, k)
-				av := s.advect(s.V, i, j, k)
-				aw := s.advect(s.W, i, j, k)
-				lu := s.laplace(s.U, i, j, k)
-				lv := s.laplace(s.V, i, j, k)
-				lw := s.laplace(s.W, i, j, k)
-				s.us.Set(i, j, k, s.U.At(i, j, k)+dt*(nu*lu-au))
-				s.vs.Set(i, j, k, s.V.At(i, j, k)+dt*(nu*lv-av))
-				s.ws.Set(i, j, k, s.W.At(i, j, k)+dt*(nu*lw-aw))
+			for m, end := s.U.Idx(0, j, k), s.U.Idx(nx, j, k); m < end; m++ {
+				au := s.advect(s.U, m)
+				av := s.advect(s.V, m)
+				aw := s.advect(s.W, m)
+				lu := field.Laplace(u, m, sy, sz, s.hx, s.hy, s.hz)
+				lv := field.Laplace(v, m, sy, sz, s.hx, s.hy, s.hz)
+				lw := field.Laplace(w, m, sy, sz, s.hx, s.hy, s.hz)
+				us[m] = u[m] + dt*(nu*lu-au)
+				vs[m] = v[m] + dt*(nu*lv-av)
+				ws[m] = w[m] + dt*(nu*lw-aw)
 			}
 		}
 	}
@@ -271,9 +232,8 @@ func (s *Solver) Step() (StepStats, error) {
 	n := 0
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				s.rhs[n] = -(s.P.Rho / dt) * s.div(s.us, s.vs, s.ws, i, j, k)
-				n++
+			for m, end := s.U.Idx(0, j, k), s.U.Idx(nx, j, k); m < end; m, n = m+1, n+1 {
+				s.rhs[n] = -(s.P.Rho / dt) * s.div(s.us, s.vs, s.ws, m)
 			}
 		}
 	}
@@ -296,12 +256,12 @@ func (s *Solver) Step() (StepStats, error) {
 	s.Comm.Exchange(s.Pr)
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				gx, gy, gz := s.grad(s.Pr, i, j, k)
+			for m, end := s.U.Idx(0, j, k), s.U.Idx(nx, j, k); m < end; m++ {
+				gx, gy, gz := s.grad(s.Pr, m)
 				c := dt / s.P.Rho
-				s.U.Set(i, j, k, s.us.At(i, j, k)-c*gx)
-				s.V.Set(i, j, k, s.vs.At(i, j, k)-c*gy)
-				s.W.Set(i, j, k, s.ws.At(i, j, k)-c*gz)
+				u[m] = us[m] - c*gx
+				v[m] = vs[m] - c*gy
+				w[m] = ws[m] - c*gz
 			}
 		}
 	}
@@ -311,12 +271,12 @@ func (s *Solver) Step() (StepStats, error) {
 	maxDiv, maxVel := 0.0, 0.0
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				if d := math.Abs(s.div(s.U, s.V, s.W, i, j, k)); d > maxDiv {
+			for m, end := s.U.Idx(0, j, k), s.U.Idx(nx, j, k); m < end; m++ {
+				if d := math.Abs(s.div(s.U, s.V, s.W, m)); d > maxDiv {
 					maxDiv = d
 				}
-				for _, v := range [3]float64{s.U.At(i, j, k), s.V.At(i, j, k), s.W.At(i, j, k)} {
-					if a := math.Abs(v); a > maxVel {
+				for _, c := range [3]float64{u[m], v[m], w[m]} {
+					if a := math.Abs(c); a > maxVel {
 						maxVel = a
 					}
 				}
@@ -337,61 +297,60 @@ func (s *Solver) Step() (StepStats, error) {
 func (s *Solver) applyNegLaplacian(dst, src []float64) {
 	cells := float64(len(src))
 	s.Comm.Charge(cells*CGIterFlopsPerCell, cells*CGIterBytesPerCell)
-	s.tmp.SetInterior(src)
-	s.fillGhosts(s.tmp, bcPres)
-	s.Comm.Exchange(s.tmp)
+	t := s.tmp
+	t.SetInterior(src)
+	s.fillGhosts(t, bcPres)
+	s.Comm.Exchange(t)
 	n := 0
-	for k := 0; k < s.tmp.NZ; k++ {
-		for j := 0; j < s.tmp.NY; j++ {
-			for i := 0; i < s.tmp.NX; i++ {
-				dst[n] = -s.laplace(s.tmp, i, j, k)
-				n++
+	sy, sz := t.Strides()
+	for k := 0; k < t.NZ; k++ {
+		for j := 0; j < t.NY; j++ {
+			for m, end := t.Idx(0, j, k), t.Idx(t.NX, j, k); m < end; m, n = m+1, n+1 {
+				dst[n] = -field.Laplace(t.Data, m, sy, sz, s.hx, s.hy, s.hz)
 			}
 		}
 	}
 }
 
-// laplace is the 7-point Laplacian at (i, j, k), ghosts filled.
-func (s *Solver) laplace(f *field.Field, i, j, k int) float64 {
-	c := f.At(i, j, k)
-	return (f.At(i-1, j, k)-2*c+f.At(i+1, j, k))/(s.hx*s.hx) +
-		(f.At(i, j-1, k)-2*c+f.At(i, j+1, k))/(s.hy*s.hy) +
-		(f.At(i, j, k-1)-2*c+f.At(i, j, k+1))/(s.hz*s.hz)
-}
-
-// grad is the central-difference gradient at (i, j, k).
-func (s *Solver) grad(f *field.Field, i, j, k int) (gx, gy, gz float64) {
-	gx = (f.At(i+1, j, k) - f.At(i-1, j, k)) / (2 * s.hx)
-	gy = (f.At(i, j+1, k) - f.At(i, j-1, k)) / (2 * s.hy)
-	gz = (f.At(i, j, k+1) - f.At(i, j, k-1)) / (2 * s.hz)
+// grad is the central-difference gradient at flat index m.
+func (s *Solver) grad(f *field.Field, m int) (gx, gy, gz float64) {
+	d := f.Data
+	sy, sz := f.Strides()
+	gx = (d[m+1] - d[m-1]) / (2 * s.hx)
+	gy = (d[m+sy] - d[m-sy]) / (2 * s.hy)
+	gz = (d[m+sz] - d[m-sz]) / (2 * s.hz)
 	return
 }
 
-// div is the central-difference divergence of (u, v, w) at (i, j, k).
-func (s *Solver) div(u, v, w *field.Field, i, j, k int) float64 {
-	return (u.At(i+1, j, k)-u.At(i-1, j, k))/(2*s.hx) +
-		(v.At(i, j+1, k)-v.At(i, j-1, k))/(2*s.hy) +
-		(w.At(i, j, k+1)-w.At(i, j, k-1))/(2*s.hz)
+// div is the central-difference divergence of (u, v, w) at flat index m.
+func (s *Solver) div(u, v, w *field.Field, m int) float64 {
+	sy, sz := u.Strides()
+	return (u.Data[m+1]-u.Data[m-1])/(2*s.hx) +
+		(v.Data[m+sy]-v.Data[m-sy])/(2*s.hy) +
+		(w.Data[m+sz]-w.Data[m-sz])/(2*s.hz)
 }
 
-// advect is the first-order upwind convective term (u·∇)f at (i, j, k).
-func (s *Solver) advect(f *field.Field, i, j, k int) float64 {
-	u, v, w := s.U.At(i, j, k), s.V.At(i, j, k), s.W.At(i, j, k)
+// advect is the first-order upwind convective term (u·∇)f at flat
+// index m.
+func (s *Solver) advect(f *field.Field, m int) float64 {
+	u, v, w := s.U.Data[m], s.V.Data[m], s.W.Data[m]
+	d := f.Data
+	sy, sz := f.Strides()
 	var dfx, dfy, dfz float64
 	if u >= 0 {
-		dfx = (f.At(i, j, k) - f.At(i-1, j, k)) / s.hx
+		dfx = (d[m] - d[m-1]) / s.hx
 	} else {
-		dfx = (f.At(i+1, j, k) - f.At(i, j, k)) / s.hx
+		dfx = (d[m+1] - d[m]) / s.hx
 	}
 	if v >= 0 {
-		dfy = (f.At(i, j, k) - f.At(i, j-1, k)) / s.hy
+		dfy = (d[m] - d[m-sy]) / s.hy
 	} else {
-		dfy = (f.At(i, j+1, k) - f.At(i, j, k)) / s.hy
+		dfy = (d[m+sy] - d[m]) / s.hy
 	}
 	if w >= 0 {
-		dfz = (f.At(i, j, k) - f.At(i, j, k-1)) / s.hz
+		dfz = (d[m] - d[m-sz]) / s.hz
 	} else {
-		dfz = (f.At(i, j, k+1) - f.At(i, j, k)) / s.hz
+		dfz = (d[m+sz] - d[m]) / s.hz
 	}
 	return u*dfx + v*dfy + w*dfz
 }
@@ -400,39 +359,15 @@ func (s *Solver) advect(f *field.Field, i, j, k int) float64 {
 // cells — the traction datum the FSI coupler ships to the solid code.
 // Returns 0 for interior partitions.
 func (s *Solver) WallPressure() float64 {
-	if !s.Part.OnWall() {
-		return 0
-	}
-	nx, ny, nz := s.Pr.NX, s.Pr.NY, s.Pr.NZ
 	sum, count := 0.0, 0
-	if s.Part.I0 == 0 {
-		for k := 0; k < nz; k++ {
-			for j := 0; j < ny; j++ {
-				sum += s.Pr.At(0, j, k)
-				count++
-			}
+	for face := mesh.XMinus; face <= mesh.YPlus; face++ {
+		if !s.Part.OnBoundary(face) {
+			continue
 		}
-	}
-	if s.Part.I1 == s.Part.Grid.Mesh.NX {
-		for k := 0; k < nz; k++ {
-			for j := 0; j < ny; j++ {
-				sum += s.Pr.At(nx-1, j, k)
-				count++
-			}
-		}
-	}
-	if s.Part.J0 == 0 {
-		for k := 0; k < nz; k++ {
-			for i := 0; i < nx; i++ {
-				sum += s.Pr.At(i, 0, k)
-				count++
-			}
-		}
-	}
-	if s.Part.J1 == s.Part.Grid.Mesh.NY {
-		for k := 0; k < nz; k++ {
-			for i := 0; i < nx; i++ {
-				sum += s.Pr.At(i, ny-1, k)
+		l := s.Pr.Layer(face)
+		for b := 0; b < l.NB; b++ {
+			for a, m := 0, l.G+b*l.DB+l.In; a < l.NA; a, m = a+1, m+l.DA {
+				sum += s.Pr.Data[m]
 				count++
 			}
 		}

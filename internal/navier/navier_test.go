@@ -115,8 +115,8 @@ func TestFlowDevelopsDownstream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	axis := s.W.At(6, 6, 8)
-	wall := s.W.At(0, 6, 8)
+	axis := at(s.W, 6, 6, 8)
+	wall := at(s.W, 0, 6, 8)
 	if axis <= 0 {
 		t.Fatalf("axial velocity at the axis is %v, want > 0", axis)
 	}

@@ -108,51 +108,26 @@ func (s *Solver) SetTraction(p float64) { s.traction = p }
 
 // fillGhosts applies the structural BCs: clamped at both tube ends
 // (Dirichlet 0 at global z extremes), traction-free laterally (mirror).
+// It also zeroes the edge and corner ghosts, which the mixed
+// derivative's clamped divergence reads and nothing else writes.
 func (s *Solver) fillGhosts(f *field.Field) {
-	p := s.Part
-	nx, ny, nz := f.NX, f.NY, f.NZ
-	if p.I0 == 0 {
-		for k := 0; k < nz; k++ {
-			for j := 0; j < ny; j++ {
-				f.Set(-1, j, k, f.At(0, j, k))
+	d := f.Data
+	for face := mesh.XMinus; face <= mesh.ZPlus; face++ {
+		if !s.Part.OnBoundary(face) {
+			continue
+		}
+		l := f.Layer(face)
+		for b := 0; b < l.NB; b++ {
+			for a, m := 0, l.G+b*l.DB; a < l.NA; a, m = a+1, m+l.DA {
+				if face == mesh.ZMinus || face == mesh.ZPlus {
+					d[m] = -d[m+l.In] // clamped end
+				} else {
+					d[m] = d[m+l.In]
+				}
 			}
 		}
 	}
-	if p.I1 == p.Grid.Mesh.NX {
-		for k := 0; k < nz; k++ {
-			for j := 0; j < ny; j++ {
-				f.Set(nx, j, k, f.At(nx-1, j, k))
-			}
-		}
-	}
-	if p.J0 == 0 {
-		for k := 0; k < nz; k++ {
-			for i := 0; i < nx; i++ {
-				f.Set(i, -1, k, f.At(i, 0, k))
-			}
-		}
-	}
-	if p.J1 == p.Grid.Mesh.NY {
-		for k := 0; k < nz; k++ {
-			for i := 0; i < nx; i++ {
-				f.Set(i, ny, k, f.At(i, ny-1, k))
-			}
-		}
-	}
-	if p.OnInlet() {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				f.Set(i, j, -1, -f.At(i, j, 0)) // clamped end
-			}
-		}
-	}
-	if p.OnOutlet() {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				f.Set(i, j, nz, -f.At(i, j, nz-1)) // clamped end
-			}
-		}
-	}
+	f.ClearEdges()
 }
 
 // Step advances the displacement field by one explicit step:
@@ -170,6 +145,11 @@ func (s *Solver) Step() (StepStats, error) {
 	nextX := field.New(s.Part)
 	nextY := field.New(s.Part)
 	nextZ := field.New(s.Part)
+	// Components by axis at this step (uc), the previous (up) and the
+	// next (un).
+	uc := [3][]float64{s.UX.Data, s.UY.Data, s.UZ.Data}
+	up := [3][]float64{s.prevX.Data, s.prevY.Data, s.prevZ.Data}
+	un := [3][]float64{nextX.Data, nextY.Data, nextZ.Data}
 
 	// The fluid pressure pushes the wall outward: a radial body force
 	// on the wall cells adjacent to the lumen (here: the lateral
@@ -179,10 +159,10 @@ func (s *Solver) Step() (StepStats, error) {
 	maxDisp, sumRadVel, radCount := 0.0, 0.0, 0
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				ax := s.navierCauchyX(i, j, k, lambda, mu) / rho
-				ay := s.navierCauchyY(i, j, k, lambda, mu) / rho
-				az := s.navierCauchyZ(i, j, k, lambda, mu) / rho
+			for i, m := 0, s.UX.Idx(0, j, k); i < nx; i, m = i+1, m+1 {
+				ax := s.navierCauchyX(m, i, j, k, lambda, mu) / rho
+				ay := s.navierCauchyY(m, i, j, k, lambda, mu) / rho
+				az := s.navierCauchyZ(m, i, j, k, lambda, mu) / rho
 
 				// FSI load on the inner-wall cells.
 				if s.Part.I0+i == 0 {
@@ -198,32 +178,13 @@ func (s *Solver) Step() (StepStats, error) {
 					ay += loadScale
 				}
 
-				for c, f := range [3]*field.Field{s.UX, s.UY, s.UZ} {
-					var acc float64
-					var prev *field.Field
-					switch c {
-					case 0:
-						acc, prev = ax, s.prevX
-					case 1:
-						acc, prev = ay, s.prevY
-					default:
-						acc, prev = az, s.prevZ
-					}
-					cur := f.At(i, j, k)
-					old := prev.At(i, j, k)
+				for c, acc := range [3]float64{ax, ay, az} {
+					cur, old := uc[c][m], up[c][m]
 					vel := (cur - old) / dt
-					next := 2*cur - old + dt*dt*(acc-s.P.Damping*vel)
-					switch c {
-					case 0:
-						nextX.Set(i, j, k, next)
-					case 1:
-						nextY.Set(i, j, k, next)
-					default:
-						nextZ.Set(i, j, k, next)
-					}
+					un[c][m] = 2*cur - old + dt*dt*(acc-s.P.Damping*vel)
 				}
 
-				dx, dy, dz := s.UX.At(i, j, k), s.UY.At(i, j, k), s.UZ.At(i, j, k)
+				dx, dy, dz := uc[0][m], uc[1][m], uc[2][m]
 				if d := math.Sqrt(dx*dx + dy*dy + dz*dz); d > maxDisp {
 					maxDisp = d
 				}
@@ -232,11 +193,11 @@ func (s *Solver) Step() (StepStats, error) {
 				// and +x on the high wall, so the signs align and a
 				// uniform inflation reads as a positive mean.
 				if s.Part.I0+i == 0 {
-					sumRadVel -= (nextX.At(i, j, k) - s.prevX.At(i, j, k)) / (2 * dt)
+					sumRadVel -= (un[0][m] - up[0][m]) / (2 * dt)
 					radCount++
 				}
 				if s.Part.I0+i == s.Part.Grid.Mesh.NX-1 {
-					sumRadVel += (nextX.At(i, j, k) - s.prevX.At(i, j, k)) / (2 * dt)
+					sumRadVel += (un[0][m] - up[0][m]) / (2 * dt)
 					radCount++
 				}
 			}
@@ -261,55 +222,52 @@ func (s *Solver) Step() (StepStats, error) {
 	}, nil
 }
 
-// navierCauchy[XYZ] evaluate μ∇²u_c + (λ+μ)·∂(∇·u)/∂c at (i, j, k).
-func (s *Solver) navierCauchyX(i, j, k int, lambda, mu float64) float64 {
-	lap := s.laplace(s.UX, i, j, k)
+// navierCauchy[XYZ] evaluate μ∇²u_c + (λ+μ)·∂(∇·u)/∂c at flat index m,
+// the owned cell (i, j, k).
+func (s *Solver) navierCauchyX(m, i, j, k int, lambda, mu float64) float64 {
+	sy, sz := s.UX.Strides()
+	lap := field.Laplace(s.UX.Data, m, sy, sz, s.hx, s.hy, s.hz)
 	// ∂/∂x (∇·u) via mixed central differences.
-	ddiv := (s.div(i+1, j, k) - s.div(i-1, j, k)) / (2 * s.hx)
+	ddiv := (s.div(m+1, i+1, j, k) - s.div(m-1, i-1, j, k)) / (2 * s.hx)
 	return mu*lap + (lambda+mu)*ddiv
 }
 
-func (s *Solver) navierCauchyY(i, j, k int, lambda, mu float64) float64 {
-	lap := s.laplace(s.UY, i, j, k)
-	ddiv := (s.div(i, j+1, k) - s.div(i, j-1, k)) / (2 * s.hy)
+func (s *Solver) navierCauchyY(m, i, j, k int, lambda, mu float64) float64 {
+	sy, sz := s.UY.Strides()
+	lap := field.Laplace(s.UY.Data, m, sy, sz, s.hx, s.hy, s.hz)
+	ddiv := (s.div(m+sy, i, j+1, k) - s.div(m-sy, i, j-1, k)) / (2 * s.hy)
 	return mu*lap + (lambda+mu)*ddiv
 }
 
-func (s *Solver) navierCauchyZ(i, j, k int, lambda, mu float64) float64 {
-	lap := s.laplace(s.UZ, i, j, k)
-	ddiv := (s.div(i, j, k+1) - s.div(i, j, k-1)) / (2 * s.hz)
+func (s *Solver) navierCauchyZ(m, i, j, k int, lambda, mu float64) float64 {
+	sy, sz := s.UZ.Strides()
+	lap := field.Laplace(s.UZ.Data, m, sy, sz, s.hx, s.hy, s.hz)
+	ddiv := (s.div(m+sz, i, j, k+1) - s.div(m-sz, i, j, k-1)) / (2 * s.hz)
 	return mu*lap + (lambda+mu)*ddiv
 }
 
-// div computes ∇·u at (i, j, k) with one-sided fallbacks at ghost
-// distance (the divergence stencil may be asked one cell into the
-// ghost layer by the mixed derivative).
-func (s *Solver) div(i, j, k int) float64 {
-	at := func(f *field.Field, i, j, k int) float64 {
-		i = clamp(i, -1, f.NX)
-		j = clamp(j, -1, f.NY)
-		k = clamp(k, -1, f.NZ)
-		return f.At(i, j, k)
-	}
-	return (at(s.UX, i+1, j, k)-at(s.UX, i-1, j, k))/(2*s.hx) +
-		(at(s.UY, i, j+1, k)-at(s.UY, i, j-1, k))/(2*s.hy) +
-		(at(s.UZ, i, j, k+1)-at(s.UZ, i, j, k-1))/(2*s.hz)
+// div computes ∇·u at flat index m, the cell (i, j, k), with one-sided
+// fallbacks at ghost distance (the divergence stencil may be asked one
+// cell into the ghost layer by the mixed derivative).
+func (s *Solver) div(m, i, j, k int) float64 {
+	sy, sz := s.UX.Strides()
+	xl, xh := reach(i, s.UX.NX, 1)
+	yl, yh := reach(j, s.UX.NY, sy)
+	zl, zh := reach(k, s.UX.NZ, sz)
+	return (s.UX.Data[m+xh]-s.UX.Data[m+xl])/(2*s.hx) +
+		(s.UY.Data[m+yh]-s.UY.Data[m+yl])/(2*s.hy) +
+		(s.UZ.Data[m+zh]-s.UZ.Data[m+zl])/(2*s.hz)
 }
 
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
+// reach returns the flat offsets of the neighbours v−1 and v+1 of a
+// coordinate v∈[-1,n] on an axis of n owned cells and stride st, each
+// clamped to the ghost layer: past it, the neighbour is v itself.
+func reach(v, n, st int) (lo, hi int) {
+	if v >= 0 {
+		lo = -st
 	}
-	if v > hi {
-		return hi
+	if v < n {
+		hi = st
 	}
-	return v
-}
-
-// laplace is the 7-point Laplacian at (i, j, k).
-func (s *Solver) laplace(f *field.Field, i, j, k int) float64 {
-	c := f.At(i, j, k)
-	return (f.At(i-1, j, k)-2*c+f.At(i+1, j, k))/(s.hx*s.hx) +
-		(f.At(i, j-1, k)-2*c+f.At(i, j+1, k))/(s.hy*s.hy) +
-		(f.At(i, j, k-1)-2*c+f.At(i, j, k+1))/(s.hz*s.hz)
+	return
 }
