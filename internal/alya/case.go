@@ -20,7 +20,10 @@
 // copy of it:
 //
 //   - per CG iteration it performs two reductions, where krylov.CG
-//     performs three (pᵀAp, ‖r‖, rᵀz);
+//     performs three (pᵀAp, ‖r‖², rᵀz); without a preconditioner rᵀz
+//     equals ‖r‖², but dropping CG's repeated reduction removes an
+//     allreduce per iteration and so moves ModeReal output (ROADMAP
+//     7(a));
 //   - it skips CG's setup operator apply and its three setup reductions;
 //   - it exchanges one three-field velocity halo before CG, where
 //     navier's step exchanges two;

@@ -1,69 +1,34 @@
 // Package krylov implements the iterative solver of the Alya-like
-// code: preconditioned conjugate gradients, the pressure Poisson
-// workhorse.
+// code: conjugate gradients, the pressure Poisson workhorse.
 //
-// The solver is written against two small interfaces so the same code
-// runs sequentially (tests, reference solutions) and distributed (dot
-// products become MPI allreduces, operator application includes a halo
-// exchange).
+// The operator is a plain function and every inner product passes
+// through one scalar reduction hook, so the same code runs sequentially
+// (tests, reference solutions) and distributed (the hook is an MPI
+// allreduce, the operator application includes a halo exchange).
 package krylov
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/linalg"
 )
 
-// Operator applies a linear operator: dst = A·src. Distributed
-// implementations exchange halos before applying the local stencil.
-type Operator interface {
-	Apply(dst, src []float64)
-}
-
-// OperatorFunc adapts a function to the Operator interface.
-type OperatorFunc func(dst, src []float64)
-
-// Apply implements Operator.
-func (f OperatorFunc) Apply(dst, src []float64) { f(dst, src) }
-
-// CSROperator adapts a linalg.CSR matrix to the Operator interface.
-type CSROperator struct{ M *linalg.CSR }
-
-// Apply implements Operator.
-func (o CSROperator) Apply(dst, src []float64) { o.M.MulVec(dst, src) }
-
-// Options configures a solve.
-type Options struct {
-	// MaxIter caps iterations; 0 means 10·n.
+// CG solves A·x = b for symmetric positive (semi-)definite A with
+// unpreconditioned conjugate gradients. It keeps its work vectors
+// between solves, so repeated solves of one size allocate nothing.
+type CG struct {
+	// A applies the operator: dst = A·src. Distributed operators
+	// exchange halos before applying the local stencil.
+	A func(dst, src []float64)
+	// Sum turns a local inner product into the global one; nil means
+	// the local value is global. Distributed callers install an
+	// allreduce.
+	Sum func(float64) float64
+	// MaxIter caps iterations; 0 means 10·n, at least 100.
 	MaxIter int
 	// Tol is the relative residual tolerance ‖r‖/‖b‖; 0 means 1e-8.
 	Tol float64
-	// Dot computes global inner products. Nil means the sequential
-	// linalg.Dot; distributed callers install the allreduce version.
-	Dot func(a, b []float64) float64
-	// Precond applies the preconditioner: dst = M⁻¹·src. Nil means
-	// identity.
-	Precond func(dst, src []float64)
-}
 
-func (o Options) withDefaults(n int) Options {
-	if o.MaxIter == 0 {
-		o.MaxIter = 10 * n
-		if o.MaxIter < 100 {
-			o.MaxIter = 100
-		}
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-8
-	}
-	if o.Dot == nil {
-		o.Dot = linalg.Dot
-	}
-	if o.Precond == nil {
-		o.Precond = linalg.Copy
-	}
-	return o
+	r, p, ap []float64
 }
 
 // Result reports a solve's outcome.
@@ -76,75 +41,103 @@ type Result struct {
 	Converged bool
 }
 
-// JacobiPrecond builds a diagonal (Jacobi) preconditioner from the
-// operator diagonal. Zero diagonal entries pass through unscaled.
-func JacobiPrecond(diag []float64) func(dst, src []float64) {
-	inv := make([]float64, len(diag))
-	for i, d := range diag {
-		if d != 0 {
-			inv[i] = 1 / d
-		} else {
-			inv[i] = 1
-		}
+// inner is the global inner product of a and b.
+func (c *CG) inner(a, b []float64) float64 {
+	if c.Sum == nil {
+		return dot(a, b)
 	}
-	return func(dst, src []float64) {
-		for i := range dst {
-			dst[i] = inv[i] * src[i]
-		}
-	}
+	return c.Sum(dot(a, b))
 }
 
-// CG solves A·x = b for symmetric positive (semi-)definite A with
-// preconditioned conjugate gradients. x holds the initial guess on
-// entry and the solution on return.
-func CG(a Operator, b, x []float64, opts Options) (Result, error) {
+// Solve runs CG on b. x holds the initial guess on entry and the
+// solution on return.
+//
+// Without a preconditioner z = r, so rᵀz is ‖r‖²; both are still
+// reduced, each once per iteration, because every reduction is an
+// allreduce the simulated run pays for.
+func (c *CG) Solve(b, x []float64) (Result, error) {
 	n := len(b)
 	if len(x) != n {
 		return Result{}, fmt.Errorf("krylov: cg dims b=%d x=%d", n, len(x))
 	}
-	o := opts.withDefaults(n)
-
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
+	maxIter, tol := c.MaxIter, c.Tol
+	if maxIter == 0 {
+		maxIter = max(10*n, 100)
+	}
+	if tol == 0 {
+		tol = 1e-8
+	}
+	if len(c.r) != n {
+		c.r, c.p, c.ap = make([]float64, n), make([]float64, n), make([]float64, n)
+	}
+	r, p, ap := c.r, c.p, c.ap
 
 	// r = b - A·x
-	a.Apply(ap, x)
+	c.A(ap, x)
 	for i := range r {
 		r[i] = b[i] - ap[i]
 	}
-	bnorm := math.Sqrt(o.Dot(b, b))
+	bnorm := math.Sqrt(c.inner(b, b))
 	if bnorm == 0 {
 		bnorm = 1
 	}
-	o.Precond(z, r)
-	copy(p, z)
-	rz := o.Dot(r, z)
+	copy(p, r)
+	rz := c.inner(r, r)
 
-	res := math.Sqrt(o.Dot(r, r)) / bnorm
-	if res <= o.Tol {
+	res := math.Sqrt(c.inner(r, r)) / bnorm
+	if res <= tol {
 		return Result{Iterations: 0, Residual: res, Converged: true}, nil
 	}
-	for it := 1; it <= o.MaxIter; it++ {
-		a.Apply(ap, p)
-		pap := o.Dot(p, ap)
+	for it := 1; it <= maxIter; it++ {
+		c.A(ap, p)
+		pap := c.inner(p, ap)
 		if pap == 0 || math.IsNaN(pap) {
 			return Result{Iterations: it, Residual: res, Converged: false},
 				fmt.Errorf("krylov: cg breakdown, pᵀAp = %v at iteration %d", pap, it)
 		}
 		alpha := rz / pap
-		linalg.Axpy(alpha, p, x)
-		linalg.Axpy(-alpha, ap, r)
-		res = math.Sqrt(o.Dot(r, r)) / bnorm
-		if res <= o.Tol {
+		axpy(alpha, p, x)
+		axpy(-alpha, ap, r)
+		res = math.Sqrt(c.inner(r, r)) / bnorm
+		if res <= tol {
 			return Result{Iterations: it, Residual: res, Converged: true}, nil
 		}
-		o.Precond(z, r)
-		rzNew := o.Dot(r, z)
+		rzNew := c.inner(r, r)
 		beta := rzNew / rz
 		rz = rzNew
-		linalg.Aypx(beta, z, p)
+		aypx(beta, r, p)
 	}
-	return Result{Iterations: o.MaxIter, Residual: res, Converged: false}, nil
+	return Result{Iterations: maxIter, Residual: res, Converged: false}, nil
+}
+
+// dot returns the local inner product of a and b.
+func dot(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("krylov: dot lengths %d != %d", len(a), len(b)))
+	}
+	s := 0.0
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+// axpy computes y += alpha*x.
+func axpy(alpha float64, x, y []float64) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("krylov: axpy lengths %d != %d", len(x), len(y)))
+	}
+	for i, v := range x {
+		y[i] += alpha * v
+	}
+}
+
+// aypx computes y = x + alpha*y (the CG direction update).
+func aypx(alpha float64, x, y []float64) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("krylov: aypx lengths %d != %d", len(x), len(y)))
+	}
+	for i := range y {
+		y[i] = x[i] + alpha*y[i]
+	}
 }

@@ -2,56 +2,50 @@ package krylov
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-
-	"repro/internal/linalg"
+	"testing/quick"
 )
 
-// lap1d builds the SPD 1D Laplacian with Dirichlet ends.
-func lap1d(n int) *linalg.CSR {
-	var tr []linalg.Triplet
-	for i := 0; i < n; i++ {
-		tr = append(tr, linalg.Triplet{Row: i, Col: i, Val: 2})
+// lap1d applies the SPD 1D Laplacian [-1 2 -1] with Dirichlet ends.
+func lap1d(dst, src []float64) {
+	n := len(src)
+	for i := range dst {
+		v := 2 * src[i]
 		if i > 0 {
-			tr = append(tr, linalg.Triplet{Row: i, Col: i - 1, Val: -1})
+			v -= src[i-1]
 		}
 		if i < n-1 {
-			tr = append(tr, linalg.Triplet{Row: i, Col: i + 1, Val: -1})
+			v -= src[i+1]
 		}
+		dst[i] = v
 	}
-	m, err := linalg.NewCSR(n, n, tr)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
-func residual(m *linalg.CSR, b, x []float64) float64 {
+func residual(b, x []float64) float64 {
 	r := make([]float64, len(b))
-	m.MulVec(r, x)
+	lap1d(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	return linalg.Norm2(r) / (linalg.Norm2(b) + 1e-300)
+	return math.Sqrt(dot(r, r)) / (math.Sqrt(dot(b, b)) + 1e-300)
 }
 
 func TestCGSolvesLaplacian(t *testing.T) {
 	for _, n := range []int{1, 2, 10, 100} {
-		m := lap1d(n)
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = math.Sin(float64(i))
 		}
 		x := make([]float64, n)
-		res, err := CG(CSROperator{M: m}, b, x, Options{Tol: 1e-10})
+		cg := CG{A: lap1d, Tol: 1e-10}
+		res, err := cg.Solve(b, x)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !res.Converged {
 			t.Fatalf("n=%d: not converged after %d iters (res %v)", n, res.Iterations, res.Residual)
 		}
-		if r := residual(m, b, x); r > 1e-8 {
+		if r := residual(b, x); r > 1e-8 {
 			t.Fatalf("n=%d: true residual %v", n, r)
 		}
 	}
@@ -61,13 +55,13 @@ func TestCGExactInNSteps(t *testing.T) {
 	// CG on an n×n SPD system converges in at most n iterations
 	// (exactly, in exact arithmetic; with a small tolerance here).
 	n := 25
-	m := lap1d(n)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
 	}
 	x := make([]float64, n)
-	res, err := CG(CSROperator{M: m}, b, x, Options{Tol: 1e-9})
+	cg := CG{A: lap1d, Tol: 1e-9}
+	res, err := cg.Solve(b, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,68 +70,21 @@ func TestCGExactInNSteps(t *testing.T) {
 	}
 }
 
-func TestJacobiPreconditionerHelps(t *testing.T) {
-	// A badly scaled diagonal (symmetric: D + L with unit couplings,
-	// diagonally dominant, hence SPD): Jacobi should cut iterations.
-	n := 200
-	var tr []linalg.Triplet
-	for i := 0; i < n; i++ {
-		scale := 1.0 + 99*float64(i)/float64(n-1)
-		tr = append(tr, linalg.Triplet{Row: i, Col: i, Val: 2 * scale})
-		if i > 0 {
-			tr = append(tr, linalg.Triplet{Row: i, Col: i - 1, Val: -1})
-		}
-		if i < n-1 {
-			tr = append(tr, linalg.Triplet{Row: i, Col: i + 1, Val: -1})
-		}
-	}
-	m, err := linalg.NewCSR(n, n, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.IsSymmetric(0) {
-		t.Fatal("test matrix must be symmetric for CG")
-	}
-	b := make([]float64, n)
-	rng := rand.New(rand.NewSource(7))
-	for i := range b {
-		b[i] = rng.Float64()
-	}
-	plain := make([]float64, n)
-	resPlain, err := CG(CSROperator{M: m}, b, plain, Options{Tol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := make([]float64, n)
-	resPre, err := CG(CSROperator{M: m}, b, pre, Options{
-		Tol:     1e-8,
-		Precond: JacobiPrecond(m.Diag()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resPlain.Converged || !resPre.Converged {
-		t.Fatalf("convergence: plain %v, precond %v", resPlain.Converged, resPre.Converged)
-	}
-	if resPre.Iterations > resPlain.Iterations {
-		t.Fatalf("Jacobi hurt: %d vs %d iterations", resPre.Iterations, resPlain.Iterations)
-	}
-}
-
 func TestCGWarmStart(t *testing.T) {
 	n := 50
-	m := lap1d(n)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = float64(i % 3)
 	}
 	cold := make([]float64, n)
-	resCold, err := CG(CSROperator{M: m}, b, cold, Options{Tol: 1e-10})
+	cg := CG{A: lap1d, Tol: 1e-10}
+	resCold, err := cg.Solve(b, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Restart from the solution: should converge immediately.
-	resWarm, err := CG(CSROperator{M: m}, b, cold, Options{Tol: 1e-10})
+	// Restart from the solution, reusing the work vectors: should
+	// converge immediately.
+	resWarm, err := cg.Solve(b, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,48 +94,53 @@ func TestCGWarmStart(t *testing.T) {
 }
 
 func TestCGCustomDot(t *testing.T) {
-	// A custom dot that mimics a distributed reduction (sums in two
-	// halves) must give the same answer.
+	// The Sum hook, which makes each inner product global, sees every
+	// one of them, and an identity hook gives the same bits as none.
 	n := 64
-	m := lap1d(n)
 	b := make([]float64, n)
 	for i := range b {
-		b[i] = 1
+		b[i] = 1 + math.Sin(float64(i))
 	}
-	calls := 0
-	x := make([]float64, n)
-	res, err := CG(CSROperator{M: m}, b, x, Options{
-		Tol: 1e-10,
-		Dot: func(a, c []float64) float64 {
-			calls++
-			return linalg.Dot(a[:n/2], c[:n/2]) + linalg.Dot(a[n/2:], c[n/2:])
-		},
-	})
+	plain := make([]float64, n)
+	resPlain, err := (&CG{A: lap1d, Tol: 1e-10}).Solve(b, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
-		t.Fatal("not converged with custom dot")
+	calls := 0
+	hooked := make([]float64, n)
+	resHooked, err := (&CG{A: lap1d, Tol: 1e-10, Sum: func(v float64) float64 {
+		calls++
+		return v
+	}}).Solve(b, hooked)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if calls == 0 {
-		t.Fatal("custom dot never called")
+	if !resHooked.Converged || resHooked != resPlain {
+		t.Fatalf("hooked %+v, plain %+v", resHooked, resPlain)
 	}
-	if r := residual(m, b, x); r > 1e-8 {
-		t.Fatalf("true residual %v", r)
+	// Three setup reductions (‖b‖², rᵀz, ‖r‖²), then pᵀAp and ‖r‖²
+	// every iteration and rᵀz on every iteration but the last.
+	if want := 3 + 3*resHooked.Iterations - 1; calls != want {
+		t.Fatalf("hook called %d times in %d iterations, want %d", calls, resHooked.Iterations, want)
+	}
+	for i := range plain {
+		if math.Float64bits(plain[i]) != math.Float64bits(hooked[i]) {
+			t.Fatalf("x[%d]: hooked %v, plain %v", i, hooked[i], plain[i])
+		}
 	}
 }
 
 func TestCGDimensionMismatch(t *testing.T) {
-	m := lap1d(4)
-	if _, err := CG(CSROperator{M: m}, make([]float64, 4), make([]float64, 3), Options{}); err == nil {
+	cg := CG{A: lap1d}
+	if _, err := cg.Solve(make([]float64, 4), make([]float64, 3)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
 
 func TestCGZeroRHS(t *testing.T) {
-	m := lap1d(10)
 	x := make([]float64, 10)
-	res, err := CG(CSROperator{M: m}, make([]float64, 10), x, Options{})
+	cg := CG{A: lap1d}
+	res, err := cg.Solve(make([]float64, 10), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +150,13 @@ func TestCGZeroRHS(t *testing.T) {
 }
 
 func TestCGMaxIter(t *testing.T) {
-	m := lap1d(400)
 	b := make([]float64, 400)
 	for i := range b {
 		b[i] = 1
 	}
 	x := make([]float64, 400)
-	res, err := CG(CSROperator{M: m}, b, x, Options{MaxIter: 3, Tol: 1e-14})
+	cg := CG{A: lap1d, MaxIter: 3, Tol: 1e-14}
+	res, err := cg.Solve(b, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +166,12 @@ func TestCGMaxIter(t *testing.T) {
 }
 
 func TestOperatorFunc(t *testing.T) {
-	// Identity via OperatorFunc: CG converges in one iteration.
+	// Identity as a func operator: CG converges in one iteration.
 	n := 8
 	b := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	x := make([]float64, n)
-	res, err := CG(OperatorFunc(func(dst, src []float64) { copy(dst, src) }), b, x, Options{})
+	cg := CG{A: func(dst, src []float64) { copy(dst, src) }}
+	res, err := cg.Solve(b, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +182,59 @@ func TestOperatorFunc(t *testing.T) {
 		if math.Abs(x[i]-b[i]) > 1e-10 {
 			t.Fatalf("x = %v", x)
 		}
+	}
+}
+
+func TestDot(t *testing.T) {
+	if got := dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
+		t.Fatalf("dot = %v", got)
+	}
+	if got := dot(nil, nil); got != 0 {
+		t.Fatalf("empty dot = %v", got)
+	}
+}
+
+func TestDotMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch should panic")
+		}
+	}()
+	dot([]float64{1}, []float64{1, 2})
+}
+
+func TestAxpyAypxScale(t *testing.T) {
+	y := []float64{1, 1}
+	axpy(2, []float64{3, 4}, y)
+	if y[0] != 7 || y[1] != 9 {
+		t.Fatalf("axpy: %v", y)
+	}
+	y = []float64{1, 2}
+	aypx(3, []float64{10, 20}, y) // y = x + 3y
+	if y[0] != 13 || y[1] != 26 {
+		t.Fatalf("aypx: %v", y)
+	}
+}
+
+func TestDotBilinearQuick(t *testing.T) {
+	f := func(a, b, c []float64) bool {
+		n := min(len(a), len(b), len(c))
+		a, b, c = a[:n], b[:n], c[:n]
+		for _, v := range append(append(append([]float64{}, a...), b...), c...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e8 {
+				return true
+			}
+		}
+		// dot(a, b+c) == dot(a,b) + dot(a,c)
+		bc := make([]float64, n)
+		for i := range bc {
+			bc[i] = b[i] + c[i]
+		}
+		lhs := dot(a, bc)
+		rhs := dot(a, b) + dot(a, c)
+		return math.Abs(lhs-rhs) <= 1e-6*(math.Abs(lhs)+math.Abs(rhs)+1)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -75,7 +75,6 @@ func DefaultConfig() *Config {
 		"repro/internal/solid",
 		"repro/internal/mesh",
 		"repro/internal/field",
-		"repro/internal/linalg",
 		"repro/internal/resultdb",
 		// telemetry folds the kernel's event log into traces that are
 		// part of the result; its host-side Progress reporter samples the

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/krylov"
-	"repro/internal/linalg"
 	"repro/internal/mesh"
 )
 
@@ -97,8 +96,15 @@ type Solver struct {
 
 	// work fields
 	us, vs, ws *field.Field
-	rhs        []float64
+	rhs, x     []float64
 	tmp        *field.Field
+
+	// cg is the pressure solver, bound to applyNegLaplacian and
+	// Comm.AllSum once.
+	cg krylov.CG
+	// xch backs the argument list of every Comm.Exchange, so a halo
+	// exchange builds no variadic slice on the heap.
+	xch [3]*field.Field
 
 	hx, hy, hz float64
 }
@@ -128,6 +134,8 @@ func NewSolver(part *mesh.Partition, p Params, comm field.Comm) (*Solver, error)
 		hx:  part.Grid.Mesh.HX, hy: part.Grid.Mesh.HY, hz: part.Grid.Mesh.HZ,
 	}
 	s.rhs = make([]float64, s.U.Interior())
+	s.x = make([]float64, len(s.rhs))
+	s.cg = krylov.CG{A: s.applyNegLaplacian, Sum: func(v float64) float64 { return s.Comm.AllSum(v) }}
 	return s, nil
 }
 
@@ -195,7 +203,14 @@ func (s *Solver) syncVelocity(u, v, w *field.Field) {
 	s.fillGhosts(u, bcVelU)
 	s.fillGhosts(v, bcVelV)
 	s.fillGhosts(w, bcVelW)
-	s.Comm.Exchange(u, v, w)
+	s.exchange(u, v, w)
+}
+
+// exchange swaps the halos of up to three fields through Comm, passing
+// them in xch.
+func (s *Solver) exchange(fs ...*field.Field) {
+	n := copy(s.xch[:], fs)
+	s.Comm.Exchange(s.xch[:n]...)
 }
 
 // Step advances the solution by one time step and returns its stats.
@@ -237,23 +252,17 @@ func (s *Solver) Step() (StepStats, error) {
 			}
 		}
 	}
-	x := make([]float64, len(s.rhs))
-	s.Pr.CopyInterior(x) // warm start from the previous pressure
-	res, err := krylov.CG(krylov.OperatorFunc(s.applyNegLaplacian), s.rhs, x, krylov.Options{
-		MaxIter: s.P.CGMaxIter,
-		Tol:     s.P.CGTol,
-		Dot: func(a, b []float64) float64 {
-			return s.Comm.AllSum(linalg.Dot(a, b))
-		},
-	})
+	s.Pr.CopyInterior(s.x) // warm start from the previous pressure
+	s.cg.MaxIter, s.cg.Tol = s.P.CGMaxIter, s.P.CGTol
+	res, err := s.cg.Solve(s.rhs, s.x)
 	if err != nil {
 		return StepStats{}, fmt.Errorf("navier: pressure solve: %w", err)
 	}
-	s.Pr.SetInterior(x)
+	s.Pr.SetInterior(s.x)
 
 	// 3. Projection: u = u* − (dt/ρ)∇p.
 	s.fillGhosts(s.Pr, bcPres)
-	s.Comm.Exchange(s.Pr)
+	s.exchange(s.Pr)
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
 			for m, end := s.U.Idx(0, j, k), s.U.Idx(nx, j, k); m < end; m++ {
@@ -300,7 +309,7 @@ func (s *Solver) applyNegLaplacian(dst, src []float64) {
 	t := s.tmp
 	t.SetInterior(src)
 	s.fillGhosts(t, bcPres)
-	s.Comm.Exchange(t)
+	s.exchange(t)
 	n := 0
 	sy, sz := t.Strides()
 	for k := 0; k < t.NZ; k++ {

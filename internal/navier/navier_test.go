@@ -251,3 +251,16 @@ func TestStepDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestStepAllocatesNothing(t *testing.T) {
+	s := solver(t, 8, 8, 12, DefaultParams())
+	step := func() {
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if a := testing.AllocsPerRun(3, step); a != 0 {
+		t.Fatalf("Step allocates %v heap objects", a)
+	}
+}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/krylov"
-	"repro/internal/linalg"
 	"repro/internal/mesh"
 )
 
@@ -128,13 +127,8 @@ func (s *Solver) refStep() (StepStats, error) {
 	}
 	x := make([]float64, len(s.rhs))
 	s.Pr.CopyInterior(x)
-	res, err := krylov.CG(krylov.OperatorFunc(s.refApplyNegLaplacian), s.rhs, x, krylov.Options{
-		MaxIter: s.P.CGMaxIter,
-		Tol:     s.P.CGTol,
-		Dot: func(a, b []float64) float64 {
-			return s.Comm.AllSum(linalg.Dot(a, b))
-		},
-	})
+	cg := krylov.CG{A: s.refApplyNegLaplacian, Sum: s.Comm.AllSum, MaxIter: s.P.CGMaxIter, Tol: s.P.CGTol}
+	res, err := cg.Solve(s.rhs, x)
 	if err != nil {
 		return StepStats{}, err
 	}

@@ -65,9 +65,15 @@ type Solver struct {
 	// Comm provides halos and reductions.
 	Comm field.Comm
 
-	// UX, UY, UZ are displacement components; prev* the previous step.
+	// UX, UY, UZ are displacement components; prev* the previous step
+	// and next* the buffers the step writes the next one into.
 	UX, UY, UZ          *field.Field
 	prevX, prevY, prevZ *field.Field
+	nextX, nextY, nextZ *field.Field
+
+	// xch backs the argument list of Comm.Exchange, so a halo exchange
+	// builds no variadic slice on the heap.
+	xch [3]*field.Field
 
 	// traction is the pressure load the fluid applies on the inner
 	// wall surface, per unit area (FSI coupling input).
@@ -99,6 +105,7 @@ func NewSolver(part *mesh.Partition, p Params, comm field.Comm) (*Solver, error)
 		Part: part, P: p, Comm: comm,
 		UX: field.New(part), UY: field.New(part), UZ: field.New(part),
 		prevX: field.New(part), prevY: field.New(part), prevZ: field.New(part),
+		nextX: field.New(part), nextY: field.New(part), nextZ: field.New(part),
 		hx: part.Grid.Mesh.HX, hy: part.Grid.Mesh.HY, hz: part.Grid.Mesh.HZ,
 	}, nil
 }
@@ -137,19 +144,21 @@ func (s *Solver) Step() (StepStats, error) {
 	dt, rho := s.P.Dt, s.P.Rho
 	nx, ny, nz := s.UX.NX, s.UX.NY, s.UX.NZ
 
-	for _, f := range []*field.Field{s.UX, s.UY, s.UZ} {
+	s.xch = [3]*field.Field{s.UX, s.UY, s.UZ}
+	for _, f := range s.xch {
 		s.fillGhosts(f)
 	}
-	s.Comm.Exchange(s.UX, s.UY, s.UZ)
+	s.Comm.Exchange(s.xch[:]...)
 
-	nextX := field.New(s.Part)
-	nextY := field.New(s.Part)
-	nextZ := field.New(s.Part)
 	// Components by axis at this step (uc), the previous (up) and the
-	// next (un).
+	// next (un). The next fields are recycled buffers: zero them, ghosts
+	// included, so a step leaves the same ghosts whatever they held.
 	uc := [3][]float64{s.UX.Data, s.UY.Data, s.UZ.Data}
 	up := [3][]float64{s.prevX.Data, s.prevY.Data, s.prevZ.Data}
-	un := [3][]float64{nextX.Data, nextY.Data, nextZ.Data}
+	un := [3][]float64{s.nextX.Data, s.nextY.Data, s.nextZ.Data}
+	for _, d := range un {
+		clear(d)
+	}
 
 	// The fluid pressure pushes the wall outward: a radial body force
 	// on the wall cells adjacent to the lumen (here: the lateral
@@ -204,9 +213,9 @@ func (s *Solver) Step() (StepStats, error) {
 		}
 	}
 
-	s.prevX, s.UX = s.UX, nextX
-	s.prevY, s.UY = s.UY, nextY
-	s.prevZ, s.UZ = s.UZ, nextZ
+	s.prevX, s.UX, s.nextX = s.UX, s.nextX, s.prevX
+	s.prevY, s.UY, s.nextY = s.UY, s.nextY, s.prevY
+	s.prevZ, s.UZ, s.nextZ = s.UZ, s.nextZ, s.prevZ
 
 	cells := float64(s.UX.Interior())
 	s.Comm.Charge(cells*StepFlopsPerCell, cells*StepBytesPerCell)

@@ -184,3 +184,17 @@ func TestStepDeterministic(t *testing.T) {
 		t.Fatal("solid solver nondeterministic")
 	}
 }
+
+func TestStepAllocatesNothing(t *testing.T) {
+	s := solver(t, 12, 3, 8, DefaultParams())
+	s.SetTraction(1000)
+	step := func() {
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if a := testing.AllocsPerRun(3, step); a != 0 {
+		t.Fatalf("Step allocates %v heap objects", a)
+	}
+}
