@@ -2,6 +2,7 @@ package alya
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/sched"
 	"repro/internal/units"
+	"repro/internal/vtime"
 )
 
 func bareProfile(t *testing.T, cl *cluster.Cluster) container.ExecProfile {
@@ -134,34 +136,45 @@ func TestRealMatchesSequentialSolution(t *testing.T) {
 	}
 }
 
-func TestExecModesAgree(t *testing.T) {
-	// Model and real modes must charge comparable virtual time for the
-	// same configuration (same compute constants, same message sizes);
-	// iteration counts differ (fixed vs converged), so compare
-	// per-CG-iteration step cost within a tolerance.
-	cl := cluster.Lenox()
-	cs := QuickCFD(3)
-	spec := Spec{
-		Job:     job(t, cl, 2, 8, 1),
-		Profile: bareProfile(t, cl),
-		Case:    cs,
-	}
-	spec.Mode = ModeModel
-	model, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Mode = ModeReal
-	real, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perIterModel := float64(model.TimePerStep) / float64(cs.ModelCGIters)
-	perIterReal := float64(real.TimePerStep) / real.AvgCGIters
-	ratio := perIterModel / perIterReal
-	if ratio < 0.6 || ratio > 1.6 {
-		t.Fatalf("modes disagree: model %.3g s/iter vs real %.3g s/iter (ratio %.2f)",
-			perIterModel, perIterReal, ratio)
+// TestExecModesEqual: ModeModel steps the solvers' own skeleton, so
+// replaying the per-step CG iteration counts a ModeReal run recorded
+// gives the same execution, event for event, on every quick cell: every
+// charge, halo, reduction and coupling message at the same virtual
+// times, with the same sizes.
+func TestExecModesEqual(t *testing.T) {
+	for _, cl := range []*cluster.Cluster{cluster.Lenox(), cluster.CTEPower(), cluster.MareNostrum4()} {
+		for _, cs := range []Case{QuickCFD(3), QuickFSI(2)} {
+			spec := Spec{Job: job(t, cl, 2, 8, 1), Profile: bareProfile(t, cl), Case: cs,
+				stepCGIters: make([]int, cs.SimSteps)}
+			var res [2]Result
+			var logs [2]*vtime.Log
+			for i, mode := range []Mode{ModeReal, ModeModel} {
+				spec.Mode, spec.Log = mode, &vtime.Log{}
+				r, err := Run(spec)
+				if err != nil {
+					t.Fatalf("%s %s %v: %v", cl.Name, cs.Name, mode, err)
+				}
+				res[i], logs[i] = r, spec.Log
+			}
+			name := cl.Name + " " + cs.Name
+			real, model := logs[0], logs[1]
+			if real.Len() == 0 || real.Len() != model.Len() {
+				t.Errorf("%s: real logged %d events, model %d", name, real.Len(), model.Len())
+			}
+			for i := range min(real.Len(), model.Len()) {
+				a, b := real.At(i), model.At(i)
+				an, bn := real.Name(a.Name), model.Name(b.Name)
+				a.Name, b.Name = 0, 0
+				if a != b || an != bn {
+					t.Errorf("%s: event %d: real %q %+v, model %q %+v", name, i, an, a, bn, b)
+					break
+				}
+			}
+			if res[0].TimePerStep != res[1].TimePerStep || !reflect.DeepEqual(res[0].MPI, res[1].MPI) {
+				t.Errorf("%s: real %v/step %+v, model %v/step %+v", name,
+					res[0].TimePerStep, res[0].MPI, res[1].TimePerStep, res[1].MPI)
+			}
+		}
 	}
 }
 

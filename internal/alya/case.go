@@ -12,25 +12,11 @@
 //     12,288 ranks).
 //
 // Both modes run one rank program; the mode only chooses the code value
-// a rank steps. Every charge, halo and reduction costs the same in both,
-// through the cost constants the navier and solid packages export, so a
-// step's cost per CG iteration tracks the solver's (TestExecModesAgree
-// bounds the ratio). The model's
-// sequence of calls is a simplified skeleton of the solvers', not a
-// copy of it:
-//
-//   - per CG iteration it performs two reductions, where krylov.CG
-//     performs three (pᵀAp, ‖r‖², rᵀz); without a preconditioner rᵀz
-//     equals ‖r‖², but dropping CG's repeated reduction removes an
-//     allreduce per iteration and so moves ModeReal output (ROADMAP
-//     7(a));
-//   - it skips CG's setup operator apply and its three setup reductions;
-//   - it exchanges one three-field velocity halo before CG, where
-//     navier's step exchanges two;
-//   - its solid substep charges before its halo, where solid's step
-//     charges after.
-//
-// Making the two one step program would move every ModeModel result.
+// a rank steps. The model performs the solvers' charges, halos and
+// reductions in their order, through the cost constants the navier and
+// solid packages export, so given the solver's per-step CG iteration
+// counts it produces the same execution event for event
+// (TestExecModesEqual).
 package alya
 
 import (

@@ -25,8 +25,10 @@ func eventDigest(log *vtime.Log) string {
 // TestRankProgramPinned pins what the rank program computes and how: the
 // sha256 of the Result JSON and of the execution's event stream, for the
 // quick CFD and FSI cases in both modes. The goldens cover ModeModel
-// only; this covers ModeReal too. The literals were printed at commit
-// c2fa5af; they change only if a cell's schedule or outcome does.
+// only; this covers ModeReal too. The literals were printed when CG
+// began reducing ‖r‖² once per iteration and ModeModel took the
+// solvers' step skeleton; they change only if a cell's schedule or
+// outcome does.
 func TestRankProgramPinned(t *testing.T) {
 	cl := cluster.CTEPower()
 	pins := []struct {
@@ -35,17 +37,17 @@ func TestRankProgramPinned(t *testing.T) {
 		result, events string
 	}{
 		{QuickCFD(2), ModeModel,
-			"f8429aa5c24e6baeafd73eb50de5ccc93dd7a31708f89b14400ac61c8e8f5b19",
-			"f75148f88b4a4e9c37057f84158a35d5c4a693fda697dff52754696bec14e025"},
+			"d5ccc9f49c0d725923bb0fccd08fbaf8d993ebc5e99c5ae9152ac56a1d80caac",
+			"2fd775192c6c390b3840f863e6da2089c46c2931f75ae6505c4b4eaa41d2b459"},
 		{QuickCFD(2), ModeReal,
-			"ce708bcb285b00bb5d4ada197f624e4ff11a5d96c9970aa2594714da1cc056af",
-			"97ed10057d4fc70a35515fea66fdaf73077c2c83d17aa4785dc8d62526ae3614"},
+			"28826baad362bdb1b30c8983243cb635194c3dacb942e732c58af16f220926ba",
+			"af69d903f46f3d5eb1e9f78e0cfffb3b29118f3ecfc331ca6027f6376710a4ee"},
 		{QuickFSI(2), ModeModel,
-			"989663562928de6a1f5d241e1209488ae6e5c52808f94fd3f7ba0ab8f4aa3060",
-			"99a5b0e3580fdbc52f4eeeff6a46dba4937982be0d66d6b1dd4cb1c1339056a6"},
+			"06c9878f285f723d04767d7b79d5e020a8f81038d012fc65ad4ab7736d6a6442",
+			"cce73b9c537ecf18baf9323d74377a3585c4c68bb7e5189afd8e35852f8e40d9"},
 		{QuickFSI(2), ModeReal,
-			"47c9d370da8858ec33410f21d1b7b3bf1fd5829fb9ff95ea791421d7198864a4",
-			"7bc9b10884eb05cc30e9ff9470bde50d62225046fa635e63d16b859244acf6b5"},
+			"47baddd0ceb001655fb4558d79365b6296b1cd1220e8cdda8ad5441cdfe5c30b",
+			"acefabed4a951b6e8fadfa2108c4360f743bfe809c2789bebf756765467ff47e"},
 	}
 	for _, pin := range pins {
 		log := &vtime.Log{}

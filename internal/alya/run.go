@@ -86,6 +86,9 @@ type Spec struct {
 	// Log, when non-nil, records the execution (see mpi.Config); it
 	// does not affect the execution's outcome.
 	Log *vtime.Log
+	// stepCGIters (tests only) has one CG iteration count per step:
+	// ModeReal records them, ModeModel replays them.
+	stepCGIters []int
 }
 
 // Result reports one execution cell.
@@ -327,7 +330,7 @@ func (rs *runState) fluidRank(r *mpi.Rank, rc *rankComm) {
 		peer = rs.fluidRanks + rs.pairOf(rc.comm.Rank()) // world rank of the solid partner
 		n = rs.iface[rc.comm.Rank()]
 	}
-	var code fluidCode = modelFluid{rc: rc, iters: rs.spec.Case.ModelCGIters, peer: peer, n: n}
+	var code fluidCode = &modelFluid{rc: rc, iters: rs.spec.Case.ModelCGIters, peer: peer, n: n}
 	if rs.spec.Mode == ModeReal {
 		solver, err := navier.NewSolver(rc.part, rs.spec.Case.FluidParams, rc)
 		if err != nil {
@@ -337,7 +340,11 @@ func (rs *runState) fluidRank(r *mpi.Rank, rc *rankComm) {
 		code = &realFluid{Solver: solver, peer: peer, traction: make([]float64, n), motion: make([]float64, n)}
 	}
 
+	replay := rs.spec.stepCGIters
 	for step := 0; step < rs.spec.Case.SimSteps; step++ {
+		if m, ok := code.(*modelFluid); ok && replay != nil {
+			m.iters = replay[step]
+		}
 		stats, err := code.Step()
 		if err != nil {
 			rs.fail(err)
@@ -346,6 +353,9 @@ func (rs *runState) fluidRank(r *mpi.Rank, rc *rankComm) {
 		if r.ID() == 0 {
 			rs.cgIters += float64(stats.CGIterations)
 			rs.maxDiv = stats.MaxDivergence
+			if replay != nil && rs.spec.Mode == ModeReal {
+				replay[step] = stats.CGIterations
+			}
 		}
 		for ci := 0; ci < couplings; ci++ {
 			code.Couple(r)
@@ -436,9 +446,8 @@ func (s *realSolid) Couple(r *mpi.Rank, v float64) {
 	}
 }
 
-// modelFluid is ModeModel's fluid code: navier.Solver.Step's compute
-// charges over a simplified skeleton of its communication (the package
-// doc lists the differences), with size-only halos and a fixed CG
+// modelFluid is ModeModel's fluid code: navier.Solver.Step's charges,
+// halos and reductions in Step's order, size-only, with a fixed CG
 // iteration count. It holds no fields, so its coupling with the solid
 // partner at world rank peer is size-only too: n float64s each way,
 // the traction and motion a real fluid would send and receive.
@@ -448,35 +457,36 @@ type modelFluid struct {
 	peer, n int
 }
 
-func (m modelFluid) Step() (navier.StepStats, error) {
+func (m *modelFluid) Step() (navier.StepStats, error) {
 	rc, cells := m.rc, m.rc.cells
-	// Tentative velocity: assemble, then exchange the three components.
+	// Tentative velocity: velocity halo, assembly, tentative halo.
+	rc.ExchangeModel(3)
 	rc.Charge(cells*navier.AssemblyFlopsPerCell, cells*navier.AssemblyBytesPerCell)
 	rc.ExchangeModel(3)
 	// Pressure CG: per iteration one stencil apply (with its pressure
-	// halo) and two global dot products.
-	for it := 0; it < m.iters; it++ {
+	// halo) and two global dot products; CG's setup has the same shape.
+	for it := 0; it <= m.iters; it++ {
 		rc.Charge(cells*navier.CGIterFlopsPerCell, cells*navier.CGIterBytesPerCell)
 		rc.ExchangeModel(1)
 		rc.AllSum(1)
 		rc.AllSum(1)
 	}
-	// Projection, pressure halo, final velocity sync and diagnostics.
-	rc.Charge(cells*navier.ProjectionFlopsPerCell, cells*navier.ProjectionBytesPerCell)
+	// Pressure halo, projection, final velocity sync and diagnostics.
 	rc.ExchangeModel(1)
 	rc.ExchangeModel(3)
+	rc.Charge(cells*navier.ProjectionFlopsPerCell, cells*navier.ProjectionBytesPerCell)
 	rc.AllMax(1)
 	rc.AllMax(1)
 	return navier.StepStats{CGIterations: m.iters}, nil
 }
 
-func (m modelFluid) Couple(r *mpi.Rank) {
+func (m *modelFluid) Couple(r *mpi.Rank) {
 	r.SendModel(m.peer, tagCoupleTraction, m.n)
 	r.RecvModel(m.peer, tagCoupleMotion, m.n)
 }
 
-// modelSolid is ModeModel's solid code: solid.Solver.Step's charge,
-// three-field halo and reductions, and the coupling with its fluid
+// modelSolid is ModeModel's solid code: solid.Solver.Step's three-field
+// halo, charge and reductions, and the coupling with its fluid
 // partners, all size-only. iface is indexed by fluid rank.
 type modelSolid struct {
 	rc              *rankComm
@@ -485,8 +495,8 @@ type modelSolid struct {
 
 func (m modelSolid) Step() (solid.StepStats, error) {
 	rc := m.rc
-	rc.Charge(rc.cells*solid.StepFlopsPerCell, rc.cells*solid.StepBytesPerCell)
 	rc.ExchangeModel(3)
+	rc.Charge(rc.cells*solid.StepFlopsPerCell, rc.cells*solid.StepBytesPerCell)
 	rc.AllSum(1)
 	rc.AllSum(1)
 	rc.AllMax(1)

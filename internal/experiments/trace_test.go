@@ -129,7 +129,8 @@ func TestTraceDirPerCellDeterministic(t *testing.T) {
 // profile a small fig2 cell writes. The trace literal was printed at
 // commit 6efdaf5, before the observer became an event log; the profile
 // literal was re-printed when the profile dropped its resource-wait
-// category, which no event produced. They change only if the cell's
+// category, which no event produced. Both were re-printed when the
+// model took the solvers' step skeleton. They change only if the cell's
 // schedule, the trace format or the attribution does.
 func TestTracedCellArtifactsPinned(t *testing.T) {
 	dir := t.TempDir()
@@ -144,8 +145,8 @@ func TestTracedCellArtifactsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for suffix, want := range map[string]string{ //lint:allow maporder -- independent per-file checks
-		".trace.json":   "6b9a8ec6bc506784eb561d6b52351f57d82dd4fd253b6b8c430da15c80bd356d",
-		".profile.json": "b34b56815ba3e45c6042ed8a3dbe9827defa7426167121fb1b28401f516db8fc",
+		".trace.json":   "8c25229a239888f0a48444f6e31087819a336526668014f8c157ede05c495b5d",
+		".profile.json": "a9a55dd5209a2b8f406131e7cacfaed5ec64f601f80550ad6c765ee229f65838",
 	} {
 		data, err := os.ReadFile(filepath.Join(dir, key+suffix))
 		if err != nil {

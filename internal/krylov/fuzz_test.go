@@ -1,0 +1,127 @@
+package krylov
+
+import (
+	"math"
+	"math/rand/v2"
+	"testing"
+)
+
+// stencil1D returns a random symmetric, strictly diagonally dominant
+// (so SPD) tridiagonal operator on n unknowns: coupling c[i] between
+// i and i+1, diagonal c[i-1] + c[i] + d[i].
+func stencil1D(rng *rand.Rand, n int) func(dst, src []float64) {
+	c, d := make([]float64, n), make([]float64, n)
+	for i := range c {
+		c[i], d[i] = rng.Float64(), 0.5+rng.Float64()
+	}
+	return func(dst, src []float64) {
+		for i := range dst {
+			v := d[i] * src[i]
+			if i > 0 {
+				v += c[i-1] * (src[i] - src[i-1])
+			}
+			if i < n-1 {
+				v += c[i] * (src[i] - src[i+1])
+			}
+			dst[i] = v
+		}
+	}
+}
+
+// stencil3D returns a random SPD 7-point operator on an nx×ny×nz box
+// with one coupling per axis and a random positive shift per cell.
+func stencil3D(rng *rand.Rand, nx, ny, nz int) func(dst, src []float64) {
+	cx, cy, cz := rng.Float64(), rng.Float64(), rng.Float64()
+	d := make([]float64, nx*ny*nz)
+	for i := range d {
+		d[i] = 0.5 + rng.Float64()
+	}
+	return func(dst, src []float64) {
+		for k := range nz {
+			for j := range ny {
+				for i := range nx {
+					m := i + nx*(j+ny*k)
+					v := d[m] * src[m]
+					for _, nb := range [6]struct {
+						ok   bool
+						at   int
+						coef float64
+					}{
+						{i > 0, m - 1, cx}, {i < nx-1, m + 1, cx},
+						{j > 0, m - nx, cy}, {j < ny-1, m + nx, cy},
+						{k > 0, m - nx*ny, cz}, {k < nz-1, m + nx*ny, cz},
+					} {
+						if nb.ok {
+							v += nb.coef * (src[m] - src[nb.at])
+						}
+					}
+					dst[m] = v
+				}
+			}
+		}
+	}
+}
+
+// FuzzCG solves up to four random SPD systems, one per shape byte,
+// through the same two CG values: one with an identity Sum hook that
+// counts its calls and one without. Sizes change from solve to solve,
+// so the work vectors are reused and regrown. Each solve starts warm
+// from a random guess and must converge to Tol with a true residual to
+// match; the hooked solve must give the unhooked one's bits and call
+// Sum exactly 2k+2 times in k iterations.
+func FuzzCG(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, shapes []byte) {
+		rng := rand.New(rand.NewPCG(seed, seed))
+		calls := 0
+		hooked := CG{Tol: 1e-9, Sum: func(v float64) float64 { calls++; return v }}
+		plain := CG{Tol: 1e-9}
+		for _, s := range shapes[:min(len(shapes), 4)] {
+			var n int
+			var op func(dst, src []float64)
+			if s&1 == 1 {
+				nx, ny, nz := 1+int(s>>1)%6, 1+int(s>>3)%6, 1+int(s>>5)%6
+				n, op = nx*ny*nz, stencil3D(rng, nx, ny, nz)
+			} else {
+				n = 1 + int(s>>1)
+				op = stencil1D(rng, n)
+			}
+			b, x0 := make([]float64, n), make([]float64, n)
+			for i := range b {
+				b[i], x0[i] = 2*rng.Float64()-1, 2*rng.Float64()-1
+			}
+			hooked.A, plain.A = op, op
+			xh, xp := append([]float64(nil), x0...), append([]float64(nil), x0...)
+			calls = 0
+			rh, err := hooked.Solve(b, xh)
+			if err != nil {
+				t.Fatalf("shape %#x n=%d: %v", s, n, err)
+			}
+			rp, err := plain.Solve(b, xp)
+			if err != nil {
+				t.Fatalf("shape %#x n=%d: %v", s, n, err)
+			}
+			if !rh.Converged || rh.Residual > hooked.Tol {
+				t.Fatalf("shape %#x n=%d: %+v", s, n, rh)
+			}
+			if rh != rp {
+				t.Fatalf("shape %#x n=%d: hooked %+v, plain %+v", s, n, rh, rp)
+			}
+			for i := range xh {
+				if math.Float64bits(xh[i]) != math.Float64bits(xp[i]) {
+					t.Fatalf("shape %#x n=%d: x[%d] hooked %v, plain %v", s, n, i, xh[i], xp[i])
+				}
+			}
+			if want := 2*rh.Iterations + 2; calls != want {
+				t.Fatalf("shape %#x n=%d: Sum called %d times in %d iterations, want %d", s, n, calls, rh.Iterations, want)
+			}
+			r := make([]float64, n)
+			op(r, xh)
+			for i := range r {
+				r[i] = b[i] - r[i]
+			}
+			if res := math.Sqrt(dot(r, r) / dot(b, b)); res > 100*hooked.Tol {
+				t.Fatalf("shape %#x n=%d: true residual %v, recurrence %v", s, n, res, rh.Residual)
+			}
+		}
+	})
+}

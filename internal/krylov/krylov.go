@@ -52,9 +52,9 @@ func (c *CG) inner(a, b []float64) float64 {
 // Solve runs CG on b. x holds the initial guess on entry and the
 // solution on return.
 //
-// Without a preconditioner z = r, so rᵀz is ‖r‖²; both are still
-// reduced, each once per iteration, because every reduction is an
-// allreduce the simulated run pays for.
+// Without a preconditioner z = r, so rᵀz is ‖r‖²: it is reduced once
+// per iteration (and once at setup) and serves both the residual and
+// β, so a solve of k iterations makes 2k+2 reductions.
 func (c *CG) Solve(b, x []float64) (Result, error) {
 	n := len(b)
 	if len(x) != n {
@@ -83,8 +83,7 @@ func (c *CG) Solve(b, x []float64) (Result, error) {
 	}
 	copy(p, r)
 	rz := c.inner(r, r)
-
-	res := math.Sqrt(c.inner(r, r)) / bnorm
+	res := math.Sqrt(rz) / bnorm
 	if res <= tol {
 		return Result{Iterations: 0, Residual: res, Converged: true}, nil
 	}
@@ -98,11 +97,11 @@ func (c *CG) Solve(b, x []float64) (Result, error) {
 		alpha := rz / pap
 		axpy(alpha, p, x)
 		axpy(-alpha, ap, r)
-		res = math.Sqrt(c.inner(r, r)) / bnorm
+		rzNew := c.inner(r, r)
+		res = math.Sqrt(rzNew) / bnorm
 		if res <= tol {
 			return Result{Iterations: it, Residual: res, Converged: true}, nil
 		}
-		rzNew := c.inner(r, r)
 		beta := rzNew / rz
 		rz = rzNew
 		aypx(beta, r, p)

@@ -118,9 +118,9 @@ func TestCGCustomDot(t *testing.T) {
 	if !resHooked.Converged || resHooked != resPlain {
 		t.Fatalf("hooked %+v, plain %+v", resHooked, resPlain)
 	}
-	// Three setup reductions (‖b‖², rᵀz, ‖r‖²), then pᵀAp and ‖r‖²
-	// every iteration and rᵀz on every iteration but the last.
-	if want := 3 + 3*resHooked.Iterations - 1; calls != want {
+	// Two setup reductions (‖b‖², ‖r‖²), then pᵀAp and ‖r‖² every
+	// iteration; ‖r‖² is rᵀz too, so it is reduced once.
+	if want := 2 + 2*resHooked.Iterations; calls != want {
 		t.Fatalf("hook called %d times in %d iterations, want %d", calls, resHooked.Iterations, want)
 	}
 	for i := range plain {

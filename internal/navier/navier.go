@@ -28,9 +28,8 @@ import (
 
 // Per-cell work of each solver phase: floating-point operations and
 // memory traffic. These feed Comm.Charge here and the alya package's
-// ModeModel fluid code, so a phase's charge costs the same in both
-// modes; the model's communication is a simplified skeleton of Step's
-// (the alya package doc lists the differences).
+// ModeModel fluid code, which performs Step's charges, halos and
+// reductions in Step's order.
 const (
 	// AssemblyFlopsPerCell covers the tentative-velocity update
 	// (upwind advection + diffusion, three components) plus the
