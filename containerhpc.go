@@ -87,10 +87,10 @@ type (
 	ScenarioFieldError = scenario.FieldError
 )
 
-// ModelChecksum fingerprints the simulator's model constants (cluster,
-// fabric, container, and workload tables). The result store folds it
-// into every record's schema stamp, so cached results self-invalidate
-// whenever a model number changes.
+// ModelChecksum fingerprints the simulator's model (cluster, fabric,
+// container and workload tables, and ModeModel's step programs). The
+// result store folds it into every record's schema stamp, so cached
+// results self-invalidate whenever any of these changes.
 func ModelChecksum() string { return core.ModelChecksum() }
 
 // OpenStore opens (creating if needed) a persistent directory result

@@ -136,16 +136,17 @@ func TestRealMatchesSequentialSolution(t *testing.T) {
 	}
 }
 
-// TestExecModesEqual: ModeModel steps the solvers' own skeleton, so
-// replaying the per-step CG iteration counts a ModeReal run recorded
-// gives the same execution, event for event, on every quick cell: every
-// charge, halo, reduction and coupling message at the same virtual
-// times, with the same sizes.
+// TestExecModesEqual: ModeModel runs the solvers' own step programs,
+// so when ModeReal's CG is held to exactly ModelCGIters iterations (a
+// tolerance no residual reaches, and ModelCGIters as the cap) the two
+// modes give the same execution, event for event, on every quick cell:
+// every charge, halo, reduction and coupling message at the same
+// virtual times, with the same sizes.
 func TestExecModesEqual(t *testing.T) {
 	for _, cl := range []*cluster.Cluster{cluster.Lenox(), cluster.CTEPower(), cluster.MareNostrum4()} {
 		for _, cs := range []Case{QuickCFD(3), QuickFSI(2)} {
-			spec := Spec{Job: job(t, cl, 2, 8, 1), Profile: bareProfile(t, cl), Case: cs,
-				stepCGIters: make([]int, cs.SimSteps)}
+			cs.FluidParams.CGMaxIter, cs.FluidParams.CGTol = cs.ModelCGIters, 1e-300
+			spec := Spec{Job: job(t, cl, 2, 8, 1), Profile: bareProfile(t, cl), Case: cs}
 			var res [2]Result
 			var logs [2]*vtime.Log
 			for i, mode := range []Mode{ModeReal, ModeModel} {
@@ -170,9 +171,10 @@ func TestExecModesEqual(t *testing.T) {
 					break
 				}
 			}
-			if res[0].TimePerStep != res[1].TimePerStep || !reflect.DeepEqual(res[0].MPI, res[1].MPI) {
-				t.Errorf("%s: real %v/step %+v, model %v/step %+v", name,
-					res[0].TimePerStep, res[0].MPI, res[1].TimePerStep, res[1].MPI)
+			if res[0].TimePerStep != res[1].TimePerStep || res[0].AvgCGIters != res[1].AvgCGIters ||
+				!reflect.DeepEqual(res[0].MPI, res[1].MPI) {
+				t.Errorf("%s: real %v/step %v CG iters %+v, model %v/step %v CG iters %+v", name,
+					res[0].TimePerStep, res[0].AvgCGIters, res[0].MPI, res[1].TimePerStep, res[1].AvgCGIters, res[1].MPI)
 			}
 		}
 	}
@@ -314,6 +316,18 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// raceBuild reports whether the test binary is race-instrumented.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestRankStackClass guards the per-rank goroutine stack of a ModeModel
 // cell. Go grows a stack by doubling, and the rank bodies sit just under
 // the 4 KB→8 KB step: one more by-value mesh.Partition or omp.Model in a
@@ -322,12 +336,8 @@ func TestSpecValidation(t *testing.T) {
 // +15–20 % rss_peak_mb on the sim_cold and fleet_cold benchmark
 // workloads (ISSUE 18). The cell is fig2-quick's largest: 640 ranks.
 func TestRankStackClass(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("race instrumentation enlarges every frame; the guard is for production builds")
-			}
-		}
+	if raceBuild() {
+		t.Skip("race instrumentation enlarges every frame; the guard is for production builds")
 	}
 	cl := cluster.CTEPower()
 	cs := ArteryCFDCTEPower()
@@ -420,5 +430,46 @@ func TestFSICellBytesPerRank(t *testing.T) {
 	if perRank >= 8<<10 {
 		t.Errorf("%.0f B allocated per rank, want < 8 KiB: a ModeModel rank allocates no halo or coupling payload",
 			perRank)
+	}
+}
+
+// TestSteadyStateAllocs pins a warm cell's heap: on CTE-POWER with
+// 2 × 8 ranks, a 22-step quick cell allocates no more heap objects than
+// a 12-step one, give or take a few, in either mode and either case.
+// One object per step on a single rank adds ten and fails it, and so
+// does a step-program interpreter that allocates per op. Each count is
+// the least of three runs from a collected heap: a collection during a
+// run refills the runtime's pools and adds a handful of objects.
+func TestSteadyStateAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("its 24 cells take 25× longer race-instrumented; the pin is for production builds")
+	}
+	const slack = 4
+	cl := cluster.CTEPower()
+	mallocs := func(cs Case, mode Mode) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, err := Run(Spec{Job: job(t, cl, 2, 8, 1), Profile: bareProfile(t, cl), Case: cs, Mode: mode})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	for _, mode := range []Mode{ModeModel, ModeReal} {
+		for _, quick := range []func(int) Case{QuickCFD, QuickFSI} {
+			short, long := mallocs(quick(12), mode), mallocs(quick(22), mode)
+			t.Logf("%v %s: %d heap objects in 12 steps, %d in 22", mode, quick(1).Name, short, long)
+			if long > short+slack {
+				t.Errorf("%v %s: %d heap objects in 22 steps against %d in 12, want at most %d more",
+					mode, quick(1).Name, long, short, slack)
+			}
+		}
 	}
 }

@@ -12,11 +12,10 @@
 //     12,288 ranks).
 //
 // Both modes run one rank program; the mode only chooses the code value
-// a rank steps. The model performs the solvers' charges, halos and
-// reductions in their order, through the cost constants the navier and
-// solid packages export, so given the solver's per-step CG iteration
-// counts it produces the same execution event for event
-// (TestExecModesEqual).
+// a rank steps. ModeModel runs each solver's Step as data, a program of
+// its halos, charges and reductions in order; with ModeReal's CG held
+// to ModelCGIters iterations the two modes produce the same execution
+// event for event (TestExecModesEqual).
 package alya
 
 import (

@@ -90,9 +90,6 @@ func (rc *rankComm) Exchange(fields ...*field.Field) {
 // of the correctly sized payloads while moving no bytes in host
 // memory. ModeModel's replacement for Exchange.
 func (rc *rankComm) ExchangeModel(nFields int) {
-	if len(rc.nbrs) == 0 {
-		return
-	}
 	reqs := rc.reqs[:0]
 	for _, nb := range rc.nbrs {
 		reqs = append(reqs, rc.comm.IrecvModel(nb.Rank, tagHaloBase+int(nb.Face.Opposite()), nb.Count*nFields))

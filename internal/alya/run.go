@@ -86,9 +86,6 @@ type Spec struct {
 	// Log, when non-nil, records the execution (see mpi.Config); it
 	// does not affect the execution's outcome.
 	Log *vtime.Log
-	// stepCGIters (tests only) has one CG iteration count per step:
-	// ModeReal records them, ModeModel replays them.
-	stepCGIters []int
 }
 
 // Result reports one execution cell.
@@ -330,7 +327,7 @@ func (rs *runState) fluidRank(r *mpi.Rank, rc *rankComm) {
 		peer = rs.fluidRanks + rs.pairOf(rc.comm.Rank()) // world rank of the solid partner
 		n = rs.iface[rc.comm.Rank()]
 	}
-	var code fluidCode = &modelFluid{rc: rc, iters: rs.spec.Case.ModelCGIters, peer: peer, n: n}
+	var code fluidCode = modelFluid{rc: rc, iters: rs.spec.Case.ModelCGIters, peer: peer, n: n}
 	if rs.spec.Mode == ModeReal {
 		solver, err := navier.NewSolver(rc.part, rs.spec.Case.FluidParams, rc)
 		if err != nil {
@@ -340,11 +337,7 @@ func (rs *runState) fluidRank(r *mpi.Rank, rc *rankComm) {
 		code = &realFluid{Solver: solver, peer: peer, traction: make([]float64, n), motion: make([]float64, n)}
 	}
 
-	replay := rs.spec.stepCGIters
 	for step := 0; step < rs.spec.Case.SimSteps; step++ {
-		if m, ok := code.(*modelFluid); ok && replay != nil {
-			m.iters = replay[step]
-		}
 		stats, err := code.Step()
 		if err != nil {
 			rs.fail(err)
@@ -353,9 +346,6 @@ func (rs *runState) fluidRank(r *mpi.Rank, rc *rankComm) {
 		if r.ID() == 0 {
 			rs.cgIters += float64(stats.CGIterations)
 			rs.maxDiv = stats.MaxDivergence
-			if replay != nil && rs.spec.Mode == ModeReal {
-				replay[step] = stats.CGIterations
-			}
 		}
 		for ci := 0; ci < couplings; ci++ {
 			code.Couple(r)
@@ -446,8 +436,56 @@ func (s *realSolid) Couple(r *mpi.Rank, v float64) {
 	}
 }
 
-// modelFluid is ModeModel's fluid code: navier.Solver.Step's charges,
-// halos and reductions in Step's order, size-only, with a fixed CG
+// A step program is a solver's Step as size-only data. An op exchanges
+// n bundled fields' halos, charges flops and bytes per owned cell,
+// reduces one scalar, or solves: runs cgRound ModelCGIters+n times,
+// where n = 1 is CG's setup, which has an iteration's shape.
+type op struct {
+	kind         string
+	n            int
+	flops, bytes float64
+}
+
+func exchange(n int) op              { return op{kind: "exchange", n: n} }
+func charge(flops, bytes float64) op { return op{kind: "charge", flops: flops, bytes: bytes} }
+
+var allSum, allMax, solve = op{kind: "allsum"}, op{kind: "allmax"}, op{kind: "solve", n: 1}
+
+// fluidStep is navier's tentative velocity, pressure solve, projection
+// and diagnostics; cgRound is one krylov.CG iteration (the operator
+// with its halo, pᵀAp, ‖r‖²); solidStep is solid's halo, update,
+// wall-velocity count and sum, and maximum displacement.
+var (
+	fluidStep = []op{exchange(3), charge(navier.AssemblyFlopsPerCell, navier.AssemblyBytesPerCell), exchange(3), solve,
+		exchange(1), exchange(3), charge(navier.ProjectionFlopsPerCell, navier.ProjectionBytesPerCell), allMax, allMax}
+	cgRound   = []op{charge(navier.CGIterFlopsPerCell, navier.CGIterBytesPerCell), exchange(1), allSum, allSum}
+	solidStep = []op{exchange(3), charge(solid.StepFlopsPerCell, solid.StepBytesPerCell), allSum, allSum, allMax}
+)
+
+// StepPrograms renders the step programs for core's model stamp.
+func StepPrograms() string { return fmt.Sprint(fluidStep, cgRound, solidStep) }
+
+// run performs program p size-only, each solve with iters CG iterations.
+func (rc *rankComm) run(p []op, iters int) {
+	for _, o := range p {
+		switch o.kind {
+		case "exchange":
+			rc.ExchangeModel(o.n)
+		case "charge":
+			rc.Charge(rc.cells*o.flops, rc.cells*o.bytes)
+		case "allsum":
+			rc.AllSum(1)
+		case "allmax":
+			rc.AllMax(1)
+		case "solve":
+			for range iters + o.n {
+				rc.run(cgRound, iters)
+			}
+		}
+	}
+}
+
+// modelFluid is ModeModel's fluid code: fluidStep with a fixed CG
 // iteration count. It holds no fields, so its coupling with the solid
 // partner at world rank peer is size-only too: n float64s each way,
 // the traction and motion a real fluid would send and receive.
@@ -457,49 +495,25 @@ type modelFluid struct {
 	peer, n int
 }
 
-func (m *modelFluid) Step() (navier.StepStats, error) {
-	rc, cells := m.rc, m.rc.cells
-	// Tentative velocity: velocity halo, assembly, tentative halo.
-	rc.ExchangeModel(3)
-	rc.Charge(cells*navier.AssemblyFlopsPerCell, cells*navier.AssemblyBytesPerCell)
-	rc.ExchangeModel(3)
-	// Pressure CG: per iteration one stencil apply (with its pressure
-	// halo) and two global dot products; CG's setup has the same shape.
-	for it := 0; it <= m.iters; it++ {
-		rc.Charge(cells*navier.CGIterFlopsPerCell, cells*navier.CGIterBytesPerCell)
-		rc.ExchangeModel(1)
-		rc.AllSum(1)
-		rc.AllSum(1)
-	}
-	// Pressure halo, projection, final velocity sync and diagnostics.
-	rc.ExchangeModel(1)
-	rc.ExchangeModel(3)
-	rc.Charge(cells*navier.ProjectionFlopsPerCell, cells*navier.ProjectionBytesPerCell)
-	rc.AllMax(1)
-	rc.AllMax(1)
+func (m modelFluid) Step() (navier.StepStats, error) {
+	m.rc.run(fluidStep, m.iters)
 	return navier.StepStats{CGIterations: m.iters}, nil
 }
 
-func (m *modelFluid) Couple(r *mpi.Rank) {
+func (m modelFluid) Couple(r *mpi.Rank) {
 	r.SendModel(m.peer, tagCoupleTraction, m.n)
 	r.RecvModel(m.peer, tagCoupleMotion, m.n)
 }
 
-// modelSolid is ModeModel's solid code: solid.Solver.Step's three-field
-// halo, charge and reductions, and the coupling with its fluid
-// partners, all size-only. iface is indexed by fluid rank.
+// modelSolid is ModeModel's solid code: solidStep, and the coupling
+// with its fluid partners, size-only. iface is indexed by fluid rank.
 type modelSolid struct {
 	rc              *rankComm
 	partners, iface []int
 }
 
 func (m modelSolid) Step() (solid.StepStats, error) {
-	rc := m.rc
-	rc.ExchangeModel(3)
-	rc.Charge(rc.cells*solid.StepFlopsPerCell, rc.cells*solid.StepBytesPerCell)
-	rc.AllSum(1)
-	rc.AllSum(1)
-	rc.AllMax(1)
+	m.rc.run(solidStep, 0)
 	return solid.StepStats{}, nil
 }
 

@@ -10,23 +10,21 @@ import (
 	"repro/internal/alya"
 	"repro/internal/cluster"
 	"repro/internal/container"
-	"repro/internal/navier"
 	"repro/internal/omp"
 	"repro/internal/sched"
-	"repro/internal/solid"
 	"repro/internal/units"
 )
 
-// ModelChecksum fingerprints the simulator's model constants: the
-// cluster tables (which embed the fabric transports and storage
-// models), the container runtimes' build/deploy/execution profiles,
-// the paper's workload cases, the solver per-cell cost constants, the
-// OpenMP models and the job-launch latency. Any change to a number that
-// can alter simulated output changes the checksum, so persisted results
-// stamped with it self-invalidate instead of replaying outdated figures.
+// ModelChecksum fingerprints the simulator's model: the cluster tables
+// (which embed the fabric transports and storage models), the container
+// runtimes' build/deploy/execution profiles, the paper's workload cases,
+// ModeModel's step programs, the OpenMP models and the job-launch
+// latency. Any change to a number or step that can alter simulated
+// output changes the checksum, so persisted results stamped with it
+// self-invalidate instead of replaying outdated figures.
 func ModelChecksum() string {
 	modelChecksumOnce.Do(func() {
-		sig, err := modelSignature(cluster.All())
+		sig, err := modelSignature(cluster.All(), alya.StepPrograms())
 		if err != nil {
 			// The tables are static data assembled in code; failing to
 			// marshal them is a programming error, not a runtime state.
@@ -49,12 +47,12 @@ func checksumOf(sig []byte) string {
 }
 
 // modelSignature assembles every model table reachable as data for the
-// given clusters. Behaviour encoded as arithmetic (deploy breakdowns,
-// execution profiles, image builds) is captured through representative
-// evaluations per runtime × cluster × technique, so editing a cost
-// constant inside any runtime model changes the signature even though
-// the constant itself is not exported.
-func modelSignature(clusters []*cluster.Cluster) ([]byte, error) {
+// given clusters and step programs. Behaviour encoded as arithmetic
+// (deploy breakdowns, execution profiles, image builds) is captured
+// through representative evaluations per runtime × cluster × technique,
+// so editing a cost constant inside any runtime model changes the
+// signature even though the constant itself is not exported.
+func modelSignature(clusters []*cluster.Cluster, programs string) ([]byte, error) {
 	type runtimeCell struct {
 		Cluster   string `json:"Cluster"`
 		Technique string `json:"Technique"`
@@ -75,7 +73,7 @@ func modelSignature(clusters []*cluster.Cluster) ([]byte, error) {
 		Clusters []*cluster.Cluster
 		Runtimes []runtimeSig
 		Cases    []alya.Case
-		Solver   map[string]float64
+		Programs string
 		OMP      []omp.Model
 		// Launch samples srun's fan-out cost, which offsets every rank's
 		// start: one node count per launch-tree depth, up to the largest
@@ -91,16 +89,7 @@ func modelSignature(clusters []*cluster.Cluster) ([]byte, error) {
 			alya.QuickCFD(1),
 			alya.QuickFSI(1),
 		},
-		Solver: map[string]float64{
-			"navier.AssemblyFlopsPerCell":   navier.AssemblyFlopsPerCell,
-			"navier.AssemblyBytesPerCell":   navier.AssemblyBytesPerCell,
-			"navier.CGIterFlopsPerCell":     navier.CGIterFlopsPerCell,
-			"navier.CGIterBytesPerCell":     navier.CGIterBytesPerCell,
-			"navier.ProjectionFlopsPerCell": navier.ProjectionFlopsPerCell,
-			"navier.ProjectionBytesPerCell": navier.ProjectionBytesPerCell,
-			"solid.StepFlopsPerCell":        solid.StepFlopsPerCell,
-			"solid.StepBytesPerCell":        solid.StepBytesPerCell,
-		},
+		Programs: programs,
 	}
 	maxNodes := 1
 	for _, cl := range clusters {

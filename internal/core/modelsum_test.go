@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"repro/internal/alya"
 	"repro/internal/cluster"
 	"repro/internal/sched"
 	"repro/internal/units"
@@ -17,7 +19,7 @@ func TestModelChecksumStable(t *testing.T) {
 	if len(a) != 64 {
 		t.Fatalf("checksum %q is not a sha256 hex digest", a)
 	}
-	sig, err := modelSignature(cluster.All())
+	sig, err := modelSignature(cluster.All(), alya.StepPrograms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestModelChecksumStable(t *testing.T) {
 // contract: mutating any simulator model constant must change the
 // checksum, so result records stamped with it read as misses.
 func TestModelChecksumFlipsOnConstantChange(t *testing.T) {
-	base, err := modelSignature(cluster.All())
+	base, err := modelSignature(cluster.All(), alya.StepPrograms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestModelChecksumFlipsOnConstantChange(t *testing.T) {
 			// cannot leak into other subtests or the memoized checksum.
 			mutated := cluster.All()
 			m.mutate(mutated)
-			sig, err := modelSignature(mutated)
+			sig, err := modelSignature(mutated, alya.StepPrograms())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,13 +75,40 @@ func TestModelChecksumFlipsOnConstantChange(t *testing.T) {
 	}
 }
 
+// TestModelChecksumFlipsOnStepProgramEdit: the checksum hashes
+// ModeModel's step programs, so an edit that changes no constant but
+// the order of a step — here the solid step, the last program, charging
+// before its halo exchange instead of after — changes it too.
+func TestModelChecksumFlipsOnStepProgramEdit(t *testing.T) {
+	progs := alya.StepPrograms()
+	base, err := modelSignature(cluster.All(), progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := checksumOf(base); got != ModelChecksum() {
+		t.Fatalf("ModelChecksum %s does not hash the step programs (%s)", ModelChecksum(), got)
+	}
+	i := strings.LastIndex(progs, "[") + 1
+	ops := strings.SplitN(progs[i:], "} ", 3)
+	if len(ops) != 3 || !strings.HasPrefix(ops[0], "{exchange ") || !strings.HasPrefix(ops[1], "{charge ") {
+		t.Fatalf("the solid step does not open with its exchange and charge: %s", progs)
+	}
+	swapped, err := modelSignature(cluster.All(), progs[:i]+ops[1]+"} "+ops[0]+"} "+ops[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checksumOf(swapped) == checksumOf(base) {
+		t.Fatal("checksum did not change after swapping the solid step's exchange and charge")
+	}
+}
+
 // TestModelSignatureCoversLaunchLatency: the job-launch latency offsets
 // every rank's start, so it moves every figure; the signature must
 // carry it for every allocation size a cluster can grant, or editing
 // its constants would replay stale results from warm stores.
 func TestModelSignatureCoversLaunchLatency(t *testing.T) {
 	clusters := cluster.All()
-	sig, err := modelSignature(clusters)
+	sig, err := modelSignature(clusters, alya.StepPrograms())
 	if err != nil {
 		t.Fatal(err)
 	}

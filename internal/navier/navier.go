@@ -28,8 +28,8 @@ import (
 
 // Per-cell work of each solver phase: floating-point operations and
 // memory traffic. These feed Comm.Charge here and the alya package's
-// ModeModel fluid code, which performs Step's charges, halos and
-// reductions in Step's order.
+// fluid step program, ModeModel's data form of Step, which makes
+// Step's charges, halos and reductions in Step's order.
 const (
 	// AssemblyFlopsPerCell covers the tentative-velocity update
 	// (upwind advection + diffusion, three components) plus the

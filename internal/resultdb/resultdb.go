@@ -18,12 +18,12 @@
 // still found on disk.
 //
 // Records carry a schema stamp, SchemaVersion: a record-format
-// generation plus a checksum over the simulator's model constants
-// (fabric/cluster/container tables, workload cases, solver cost
-// constants — see core.ModelChecksum). Any change to a model number
-// alters the stamp, so every existing record reads as a miss and is
-// recomputed — stale caches self-invalidate instead of replaying
-// outdated numbers, without anyone remembering to bump a version.
+// generation plus a checksum over the simulator's model (fabric,
+// cluster and container tables, workload cases, ModeModel's step
+// programs — see core.ModelChecksum). Any change to those alters the
+// stamp, so every existing record reads as a miss and is recomputed
+// instead of replaying outdated numbers; other output-moving code
+// changes must bump schemaGeneration.
 //
 // Failed cells are cached too: PutError commits a schema-stamped error
 // record through the same atomic-rename path, so repeated sweeps skip
@@ -57,8 +57,8 @@ import (
 )
 
 // schemaGeneration is the record-format generation: bump it when the
-// record encoding itself changes (fields added or reinterpreted).
-// Model-constant changes are covered automatically by the checksum.
+// record encoding changes, or when a code change moves output that the
+// checksum cannot see (a kernel's arithmetic, a collective's schedule).
 const schemaGeneration = 2
 
 // SchemaVersion stamps every record: the record-format generation

@@ -14,8 +14,8 @@ import (
 )
 
 // Per-cell work of one explicit structural step (Navier–Cauchy stencil
-// with the mixed divergence derivatives), feeding Comm.Charge and the
-// model-mode workload generator.
+// with the mixed divergence derivatives), feeding Comm.Charge here and
+// the alya package's solid step program, ModeModel's data form of Step.
 const (
 	// StepFlopsPerCell covers the three-component elasticity update.
 	StepFlopsPerCell = 220
@@ -220,11 +220,10 @@ func (s *Solver) Step() (StepStats, error) {
 	cells := float64(s.UX.Interior())
 	s.Comm.Charge(cells*StepFlopsPerCell, cells*StepBytesPerCell)
 
+	// Both sums are reduced whatever the data. Only a lone partition off
+	// the x = 0 wall, as in the package tests, counts 0 (and sums 0).
 	globalCount := s.Comm.AllSum(float64(radCount))
-	meanRad := 0.0
-	if globalCount > 0 {
-		meanRad = s.Comm.AllSum(sumRadVel) / globalCount
-	}
+	meanRad := s.Comm.AllSum(sumRadVel) / max(globalCount, 1)
 	return StepStats{
 		MaxDisplacement:    s.Comm.AllMax(maxDisp),
 		MeanRadialVelocity: meanRad,
