@@ -5,6 +5,12 @@
 // through one scalar reduction hook, so the same code runs sequentially
 // (tests, reference solutions) and distributed (the hook is an MPI
 // allreduce, the operator application includes a halo exchange).
+//
+// An iteration walks its vectors twice: the operator returns the local
+// pᵀAp of the vector it writes, and one update loop advances x and r
+// and sums the local ‖r‖². Each sum adds from 0 in index order, and
+// each product is rounded before it is added, so no GOARCH fuses a
+// multiply-add and the bits are those of separate dot and axpy passes.
 package krylov
 
 import (
@@ -16,9 +22,11 @@ import (
 // unpreconditioned conjugate gradients. It keeps its work vectors
 // between solves, so repeated solves of one size allocate nothing.
 type CG struct {
-	// A applies the operator: dst = A·src. Distributed operators
-	// exchange halos before applying the local stencil.
-	A func(dst, src []float64)
+	// A applies the operator, dst = A·src, and returns the local
+	// srcᵀ·dst: float64(src[i]*dst[i]) summed from 0 in index order.
+	// Distributed operators exchange halos before applying the local
+	// stencil; Sum makes the returned value global.
+	A func(dst, src []float64) float64
 	// Sum turns a local inner product into the global one; nil means
 	// the local value is global. Distributed callers install an
 	// allreduce.
@@ -41,12 +49,12 @@ type Result struct {
 	Converged bool
 }
 
-// inner is the global inner product of a and b.
-func (c *CG) inner(a, b []float64) float64 {
+// global turns a local inner product into the global one.
+func (c *CG) global(v float64) float64 {
 	if c.Sum == nil {
-		return dot(a, b)
+		return v
 	}
-	return c.Sum(dot(a, b))
+	return c.Sum(v)
 }
 
 // Solve runs CG on b. x holds the initial guess on entry and the
@@ -72,32 +80,29 @@ func (c *CG) Solve(b, x []float64) (Result, error) {
 	}
 	r, p, ap := c.r, c.p, c.ap
 
-	// r = b - A·x
+	// r = b - A·x; the xᵀAx the operator returns is not needed.
 	c.A(ap, x)
 	for i := range r {
 		r[i] = b[i] - ap[i]
 	}
-	bnorm := math.Sqrt(c.inner(b, b))
+	bnorm := math.Sqrt(c.global(dot(b, b)))
 	if bnorm == 0 {
 		bnorm = 1
 	}
 	copy(p, r)
-	rz := c.inner(r, r)
+	rz := c.global(dot(r, r))
 	res := math.Sqrt(rz) / bnorm
 	if res <= tol {
 		return Result{Iterations: 0, Residual: res, Converged: true}, nil
 	}
 	for it := 1; it <= maxIter; it++ {
-		c.A(ap, p)
-		pap := c.inner(p, ap)
+		pap := c.global(c.A(ap, p))
 		if pap == 0 || math.IsNaN(pap) {
 			return Result{Iterations: it, Residual: res, Converged: false},
 				fmt.Errorf("krylov: cg breakdown, pᵀAp = %v at iteration %d", pap, it)
 		}
 		alpha := rz / pap
-		axpy(alpha, p, x)
-		axpy(-alpha, ap, r)
-		rzNew := c.inner(r, r)
+		rzNew := c.global(update(alpha, p, ap, x, r))
 		res = math.Sqrt(rzNew) / bnorm
 		if res <= tol {
 			return Result{Iterations: it, Residual: res, Converged: true}, nil
@@ -116,27 +121,29 @@ func dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
 
-// axpy computes y += alpha*x.
-func axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("krylov: axpy lengths %d != %d", len(x), len(y)))
+// update is CG's solution and residual step in one pass: x += alpha*p,
+// r += (-alpha)*ap, and it returns the local ‖r‖² of the new r.
+func update(alpha float64, p, ap, x, r []float64) float64 {
+	p, ap, r = p[:len(x)], ap[:len(x)], r[:len(x)]
+	nalpha, s := -alpha, 0.0
+	for i := range x {
+		x[i] += float64(alpha * p[i])
+		ri := r[i] + float64(nalpha*ap[i])
+		r[i] = ri
+		s += float64(ri * ri)
 	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
+	return s
 }
 
 // aypx computes y = x + alpha*y (the CG direction update).
 func aypx(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("krylov: aypx lengths %d != %d", len(x), len(y)))
-	}
+	x = x[:len(y)]
 	for i := range y {
-		y[i] = x[i] + alpha*y[i]
+		y[i] = x[i] + float64(alpha*y[i])
 	}
 }

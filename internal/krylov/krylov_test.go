@@ -2,12 +2,13 @@ package krylov
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
 
 // lap1d applies the SPD 1D Laplacian [-1 2 -1] with Dirichlet ends.
-func lap1d(dst, src []float64) {
+func lap1d(dst, src []float64) float64 {
 	n := len(src)
 	for i := range dst {
 		v := 2 * src[i]
@@ -19,6 +20,7 @@ func lap1d(dst, src []float64) {
 		}
 		dst[i] = v
 	}
+	return dot(src, dst)
 }
 
 func residual(b, x []float64) float64 {
@@ -170,7 +172,7 @@ func TestOperatorFunc(t *testing.T) {
 	n := 8
 	b := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	x := make([]float64, n)
-	cg := CG{A: func(dst, src []float64) { copy(dst, src) }}
+	cg := CG{A: func(dst, src []float64) float64 { copy(dst, src); return dot(src, dst) }}
 	res, err := cg.Solve(b, x)
 	if err != nil {
 		t.Fatal(err)
@@ -203,16 +205,47 @@ func TestDotMismatchPanics(t *testing.T) {
 	dot([]float64{1}, []float64{1, 2})
 }
 
-func TestAxpyAypxScale(t *testing.T) {
-	y := []float64{1, 1}
-	axpy(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("axpy: %v", y)
+func TestUpdateAypx(t *testing.T) {
+	x, r := []float64{1, 1}, []float64{5, -2}
+	if rr := update(2, []float64{3, 4}, []float64{1, -1}, x, r); rr != 9 {
+		t.Fatalf("update: ‖r‖² = %v, r = %v", rr, r)
 	}
-	y = []float64{1, 2}
+	if x[0] != 7 || x[1] != 9 || r[0] != 3 || r[1] != 0 {
+		t.Fatalf("update: x = %v, r = %v", x, r)
+	}
+	y := []float64{1, 2}
 	aypx(3, []float64{10, 20}, y) // y = x + 3y
 	if y[0] != 13 || y[1] != 26 {
 		t.Fatalf("aypx: %v", y)
+	}
+}
+
+// TestUpdateMatchesPasses checks the fused update against the two axpy
+// passes and the dot it replaces, bit for bit, on vectors of mixed
+// magnitudes, whose sums round differently in any other order.
+func TestUpdateMatchesPasses(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = math.Ldexp(2*rng.Float64()-1, rng.IntN(40)-20)
+		}
+		return v
+	}
+	for trial := range 200 {
+		n := rng.IntN(40)
+		alpha, p, ap, x, r := math.Ldexp(rng.Float64(), rng.IntN(10)-5), vec(n), vec(n), vec(n), vec(n)
+		wx, wr := append([]float64(nil), x...), append([]float64(nil), r...)
+		refAxpy(alpha, p, wx)
+		refAxpy(-alpha, ap, wr)
+		if got, want := update(alpha, p, ap, x, r), dot(wr, wr); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: ‖r‖² %v, passes %v", trial, got, want)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(wx[i]) || math.Float64bits(r[i]) != math.Float64bits(wr[i]) {
+				t.Fatalf("trial %d: x[%d], r[%d] = %v, %v; passes %v, %v", trial, i, i, x[i], r[i], wx[i], wr[i])
+			}
+		}
 	}
 }
 

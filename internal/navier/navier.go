@@ -11,10 +11,13 @@
 // The kernels index the fields' Data on the field package's layout and
 // stride contract: a row's start is computed once, a cell's neighbours
 // are m±1, m±sy and m±sz, and the 7-point Laplacian is field.Laplace,
-// which the solid solver shares. Each floating-point expression keeps
-// the operands and evaluation order of its (i, j, k) form, so the
-// results match that form bit for bit; the package tests keep it as
-// the reference.
+// which the solid solver shares. The CG operator, where a step spends
+// most of its time, runs the same stencil over row slices and sums
+// pᵀAp in the same pass, so a CG iteration walks its vectors twice;
+// the boundary-ghost rule is chosen once per face, not per cell. Each
+// floating-point expression keeps the operands and evaluation order of
+// its (i, j, k) form, so the results match that form bit for bit; the
+// package tests keep it as the reference.
 package navier
 
 import (
@@ -166,31 +169,59 @@ const (
 	bcPres // Neumann everywhere except Dirichlet 0 at outlet
 )
 
+// ghostRule is how one face's ghosts follow the owned cells beside them.
+type ghostRule int
+
+const (
+	ghostCopy   ghostRule = iota // zero gradient
+	ghostNegate                  // zero on the face
+	ghostWall                    // no-slip with the FSI wall-motion term
+	ghostInlet                   // the inlet profile on the face
+)
+
 // fillGhosts sets the physical-boundary ghost layers of f according to
-// the BC kind. Partition-internal faces are left for Comm.Exchange.
+// the BC kind, choosing each face's rule once. Partition-internal faces
+// are left for Comm.Exchange.
 func (s *Solver) fillGhosts(f *field.Field, kind bcKind) {
 	p, d := s.Part, f.Data
+	wall := 2 * s.wallVel
 	for face := mesh.XMinus; face <= mesh.ZPlus; face++ {
 		if !p.OnBoundary(face) {
 			continue
 		}
+		var rule ghostRule
+		switch {
+		case face == mesh.ZPlus && kind == bcPres:
+			rule = ghostNegate // p = 0 at the outlet face
+		case face == mesh.ZPlus, kind == bcPres:
+			rule = ghostCopy
+		case face == mesh.ZMinus && kind == bcVelW:
+			rule = ghostInlet
+		case face == mesh.ZMinus:
+			rule = ghostNegate
+		default: // vessel wall
+			rule = ghostWall
+		}
 		l := f.Layer(face)
 		for b := 0; b < l.NB; b++ {
-			for a, m := 0, l.G+b*l.DB; a < l.NA; a, m = a+1, m+l.DA {
-				in := d[m+l.In]
-				switch {
-				case face == mesh.ZPlus && kind == bcPres:
-					d[m] = -in // p = 0 at the outlet face
-				case face == mesh.ZPlus:
-					d[m] = in // zero gradient
-				case kind == bcPres:
-					d[m] = in
-				case face == mesh.ZMinus && kind == bcVelW:
-					d[m] = 2*s.inletProfile(p.I0+a, p.J0+b) - in
-				case face == mesh.ZMinus:
-					d[m] = -in
-				default: // vessel wall: no-slip with the FSI wall-motion term
-					d[m] = -in + 2*s.wallVel
+			m := l.G + b*l.DB
+			end := m + l.NA*l.DA
+			switch rule {
+			case ghostCopy:
+				for ; m < end; m += l.DA {
+					d[m] = d[m+l.In]
+				}
+			case ghostNegate:
+				for ; m < end; m += l.DA {
+					d[m] = -d[m+l.In]
+				}
+			case ghostWall:
+				for ; m < end; m += l.DA {
+					d[m] = -d[m+l.In] + wall
+				}
+			case ghostInlet:
+				for a := 0; m < end; a, m = a+1, m+l.DA {
+					d[m] = float64(2*s.inletProfile(p.I0+a, p.J0+b)) - d[m+l.In]
 				}
 			}
 		}
@@ -302,22 +333,37 @@ func (s *Solver) Step() (StepStats, error) {
 
 // applyNegLaplacian is the CG operator: dst = −∇²·src with the pressure
 // boundary conditions (SPD thanks to the outlet Dirichlet condition).
-func (s *Solver) applyNegLaplacian(dst, src []float64) {
+// It returns the local srcᵀ·dst, summed in the same pass: a cell's
+// product is added as soon as its stencil is done, in index order.
+func (s *Solver) applyNegLaplacian(dst, src []float64) float64 {
 	cells := float64(len(src))
 	s.Comm.Charge(cells*CGIterFlopsPerCell, cells*CGIterBytesPerCell)
 	t := s.tmp
 	t.SetInterior(src)
 	s.fillGhosts(t, bcPres)
 	s.exchange(t)
-	n := 0
+	d, nx := t.Data, t.NX
 	sy, sz := t.Strides()
+	hx2, hy2, hz2 := s.hx*s.hx, s.hy*s.hy, s.hz*s.hz
+	n, sum := 0, 0.0
 	for k := 0; k < t.NZ; k++ {
 		for j := 0; j < t.NY; j++ {
-			for m, end := t.Idx(0, j, k), t.Idx(t.NX, j, k); m < end; m, n = m+1, n+1 {
-				dst[n] = -field.Laplace(t.Data, m, sy, sz, s.hx, s.hy, s.hz)
+			m := t.Idx(0, j, k)
+			c, out := d[m:][:nx], dst[n:][:nx]
+			xm, xp := d[m-1:][:nx], d[m+1:][:nx]
+			ym, yp := d[m-sy:][:nx], d[m+sy:][:nx]
+			zm, zp := d[m-sz:][:nx], d[m+sz:][:nx]
+			for i, ci := range c {
+				v := -((xm[i]-float64(2*ci)+xp[i])/hx2 +
+					(ym[i]-float64(2*ci)+yp[i])/hy2 +
+					(zm[i]-float64(2*ci)+zp[i])/hz2)
+				out[i] = v
+				sum += float64(ci * v)
 			}
+			n += nx
 		}
 	}
+	return sum
 }
 
 // grad is the central-difference gradient at flat index m.

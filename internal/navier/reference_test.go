@@ -170,7 +170,7 @@ func (s *Solver) refStep() (StepStats, error) {
 	}, nil
 }
 
-func (s *Solver) refApplyNegLaplacian(dst, src []float64) {
+func (s *Solver) refApplyNegLaplacian(dst, src []float64) float64 {
 	s.tmp.SetInterior(src)
 	s.refFillGhosts(s.tmp, bcPres)
 	s.Comm.Exchange(s.tmp)
@@ -183,6 +183,17 @@ func (s *Solver) refApplyNegLaplacian(dst, src []float64) {
 			}
 		}
 	}
+	return dot(src, dst)
+}
+
+// dot is the local inner product of a and b, summed from 0 in index
+// order: the value the CG operator must return.
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += float64(a[i] * b[i])
+	}
+	return s
 }
 
 func (s *Solver) refLaplace(f *field.Field, i, j, k int) float64 {
@@ -377,13 +388,16 @@ func TestApplyNegLaplacianMatchesPointwise(t *testing.T) {
 				for i := range src {
 					src[i] = math.Sin(float64(7*i+trial)+0.3) * 1e2
 				}
-				s.applyNegLaplacian(got, src)
-				r.refApplyNegLaplacian(want, src)
+				gotDot := s.applyNegLaplacian(got, src)
+				wantDot := r.refApplyNegLaplacian(want, src)
 				if err := sameBits("dst", got, want); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 				if err := sameBits("ghosted src", s.tmp.Data, r.tmp.Data); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if math.Float64bits(gotDot) != math.Float64bits(wantDot) {
+					t.Fatalf("trial %d: returned srcᵀ·dst %v, want %v", trial, gotDot, wantDot)
 				}
 			}
 		})
