@@ -15,8 +15,9 @@
 // more than -threshold (1.5 = +150 %, wide enough for the spread
 // between hosts); a 0 on either side means the workload does not
 // measure it. End-to-end timings are printed against their bounds but
-// only advise until ROADMAP item 1(c) normalises them by
-// host.calib_ms. Exit status: 0 pass, 1 regression, 2 usage or I/O.
+// only advise until ROADMAP item 1(c)'s paired-run gate lands; one
+// run per side cannot tell a change from host drift. Exit status:
+// 0 pass, 1 regression, 2 usage or I/O.
 package main
 
 import (

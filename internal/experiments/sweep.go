@@ -402,12 +402,16 @@ func (s *Sweep) Run(specs []CellSpec) ([]core.Result, error) {
 	keys := make([]string, len(specs))
 	hit := make([]bool, len(specs))
 	if s.store != nil {
-		for i := range specs {
-			k, err := specs[i].Key()
-			if err != nil {
-				return nil, &CellError{Label: specs[i].Label, Err: err}
+		// Fingerprinting is a canonical encoding plus a sha256 per cell,
+		// the bulk of a warm replay's own work: it fans out too.
+		err := s.each(len(specs), s.workers, func(i int) (err error) {
+			if keys[i], err = specs[i].Key(); err != nil {
+				return &CellError{Label: specs[i].Label, Err: err}
 			}
-			keys[i] = k
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		// Pin the whole working set for the duration of the run, so an
 		// in-process GC never evicts a cell between its lookup and its
@@ -438,7 +442,7 @@ func (s *Sweep) Run(specs []CellSpec) ([]core.Result, error) {
 		// in a serial consultation. What remains is split into cells this
 		// invocation computes and cells it must leave to other shards (or,
 		// under FromStore, to nobody).
-		err := s.each(len(specs), s.workers, func(i int) error {
+		err = s.each(len(specs), s.workers, func(i int) error {
 			ent, ok, err := s.store.Lookup(keys[i])
 			if err != nil {
 				return &CellError{Label: specs[i].Label, Err: err}

@@ -3,6 +3,7 @@ package field
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/mesh"
@@ -136,68 +137,96 @@ func sameBits(a, b []float64) error {
 func TestKernelsMatchPointwise(t *testing.T) {
 	for _, d := range oddDims {
 		t.Run(fmt.Sprint(d), func(t *testing.T) {
-			f := filled(t, d)
-			got, want := make([]float64, f.Interior()), make([]float64, f.Interior())
-			f.CopyInterior(got)
-			refCopyInterior(f, want)
-			if err := sameBits(got, want); err != nil {
-				t.Fatalf("CopyInterior: %v", err)
-			}
-
-			src := make([]float64, f.Interior())
-			for n := range src {
-				src[n] = -float64(n) - 0.125
-			}
-			g, r := filled(t, d), filled(t, d)
-			g.SetInterior(src)
-			refSetInterior(r, src)
-			if err := sameBits(g.Data, r.Data); err != nil {
-				t.Fatalf("SetInterior: %v", err)
-			}
-
-			for face := mesh.XMinus; face <= mesh.ZPlus; face++ {
-				want := refPackFace(f, face)
-				got := make([]float64, len(want))
-				f.PackFace(face, got)
-				if err := sameBits(got, want); err != nil {
-					t.Fatalf("PackFace %v: %v", face, err)
-				}
-				g, r := filled(t, d), filled(t, d)
-				g.UnpackGhost(face, src[:len(want)])
-				refUnpackGhost(r, face, src[:len(want)])
-				if err := sameBits(g.Data, r.Data); err != nil {
-					t.Fatalf("UnpackGhost %v: %v", face, err)
-				}
-			}
-
-			const hx, hy, hz = 0.3, 0.7, 1.1
-			sy, sz := f.Strides()
-			for k := 0; k < f.NZ; k++ {
-				for j := 0; j < f.NY; j++ {
-					for i := 0; i < f.NX; i++ {
-						got, want := Laplace(f.Data, f.Idx(i, j, k), sy, sz, hx, hy, hz), refLaplace(f, i, j, k, hx, hy, hz)
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("Laplace at (%d,%d,%d): %v != %v", i, j, k, got, want)
-						}
-					}
-				}
-			}
-
-			g = filled(t, d)
-			g.ClearEdges()
-			for k := -1; k <= f.NZ; k++ {
-				for j := -1; j <= f.NY; j++ {
-					for i := -1; i <= f.NX; i++ {
-						want := at(f, i, j, k)
-						if ghostCoords(f, i, j, k) >= 2 {
-							want = 0
-						}
-						if got := at(g, i, j, k); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("ClearEdges at (%d,%d,%d): %v, want %v", i, j, k, got, want)
-						}
-					}
-				}
-			}
+			matchPointwise(t, func() *Field { return filled(t, d) }, 0.3, 0.7, 1.1)
 		})
+	}
+}
+
+// FuzzKernelsMatchPointwise runs every flat kernel against its
+// pointwise reference on a fuzzed shape of 1–9 cells per axis, fields
+// of seeded random values, ghosts included, and seeded cell widths.
+// The seed corpus is TestKernelsMatchPointwise's seven shapes.
+func FuzzKernelsMatchPointwise(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nx, ny, nz uint8, seed uint64) {
+		span := func(v uint8) int { return 1 + (int(v)+8)%9 }
+		d := [3]int{span(nx), span(ny), span(nz)}
+		rng := rand.New(rand.NewPCG(seed, seed))
+		hx, hy, hz := 0.1+rng.Float64(), 0.1+rng.Float64(), 0.1+rng.Float64()
+		matchPointwise(t, func() *Field {
+			f := New(part(t, d[0], d[1], d[2]))
+			rng := rand.New(rand.NewPCG(seed, seed))
+			for m := range f.Data {
+				f.Data[m] = rng.NormFloat64() * 1e3
+			}
+			return f
+		}, hx, hy, hz)
+	})
+}
+
+// matchPointwise runs every flat kernel and its pointwise reference on
+// fields from fresh, which returns an equal new field on every call,
+// and fails t at the first bit that differs.
+func matchPointwise(t *testing.T, fresh func() *Field, hx, hy, hz float64) {
+	t.Helper()
+	f := fresh()
+	got, want := make([]float64, f.Interior()), make([]float64, f.Interior())
+	f.CopyInterior(got)
+	refCopyInterior(f, want)
+	if err := sameBits(got, want); err != nil {
+		t.Fatalf("CopyInterior: %v", err)
+	}
+
+	src := make([]float64, f.Interior())
+	for n := range src {
+		src[n] = -float64(n) - 0.125
+	}
+	g, r := fresh(), fresh()
+	g.SetInterior(src)
+	refSetInterior(r, src)
+	if err := sameBits(g.Data, r.Data); err != nil {
+		t.Fatalf("SetInterior: %v", err)
+	}
+
+	for face := mesh.XMinus; face <= mesh.ZPlus; face++ {
+		want := refPackFace(f, face)
+		got := make([]float64, len(want))
+		f.PackFace(face, got)
+		if err := sameBits(got, want); err != nil {
+			t.Fatalf("PackFace %v: %v", face, err)
+		}
+		g, r := fresh(), fresh()
+		g.UnpackGhost(face, src[:len(want)])
+		refUnpackGhost(r, face, src[:len(want)])
+		if err := sameBits(g.Data, r.Data); err != nil {
+			t.Fatalf("UnpackGhost %v: %v", face, err)
+		}
+	}
+
+	sy, sz := f.Strides()
+	for k := 0; k < f.NZ; k++ {
+		for j := 0; j < f.NY; j++ {
+			for i := 0; i < f.NX; i++ {
+				got, want := Laplace(f.Data, f.Idx(i, j, k), sy, sz, hx, hy, hz), refLaplace(f, i, j, k, hx, hy, hz)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Laplace at (%d,%d,%d): %v != %v", i, j, k, got, want)
+				}
+			}
+		}
+	}
+
+	g = fresh()
+	g.ClearEdges()
+	for k := -1; k <= f.NZ; k++ {
+		for j := -1; j <= f.NY; j++ {
+			for i := -1; i <= f.NX; i++ {
+				want := at(f, i, j, k)
+				if ghostCoords(f, i, j, k) >= 2 {
+					want = 0
+				}
+				if got := at(g, i, j, k); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("ClearEdges at (%d,%d,%d): %v, want %v", i, j, k, got, want)
+				}
+			}
+		}
 	}
 }

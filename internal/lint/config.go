@@ -122,8 +122,7 @@ func DefaultConfig() *Config {
 		WireRoots: []string{
 			"repro/internal/core.SavedResult",
 			"repro/internal/core.canonCell",
-			"repro/internal/resultdb.record",
-			"repro/internal/registry.wireRecord",
+			"repro/internal/resultdb.Record",
 			"repro/internal/registry.wireError",
 			"repro/internal/registry.wireSchema",
 			"repro/internal/registry.wireManifest",

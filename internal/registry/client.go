@@ -382,8 +382,8 @@ func (c *Client) Lookup(key string) (resultdb.Entry, bool, error) {
 	}
 	switch status {
 	case http.StatusOK:
-		var rec wireRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
+		rec, err := resultdb.DecodeRecord(data)
+		if err != nil {
 			return resultdb.Entry{}, false, nil // damaged on the wire: a miss, like a corrupt file
 		}
 		if rec.Key != key || rec.Schema != resultdb.SchemaVersion() {
@@ -403,7 +403,7 @@ func (c *Client) Lookup(key string) (resultdb.Entry, bool, error) {
 
 // Put commits a result to the registry.
 func (c *Client) Put(key string, res core.SavedResult) error {
-	if err := c.send(key, wireRecord{Schema: resultdb.SchemaVersion(), Key: key, Result: res}); err != nil {
+	if err := c.send(key, resultdb.Record{Schema: resultdb.SchemaVersion(), Key: key, Result: res}); err != nil {
 		return err
 	}
 	c.clearAbsent(key)
@@ -417,7 +417,7 @@ func (c *Client) PutError(key, msg string) error {
 	if msg == "" {
 		return fmt.Errorf("registry: empty failure message for key %s", key)
 	}
-	if err := c.send(key, wireRecord{Schema: resultdb.SchemaVersion(), Key: key, Error: msg}); err != nil {
+	if err := c.send(key, resultdb.Record{Schema: resultdb.SchemaVersion(), Key: key, Error: msg}); err != nil {
 		return err
 	}
 	c.clearAbsent(key)
@@ -425,7 +425,7 @@ func (c *Client) PutError(key, msg string) error {
 	return nil
 }
 
-func (c *Client) send(key string, rec wireRecord) error {
+func (c *Client) send(key string, rec resultdb.Record) error {
 	if !resultdb.ValidKey(key) {
 		return fmt.Errorf("registry: invalid key %q (want a 64-hex fingerprint)", key)
 	}

@@ -16,7 +16,7 @@
 //	GET  /v1/cells/<fp>      → 200 <record> | 404 | 409
 //	PUT  /v1/cells/<fp>      → 204 | 400 | 409
 //
-// A record is the store's schema-stamped cell JSON:
+// A record is the store's schema-stamped cell JSON (resultdb.Record):
 //
 //	{"schema": "<stamp>", "key": "<fp>", "result": {...}}         a success
 //	{"schema": "<stamp>", "key": "<fp>", "result": {}, "error": "msg"}  a recorded failure
@@ -39,11 +39,7 @@
 // with 409 instead of serving records they would misread.
 package registry
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // headerSchema carries the client's schema stamp on every request.
 const headerSchema = "Registry-Schema"
@@ -68,16 +64,6 @@ const (
 	codeNoWork         = "no-coordinator"
 	codeLeaseGone      = "lease-gone"
 )
-
-// wireRecord is one cell on the wire — the same schema-stamped shape
-// the directory store persists, so a registry round-trip is
-// bit-faithful to a local commit.
-type wireRecord struct {
-	Schema string           `json:"schema"`
-	Key    string           `json:"key"`
-	Result core.SavedResult `json:"result"`
-	Error  string           `json:"error,omitempty"`
-}
 
 // wireError is the typed JSON body of every non-2xx response.
 type wireError struct {

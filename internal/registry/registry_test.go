@@ -158,7 +158,7 @@ func TestServerRejectsMismatchedClients(t *testing.T) {
 
 	// A PUT whose record is stamped with a different schema is refused
 	// even if the request header is current.
-	body, _ := json.Marshal(wireRecord{Schema: "1-0000000000000000", Key: key(1), Result: sample(1)})
+	body, _ := json.Marshal(resultdb.Record{Schema: "1-0000000000000000", Key: key(1), Result: sample(1)})
 	req, _ = http.NewRequest(http.MethodPut, ts.URL+"/v1/cells/"+key(1), strings.NewReader(string(body)))
 	req.Header.Set(headerSchema, resultdb.SchemaVersion())
 	resp, err = http.DefaultClient.Do(req)
@@ -321,7 +321,7 @@ func TestGracefulShutdown(t *testing.T) {
 	// Stream a PUT body slowly so the request is mid-flight when the
 	// context dies.
 	pr, pw := io.Pipe()
-	body, _ := json.Marshal(wireRecord{Schema: resultdb.SchemaVersion(), Key: key(9), Result: sample(9)})
+	body, _ := json.Marshal(resultdb.Record{Schema: resultdb.SchemaVersion(), Key: key(9), Result: sample(9)})
 	req, _ := http.NewRequest(http.MethodPut, base+"/v1/cells/"+key(9), pr)
 	req.Header.Set(headerSchema, resultdb.SchemaVersion())
 	respErr := make(chan error, 1)
@@ -419,7 +419,7 @@ func TestRejectsNonFingerprintKeys(t *testing.T) {
 	store, ts, _ := newRegistry(t)
 
 	evil := "%2e%2e%2f%2e%2e%2fevil"
-	rec, _ := json.Marshal(wireRecord{Schema: resultdb.SchemaVersion(), Key: "../../evil", Error: "pwn"})
+	rec, _ := json.Marshal(resultdb.Record{Schema: resultdb.SchemaVersion(), Key: "../../evil", Error: "pwn"})
 	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/cells/"+evil, strings.NewReader(string(rec)))
 	req.Header.Set(headerSchema, resultdb.SchemaVersion())
 	resp, err := http.DefaultClient.Do(req)

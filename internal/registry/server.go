@@ -281,7 +281,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.storeOp("hit")
 	}
-	writeJSON(w, http.StatusOK, wireRecord{
+	writeJSON(w, http.StatusOK, resultdb.Record{
 		Schema: resultdb.SchemaVersion(),
 		Key:    key,
 		Result: ent.Result,
@@ -314,8 +314,8 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, wireError{Code: codeBadRecord, Error: err.Error()})
 		return
 	}
-	var rec wireRecord
-	if err := json.Unmarshal(body, &rec); err != nil {
+	rec, err := resultdb.DecodeRecord(body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, wireError{Code: codeBadRecord, Error: "undecodable record: " + err.Error()})
 		return
 	}

@@ -177,23 +177,18 @@ const compactSlack = 1024
 
 // readAccessLocked parses the access journal into last-access times,
 // keeping the newest entry per key, and reports the raw line count so
-// GC can decide whether the journal needs compacting. Damaged lines
-// are skipped — the record mtime remains as a floor.
+// GC can decide whether the journal needs compacting. Damaged lines,
+// however long, are skipped — the record mtime remains as a floor.
 func (s *DirStore) readAccessLocked() (map[string]time.Time, int, error) {
 	out := make(map[string]time.Time)
-	f, err := os.Open(filepath.Join(s.dir, accessName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return out, 0, nil
-		}
+	data, err := os.ReadFile(filepath.Join(s.dir, accessName))
+	if err != nil && !os.IsNotExist(err) {
 		return nil, 0, fmt.Errorf("resultdb: gc: %w", err)
 	}
-	defer f.Close()
 	lines := 0
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
+	for line := range strings.Lines(string(data)) {
 		lines++
-		ts, key, ok := strings.Cut(strings.TrimSpace(sc.Text()), " ")
+		ts, key, ok := strings.Cut(strings.TrimSpace(line), " ")
 		if !ok {
 			continue
 		}
@@ -206,7 +201,7 @@ func (s *DirStore) readAccessLocked() (map[string]time.Time, int, error) {
 			out[key] = when
 		}
 	}
-	return out, lines, sc.Err()
+	return out, lines, nil
 }
 
 // scanLocked walks the fan-out directories and sizes every record

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -245,4 +247,107 @@ func TestGCCompactsOversizedAccessJournal(t *testing.T) {
 			t.Fatalf("record %d lost to journal compaction", i)
 		}
 	}
+}
+
+// TestGCSkipsOverlongAccessLine asserts a damaged access-journal line
+// longer than a bufio.Scanner token is skipped like any other, instead
+// of failing every later collection.
+func TestGCSkipsOverlongAccessLine(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := gcStore(t, dir, 2)
+	touchAt(t, dir, strings.Repeat("f", 1<<17), time.Now())
+	rep, err := s.GC(time.Now(), GCPolicy{MaxAge: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Scanned != 2 || rep.Evicted != 0 {
+		t.Fatalf("pass over a damaged journal: %+v", rep)
+	}
+}
+
+// FuzzJournals opens a store over arbitrary manifest and access journal
+// bytes, commits to it and collects it. Nothing may panic; Keys lists
+// only well-formed keys; a torn last manifest line is ended, so the
+// next commit's key replays; and journals a collection rewrites parse
+// back, one survivor per line.
+func FuzzJournals(f *testing.F) {
+	k := func(i int) string { return key(i) + "\n" }
+	f.Add([]byte(k(1)+k(2)+key(3)[:20]), []byte("1700000000 "+k(1)), uint8(2))
+	f.Add([]byte(key(1)+"\r\n"+key(2)+"\r\n"), []byte("1700000000 "+key(2)+"\r\n"), uint8(1))
+	f.Add([]byte(k(1)+strings.Repeat("z", 64)+"\n../evil\n"+k(3)), []byte(k(3)), uint8(3))
+	f.Add([]byte(k(2)), []byte("yesterday "+k(1)+"1700000000 "+k(2)+"-5 "+k(3)), uint8(0))
+	f.Fuzz(func(t *testing.T, manifest, access []byte, keep uint8) {
+		dir := t.TempDir()
+		s, sizes := gcStore(t, dir, 3)
+		s.Close()
+		for name, data := range map[string][]byte{manifestName: manifest, accessName: access} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reopen := func() *DirStore {
+			t.Helper()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			for _, k := range s.Keys() {
+				if !ValidKey(k) {
+					t.Fatalf("Keys lists %q", k)
+				}
+			}
+			return s
+		}
+		s = reopen()
+		if err := s.Put(key(9), sample(9)); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		s = reopen()
+		if !slices.Contains(s.Keys(), key(9)) {
+			t.Fatalf("a commit after manifest %q did not replay: keys %v", manifest, s.Keys())
+		}
+
+		rep, err := s.GC(time.Now(), GCPolicy{MaxBytes: int64(keep%4) * slices.Min(sizes)})
+		if err != nil {
+			t.Fatalf("gc over access journal %q: %v", access, err)
+		}
+		s.Close()
+		s = reopen()
+		if rep.Evicted == 0 {
+			return
+		}
+		want := s.Keys()
+		if len(want) != rep.Scanned-rep.Evicted {
+			t.Fatalf("%d keys survive a pass that kept %d of %d records", len(want), rep.Scanned-rep.Evicted, rep.Scanned)
+		}
+		for _, name := range []string{manifestName, accessName} {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, line := range strings.SplitAfter(string(data), "\n") {
+				if line == "" {
+					continue
+				}
+				k, ok := strings.CutSuffix(line, "\n")
+				if name == accessName {
+					var ts string
+					ts, k, _ = strings.Cut(k, " ")
+					if _, err := strconv.ParseInt(ts, 10, 64); err != nil {
+						ok = false
+					}
+				}
+				if !ok || !ValidKey(k) {
+					t.Fatalf("rewritten %s has line %q:\n%s", name, line, data)
+				}
+				got = append(got, k)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("rewritten %s lists %v, want the survivors %v", name, got, want)
+			}
+		}
+	})
 }

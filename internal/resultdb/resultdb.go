@@ -258,20 +258,6 @@ type Pinner interface {
 	Pin(keys []string) (release func())
 }
 
-// record is the on-disk form of one cached cell.
-type record struct {
-	// Schema is the SchemaVersion the record was written under.
-	Schema string `json:"schema"`
-	// Key echoes the content address, guarding against renamed or
-	// cross-copied files.
-	Key string `json:"key"`
-	// Result is the saved outcome; meaningful only when Error is empty.
-	Result core.SavedResult `json:"result"`
-	// Error is the recorded failure of a known-bad cell; empty for
-	// successful cells.
-	Error string `json:"error,omitempty"`
-}
-
 // Entry is one committed record's payload: a saved result, or the
 // recorded error of a cell that deterministically fails.
 type Entry struct {
@@ -402,8 +388,8 @@ func (s *DirStore) Lookup(key string) (Entry, bool, error) {
 	if err != nil {
 		return Entry{}, false, nil
 	}
-	var rec record
-	if err := json.Unmarshal(data, &rec); err != nil {
+	rec, err := DecodeRecord(data)
+	if err != nil {
 		return Entry{}, false, nil
 	}
 	if rec.Schema != SchemaVersion() || rec.Key != key {
@@ -422,7 +408,7 @@ func (s *DirStore) Lookup(key string) (Entry, bool, error) {
 // then a journal append. A concurrent Put of the same key from another
 // process is harmless — both renames install identical content.
 func (s *DirStore) Put(key string, res core.SavedResult) error {
-	if err := s.commit(key, record{Schema: SchemaVersion(), Key: key, Result: res}); err != nil {
+	if err := s.commit(key, Record{Schema: SchemaVersion(), Key: key, Result: res}); err != nil {
 		return err
 	}
 	s.traffic.Committed(false)
@@ -437,7 +423,7 @@ func (s *DirStore) PutError(key, msg string) error {
 	if msg == "" {
 		return fmt.Errorf("resultdb: empty failure message for key %s", key)
 	}
-	if err := s.commit(key, record{Schema: SchemaVersion(), Key: key, Error: msg}); err != nil {
+	if err := s.commit(key, Record{Schema: SchemaVersion(), Key: key, Error: msg}); err != nil {
 		return err
 	}
 	s.traffic.Committed(true)
@@ -484,7 +470,7 @@ func (s *DirStore) touchLocked(key string) {
 	s.touched[key] = true
 }
 
-func (s *DirStore) commit(key string, rec record) error {
+func (s *DirStore) commit(key string, rec Record) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("resultdb: invalid key %q (want a 64-hex fingerprint)", key)
 	}

@@ -124,7 +124,7 @@ func TestSchemaStampInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec record
+	var rec Record
 	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatal(err)
 	}
