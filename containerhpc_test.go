@@ -286,8 +286,6 @@ var internalAllow = map[string]string{
 	"experiments.SolutionsResult.RowByRuntime": "accessor the figure-shape tests read results through",
 	"registry.Client.FetchWorkStatus":          "accessor the coordinator and hardening tests read lease state through",
 	"telemetry.FleetJournal.Drops":             "accessor the journal tests read the drop count through",
-	"vtime.Resource.BusyTime":                  "accessor the Resource tests read occupancy through",
-	"vtime.Resource.FreeAt":                    "accessor the Resource tests read occupancy through",
 }
 
 // TestInternalExportsAreReferenced keeps internal/ to the code some

@@ -113,12 +113,6 @@ func (rc *rankComm) AllMax(v float64) float64 {
 // Charge implements field.Comm: the reported work becomes virtual time
 // through the hybrid OpenMP region model.
 func (rc *rankComm) Charge(flops, bytes float64) {
-	t := rc.model.RegionTime(omp.Region{
-		Flops:          workUnits(flops),
-		MemBytes:       byteUnits(bytes),
-		SerialFraction: 0.015,
-		Imbalance:      0.07,
-		Schedule:       omp.ScheduleStatic,
-	}, rc.threads)
+	t := rc.model.RegionTime(omp.Region{Flops: workUnits(flops), MemBytes: byteUnits(bytes)}, rc.threads)
 	rc.comm.Base().Compute(t)
 }

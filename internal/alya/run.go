@@ -30,12 +30,11 @@ func decomposeFor(m mesh.Mesh, ranks int, job *sched.Job, firstRank int) (mesh.G
 		firstRank%job.RanksPerNode == 0 && ranks%job.RanksPerNode == 0 {
 		align = ranks / job.RanksPerNode
 	}
-	for ; align >= 1; align-- {
+	for ; align > 1; align-- {
 		if ranks%align != 0 {
 			continue
 		}
-		g, err := mesh.DecomposeAligned(m, ranks, align)
-		if err == nil {
+		if g, err := mesh.DecomposeAligned(m, ranks, align); err == nil {
 			return g, nil
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/alya"
 	"repro/internal/cluster"
+	"repro/internal/omp"
 	"repro/internal/sched"
 	"repro/internal/units"
 )
@@ -127,6 +128,37 @@ func TestModelSignatureCoversLaunchLatency(t *testing.T) {
 			if l := (&sched.Job{Nodes: n}).LaunchLatency(); !carried[l] {
 				t.Fatalf("%s: launch latency %v at %d nodes is not in the model signature", cl.Name, l, n)
 			}
+		}
+	}
+}
+
+// TestModelSignatureCarriesOMPRegionConstants: every compute charge pays
+// the OpenMP model's serial fraction and load imbalance, so the
+// signature must carry both for every node, or editing either would
+// move every figure under an unchanged stamp.
+func TestModelSignatureCarriesOMPRegionConstants(t *testing.T) {
+	clusters := cluster.All()
+	sig, err := modelSignature(clusters, alya.StepPrograms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		OMP []struct{ SerialFraction, Imbalance float64 }
+	}
+	if err := json.Unmarshal(sig, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.OMP) != len(clusters) {
+		t.Fatalf("signature carries %d OpenMP models for %d clusters", len(got.OMP), len(clusters))
+	}
+	for i, cl := range clusters {
+		want := omp.DefaultModel(cl.Node)
+		if want.SerialFraction == 0 || want.Imbalance == 0 {
+			t.Fatalf("%s: the OpenMP model has no serial fraction or imbalance: %+v", cl.Name, want)
+		}
+		if g := got.OMP[i]; g.SerialFraction != want.SerialFraction || g.Imbalance != want.Imbalance {
+			t.Errorf("%s: signature carries serial fraction %v and imbalance %v, the model charges %v and %v",
+				cl.Name, g.SerialFraction, g.Imbalance, want.SerialFraction, want.Imbalance)
 		}
 	}
 }

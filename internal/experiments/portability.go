@@ -56,6 +56,11 @@ func portabilityClusters() []*cluster.Cluster {
 // run and its target's bare-metal baseline, shared by every attempt on
 // that target — enumerated up front and produced by one Sweep.Run, so
 // the store, shard and merge contracts are the figures' own.
+//
+// It is not a Grid. A Grid shares one cluster across its cells, while
+// here the target cluster is the axis; and a Grid runs every cell it
+// enumerates, while here availability is decided per build × target
+// before any cell runs, so the cells are only the runnable attempts.
 func Portability(opt Options) (*PortabilityResult, error) {
 	targets := portabilityClusters()
 	sing := container.Singularity{Version: "2.5.x"}

@@ -130,8 +130,10 @@ func TestTraceDirPerCellDeterministic(t *testing.T) {
 // commit 6efdaf5, before the observer became an event log; the profile
 // literal was re-printed when the profile dropped its resource-wait
 // category, which no event produced. Both were re-printed when the
-// model took the solvers' step skeleton. They change only if the cell's
-// schedule, the trace format or the attribution does.
+// model took the solvers' step skeleton. The profile embeds the cell
+// key, so it also moves when a model table's shape does (the key
+// JSON-encodes the cluster). They change only if the cell's schedule,
+// its key, the trace format or the attribution does.
 func TestTracedCellArtifactsPinned(t *testing.T) {
 	dir := t.TempDir()
 	opt := fig2TraceOpt(dir)
@@ -146,7 +148,7 @@ func TestTracedCellArtifactsPinned(t *testing.T) {
 	}
 	for suffix, want := range map[string]string{ //lint:allow maporder -- independent per-file checks
 		".trace.json":   "8c25229a239888f0a48444f6e31087819a336526668014f8c157ede05c495b5d",
-		".profile.json": "a9a55dd5209a2b8f406131e7cacfaed5ec64f601f80550ad6c765ee229f65838",
+		".profile.json": "6496e85ec6f485e1d3916e1c01e0e4a7fd45a064455fa9a69a919268963ce353",
 	} {
 		data, err := os.ReadFile(filepath.Join(dir, key+suffix))
 		if err != nil {

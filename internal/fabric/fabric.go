@@ -7,6 +7,11 @@
 // host-integrated path and the degraded TCP path that a self-contained
 // container falls back to when it cannot load the host's verbs/PSM
 // stack — the mechanism behind the paper's Fig. 2 and Fig. 3 gaps.
+//
+// Only a SharesNIC path serializes a node's transfers, each at its own
+// transport's Bandwidth. No per-node injection cap exists on the other
+// paths: concurrent offloaded transfers from one node do not contend.
+// Adding such a cap would move every multi-rank figure.
 package fabric
 
 import (
@@ -76,7 +81,9 @@ func (t *Transport) CPUCost(size units.ByteSize) units.Seconds {
 		if packets < 1 {
 			packets = 1
 		}
-		c += units.Seconds(packets) * t.PerPacketCPU
+		// The conversion rounds the product, so no GOARCH fuses it
+		// with the sum into one multiply-add.
+		c += units.Seconds(float64(units.Seconds(packets) * t.PerPacketCPU))
 	}
 	return c
 }
@@ -99,23 +106,14 @@ type Fabric struct {
 	// reaches without the host fabric libraries: TCP over whatever IP
 	// interface the fabric exposes (IPoIB, IPoOPA, or plain Ethernet).
 	TCPFallback Transport `json:"TCPFallback"`
-	// InjectionRate caps a node's aggregate injection bandwidth; all
-	// inter-node transfers from one node serialize against it.
-	InjectionRate units.Rate `json:"InjectionRate"`
 }
 
-// Validate checks both paths and the injection rate.
+// Validate checks both paths.
 func (f *Fabric) Validate() error {
 	if err := f.Native.Validate(); err != nil {
 		return err
 	}
-	if err := f.TCPFallback.Validate(); err != nil {
-		return err
-	}
-	if f.InjectionRate <= 0 {
-		return fmt.Errorf("fabric: %q has no injection rate", f.Name)
-	}
-	return nil
+	return f.TCPFallback.Validate()
 }
 
 // Interconnect presets for the four clusters. Latency/bandwidth values
@@ -145,7 +143,6 @@ var (
 			EagerThreshold: 32 * units.KiB,
 			SharesNIC:      true,
 		},
-		InjectionRate: 118 * units.MBps,
 	}
 
 	// OmniPath100 is MareNostrum4's 100 Gb/s Intel Omni-Path.
@@ -168,7 +165,6 @@ var (
 			EagerThreshold: 32 * units.KiB,
 			SharesNIC:      true,
 		},
-		InjectionRate: 11.2 * units.GBps,
 	}
 
 	// InfiniBandEDR is CTE-POWER's Mellanox EDR network.
@@ -189,7 +185,6 @@ var (
 			EagerThreshold: 32 * units.KiB,
 			SharesNIC:      true,
 		},
-		InjectionRate: 11.8 * units.GBps,
 	}
 
 	// FortyGigEthernet is the ThunderX mini-cluster's 40 GbE network.
@@ -211,7 +206,6 @@ var (
 			EagerThreshold: 32 * units.KiB,
 			SharesNIC:      true,
 		},
-		InjectionRate: 4.4 * units.GBps,
 	}
 )
 

@@ -243,7 +243,9 @@ func (r *Rank) Compute(d units.Seconds) {
 	if d < 0 {
 		panic(fmt.Sprintf("mpi: rank %d computed negative duration %v", r.id, d))
 	}
-	r.proc.Advance(d * units.Seconds(r.w.cfg.ComputeDilation))
+	// The conversion rounds the product, so no GOARCH fuses it with the
+	// clock's sum into one multiply-add.
+	r.proc.Advance(units.Seconds(float64(d * units.Seconds(r.w.cfg.ComputeDilation))))
 }
 
 // path returns the transport for a message from r to dst.

@@ -3,46 +3,15 @@
 //
 // The cost model charges a parallel region with: a fork/join and
 // barrier cost growing with team size, an Amdahl serial fraction, a
-// roofline bound combining compute rate and shared memory bandwidth,
-// and a NUMA penalty when the team spans sockets.
+// roofline bound combining compute rate and shared memory bandwidth, a
+// NUMA penalty when the team spans sockets, and the load imbalance a
+// static loop schedule pays.
 package omp
 
 import (
-	"fmt"
-
 	"repro/internal/topology"
 	"repro/internal/units"
 )
-
-// Schedule is the loop scheduling policy. It affects the load-imbalance
-// term of the region cost.
-type Schedule int
-
-// Available schedules.
-const (
-	// ScheduleStatic splits iterations evenly up front: no scheduling
-	// overhead, full exposure to iteration imbalance.
-	ScheduleStatic Schedule = iota
-	// ScheduleDynamic hands out chunks on demand: per-chunk overhead,
-	// imbalance smoothed to one chunk.
-	ScheduleDynamic
-	// ScheduleGuided shrinks chunk sizes geometrically: intermediate.
-	ScheduleGuided
-)
-
-// String names the schedule.
-func (s Schedule) String() string {
-	switch s {
-	case ScheduleStatic:
-		return "static"
-	case ScheduleDynamic:
-		return "dynamic"
-	case ScheduleGuided:
-		return "guided"
-	default:
-		return fmt.Sprintf("schedule(%d)", int(s))
-	}
-}
 
 // Region describes one parallel region's resource demands.
 type Region struct {
@@ -51,14 +20,6 @@ type Region struct {
 	// MemBytes is the memory traffic the region generates (the
 	// bandwidth side of the roofline).
 	MemBytes units.ByteSize
-	// SerialFraction is the Amdahl fraction executed by one thread
-	// (reductions tails, boundary fix-ups).
-	SerialFraction float64
-	// Imbalance is the relative spread of per-iteration work (0 =
-	// perfectly balanced). Static scheduling pays it in full.
-	Imbalance float64
-	// Schedule is the loop scheduling policy.
-	Schedule Schedule
 }
 
 // Model holds the machine-dependent constants of the cost model.
@@ -72,8 +33,13 @@ type Model struct {
 	ForkJoin units.Seconds
 	// BarrierPerThread is the per-thread increment of a team barrier.
 	BarrierPerThread units.Seconds
-	// DynamicChunkCost is the bookkeeping cost per dynamic chunk.
-	DynamicChunkCost units.Seconds
+	// SerialFraction is the Amdahl fraction of a region's work executed
+	// by one thread (reduction tails, boundary fix-ups).
+	SerialFraction float64
+	// Imbalance is the relative spread of per-iteration work (0 =
+	// perfectly balanced). Loops are scheduled statically, so a team
+	// pays it in full.
+	Imbalance float64
 }
 
 // DefaultModel returns calibrated constants for a node.
@@ -83,7 +49,8 @@ func DefaultModel(node topology.NodeSpec) Model {
 		RanksPerNode:     1,
 		ForkJoin:         1.5 * units.Microsecond,
 		BarrierPerThread: 0.25 * units.Microsecond,
-		DynamicChunkCost: 0.1 * units.Microsecond,
+		SerialFraction:   0.015,
+		Imbalance:        0.07,
 	}
 }
 
@@ -99,8 +66,8 @@ func (m Model) RegionTime(reg Region, threads int) units.Seconds {
 	}
 
 	coreRate := m.Node.CPU.EffectiveCoreRate
-	serial := coreRate.TimeFor(units.Flops(float64(reg.Flops) * reg.SerialFraction))
-	parWork := units.Flops(float64(reg.Flops) * (1 - reg.SerialFraction))
+	serial := coreRate.TimeFor(units.Flops(float64(reg.Flops) * m.SerialFraction))
+	parWork := units.Flops(float64(reg.Flops) * (1 - m.SerialFraction))
 
 	// Compute side of the roofline.
 	compute := coreRate.TimeFor(parWork) / units.Seconds(threads)
@@ -126,41 +93,12 @@ func (m Model) RegionTime(reg Region, threads int) units.Seconds {
 	memory := bw.TimeFor(reg.MemBytes)
 
 	body := units.Max(compute, memory)
-
-	// Load imbalance: static pays the full spread; dynamic smooths it
-	// but pays chunk bookkeeping; guided sits between.
-	var imbalance, schedOverhead units.Seconds
-	switch reg.Schedule {
-	case ScheduleStatic:
-		imbalance = body * units.Seconds(reg.Imbalance)
-	case ScheduleDynamic:
-		imbalance = body * units.Seconds(reg.Imbalance*0.15)
-		chunks := 32 * threads
-		schedOverhead = units.Seconds(chunks) * m.DynamicChunkCost
-	case ScheduleGuided:
-		imbalance = body * units.Seconds(reg.Imbalance*0.35)
-		chunks := 8 * threads
-		schedOverhead = units.Seconds(chunks) * m.DynamicChunkCost
-	}
 	if threads == 1 {
-		imbalance = 0
-		schedOverhead = 0
+		return serial + body
 	}
-
-	overhead := m.ForkJoin + units.Seconds(threads)*m.BarrierPerThread
-	if threads == 1 {
-		overhead = 0
-	}
-	return serial + body + imbalance + schedOverhead + overhead
-}
-
-// Efficiency reports the parallel efficiency of a region at the given
-// team width: T(1)/(threads·T(threads)).
-func (m Model) Efficiency(reg Region, threads int) float64 {
-	t1 := m.RegionTime(reg, 1)
-	tn := m.RegionTime(reg, threads)
-	if tn <= 0 {
-		return 0
-	}
-	return float64(t1) / (float64(threads) * float64(tn))
+	// The conversions round each product, so no GOARCH fuses one with
+	// the sums into a multiply-add.
+	imbalance := units.Seconds(float64(body * units.Seconds(m.Imbalance)))
+	overhead := m.ForkJoin + units.Seconds(float64(units.Seconds(threads)*m.BarrierPerThread))
+	return serial + body + imbalance + overhead
 }

@@ -10,13 +10,7 @@ import (
 )
 
 func testRegion() Region {
-	return Region{
-		Flops:          100 * units.MFlop,
-		MemBytes:       100 * units.MiB,
-		SerialFraction: 0.02,
-		Imbalance:      0.05,
-		Schedule:       ScheduleStatic,
-	}
+	return Region{Flops: 100 * units.MFlop, MemBytes: 100 * units.MiB}
 }
 
 func TestRegionTimePositive(t *testing.T) {
@@ -39,12 +33,15 @@ func TestMoreThreadsHelpUntilBandwidth(t *testing.T) {
 	}
 }
 
+// TestEfficiencyDecreases: the parallel efficiency T(1)/(n·T(n)) never
+// rises with the team width n.
 func TestEfficiencyDecreases(t *testing.T) {
 	m := DefaultModel(topology.MareNostrum4Node)
 	reg := testRegion()
+	t1 := m.RegionTime(reg, 1)
 	prev := 1.1
 	for _, threads := range []int{1, 2, 4, 8, 16, 24, 48} {
-		e := m.Efficiency(reg, threads)
+		e := float64(t1) / (float64(threads) * float64(m.RegionTime(reg, threads)))
 		if e > prev+1e-9 {
 			t.Fatalf("efficiency increased at %d threads: %v > %v", threads, e, prev)
 		}
@@ -80,35 +77,6 @@ func TestNUMAPenaltyAppliesAcrossSockets(t *testing.T) {
 	idealT28 := t14 / 2
 	if float64(t28) <= float64(idealT28)*1.05 {
 		t.Fatalf("no NUMA penalty visible: t14=%v t28=%v", t14, t28)
-	}
-}
-
-func TestScheduleTradeoffs(t *testing.T) {
-	m := DefaultModel(topology.LenoxNode)
-	imbalanced := Region{
-		Flops:     400 * units.MFlop,
-		Imbalance: 0.5,
-	}
-	static := imbalanced
-	static.Schedule = ScheduleStatic
-	dynamic := imbalanced
-	dynamic.Schedule = ScheduleDynamic
-	guided := imbalanced
-	guided.Schedule = ScheduleGuided
-	ts := m.RegionTime(static, 14)
-	td := m.RegionTime(dynamic, 14)
-	tg := m.RegionTime(guided, 14)
-	// With heavy imbalance, dynamic must beat static; guided between.
-	if !(td < tg && tg < ts) {
-		t.Fatalf("schedule ordering wrong: static %v, guided %v, dynamic %v", ts, tg, td)
-	}
-	// With perfect balance, static must win (no chunk overhead).
-	balanced := Region{Flops: 400 * units.MFlop}
-	bs, bd := balanced, balanced
-	bs.Schedule = ScheduleStatic
-	bd.Schedule = ScheduleDynamic
-	if m.RegionTime(bs, 14) >= m.RegionTime(bd, 14) {
-		t.Fatal("static should win on balanced work")
 	}
 }
 

@@ -36,8 +36,6 @@ type CPUModel struct {
 	ISA ISA `json:"ISA"`
 	// Cores is the number of physical cores per package.
 	Cores int `json:"Cores"`
-	// ClockGHz is the nominal base clock, reported for documentation.
-	ClockGHz float64 `json:"ClockGHz"`
 	// EffectiveCoreRate is the sustained per-core throughput on the
 	// Alya-like workload (sparse FE assembly + Krylov solves).
 	EffectiveCoreRate units.FlopRate `json:"EffectiveCoreRate"`
@@ -56,9 +54,6 @@ type NodeSpec struct {
 	CPU CPUModel `json:"CPU"`
 	// Sockets is the number of CPU packages per node.
 	Sockets int `json:"Sockets"`
-	// MemoryGiB is the installed RAM, for documentation and image
-	// staging models (tmpfs-backed extraction).
-	MemoryGiB float64 `json:"MemoryGiB"`
 	// NUMARemotePenalty multiplies effective memory bandwidth for
 	// threads whose team spans sockets (remote accesses + coherence).
 	// 1.0 means no penalty; typical values are 0.75–0.9.
@@ -124,7 +119,6 @@ var (
 		Name:              "Intel Xeon E5-2697 v3",
 		ISA:               AMD64,
 		Cores:             14,
-		ClockGHz:          2.6,
 		EffectiveCoreRate: units.GFlopsRate(2.0),
 		MemBandwidth:      55 * units.GBps,
 		PerCoreMemBW:      11 * units.GBps,
@@ -134,7 +128,6 @@ var (
 		Name:              "Intel Xeon Platinum 8160",
 		ISA:               AMD64,
 		Cores:             24,
-		ClockGHz:          2.1,
 		EffectiveCoreRate: units.GFlopsRate(2.6),
 		MemBandwidth:      105 * units.GBps,
 		PerCoreMemBW:      13 * units.GBps,
@@ -144,7 +137,6 @@ var (
 		Name:              "IBM Power9 8335-GTG",
 		ISA:               PPC64LE,
 		Cores:             20,
-		ClockGHz:          3.0,
 		EffectiveCoreRate: units.GFlopsRate(2.3),
 		MemBandwidth:      120 * units.GBps,
 		PerCoreMemBW:      18 * units.GBps,
@@ -155,7 +147,6 @@ var (
 		Name:              "Cavium ThunderX CN8890",
 		ISA:               ARM64,
 		Cores:             48,
-		ClockGHz:          1.8,
 		EffectiveCoreRate: units.GFlopsRate(0.7),
 		MemBandwidth:      40 * units.GBps,
 		PerCoreMemBW:      2.5 * units.GBps,
@@ -168,7 +159,6 @@ var (
 	LenoxNode = NodeSpec{
 		CPU:               HaswellE52697v3,
 		Sockets:           2,
-		MemoryGiB:         128,
 		NUMARemotePenalty: 0.85,
 		SharedMemRate:     8 * units.GBps,
 		SharedMemLatency:  0.5 * units.Microsecond,
@@ -177,7 +167,6 @@ var (
 	MareNostrum4Node = NodeSpec{
 		CPU:               SkylakePlatinum8160,
 		Sockets:           2,
-		MemoryGiB:         96,
 		NUMARemotePenalty: 0.88,
 		SharedMemRate:     10 * units.GBps,
 		SharedMemLatency:  0.4 * units.Microsecond,
@@ -186,7 +175,6 @@ var (
 	CTEPowerNode = NodeSpec{
 		CPU:               Power9_8335GTG,
 		Sockets:           2,
-		MemoryGiB:         512,
 		NUMARemotePenalty: 0.85,
 		SharedMemRate:     12 * units.GBps,
 		SharedMemLatency:  0.45 * units.Microsecond,
@@ -195,7 +183,6 @@ var (
 	ThunderXNode = NodeSpec{
 		CPU:               ThunderXCN8890,
 		Sockets:           2,
-		MemoryGiB:         128,
 		NUMARemotePenalty: 0.80,
 		SharedMemRate:     5 * units.GBps,
 		SharedMemLatency:  0.8 * units.Microsecond,

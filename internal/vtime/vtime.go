@@ -528,7 +528,6 @@ func (s *Scheduler) down(i int) {
 type Resource struct {
 	Name   string
 	freeAt units.Seconds
-	busy   units.Seconds // accumulated busy time, for utilization reports
 }
 
 // NewResource names a resource; the zero value is also usable.
@@ -547,12 +546,5 @@ func (r *Resource) ReserveAt(start units.Seconds, hold units.Seconds) units.Seco
 		start = r.freeAt
 	}
 	r.freeAt = start + hold
-	r.busy += hold
 	return r.freeAt
 }
-
-// BusyTime reports the total time the resource spent occupied.
-func (r *Resource) BusyTime() units.Seconds { return r.busy }
-
-// FreeAt reports when the resource next becomes free.
-func (r *Resource) FreeAt() units.Seconds { return r.freeAt }

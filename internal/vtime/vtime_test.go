@@ -164,9 +164,6 @@ func TestResourceSerializes(t *testing.T) {
 			t.Fatalf("proc %d done at %v, want %v", i, d, want)
 		}
 	}
-	if res.BusyTime() != 4*units.Second {
-		t.Fatalf("busy time %v, want 4s", res.BusyTime())
-	}
 }
 
 func TestResourceReserveAt(t *testing.T) {
@@ -176,9 +173,6 @@ func TestResourceReserveAt(t *testing.T) {
 	end3 := res.ReserveAt(5*units.Second, units.Second)
 	if end1 != units.Second || end2 != 2*units.Second || end3 != 6*units.Second {
 		t.Fatalf("reservations at %v %v %v", end1, end2, end3)
-	}
-	if res.FreeAt() != 6*units.Second {
-		t.Fatalf("free at %v", res.FreeAt())
 	}
 }
 
