@@ -77,8 +77,8 @@ type (
 	ByteSize = units.ByteSize
 	// Options tunes an experiment sweep.
 	Options = experiments.Options
-	// SchemaMismatchError reports a registry built from different
-	// model constants than this binary.
+	// SchemaMismatchError reports a registry of another record
+	// generation than this binary.
 	SchemaMismatchError = registry.SchemaMismatchError
 	// RecordedError is a failure replayed from the result store's
 	// negative cache instead of re-simulating a known-bad cell.
@@ -87,12 +87,6 @@ type (
 	ScenarioFieldError = scenario.FieldError
 )
 
-// ModelChecksum fingerprints the simulator's model (cluster, fabric,
-// container and workload tables, and ModeModel's step programs). The
-// result store folds it into every record's schema stamp, so cached
-// results self-invalidate whenever any of these changes.
-func ModelChecksum() string { return core.ModelChecksum() }
-
 // OpenStore opens (creating if needed) a persistent directory result
 // store. Attach it via Options.Store: sweeps then replay cached cells
 // and commit fresh ones, so a warm rerun of any figure is
@@ -100,9 +94,9 @@ func ModelChecksum() string { return core.ModelChecksum() }
 func OpenStore(dir string) (*resultdb.DirStore, error) { return resultdb.Open(dir) }
 
 // DialStore connects to a result registry (`hpcstudy serve`) and
-// performs the schema handshake; a registry built from different
-// model constants fails with *SchemaMismatchError before any record
-// is exchanged. The client is an Options.Store too, so sweeps and
+// performs the schema handshake; a registry of another record
+// generation fails with *SchemaMismatchError before any record is
+// exchanged. The client is an Options.Store too, so sweeps and
 // merges against a URL behave exactly as against a local directory.
 func DialStore(url string) (*registry.Client, error) {
 	return registry.Dial(url, registry.ClientOptions{})

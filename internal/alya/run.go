@@ -151,7 +151,8 @@ func Run(spec Spec) (Result, error) {
 		Allreduce:       spec.Allreduce,
 		StartupSkew: func(rank int) units.Seconds {
 			local := rank % job.RanksPerNode
-			return launch + perRank*units.Seconds(local+1)
+			// The conversion rounds the product: no GOARCH may fuse it.
+			return launch + units.Seconds(float64(perRank*units.Seconds(local+1)))
 		},
 		Log: spec.Log,
 	}
@@ -461,8 +462,15 @@ var (
 	solidStep = []op{exchange(3), charge(solid.StepFlopsPerCell, solid.StepBytesPerCell), allSum, allSum, allMax}
 )
 
-// StepPrograms renders the step programs for core's model stamp.
-func StepPrograms() string { return fmt.Sprint(fluidStep, cgRound, solidStep) }
+// StepProgram renders the step programs a ModeModel cell of kind k runs,
+// for core's cell keys: the fluid step and a CG round, and for FSI the
+// solid step too.
+func StepProgram(k Kind) string {
+	if k == FSI {
+		return fmt.Sprint(fluidStep, cgRound, solidStep)
+	}
+	return fmt.Sprint(fluidStep, cgRound)
+}
 
 // run performs program p size-only, each solve with iters CG iterations.
 func (rc *rankComm) run(p []op, iters int) {

@@ -90,7 +90,9 @@ func (d Docker) Deploy(c *cluster.Cluster, img *Image, nodes int) (DeployReport,
 		return DeployReport{}, fmt.Errorf("container: deploy on %d nodes", nodes)
 	}
 	wire := img.CompressedSize() * units.ByteSize(nodes)
-	pull := c.RegistryRTT*units.Seconds(len(img.Layers)) +
+	// The conversions here and in the other Deploy sums round each
+	// product, so no GOARCH fuses one with a sum into a multiply-add.
+	pull := units.Seconds(float64(c.RegistryRTT*units.Seconds(len(img.Layers)))) +
 		units.Rate(c.RegistryBW).TimeFor(wire)
 	// Layer extraction runs node-locally in parallel across nodes:
 	// gunzip+untar onto the storage driver, disk-write bound.
@@ -167,7 +169,8 @@ func (s Singularity) Deploy(c *cluster.Cluster, img *Image, nodes int) (DeployRe
 	convert := convertRate.TimeFor(img.Size())
 	stage := c.SharedFS.WriteTime(img.CompressedSize(), 1)
 	// Per-node start: stat the SIF, SUID starter mounts it read-only.
-	start := units.Seconds(nodes)*c.SharedFS.MetadataLatency + units.Seconds(nodes)*12*units.Millisecond
+	start := units.Seconds(float64(units.Seconds(nodes)*c.SharedFS.MetadataLatency)) +
+		units.Seconds(float64(units.Seconds(nodes)*12*units.Millisecond))
 	return DeployReport{
 		Runtime:     s.Name(),
 		Image:       img.Ref(),
@@ -241,7 +244,8 @@ func (sh Shifter) Deploy(c *cluster.Cluster, img *Image, nodes int) (DeployRepor
 	pull := c.RegistryRTT + units.Rate(c.RegistryBW).TimeFor(wire)
 	convert := convertRate.TimeFor(img.Size())
 	stage := c.SharedFS.WriteTime(img.CompressedSize(), 1)
-	start := units.Seconds(nodes)*c.SharedFS.MetadataLatency + units.Seconds(nodes)*20*units.Millisecond
+	start := units.Seconds(float64(units.Seconds(nodes)*c.SharedFS.MetadataLatency)) +
+		units.Seconds(float64(units.Seconds(nodes)*20*units.Millisecond))
 	return DeployReport{
 		Runtime:     sh.Name(),
 		Image:       img.Ref(),

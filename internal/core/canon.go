@@ -5,20 +5,23 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"repro/internal/alya"
 	"repro/internal/cluster"
 	"repro/internal/container"
 	"repro/internal/mpi"
+	"repro/internal/omp"
 	"repro/internal/sched"
+	"repro/internal/units"
 )
 
 // CellID is the simulation-relevant identity of a measurement: every
 // input that can change a cell's simulated output, and nothing else.
-// It deliberately names the image by its build inputs (runtime,
-// source cluster, technique) rather than by the built artifact — the
-// image is a pure function of those inputs, so the identity stays
-// cheap to compute without building anything.
+// It names the image by its build inputs (runtime, source cluster,
+// technique); its canonical form adds the model slice the cell reads
+// (cellModel), built image included, evaluated once per deployment
+// point.
 type CellID struct {
 	// Cluster is the machine the cell runs on.
 	Cluster *cluster.Cluster
@@ -42,7 +45,9 @@ type CellID struct {
 // encoded by name, not ordinal, so reordering a Go const block does
 // not silently alias old cache entries onto new meanings; the runtime
 // interface is split into its display name (the concrete type) and
-// its concrete value (the version fields).
+// its concrete value (the version fields). Model is the cell's model
+// checksum, the digest of the cellModel it reads, so a model edit
+// re-keys exactly the cells whose slice it moves.
 type canonCell struct {
 	Cluster       *cluster.Cluster `json:"Cluster"`
 	Runtime       string           `json:"Runtime"`
@@ -56,6 +61,7 @@ type canonCell struct {
 	Placement     string           `json:"Placement"`
 	Mode          string           `json:"Mode"`
 	Allreduce     string           `json:"Allreduce"`
+	Model         string           `json:"Model"`
 }
 
 // Canon returns the canonical encoding of the identity: JSON with the
@@ -65,6 +71,15 @@ func (id CellID) Canon() ([]byte, error) {
 	if id.Cluster == nil || id.Runtime == nil {
 		return nil, fmt.Errorf("core: cell identity needs a cluster and a runtime")
 	}
+	model, err := id.point().digest()
+	if err != nil {
+		return nil, err
+	}
+	return id.canon(model)
+}
+
+// canon encodes the identity with the given model digest.
+func (id CellID) canon(model string) ([]byte, error) {
 	return json.Marshal(canonCell{
 		Cluster:       id.Cluster,
 		Runtime:       id.Runtime.Name(),
@@ -78,6 +93,7 @@ func (id CellID) Canon() ([]byte, error) {
 		Placement:     id.Placement.String(),
 		Mode:          id.Mode.String(),
 		Allreduce:     id.Allreduce.String(),
+		Model:         model,
 	})
 }
 
@@ -88,8 +104,115 @@ func (id CellID) Fingerprint() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return hexSum(b), nil
+}
+
+// hexSum is the sha256 of b, in hex.
+func hexSum(b []byte) string {
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
+}
+
+// cellModel is the slice of the simulator's model that RunCell
+// evaluates for one cell beyond the tables CellID names: the runtime's
+// verdict, image and costs on the cell's cluster, the OpenMP model and
+// srun's launch latency at the cell's node count, and in ModeModel the
+// step program of the cell's case kind. Error is the first evaluation
+// that fails, in the sweep's order (image build, then RunCell's), so a
+// deterministic failure keeps a key; nothing after it is read.
+type cellModel struct {
+	Error   string                  `json:",omitempty"`
+	Image   *container.Image        `json:",omitempty"`
+	Exec    *container.ExecProfile  `json:",omitempty"`
+	Deploy  *container.DeployReport `json:",omitempty"`
+	OMP     *omp.Model              `json:",omitempty"`
+	Launch  units.Seconds           `json:",omitempty"`
+	Program string                  `json:",omitempty"`
+}
+
+// modelPoint is a deployment point: every input of a cellModel, held
+// by value. No field reaches a pointer, slice, map or func
+// (TestModelValuesArePure), so two equal points read equal tables and
+// the memo below can never answer for tables that have since changed.
+type modelPoint struct {
+	rt             container.Runtime
+	cluster, image cluster.Cluster
+	kind           container.BuildKind
+	nodes          int
+	mode           alya.Mode
+	caseKind       alya.Kind
+}
+
+func (id CellID) point() modelPoint {
+	img := id.Cluster
+	if id.ImageFrom != nil {
+		img = id.ImageFrom
+	}
+	return modelPoint{rt: id.Runtime, cluster: *id.Cluster, image: *img, kind: id.Kind,
+		nodes: id.Nodes, mode: id.Mode, caseKind: id.Case.Kind}
+}
+
+// slice evaluates the cell's model, with program rendering the step
+// program of a case kind.
+func (p modelPoint) slice(program func(alya.Kind) string) cellModel {
+	img, err := BuildImageFor(p.rt, &p.image, p.kind)
+	if err == nil {
+		err = p.rt.Available(&p.cluster)
+	}
+	var exec container.ExecProfile
+	if err == nil {
+		exec, err = p.rt.ExecProfile(&p.cluster, img)
+	}
+	var deploy container.DeployReport
+	if err == nil {
+		deploy, err = p.rt.Deploy(&p.cluster, img, p.nodes)
+	}
+	if err != nil {
+		return cellModel{Error: err.Error()}
+	}
+	ompModel := omp.DefaultModel(p.cluster.Node)
+	m := cellModel{Image: img, Exec: &exec, Deploy: &deploy, OMP: &ompModel,
+		Launch: (&sched.Job{Nodes: p.nodes}).LaunchLatency()}
+	if p.mode == alya.ModeModel {
+		m.Program = program(p.caseKind)
+	}
+	return m
+}
+
+// sliceDigest is the hex sha256 of the slice's canonical JSON.
+func (p modelPoint) sliceDigest(program func(alya.Kind) string) (string, error) {
+	b, err := json.Marshal(p.slice(program))
+	if err != nil {
+		return "", err
+	}
+	return hexSum(b), nil
+}
+
+// modelMemo maps a modelPoint to its digest. Evaluating and encoding a
+// slice costs about twice the rest of a key, and a warm replay re-keys
+// every cell, so each deployment point is evaluated once per process;
+// the memo grows with distinct deployments, not with cells.
+var modelMemo = struct {
+	sync.RWMutex
+	m map[modelPoint]string
+}{m: make(map[modelPoint]string)}
+
+// digest is the memoized sliceDigest of the point's production model.
+func (p modelPoint) digest() (string, error) {
+	modelMemo.RLock()
+	d, ok := modelMemo.m[p]
+	modelMemo.RUnlock()
+	if ok {
+		return d, nil
+	}
+	d, err := p.sliceDigest(alya.StepProgram)
+	if err != nil {
+		return "", err
+	}
+	modelMemo.Lock()
+	modelMemo.m[p] = d
+	modelMemo.Unlock()
+	return d, nil
 }
 
 // SavedResult is the persistable portion of a Result: the deployment

@@ -132,7 +132,9 @@ func TestTraceDirPerCellDeterministic(t *testing.T) {
 // category, which no event produced. Both were re-printed when the
 // model took the solvers' step skeleton. The profile embeds the cell
 // key, so it also moves when a model table's shape does (the key
-// JSON-encodes the cluster). They change only if the cell's schedule,
+// JSON-encodes the cluster) and moved when the key took in the cell's
+// model slice; with the old key substituted back, the file hashes to
+// the old literal. They change only if the cell's schedule,
 // its key, the trace format or the attribution does.
 func TestTracedCellArtifactsPinned(t *testing.T) {
 	dir := t.TempDir()
@@ -148,7 +150,7 @@ func TestTracedCellArtifactsPinned(t *testing.T) {
 	}
 	for suffix, want := range map[string]string{ //lint:allow maporder -- independent per-file checks
 		".trace.json":   "8c25229a239888f0a48444f6e31087819a336526668014f8c157ede05c495b5d",
-		".profile.json": "6496e85ec6f485e1d3916e1c01e0e4a7fd45a064455fa9a69a919268963ce353",
+		".profile.json": "0c57f11362a93f0a6bb5f60de4f06d159aa23b43cb628934735e8c979cdcd30e",
 	} {
 		data, err := os.ReadFile(filepath.Join(dir, key+suffix))
 		if err != nil {

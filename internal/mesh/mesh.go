@@ -120,7 +120,8 @@ func DecomposeAligned(m Mesh, p, alignZ int) (Grid, error) {
 			lx := float64(m.NX) / float64(px)
 			ly := float64(m.NY) / float64(py)
 			lz := float64(m.NZ) / float64(pz)
-			cost := 2 * (lx*ly*btoi(pz > 1) + lx*lz*btoi(py > 1) + ly*lz*btoi(px > 1))
+			// Rounded products: no GOARCH may fuse one and move a tie.
+			cost := 2 * (float64(lx*ly*btoi(pz > 1)) + float64(lx*lz*btoi(py > 1)) + float64(ly*lz*btoi(px > 1)))
 			if cost < bestCost {
 				bestCost = cost
 				best.PX, best.PY, best.PZ = px, py, pz

@@ -195,7 +195,8 @@ func foldedStack(rank int, phase, tag string) string {
 // nanos converts virtual seconds to the integer nanosecond weights
 // folded-stack tools expect.
 func nanos(s units.Seconds) int64 {
-	return int64(float64(s)*1e9 + 0.5)
+	// The conversion rounds the product: no GOARCH may fuse it.
+	return int64(float64(float64(s)*1e9) + 0.5)
 }
 
 // WriteFile writes the profile into dir as <key>.profile.json,

@@ -82,9 +82,9 @@ var _ resultdb.Store = (*Client)(nil)
 var _ resultdb.Prefetcher = (*Client)(nil)
 
 // Dial validates the base URL and performs the schema handshake:
-// one GET /v1/schema, retried like any transient failure. A server
-// built from different model constants (or record format) fails with
-// *SchemaMismatchError before any record is exchanged.
+// one GET /v1/schema, retried like any transient failure. A server of
+// another record generation fails with *SchemaMismatchError before any
+// record is exchanged.
 func Dial(baseURL string, opt ClientOptions) (*Client, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
@@ -127,8 +127,8 @@ func Dial(baseURL string, opt ClientOptions) (*Client, error) {
 	if err := json.Unmarshal(data, &ws); err != nil {
 		return nil, fmt.Errorf("registry: %s is not a registry (GET /v1/schema: %v)", c.base, err)
 	}
-	if ws.Schema != resultdb.SchemaVersion() {
-		return nil, &SchemaMismatchError{Client: resultdb.SchemaVersion(), Server: ws.Schema}
+	if ws.Schema != resultdb.SchemaVersion {
+		return nil, &SchemaMismatchError{Client: resultdb.SchemaVersion, Server: ws.Schema}
 	}
 	return c, nil
 }
@@ -151,7 +151,7 @@ func (c *Client) do(method, path string, body []byte) (int, []byte, error) {
 		if err != nil {
 			return 0, nil, fmt.Errorf("registry: %w", err)
 		}
-		req.Header.Set(headerSchema, resultdb.SchemaVersion())
+		req.Header.Set(headerSchema, resultdb.SchemaVersion)
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
@@ -303,7 +303,7 @@ const maxBackoff = 5 * time.Second
 func mismatchFrom(data []byte) error {
 	var we wireError
 	_ = json.Unmarshal(data, &we)
-	return &SchemaMismatchError{Client: resultdb.SchemaVersion(), Server: we.ServerSchema}
+	return &SchemaMismatchError{Client: resultdb.SchemaVersion, Server: we.ServerSchema}
 }
 
 // Get returns the saved result for a key, success records only; any
@@ -386,7 +386,7 @@ func (c *Client) Lookup(key string) (resultdb.Entry, bool, error) {
 		if err != nil {
 			return resultdb.Entry{}, false, nil // damaged on the wire: a miss, like a corrupt file
 		}
-		if rec.Key != key || rec.Schema != resultdb.SchemaVersion() {
+		if rec.Key != key || rec.Schema != resultdb.SchemaVersion {
 			return resultdb.Entry{}, false, nil
 		}
 		ent := resultdb.Entry{Result: rec.Result, Err: rec.Error}
@@ -403,7 +403,7 @@ func (c *Client) Lookup(key string) (resultdb.Entry, bool, error) {
 
 // Put commits a result to the registry.
 func (c *Client) Put(key string, res core.SavedResult) error {
-	if err := c.send(key, resultdb.Record{Schema: resultdb.SchemaVersion(), Key: key, Result: res}); err != nil {
+	if err := c.send(key, resultdb.Record{Schema: resultdb.SchemaVersion, Key: key, Result: res}); err != nil {
 		return err
 	}
 	c.clearAbsent(key)
@@ -417,7 +417,7 @@ func (c *Client) PutError(key, msg string) error {
 	if msg == "" {
 		return fmt.Errorf("registry: empty failure message for key %s", key)
 	}
-	if err := c.send(key, resultdb.Record{Schema: resultdb.SchemaVersion(), Key: key, Error: msg}); err != nil {
+	if err := c.send(key, resultdb.Record{Schema: resultdb.SchemaVersion, Key: key, Error: msg}); err != nil {
 		return err
 	}
 	c.clearAbsent(key)

@@ -489,19 +489,15 @@ func (q *WorkQueue) ClaimFrom(worker, origin string) (lease *WorkLease, wait tim
 	}, 0, false, ev
 }
 
-// Heartbeat renews a lease's deadline, folding the worker's
+// HeartbeatFrom renews a lease's deadline, folding the worker's
 // self-reported progress (nil is a plain renewal) into its fleet
-// record. ok=false means the lease is gone — expired and requeued, or
-// already completed — and the worker must abandon the batch's
-// remaining cells (its finished commits are durable and harmless
-// either way). The worker name comes back so the server can label
-// per-worker metrics without a second lookup.
-func (q *WorkQueue) Heartbeat(id string, p *WorkerProgress) (worker string, ok bool, ev workEvents) {
-	return q.HeartbeatFrom(id, p, "")
-}
-
-// HeartbeatFrom is Heartbeat carrying the renewing request's propagated
-// span id (the parent of any requeue its expiry sweep causes).
+// record. origin is the renewing request's propagated span id (the
+// parent of any requeue its expiry sweep causes; "" for none).
+// ok=false means the lease is gone — expired and requeued, or already
+// completed — and the worker must abandon the batch's remaining cells
+// (its finished commits are durable and harmless either way). The
+// worker name comes back so the server can label per-worker metrics
+// without a second lookup.
 func (q *WorkQueue) HeartbeatFrom(id string, p *WorkerProgress, origin string) (worker string, ok bool, ev workEvents) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

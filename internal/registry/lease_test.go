@@ -144,7 +144,7 @@ func TestWorkQueueExpiryRequeues(t *testing.T) {
 	// Heartbeats within the TTL keep it alive across any span.
 	for i := 0; i < 5; i++ {
 		clock.Advance(50 * time.Second)
-		if _, ok, _ := q.Heartbeat(lease.ID, nil); !ok {
+		if _, ok, _ := q.HeartbeatFrom(lease.ID, nil, ""); !ok {
 			t.Fatalf("heartbeat %d refused while renewing in time", i)
 		}
 	}
@@ -160,7 +160,7 @@ func TestWorkQueueExpiryRequeues(t *testing.T) {
 	if got := keysOf(lease2.Cells); fmt.Sprint(got) != fmt.Sprint([]string{"c2"}) {
 		t.Fatalf("w2 claimed %v, want the dead worker's uncommitted remainder first", got)
 	}
-	if _, ok, _ := q.Heartbeat(lease.ID, nil); ok {
+	if _, ok, _ := q.HeartbeatFrom(lease.ID, nil, ""); ok {
 		t.Fatal("revoked lease still heartbeats")
 	}
 	if _, ok, _ := q.Complete(lease.ID, false, nil); ok {

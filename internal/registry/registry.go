@@ -30,13 +30,14 @@
 // # Schema handshake
 //
 // Records are meaningful only under one schema stamp
-// (resultdb.SchemaVersion: record-format generation + model-constant
-// checksum). The client fetches GET /v1/schema at dial time and
-// refuses to talk to a server built from a different model — a typed
-// *SchemaMismatchError, not silently stale records. Every subsequent
-// request repeats the client's stamp in the Registry-Schema header, so
-// a server restarted under a new model rejects in-flight old clients
-// with 409 instead of serving records they would misread.
+// (resultdb.SchemaVersion, the record generation). The client fetches
+// GET /v1/schema at dial time and refuses to talk to a server of
+// another generation — a typed *SchemaMismatchError, not silently
+// misread records. Every subsequent request repeats the client's stamp
+// in the Registry-Schema header, so a server restarted under a new
+// generation rejects in-flight old clients with 409. The model is not
+// in the stamp but in each cell key, so binaries with different models
+// share a registry and each reads only its own cells.
 package registry
 
 import "fmt"
@@ -84,10 +85,10 @@ type wireManifest struct {
 }
 
 // SchemaMismatchError reports a registry whose schema stamp differs
-// from this binary's: the two were built from different model
-// constants (or record formats), so exchanging records would replay
-// numbers from the wrong model. The fix is rebuilding both sides from
-// the same source, never ignoring the error.
+// from this binary's: the two write different record generations, so
+// exchanging records would replay numbers the other side misreads. The
+// fix is rebuilding both sides from the same source, never ignoring
+// the error.
 type SchemaMismatchError struct {
 	// Client is this binary's stamp; Server the registry's.
 	Client, Server string
@@ -95,6 +96,6 @@ type SchemaMismatchError struct {
 
 // Error names both stamps so an operator can see which side is stale.
 func (e *SchemaMismatchError) Error() string {
-	return fmt.Sprintf("registry: schema mismatch: client %s, server %s (rebuild both sides from the same model)",
+	return fmt.Sprintf("registry: schema mismatch: client %s, server %s (rebuild both sides from the same source)",
 		e.Client, e.Server)
 }

@@ -125,7 +125,7 @@ func TestDialRejectsMismatchedSchema(t *testing.T) {
 	if !errors.As(err, &sme) {
 		t.Fatalf("want *SchemaMismatchError, got %v", err)
 	}
-	if sme.Server != "99-deadbeef" || sme.Client != resultdb.SchemaVersion() {
+	if sme.Server != "99-deadbeef" || sme.Client != resultdb.SchemaVersion {
 		t.Fatalf("mismatch error carries %+v", sme)
 	}
 }
@@ -152,7 +152,7 @@ func TestServerRejectsMismatchedClients(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&we); err != nil {
 		t.Fatal(err)
 	}
-	if we.Code != codeSchemaMismatch || we.ServerSchema != resultdb.SchemaVersion() {
+	if we.Code != codeSchemaMismatch || we.ServerSchema != resultdb.SchemaVersion {
 		t.Fatalf("wire error %+v", we)
 	}
 
@@ -160,7 +160,7 @@ func TestServerRejectsMismatchedClients(t *testing.T) {
 	// even if the request header is current.
 	body, _ := json.Marshal(resultdb.Record{Schema: "1-0000000000000000", Key: key(1), Result: sample(1)})
 	req, _ = http.NewRequest(http.MethodPut, ts.URL+"/v1/cells/"+key(1), strings.NewReader(string(body)))
-	req.Header.Set(headerSchema, resultdb.SchemaVersion())
+	req.Header.Set(headerSchema, resultdb.SchemaVersion)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -321,9 +321,9 @@ func TestGracefulShutdown(t *testing.T) {
 	// Stream a PUT body slowly so the request is mid-flight when the
 	// context dies.
 	pr, pw := io.Pipe()
-	body, _ := json.Marshal(resultdb.Record{Schema: resultdb.SchemaVersion(), Key: key(9), Result: sample(9)})
+	body, _ := json.Marshal(resultdb.Record{Schema: resultdb.SchemaVersion, Key: key(9), Result: sample(9)})
 	req, _ := http.NewRequest(http.MethodPut, base+"/v1/cells/"+key(9), pr)
-	req.Header.Set(headerSchema, resultdb.SchemaVersion())
+	req.Header.Set(headerSchema, resultdb.SchemaVersion)
 	respErr := make(chan error, 1)
 	var status int
 	go func() {
@@ -419,9 +419,9 @@ func TestRejectsNonFingerprintKeys(t *testing.T) {
 	store, ts, _ := newRegistry(t)
 
 	evil := "%2e%2e%2f%2e%2e%2fevil"
-	rec, _ := json.Marshal(resultdb.Record{Schema: resultdb.SchemaVersion(), Key: "../../evil", Error: "pwn"})
+	rec, _ := json.Marshal(resultdb.Record{Schema: resultdb.SchemaVersion, Key: "../../evil", Error: "pwn"})
 	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/cells/"+evil, strings.NewReader(string(rec)))
-	req.Header.Set(headerSchema, resultdb.SchemaVersion())
+	req.Header.Set(headerSchema, resultdb.SchemaVersion)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

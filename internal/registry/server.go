@@ -206,19 +206,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // protect the store.
 func (s *Server) rejectSchema(w http.ResponseWriter, r *http.Request) bool {
 	got := r.Header.Get(headerSchema)
-	if got == "" || got == resultdb.SchemaVersion() {
+	if got == "" || got == resultdb.SchemaVersion {
 		return false
 	}
 	writeJSON(w, http.StatusConflict, wireError{
 		Code:         codeSchemaMismatch,
 		Error:        fmt.Sprintf("client schema %s does not match server", got),
-		ServerSchema: resultdb.SchemaVersion(),
+		ServerSchema: resultdb.SchemaVersion,
 	})
 	return true
 }
 
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, wireSchema{Schema: resultdb.SchemaVersion()})
+	writeJSON(w, http.StatusOK, wireSchema{Schema: resultdb.SchemaVersion})
 }
 
 // handleMetrics renders the metrics registry in Prometheus text
@@ -240,7 +240,7 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	if keys == nil {
 		keys = []string{}
 	}
-	writeJSON(w, http.StatusOK, wireManifest{Schema: resultdb.SchemaVersion(), Keys: keys})
+	writeJSON(w, http.StatusOK, wireManifest{Schema: resultdb.SchemaVersion, Keys: keys})
 }
 
 // rejectKey refuses any cell path that is not a well-formed
@@ -282,7 +282,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		s.storeOp("hit")
 	}
 	writeJSON(w, http.StatusOK, resultdb.Record{
-		Schema: resultdb.SchemaVersion(),
+		Schema: resultdb.SchemaVersion,
 		Key:    key,
 		Result: ent.Result,
 		Error:  ent.Err,
@@ -326,11 +326,11 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if rec.Schema != resultdb.SchemaVersion() {
+	if rec.Schema != resultdb.SchemaVersion {
 		writeJSON(w, http.StatusConflict, wireError{
 			Code:         codeSchemaMismatch,
 			Error:        fmt.Sprintf("record schema %s does not match server", rec.Schema),
-			ServerSchema: resultdb.SchemaVersion(),
+			ServerSchema: resultdb.SchemaVersion,
 		})
 		return
 	}
@@ -442,6 +442,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	if err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
-	s.logf("registry: listening on %s (schema %s, store %s)", ln.Addr(), resultdb.SchemaVersion(), s.store.Dir())
+	s.logf("registry: listening on %s (schema %s, store %s)", ln.Addr(), resultdb.SchemaVersion, s.store.Dir())
 	return s.Serve(ctx, ln)
 }

@@ -35,7 +35,7 @@ type FleetStatus struct {
 // into metrics when a queue is attached).
 func (s *Server) fleetStatus() FleetStatus {
 	fs := FleetStatus{
-		Schema:    resultdb.SchemaVersion(),
+		Schema:    resultdb.SchemaVersion,
 		StoreKeys: len(s.store.Keys()),
 	}
 	if s.opt.Work != nil {

@@ -59,7 +59,7 @@ func TestFleetStatusAggregatesWorkers(t *testing.T) {
 	}
 	defer c.Close()
 	hb := WorkerProgress{Cells: 1, Simulated: 1, VirtualSeconds: 100.5, CommSeconds: 25.25}
-	if worker, ok, _ := q.Heartbeat(l1.ID, &hb); !ok || worker != "w1" {
+	if worker, ok, _ := q.HeartbeatFrom(l1.ID, &hb, ""); !ok || worker != "w1" {
 		t.Fatalf("heartbeat: worker=%q ok=%v", worker, ok)
 	}
 	fin := WorkerProgress{Cells: 2, Failures: 1, Simulated: 1, Replayed: 1, VirtualSeconds: 50, CommSeconds: 10}
@@ -75,8 +75,8 @@ func TestFleetStatusAggregatesWorkers(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &fs); err != nil {
 		t.Fatalf("undecodable status: %v\n%s", err, body)
 	}
-	if fs.Schema != resultdb.SchemaVersion() {
-		t.Errorf("schema = %q, want %q", fs.Schema, resultdb.SchemaVersion())
+	if fs.Schema != resultdb.SchemaVersion {
+		t.Errorf("schema = %q, want %q", fs.Schema, resultdb.SchemaVersion)
 	}
 	if fs.Work == nil || fs.Work.Study != "fig2" || fs.Work.TotalCells != 4 {
 		t.Fatalf("work = %+v", fs.Work)
@@ -110,7 +110,7 @@ func TestFleetStatusAggregatesWorkers(t *testing.T) {
 	}
 
 	// Per-worker gauges follow the last snapshot reported over the wire
-	// (the direct q.Heartbeat above never reached the server, so w1's
+	// (the direct q.HeartbeatFrom above never reached the server, so w1's
 	// gauges appear only after this wire heartbeat).
 	l3, err := c.ClaimWork("w1")
 	if err != nil || l3.Lease == nil {

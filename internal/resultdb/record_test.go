@@ -156,8 +156,8 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		return data
 	}
-	ok := Record{Schema: SchemaVersion(), Key: key(7), Result: sample(7)}
-	failure := Record{Schema: SchemaVersion(), Key: key(8), Error: `exec "alya": <nil> & exit 1`}
+	ok := Record{Schema: SchemaVersion, Key: key(7), Result: sample(7)}
+	failure := Record{Schema: SchemaVersion, Key: key(8), Error: `exec "alya": <nil> & exit 1`}
 	null := ok
 	null.Result.Exec.MPI.RankEnd = nil
 	empty := ok

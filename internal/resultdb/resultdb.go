@@ -17,13 +17,13 @@
 // record committed just before a crash that lost its journal line is
 // still found on disk.
 //
-// Records carry a schema stamp, SchemaVersion: a record-format
-// generation plus a checksum over the simulator's model (fabric,
-// cluster and container tables, workload cases, ModeModel's step
-// programs — see core.ModelChecksum). Any change to those alters the
-// stamp, so every existing record reads as a miss and is recomputed
-// instead of replaying outdated numbers; other output-moving code
-// changes must bump schemaGeneration.
+// Records carry a schema stamp, SchemaVersion: the record generation
+// alone. The simulator's model is not in the stamp but in the key:
+// core.CellID hashes the cell's cluster and case tables and the model
+// slice it reads (runtime costs, OpenMP model, launch latency, step
+// program), so a model edit re-keys exactly the cells that read it and
+// every other record keeps replaying. Output-moving code changes that
+// no key can see must bump SchemaVersion.
 //
 // Failed cells are cached too: PutError commits a schema-stamped error
 // record through the same atomic-rename path, so repeated sweeps skip
@@ -56,20 +56,16 @@ import (
 	"repro/internal/core"
 )
 
-// schemaGeneration is the record-format generation: bump it when the
-// record encoding changes, or when a code change moves output that the
-// checksum cannot see (a kernel's arithmetic, a collective's schedule).
-const schemaGeneration = 2
-
-// SchemaVersion stamps every record: the record-format generation
-// joined with a checksum over the simulator model constants. Records
-// written under a different generation or a different model read as
-// misses and are recomputed. A network registry serves it on
-// GET /v1/schema so clients can refuse to exchange records across a
-// model change instead of silently mixing incompatible numbers.
-func SchemaVersion() string {
-	return fmt.Sprintf("%d-%s", schemaGeneration, core.ModelChecksum()[:16])
-}
+// SchemaVersion stamps every record: the record generation. Bump it
+// when the record encoding changes, or when a code change moves output
+// that no cell key can see (a kernel's arithmetic, a collective's
+// schedule). The model a cell reads is in its key (core.CellID), so a
+// model edit re-keys only the cells that read it and leaves the stamp
+// alone. Records written under another generation read as misses and
+// are recomputed. A network registry serves the stamp on GET
+// /v1/schema, so clients refuse to exchange records across a
+// generation instead of silently misreading them.
+const SchemaVersion = "3"
 
 // ValidKey reports whether key is a well-formed content address: 64
 // lowercase hex characters, the sha256 fingerprint form. Stores and
@@ -392,7 +388,7 @@ func (s *DirStore) Lookup(key string) (Entry, bool, error) {
 	if err != nil {
 		return Entry{}, false, nil
 	}
-	if rec.Schema != SchemaVersion() || rec.Key != key {
+	if rec.Schema != SchemaVersion || rec.Key != key {
 		return Entry{}, false, nil
 	}
 	ent := Entry{Result: rec.Result, Err: rec.Error}
@@ -408,7 +404,7 @@ func (s *DirStore) Lookup(key string) (Entry, bool, error) {
 // then a journal append. A concurrent Put of the same key from another
 // process is harmless — both renames install identical content.
 func (s *DirStore) Put(key string, res core.SavedResult) error {
-	if err := s.commit(key, Record{Schema: SchemaVersion(), Key: key, Result: res}); err != nil {
+	if err := s.commit(key, Record{Schema: SchemaVersion, Key: key, Result: res}); err != nil {
 		return err
 	}
 	s.traffic.Committed(false)
@@ -423,7 +419,7 @@ func (s *DirStore) PutError(key, msg string) error {
 	if msg == "" {
 		return fmt.Errorf("resultdb: empty failure message for key %s", key)
 	}
-	if err := s.commit(key, Record{Schema: SchemaVersion(), Key: key, Error: msg}); err != nil {
+	if err := s.commit(key, Record{Schema: SchemaVersion, Key: key, Error: msg}); err != nil {
 		return err
 	}
 	s.traffic.Committed(true)

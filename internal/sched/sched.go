@@ -106,5 +106,6 @@ func (j *Job) LaunchLatency() units.Seconds {
 	for n := 1; n < j.Nodes; n <<= 1 {
 		depth++
 	}
-	return 120*units.Millisecond + units.Seconds(depth)*18*units.Millisecond
+	// The conversion rounds the product: no GOARCH may fuse it into the sum.
+	return 120*units.Millisecond + units.Seconds(float64(units.Seconds(depth)*18*units.Millisecond))
 }
